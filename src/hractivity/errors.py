@@ -46,6 +46,10 @@ class OutOfRangeBpm(DataError):
         self.bpm = bpm
 
 
+class MalformedRow(DataError):
+    """A CSV row has a missing cell or a cell that does not parse."""
+
+
 class TimestampFormatError(DataError):
     """Timestamp column mixes formats within a file or is unparseable."""
 

@@ -233,8 +233,7 @@ def fit_classifier(spec, ds: WindowDataset, train_idx: np.ndarray, seed: int):
         if ds.standardization is StandardizationMode.FEATURE:
             scaler = fit_scaler(x)
             x = apply_scaler(scaler, x)
-        model = train_ovo(x, labels, kernel=spec.kernel, c=spec.c, tol=spec.tol,
-                          seed=seed)
+        model = train_ovo(x, labels, kernel=spec.kernel, c=spec.c, tol=spec.tol)
         return FittedSvm(model, spec.inputs, scaler)
 
     if isinstance(spec, NetSpec):

@@ -11,13 +11,16 @@ from __future__ import annotations
 
 import csv
 import datetime as _dt
+import math
 from dataclasses import dataclass, replace
 from pathlib import Path
 
 import numpy as np
 
 from .errors import (
+    DataError,
     EmptySeries,
+    MalformedRow,
     MissingColumn,
     NonMonotonicTimestamps,
     OutOfRangeBpm,
@@ -48,10 +51,14 @@ def _parse_timestamp(text: str, mode: str) -> tuple[float, str]:
     """Parse one timestamp cell, locking the per-file format on first use."""
     if mode in ("", "epoch"):
         try:
-            return float(text), "epoch"
+            t = float(text)
         except ValueError:
             if mode == "epoch":
                 raise TimestampFormatError(f"mixed timestamp formats near {text!r}") from None
+        else:
+            if not math.isfinite(t):
+                raise TimestampFormatError(f"non-finite timestamp {text!r}")
+            return t, "epoch"
     try:
         dt = _dt.datetime.fromisoformat(text.replace("Z", "+00:00"))
     except ValueError:
@@ -61,8 +68,22 @@ def _parse_timestamp(text: str, mode: str) -> tuple[float, str]:
     return dt.timestamp(), "iso"
 
 
+def _parse_bpm(text: str) -> float:
+    try:
+        bpm = float(text)
+    except ValueError:
+        raise MalformedRow(f"bpm {text!r} is not a number") from None
+    if not bpm_in_range(bpm):
+        raise OutOfRangeBpm(bpm)
+    return bpm
+
+
 def _read_file(path: Path, schema: CsvSchema):
-    """Yield (subject, device, t, bpm, label) tuples from one CSV file."""
+    """Yield (subject, device, t, bpm, label) tuples from one CSV file.
+
+    A row error keeps its DataError class and gains the file and the 1-based
+    line number in its message.
+    """
     with open(path, newline="", encoding="utf-8") as fh:
         reader = csv.DictReader(fh)
         header = reader.fieldnames or []
@@ -71,17 +92,16 @@ def _read_file(path: Path, schema: CsvSchema):
                 raise MissingColumn(col, str(path))
         ts_mode = ""
         for row in reader:
-            t, ts_mode = _parse_timestamp(row[schema.timestamp], ts_mode)
-            bpm = float(row[schema.bpm])
-            if not bpm_in_range(bpm):
-                raise OutOfRangeBpm(bpm)
-            yield (
-                row[schema.subject],
-                row[schema.device],
-                t,
-                bpm,
-                parse_label(row[schema.label]),
-            )
+            try:
+                if None in row.values():  # DictReader pads a short row with None
+                    raise MalformedRow(f"row has fewer than {len(header)} cells")
+                t, ts_mode = _parse_timestamp(row[schema.timestamp], ts_mode)
+                bpm = _parse_bpm(row[schema.bpm])
+                label = parse_label(row[schema.label])
+            except DataError as exc:
+                exc.args = (f"{path}, line {reader.line_num}: {exc}",)
+                raise
+            yield row[schema.subject], row[schema.device], t, bpm, label
 
 
 def parse_corpus(path: str | Path, schema: CsvSchema = CsvSchema()) -> list[SubjectSeries]:

@@ -1,10 +1,13 @@
 """Soft-margin kernel SVM trained by sequential minimal optimization.
 
-Multiclass wraps one-against-one binary machines. Training uses Platt-style
-working-set selection: alternate full sweeps with sweeps over non-bound
-multipliers, pick the partner maximizing |E1 - E2|, fall back to seeded
-scans. The error cache is updated exactly after every step, so heuristics
-never work from stale values.
+Multiclass wraps one-against-one binary machines. Training uses second-order
+working-set selection (WSS2; Fan, Chen & Lin, "Working Set Selection Using
+Second Order Information for Training SVM", JMLR 2005), the LIBSVM solver:
+each step takes the maximal violator i over I_up and the partner j over I_low
+with the largest second-order gain, both by vectorized scans of the gradient,
+and moves the pair analytically. Training stops when the maximal-violating-pair
+gap is at most ``tol``; a fit that hits the iteration cap says so through
+``BinarySvm.converged``.
 """
 
 from __future__ import annotations
@@ -20,6 +23,10 @@ import numpy as np
 from .errors import DimensionMismatch, InvalidConfig, NonFiniteFeature, SingleClassInput
 
 ALPHA_KEEP = 1e-12  # multipliers at or below this are dropped from the model
+TAU = 1e-12  # curvature used for pairs with a non-positive a_ij (LIBSVM's TAU)
+# Step cap.  LIBSVM uses max(10^7, 100 n); 100 n only binds past 10^5 rows,
+# where the dense Gram matrix this trainer holds would not fit in memory.
+MAX_ITER = 10_000_000
 
 
 class KernelKind(enum.Enum):
@@ -58,6 +65,8 @@ class BinarySvm:
     kernel: KernelSpec
     c: float
     alpha: np.ndarray | None = None  # full training multipliers; not serialized
+    iterations: int | None = None  # solver steps taken; not serialized
+    converged: bool | None = None  # gap <= tol reached before MAX_ITER; not serialized
 
     def decision(self, x) -> np.ndarray:
         mat = np.atleast_2d(np.asarray(x, dtype=np.float64))
@@ -70,102 +79,17 @@ class BinarySvm:
         return self.kernel.matrix(mat, self.support_vectors) @ self.coef + self.bias
 
 
-def _take_step(i1, i2, alpha, y, errors, gram, c, state):
-    if i1 == i2:
-        return False
-    a1_old, a2_old = alpha[i1], alpha[i2]
-    y1, y2 = y[i1], y[i2]
-    e1, e2 = errors[i1], errors[i2]
-    s = y1 * y2
-    if s > 0:
-        lo, hi = max(0.0, a1_old + a2_old - c), min(c, a1_old + a2_old)
-    else:
-        lo, hi = max(0.0, a2_old - a1_old), min(c, c + a2_old - a1_old)
-    if lo == hi:
-        return False
-    k11, k22, k12 = gram[i1, i1], gram[i2, i2], gram[i1, i2]
-    eta = k11 + k22 - 2.0 * k12
-    if eta > 0:
-        a2 = a2_old + y2 * (e1 - e2) / eta
-        a2 = min(max(a2, lo), hi)
-    else:
-        # flat direction: evaluate the dual at both clip ends
-        f1 = y1 * e1 - a1_old * k11 - s * a2_old * k12
-        f2 = y2 * e2 - a2_old * k22 - s * a1_old * k12
-        l1 = a1_old + s * (a2_old - lo)
-        h1 = a1_old + s * (a2_old - hi)
-        obj_lo = l1 * f1 + lo * f2 + 0.5 * l1**2 * k11 + 0.5 * lo**2 * k22 + s * lo * l1 * k12
-        obj_hi = h1 * f1 + hi * f2 + 0.5 * h1**2 * k11 + 0.5 * hi**2 * k22 + s * hi * h1 * k12
-        if obj_lo < obj_hi - 1e-12:
-            a2 = lo
-        elif obj_lo > obj_hi + 1e-12:
-            a2 = hi
-        else:
-            return False
-    if abs(a2 - a2_old) < 1e-12 * (a2 + a2_old + 1e-12):
-        return False
-    a1 = a1_old + s * (a2_old - a2)
-    if a1 < 0.0:
-        a1 = 0.0
-    elif a1 > c:
-        a1 = c
-
-    d1 = y1 * (a1 - a1_old)
-    d2 = y2 * (a2 - a2_old)
-    b_old = state["b"]
-    b1 = b_old - e1 - d1 * k11 - d2 * k12
-    b2 = b_old - e2 - d1 * k12 - d2 * k22
-    if 0.0 < a1 < c:
-        b_new = b1
-    elif 0.0 < a2 < c:
-        b_new = b2
-    else:
-        b_new = 0.5 * (b1 + b2)
-    state["b"] = b_new
-
-    alpha[i1], alpha[i2] = a1, a2
-    errors += d1 * gram[i1] + d2 * gram[i2] + (b_new - b_old)
-    return True
-
-
-def _examine(i2, alpha, y, errors, gram, c, tol, state, rng):
-    e2 = errors[i2]
-    r2 = e2 * y[i2]
-    a2 = alpha[i2]
-    if not ((r2 < -tol and a2 < c) or (r2 > tol and a2 > 0.0)):
-        return False
-    non_bound = np.nonzero((alpha > 0.0) & (alpha < c))[0]
-    if non_bound.size > 1:
-        i1 = int(non_bound[np.abs(errors[non_bound] - e2).argmax()])
-        if _take_step(i1, i2, alpha, y, errors, gram, c, state):
-            return True
-    if non_bound.size:
-        start = int(rng.integers(non_bound.size))
-        for offset in range(non_bound.size):
-            i1 = int(non_bound[(start + offset) % non_bound.size])
-            if _take_step(i1, i2, alpha, y, errors, gram, c, state):
-                return True
-    n = alpha.size
-    start = int(rng.integers(n))
-    for offset in range(n):
-        if _take_step((start + offset) % n, i2, alpha, y, errors, gram, c, state):
-            return True
-    return False
-
-
 def train_binary(
     x,
     y,
     kernel: KernelSpec = KernelSpec(),
     c: float = 1.0,
     tol: float = 1e-3,
-    max_passes: int = 200,
-    seed: int = 0,
 ) -> BinarySvm:
-    """Platt SMO on the soft-margin dual; deterministic given seed.
+    """WSS2 SMO on the soft-margin dual; no randomness, so fits are repeatable.
 
-    max_passes caps full examine-all sweeps; normal termination is a full
-    sweep with no multiplier change.
+    Stops when the maximal-violating-pair gap m(alpha) - M(alpha) is at most
+    tol, or after MAX_ITER steps, which the model reports as converged=False.
     """
     x = np.ascontiguousarray(x, dtype=np.float64)
     y = np.asarray(y, dtype=np.float64)
@@ -182,38 +106,46 @@ def train_binary(
 
     kernel = kernel.resolve(x)
     gram = kernel.matrix(x, x)
+    diag = gram.diagonal().copy()
     n = x.shape[0]
     alpha = np.zeros(n)
-    errors = -y.astype(np.float64)  # f = 0 everywhere at start, b = 0
-    state = {"b": 0.0}
-    rng = np.random.default_rng(np.random.SeedSequence(entropy=(int(seed),)))
+    # v = -y * (gradient of the dual) = y - K (alpha * y); starts at alpha = 0
+    v = y.copy()
+    pos = y > 0
+    iterations = 0
+    converged = False
+    while True:
+        # I_up: y * alpha may still grow; I_low: it may still shrink
+        v_up = np.where(np.where(pos, alpha < c, alpha > 0.0), v, -np.inf)
+        low = np.where(pos, alpha > 0.0, alpha < c)
+        i = int(v_up.argmax())
+        if v_up[i] - np.where(low, v, np.inf).min() <= tol:
+            converged = True
+            break
+        if iterations >= MAX_ITER:
+            break
+        iterations += 1
+        # j: the violating partner with the largest second-order gain b^2 / a
+        b = v[i] - v
+        a = diag[i] + diag - 2.0 * gram[i]
+        a = np.where(a > 0.0, a, TAU)
+        j = int(np.where(low & (b > 0.0), -(b * b) / a, np.inf).argmin())
+        # move alpha_i by y_i * t and alpha_j by -y_j * t, clipped to the box
+        room_i = c - alpha[i] if pos[i] else alpha[i]
+        room_j = alpha[j] if pos[j] else c - alpha[j]
+        t = min(b[j] / a[j], room_i, room_j)
+        alpha[i] = (c if pos[i] else 0.0) if t == room_i else alpha[i] + y[i] * t
+        alpha[j] = (0.0 if pos[j] else c) if t == room_j else alpha[j] - y[j] * t
+        v -= t * (gram[i] - gram[j])
 
-    examine_all = True
-    sweeps = 0
-    while sweeps < max_passes:
-        sweeps += 1
-        changed = 0
-        if examine_all:
-            for i2 in range(n):
-                changed += _examine(i2, alpha, y, errors, gram, c, tol, state, rng)
-        else:
-            for i2 in np.nonzero((alpha > 0.0) & (alpha < c))[0]:
-                changed += _examine(int(i2), alpha, y, errors, gram, c, tol, state, rng)
-        if examine_all:
-            if changed == 0:
-                break
-            examine_all = False
-        elif changed == 0:
-            examine_all = True
-
-    # Recompute the threshold from the final multipliers.  The running
-    # threshold can end up outside the feasible interval when every
-    # multiplier sits at a bound, which leaves phantom margin violations.
+    # Threshold from the final multipliers: the mean over free ones, or the
+    # middle of the feasible interval when every multiplier sits at a bound.
     g = (alpha * y) @ gram
+    bias = 0.0
     eps_b = 1e-10 * max(1.0, c)
     free = (alpha > eps_b) & (alpha < c - eps_b)
     if np.any(free):
-        state["b"] = float(np.mean(y[free] - g[free]))
+        bias = float(np.mean(y[free] - g[free]))
     else:
         at_zero = alpha <= eps_b
         at_c = alpha >= c - eps_b
@@ -224,20 +156,22 @@ def train_binary(
             [(1.0 - g)[at_c & (y > 0)], (-1.0 - g)[at_zero & (y < 0)]]
         )
         if lows.size and highs.size:
-            state["b"] = float((lows.max() + highs.min()) / 2.0)
+            bias = float((lows.max() + highs.min()) / 2.0)
         elif lows.size:
-            state["b"] = float(lows.max())
+            bias = float(lows.max())
         elif highs.size:
-            state["b"] = float(highs.min())
+            bias = float(highs.min())
 
     keep = alpha > ALPHA_KEEP
     return BinarySvm(
         support_vectors=x[keep].copy(),
         coef=(alpha * y)[keep],
-        bias=float(state["b"]),
+        bias=bias,
         kernel=kernel,
         c=float(c),
         alpha=alpha,
+        iterations=iterations,
+        converged=converged,
     )
 
 
@@ -260,15 +194,13 @@ def kkt_violation(model: BinarySvm, x, y, tol_bound: float = 1e-9) -> float:
     x = np.asarray(x, dtype=np.float64)
     y = np.asarray(y, dtype=np.float64)
     margins = y * model.decision(x)
-    worst = 0.0
-    for a, margin in zip(model.alpha, margins):
-        if a <= tol_bound:
-            worst = max(worst, 1.0 - margin)
-        elif a >= model.c - tol_bound:
-            worst = max(worst, margin - 1.0)
-        else:
-            worst = max(worst, abs(margin - 1.0))
-    return float(worst)
+    a = model.alpha
+    violation = np.where(
+        a <= tol_bound,
+        1.0 - margins,
+        np.where(a >= model.c - tol_bound, margins - 1.0, np.abs(margins - 1.0)),
+    )
+    return float(np.max(violation, initial=0.0))
 
 
 @dataclass(frozen=True)
@@ -278,7 +210,6 @@ class OvoSvm:
     kernel: KernelSpec
     c: float
     tol: float
-    seed: int
 
     def decision_rows(self, x) -> dict:
         return {pair: m.decision(x) for pair, m in self.machines.items()}
@@ -290,8 +221,6 @@ def train_ovo(
     kernel: KernelSpec = KernelSpec(),
     c: float = 1.0,
     tol: float = 1e-3,
-    max_passes: int = 200,
-    seed: int = 0,
 ) -> OvoSvm:
     """One binary machine per class pair; +1 encodes the lower class id."""
     x = np.ascontiguousarray(x, dtype=np.float64)
@@ -304,12 +233,9 @@ def train_ovo(
     for a, b in combinations(classes, 2):
         mask = (y == a) | (y == b)
         pair_y = np.where(y[mask] == a, 1.0, -1.0)
-        pair_seed = np.random.SeedSequence(entropy=(int(seed), a, b)).generate_state(1)[0]
-        machines[(a, b)] = train_binary(
-            x[mask], pair_y, kernel, c, tol, max_passes, seed=int(pair_seed)
-        )
+        machines[(a, b)] = train_binary(x[mask], pair_y, kernel, c, tol)
     return OvoSvm(classes=classes, machines=machines, kernel=kernel, c=float(c),
-                  tol=float(tol), seed=int(seed))
+                  tol=float(tol))
 
 
 def predict_ovo(model: OvoSvm, x) -> np.ndarray:
@@ -326,16 +252,11 @@ def predict_ovo(model: OvoSvm, x) -> np.ndarray:
         votes[:, index[b]] += ~wins_a
         sums[:, index[a]] += d
         sums[:, index[b]] -= d
-    out = np.empty(n, dtype=np.int64)
-    classes = np.asarray(model.classes)
-    for i in range(n):
-        top = votes[i].max()
-        tied = np.nonzero(votes[i] == top)[0]
-        if tied.size > 1:
-            best = sums[i][tied].max()
-            tied = tied[sums[i][tied] == best]
-        out[i] = classes[tied[0]]
-    return out
+    tied = votes == votes.max(axis=1, keepdims=True)
+    tied_sums = np.where(tied, sums, -np.inf)
+    best = tied_sums == tied_sums.max(axis=1, keepdims=True)
+    # argmax takes the first True: the lowest class id among the best
+    return np.asarray(model.classes, dtype=np.int64)[best.argmax(axis=1)]
 
 
 def _kernel_to_json(kernel: KernelSpec) -> dict:
@@ -349,12 +270,11 @@ def _kernel_from_json(obj: dict) -> KernelSpec:
 def save_ovo(model: OvoSvm, path: str | Path) -> None:
     """Versioned JSON; float repr round-trips make reloaded predictions bit-exact."""
     payload = {
-        "schema": "ovo_svm.v1",
+        "schema": "ovo_svm.v2",
         "classes": list(model.classes),
         "kernel": _kernel_to_json(model.kernel),
         "c": model.c,
         "tol": model.tol,
-        "seed": model.seed,
         "machines": [
             {
                 "pair": [a, b],
@@ -375,7 +295,7 @@ def save_ovo(model: OvoSvm, path: str | Path) -> None:
 def load_ovo(path: str | Path) -> OvoSvm:
     with open(path, encoding="utf-8") as fh:
         payload = json.load(fh)
-    if payload.get("schema") != "ovo_svm.v1":
+    if payload.get("schema") != "ovo_svm.v2":
         raise InvalidConfig(f"unsupported model schema {payload.get('schema')!r}")
     machines = {}
     for entry in payload["machines"]:
@@ -394,5 +314,4 @@ def load_ovo(path: str | Path) -> OvoSvm:
         kernel=_kernel_from_json(payload["kernel"]),
         c=float(payload["c"]),
         tol=float(payload["tol"]),
-        seed=int(payload["seed"]),
     )

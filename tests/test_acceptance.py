@@ -207,7 +207,7 @@ def test_criterion_05_svm_matches_qp_oracle(capsys):
         if np.unique(y).size < 2:
             y[0] = -y[0]
         kernel = LINEAR if trial % 2 == 0 else KernelSpec(KernelKind.RBF, gamma=1.0)
-        model = train_binary(x, y, kernel, c=1.0, tol=1e-4, seed=trial)
+        model = train_binary(x, y, kernel, c=1.0, tol=1e-4)
         gram = model.kernel.matrix(x, x)
         w_oracle = svm_dual_objective(solve_svm_dual_qp(gram, y, 1.0), y, gram)
         rel = abs(dual_objective(model.alpha, y, gram) - w_oracle) / max(1.0, abs(w_oracle))

@@ -177,6 +177,24 @@ def test_missing_corpus_is_a_data_error(tmp_path, capsys):
     assert "data error" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("command", ["ingest", "eval"])
+@pytest.mark.parametrize(
+    "bad_row",
+    ["A,Apple Watch,1,abc,Rest\n", "A,Apple Watch,1\n", "A,Apple Watch,,61,Rest\n"],
+    ids=["bpm-abc", "short-row", "empty-timestamp"],
+)
+def test_malformed_row_is_a_data_error(tmp_path, capsys, command, bad_row):
+    csv_path = tmp_path / "bad.csv"
+    csv_path.write_text("subject_id,device,timestamp,bpm,label\n"
+                        "A,Apple Watch,0,60,Rest\n" + bad_row, encoding="utf-8")
+    ini = write_ini(tmp_path / "exp.ini", f"[corpus]\nsource = {csv_path}\n[run]\nseed = 1\n")
+    rc = run_cli("--config", ini, "--out", tmp_path / "out", command)
+    err = capsys.readouterr().err
+    assert rc == 3
+    assert "data error" in err and "bad.csv, line 3" in err
+    assert "Traceback" not in err
+
+
 def test_failed_run_leaves_no_partial_output(tmp_path):
     # importance rejects repeats < 5 only after the run dir machinery starts
     gen_out = tmp_path / "gen"

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from hractivity.errors import (
+    DataError,
     EmptySeries,
     MissingColumn,
     NonMonotonicTimestamps,
@@ -51,6 +52,21 @@ def test_parse_three_rows_maps_directly(tmp_path):
 def test_parse_out_of_range_bpm(tmp_path):
     p = write_csv(tmp_path, ["A,Apple Watch,0,300,Rest\n"])
     with pytest.raises(OutOfRangeBpm):
+        parse_corpus(p)
+
+
+@pytest.mark.parametrize(
+    "bad_row",
+    [
+        "A,Apple Watch,1,abc,Rest\n",  # non-numeric bpm
+        "A,Apple Watch,1\n",  # last two cells missing
+        "A,Apple Watch,,61,Rest\n",  # empty timestamp
+        "A,Apple Watch,inf,61,Rest\n",  # non-finite timestamp
+    ],
+)
+def test_parse_bad_row_names_file_and_line(tmp_path, bad_row):
+    p = write_csv(tmp_path, ["A,Apple Watch,0,60,Rest\n", bad_row], name="bad.csv")
+    with pytest.raises(DataError, match=r"bad\.csv, line 3: "):
         parse_corpus(p)
 
 
