@@ -155,7 +155,8 @@ def cmd_sweep(cfg, run_dir: Path) -> None:
 
 def cmd_cluster(cfg, run_dir: Path) -> None:
     series = _load_series(cfg)
-    ds = _build_dataset(cfg, series)
+    # clustering reads only the windows, so no feature matrix is built
+    ds = build_dataset(series, cfgmod.window_config(cfg), cfg.standardization)
     model, assignment = fit_cluster_model(list(ds.window_objs), cfg.space, cfg.k,
                                           cfg.require_seed(), restarts=cfg.restarts)
     write_cluster_report(model, assignment, run_dir / "cluster_report.json")

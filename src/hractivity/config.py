@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import configparser
 import hashlib
+import math
 from dataclasses import dataclass, fields
 from pathlib import Path
 
@@ -244,7 +245,8 @@ def _validate(cfg: ExperimentConfig) -> None:
         (cfg.repeats >= 1, "importance.repeats must be positive"),
         (cfg.top >= 0, "importance.top must be non-negative"),
         (cfg.workers >= 1, "run.workers must be positive"),
-        (cfg.resample_period_s >= 0, "corpus.resample_period_s must be non-negative"),
+        (math.isfinite(cfg.resample_period_s) and cfg.resample_period_s >= 0,
+         "corpus.resample_period_s must be a finite number >= 0"),
         (cfg.subjects >= 1, "synthetic.subjects must be positive"),
         (cfg.groups >= 1, "synthetic.groups must be positive"),
     ]

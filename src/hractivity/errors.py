@@ -58,6 +58,10 @@ class EmptySeries(DataError):
     pass
 
 
+class InvalidResamplePeriod(DataError):
+    """A resampling period that is not a finite positive number of seconds."""
+
+
 class InvalidSpec(ConfigError):
     """Synthetic cohort spec violates its invariants."""
 

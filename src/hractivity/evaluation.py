@@ -166,8 +166,16 @@ def build_dataset(
 # ---------------------------------------------------------------- classifiers
 
 
+# Each fitted classifier says which inputs its predictions read:
+# ``reads_windows`` for the window timesteps, ``reads_hc`` for the
+# handcrafted features.
+
+
 class ConstantPredictor:
     """Stands in for a classifier whose training windows were single-class."""
+
+    reads_windows = False
+    reads_hc = False
 
     def __init__(self, label: int):
         self.label = int(label)
@@ -181,6 +189,14 @@ class FittedSvm:
         self.model = model
         self.inputs = inputs
         self.scaler = scaler
+
+    @property
+    def reads_windows(self) -> bool:
+        return self.inputs != "features"
+
+    @property
+    def reads_hc(self) -> bool:
+        return self.inputs != "windows"
 
     def _matrix(self, windows, hc):
         if self.inputs == "windows":
@@ -198,9 +214,15 @@ class FittedSvm:
 
 
 class FittedNet:
+    reads_windows = True
+
     def __init__(self, model, scaler):
         self.model = model
         self.scaler = scaler
+
+    @property
+    def reads_hc(self) -> bool:
+        return self.model.config.hc_dim > 0
 
     def predict(self, windows, hc):
         if self.model.config.hc_dim == 0:
@@ -580,7 +602,12 @@ def permutation_importance(
     repeats: int = 5,
     seed: int = 0,
 ) -> ImportanceReport:
-    """Mean balanced-accuracy drop when one input dimension is shuffled."""
+    """Mean balanced-accuracy drop when one input dimension is shuffled.
+
+    A dimension the classifier does not read (see ``reads_windows`` and
+    ``reads_hc``) scores 0.0 without a predict: shuffling it cannot change
+    a prediction.
+    """
     if repeats < 5:
         raise InvalidConfig("importance needs at least 5 repeats")
     windows = np.asarray(windows, dtype=np.float64)
@@ -595,7 +622,10 @@ def permutation_importance(
 
     base = balanced_accuracy(confusion_matrix(labels, clf.predict(windows, hc)))
     importances = np.zeros(len(names))
+    read = [clf.reads_windows] * w_dim + [clf.reads_hc] * hc.shape[1]
     for dim in range(len(names)):
+        if not read[dim]:
+            continue
         drops = []
         for r in range(repeats):
             rng = np.random.default_rng(

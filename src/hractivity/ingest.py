@@ -20,6 +20,7 @@ import numpy as np
 from .errors import (
     DataError,
     EmptySeries,
+    InvalidResamplePeriod,
     MalformedRow,
     MissingColumn,
     NonMonotonicTimestamps,
@@ -188,8 +189,10 @@ def resample_uniform(
     """
     if len(series) == 0:
         raise EmptySeries(series.subject_id)
-    if period_s <= 0:
-        raise ValueError("period_s must be positive")
+    if not (period_s > 0 and math.isfinite(period_s)):
+        raise InvalidResamplePeriod(
+            f"resample period must be a finite positive number of seconds, got {period_s!r}"
+        )
     t = series.timestamps
     if len(series) == 1:
         return series, []

@@ -28,8 +28,7 @@ from .errors import EmptyDataset, InvalidConfig, InternalError, ShapeMismatch, U
 
 CONV_CHANNELS = 16
 CONV_KERNEL = 5
-POOL_SIZE = 2
-POOL_STRIDE = 2
+POOL_STRIDE = 2  # max pool over non-overlapping (left, right) pairs
 
 
 class ArchitectureId(Enum):
@@ -157,43 +156,49 @@ def _check_batch(model: NetModel, windows, hc):
     return windows, hc
 
 
-def _conv_forward(params, signal):
-    # signal (n, L) -> activations (n, 16, L-4) via stacked shifted views
-    cols = np.lib.stride_tricks.sliding_window_view(signal, CONV_KERNEL, axis=1)
-    pre = np.einsum("nlk,ck->ncl", cols, params["conv_w"]) + params["conv_b"][None, :, None]
-    return cols, pre
-
-
-def _forward(model: NetModel, windows, hc, train_mode: bool):
-    """Class scores plus every intermediate needed by _backward."""
-    cfg = model.config
-    p = model.params
-    cache: dict = {"train_mode": train_mode}
-
+def _im2col(model: NetModel, windows, hc) -> np.ndarray:
+    """The (n, L-4, 5) conv input patches, as one contiguous array."""
     if model.arch is ArchitectureId.MODEL2:
         signal = np.concatenate([windows, hc], axis=1)
     else:
         signal = windows
-    cols, conv_pre = _conv_forward(p, signal)
-    act = np.maximum(conv_pre, 0.0)
+    return np.ascontiguousarray(
+        np.lib.stride_tricks.sliding_window_view(signal, CONV_KERNEL, axis=1)
+    )
 
+
+def _forward(model: NetModel, cols, hc, train_mode: bool):
+    """Class scores plus every intermediate needed by _backward.
+
+    Conv activations are channels-last, (n, L-4, 16); only the pooled block
+    is transposed to the channel-major flat vector that fc1 reads.
+    """
+    cfg = model.config
+    p = model.params
+    cache: dict = {}
+
+    n, conv_len, _ = cols.shape
+    conv_pre = (cols.reshape(-1, CONV_KERNEL) @ p["conv_w"].T + p["conv_b"]).reshape(
+        n, conv_len, CONV_CHANNELS
+    )
+    # ReLU and inverted dropout as one multiplier that _backward reuses
+    gate = conv_pre > 0.0
     if train_mode and cfg.dropout_p > 0.0:
         mask_rng = np.random.default_rng(
             np.random.SeedSequence(entropy=(int(cfg.seed), 1, model.dropout_calls))
         )
         model.dropout_calls += 1
-        keep = mask_rng.random(act.shape) >= cfg.dropout_p
-        drop_mask = keep / (1.0 - cfg.dropout_p)
-        act = act * drop_mask
-    else:
-        drop_mask = None
+        keep = mask_rng.random((n, CONV_CHANNELS, conv_len)) >= cfg.dropout_p
+        gate &= keep.transpose(0, 2, 1)
+        gate = gate * (1.0 / (1.0 - cfg.dropout_p))
+    act = conv_pre * gate
 
-    n, channels, conv_len = act.shape
-    pooled_len = conv_len // POOL_STRIDE
-    pairs = act[:, :, : pooled_len * POOL_STRIDE].reshape(n, channels, pooled_len, POOL_SIZE)
-    pool_idx = pairs.argmax(axis=3)
-    pooled = np.take_along_axis(pairs, pool_idx[..., None], axis=3)[..., 0]
-    flat = pooled.reshape(n, channels * pooled_len)
+    # max pool 2/2; ties keep the left element
+    end = conv_len - conv_len % POOL_STRIDE
+    left, right = act[:, 0:end:POOL_STRIDE], act[:, 1:end:POOL_STRIDE]
+    take_right = right > left
+    pooled = np.where(take_right, right, left)
+    flat = pooled.transpose(0, 2, 1).reshape(n, -1)
 
     fc1_pre = flat @ p["fc1_w"].T + p["fc1_b"]
     fc1_act = np.maximum(fc1_pre, 0.0)
@@ -216,8 +221,7 @@ def _forward(model: NetModel, windows, hc, train_mode: bool):
         scores = fc1_act @ p["out_w"].T + p["out_b"]
 
     cache.update(
-        hc=hc, cols=cols, conv_pre=conv_pre, drop_mask=drop_mask,
-        pairs_shape=pairs.shape, pool_idx=pool_idx, conv_len=conv_len,
+        hc=hc, cols=cols, gate=gate, take_right=take_right,
         flat=flat, fc1_pre=fc1_pre, fc1_act=fc1_act,
     )
     return scores, cache
@@ -225,7 +229,7 @@ def _forward(model: NetModel, windows, hc, train_mode: bool):
 
 def forward(model: NetModel, windows, hc=None, train_mode: bool = False) -> np.ndarray:
     windows, hc = _check_batch(model, windows, hc)
-    scores, _ = _forward(model, windows, hc, train_mode)
+    scores, _ = _forward(model, _im2col(model, windows, hc), hc, train_mode)
     return scores
 
 
@@ -275,23 +279,26 @@ def _backward(model: NetModel, cache, scores, labels):
     grads["fc1_b"] = dfc1.sum(axis=0)
     dflat = dfc1 @ p["fc1_w"]
 
-    n_, channels, pooled_len, _ = cache["pairs_shape"]
-    dpool = dflat.reshape(n_, channels, pooled_len)
-    dpairs = np.zeros(cache["pairs_shape"])
-    np.put_along_axis(dpairs, cache["pool_idx"][..., None], dpool[..., None], axis=3)
-    dact = np.zeros((n_, channels, cache["conv_len"]))
-    dact[:, :, : pooled_len * POOL_STRIDE] = dpairs.reshape(n_, channels, -1)
-
-    if cache["drop_mask"] is not None:
-        dact = dact * cache["drop_mask"]
-    dconv = dact * (cache["conv_pre"] > 0.0)
-    grads["conv_w"] = np.einsum("ncl,nlk->ck", dconv, cache["cols"])
-    grads["conv_b"] = dconv.sum(axis=(0, 2))
+    gate = cache["gate"]
+    take_right = cache["take_right"]
+    end = take_right.shape[1] * POOL_STRIDE
+    dpool = dflat.reshape(n, CONV_CHANNELS, -1).transpose(0, 2, 1)
+    dact = np.zeros(gate.shape)
+    dact[:, 0:end:POOL_STRIDE] = np.where(take_right, 0.0, dpool)
+    dact[:, 1:end:POOL_STRIDE] = np.where(take_right, dpool, 0.0)
+    dconv = (dact * gate).reshape(-1, CONV_CHANNELS)
+    grads["conv_w"] = dconv.T @ cache["cols"].reshape(-1, CONV_KERNEL)
+    grads["conv_b"] = dconv.sum(axis=0)
     return grads
 
 
 def train(model: NetModel, windows, hc, labels) -> NetModel:
-    """Adam on mean softmax cross-entropy; in-place, returns the same model."""
+    """Adam on mean softmax cross-entropy; in-place, returns the same model.
+
+    All parameters live in one flat vector for the run, ``model.params``
+    holding reshaped views into it, so each Adam step is a few whole-vector
+    in-place operations.
+    """
     cfg = model.config
     windows, hc = _check_batch(model, windows, hc)
     labels = np.asarray(labels, dtype=np.int64)
@@ -303,8 +310,19 @@ def train(model: NetModel, windows, hc, labels) -> NetModel:
     if labels.min() < 0 or labels.max() >= cfg.n_classes:
         raise UnknownLabel("label outside [0, n_classes)")
 
-    m = {k: np.zeros_like(v) for k, v in model.params.items()}
-    v = {k: np.zeros_like(vv) for k, vv in model.params.items()}
+    cols = _im2col(model, windows, hc)
+    names = list(model.params)
+    theta = np.concatenate([model.params[k].reshape(-1) for k in names])
+    offset = 0
+    for k in names:
+        size = model.params[k].size
+        model.params[k] = theta[offset : offset + size].reshape(model.params[k].shape)
+        offset += size
+    grad = np.empty_like(theta)
+    m = np.zeros_like(theta)
+    v = np.zeros_like(theta)
+    scratch = np.empty_like(theta)
+    denom = np.empty_like(theta)
     step = 0
     shuffle_rng = np.random.default_rng(np.random.SeedSequence(entropy=(int(cfg.seed), 2)))
 
@@ -313,18 +331,29 @@ def train(model: NetModel, windows, hc, labels) -> NetModel:
         epoch_loss = 0.0
         for start in range(0, n, cfg.batch_size):
             batch = order[start : start + cfg.batch_size]
-            scores, cache = _forward(model, windows[batch], hc[batch], train_mode=True)
+            scores, cache = _forward(model, cols[batch], hc[batch], train_mode=True)
             epoch_loss += cross_entropy(scores, labels[batch]) * batch.size
             grads = _backward(model, cache, scores, labels[batch])
+            np.concatenate([grads[k].reshape(-1) for k in names], out=grad)
             step += 1
             bias1 = 1.0 - cfg.beta1**step
             bias2 = 1.0 - cfg.beta2**step
-            for key, grad in grads.items():
-                m[key] = cfg.beta1 * m[key] + (1.0 - cfg.beta1) * grad
-                v[key] = cfg.beta2 * v[key] + (1.0 - cfg.beta2) * grad * grad
-                model.params[key] -= cfg.learning_rate * (m[key] / bias1) / (
-                    np.sqrt(v[key] / bias2) + cfg.adam_epsilon
-                )
+            # m = b1 m + (1 - b1) g;  v = b2 v + (1 - b2) g g
+            m *= cfg.beta1
+            np.multiply(grad, 1.0 - cfg.beta1, out=scratch)
+            m += scratch
+            v *= cfg.beta2
+            np.multiply(grad, 1.0 - cfg.beta2, out=scratch)
+            scratch *= grad
+            v += scratch
+            # theta -= lr (m / bias1) / (sqrt(v / bias2) + eps)
+            np.divide(m, bias1, out=scratch)
+            scratch *= cfg.learning_rate
+            np.divide(v, bias2, out=denom)
+            np.sqrt(denom, out=denom)
+            denom += cfg.adam_epsilon
+            scratch /= denom
+            theta -= scratch
         model.training_log.append(epoch_loss / n)
     return model
 
@@ -342,7 +371,8 @@ def gradient_check(model: NetModel, windows, hc, labels, n_params: int = 200,
     """
     windows, hc = _check_batch(model, windows, hc)
     labels = np.asarray(labels, dtype=np.int64)
-    scores, cache = _forward(model, windows, hc, train_mode=False)
+    cols = _im2col(model, windows, hc)
+    scores, cache = _forward(model, cols, hc, train_mode=False)
     grads = _backward(model, cache, scores, labels)
 
     names = sorted(model.params)
@@ -364,9 +394,9 @@ def gradient_check(model: NetModel, windows, hc, labels, n_params: int = 200,
         view = model.params[name].reshape(-1)
         saved = view[local]
         view[local] = saved + step
-        up = cross_entropy(_forward(model, windows, hc, train_mode=False)[0], labels)
+        up = cross_entropy(_forward(model, cols, hc, train_mode=False)[0], labels)
         view[local] = saved - step
-        down = cross_entropy(_forward(model, windows, hc, train_mode=False)[0], labels)
+        down = cross_entropy(_forward(model, cols, hc, train_mode=False)[0], labels)
         view[local] = saved
         numeric = (up - down) / (2.0 * step)
         analytic = grads[name].reshape(-1)[local]

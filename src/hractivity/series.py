@@ -61,6 +61,8 @@ class SubjectSeries:
             raise DataError("series must contain at least one sample")
         if not (ts.shape == bpm.shape == labels.shape):
             raise DataError("timestamps, bpm and labels must have equal length")
+        if not np.all(np.isfinite(ts)):
+            raise DataError("timestamps must be finite")
         if ts.size > 1 and not np.all(np.diff(ts) > 0):
             raise DataError("timestamps must be strictly increasing")
         if ts[0] < 0:

@@ -6,6 +6,7 @@ from pathlib import Path
 
 import pytest
 
+from hractivity import evaluation
 from hractivity.cli import main
 
 
@@ -229,3 +230,58 @@ def test_ingest_summary_counts(tiny_corpus):
     first = summary["subjects"][0]
     assert first["samples"] == 780
     assert sum(first["labels"].values()) == 780
+
+
+def test_cluster_report_does_not_depend_on_the_feature_set(tiny_corpus, monkeypatch):
+    ini, _, runs = tiny_corpus
+    reports = {}
+    for kind in ("stat_temporal", "none"):
+        kind_ini = write_ini(ini.with_name(f"{kind}.ini"),
+                             ini.read_text() + f"[features]\nkind = {kind}\n")
+        out = runs / kind
+        assert run_cli("--config", kind_ini, "--out", out, "cluster") == 0
+        reports[kind] = (only_run_dir(out) / "cluster_report.json").read_bytes()
+    assert reports["stat_temporal"] == reports["none"]
+
+    def no_features(*args, **kwargs):
+        raise AssertionError("cluster built a feature matrix")
+
+    monkeypatch.setattr(evaluation, "feature_matrix", no_features)
+    assert run_cli("--config", ini, "--out", runs / "unused", "cluster") == 0
+
+
+def test_importance_matches_the_full_shuffle_loop(tiny_corpus, monkeypatch):
+    ini, _, runs = tiny_corpus  # svm on features: window timesteps are never read
+    calls = []
+    predict = evaluation.FittedSvm.predict
+
+    def counting_predict(self, windows, hc):
+        calls.append(1)
+        return predict(self, windows, hc)
+
+    monkeypatch.setattr(evaluation.FittedSvm, "predict", counting_predict)
+    assert run_cli("--config", ini, "--out", runs / "skip", "importance") == 0
+    skipped = only_run_dir(runs / "skip")
+    n_features = len(json.loads((skipped / "importance.json").read_text())["names"]) - 50
+    assert n_features == 22
+    assert len(calls) == 1 + 5 * n_features
+
+    monkeypatch.setattr(evaluation.FittedSvm, "reads_windows", True)
+    assert run_cli("--config", ini, "--out", runs / "full", "importance") == 0
+    full = only_run_dir(runs / "full")
+    assert len(calls) == (1 + 5 * n_features) + (1 + 5 * (50 + n_features))
+    for name in ("importance.csv", "importance.json"):
+        assert (skipped / name).read_bytes() == (full / name).read_bytes(), name
+
+
+@pytest.mark.parametrize("period", ["inf", "nan", "-1"])
+def test_non_finite_resample_period_is_a_config_error(tiny_corpus, capsys, period):
+    ini, _, runs = tiny_corpus
+    bad = write_ini(ini.with_name("bad.ini"),
+                    ini.read_text().replace("[corpus]\n", f"[corpus]\nresample_period_s = {period}\n"))
+    rc = run_cli("--config", bad, "ingest")
+    err = capsys.readouterr().err
+    assert rc == 2
+    assert "corpus.resample_period_s must be a finite number >= 0" in err
+    assert "Traceback" not in err
+    assert not runs.exists() or not any(runs.iterdir())

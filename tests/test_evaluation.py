@@ -2,10 +2,12 @@
 
 import numpy as np
 import pytest
+from oracles import permutation_importance_reference
 
 from hractivity.clustering import ClusterSpace, fit_cluster_model
 from hractivity.errors import EmptyCluster, InvalidConfig, NoWindows, SeriesTooShort, TooFewVectors
 from hractivity.evaluation import (
+    ConstantPredictor,
     NetSpec,
     RoutingMode,
     SplitKind,
@@ -28,6 +30,7 @@ from hractivity.evaluation import (
 )
 from hractivity.features import FeatureSetKind
 from hractivity.metrics import balanced_accuracy, confusion_matrix
+from hractivity.neuralnet import ArchitectureId
 from hractivity.preprocess import StandardizationMode, Window, WindowConfig, fit_scaler
 from hractivity.series import ActivityLabel, SubjectSeries
 from hractivity.synthetic import SyntheticCohortSpec, generate_synthetic
@@ -280,6 +283,47 @@ def test_importance_cheat_feature_ranks_first(tmp_path):
     assert lines[0] == "name,importance,rank"
     assert lines[1].startswith("0_Cheat,")
     assert len(lines) == 4
+
+
+class CountingPredicts:
+    """Forwards to a fitted classifier and counts its predict calls."""
+
+    def __init__(self, clf):
+        self.clf = clf
+        self.reads_windows = clf.reads_windows
+        self.reads_hc = clf.reads_hc
+        self.calls = 0
+
+    def predict(self, windows, hc):
+        self.calls += 1
+        return self.clf.predict(windows, hc)
+
+
+@pytest.mark.parametrize("spec,reads", [
+    (SvmSpec(inputs="features"), (False, True)),
+    (SvmSpec(inputs="windows"), (True, False)),
+    (SvmSpec(inputs="both"), (True, True)),
+    (NetSpec(arch=ArchitectureId.BASELINE, epochs=2), (True, False)),
+    (NetSpec(arch=ArchitectureId.MODEL1, epochs=2), (True, True)),
+    (None, (False, False)),  # single-class training rows: a ConstantPredictor
+], ids=["svm-features", "svm-windows", "svm-both", "net-baseline", "net-model1", "constant"])
+def test_importance_skips_only_unread_inputs(spec, reads):
+    ds = small_dataset(w=20, s=40)
+    rows = np.arange(len(ds))
+    if spec is None:
+        clf = fit_classifier(SvmSpec(), ds, rows[ds.labels[rows] == ds.labels[0]], seed=3)
+        assert isinstance(clf, ConstantPredictor)
+    else:
+        clf = fit_classifier(spec, ds, rows, seed=3)
+    assert (clf.reads_windows, clf.reads_hc) == reads
+    counted = CountingPredicts(clf)
+    rep = permutation_importance(counted, ds.windows, ds.hc, ds.labels, ds.hc_names, seed=4)
+    read_dims = reads[0] * ds.window_size + reads[1] * ds.hc.shape[1]
+    assert counted.calls == 1 + 5 * read_dims
+    want = permutation_importance_reference(clf, ds.windows, ds.hc, ds.labels, seed=4)
+    assert np.array_equal(rep.importances, want)
+    unread = np.array([not reads[0]] * ds.window_size + [not reads[1]] * ds.hc.shape[1])
+    assert np.all(rep.importances[unread] == 0.0)
 
 
 class FixedAnswers:

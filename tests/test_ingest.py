@@ -6,6 +6,7 @@ import pytest
 from hractivity.errors import (
     DataError,
     EmptySeries,
+    InvalidResamplePeriod,
     MissingColumn,
     NonMonotonicTimestamps,
     OutOfRangeBpm,
@@ -234,8 +235,20 @@ def test_resample_grid_is_uniform_and_idempotent():
 
 def test_resample_empty_period_validation():
     s = make_series([0.0, 1.0], [60.0, 61.0])
-    with pytest.raises(ValueError):
-        resample_uniform(s, 0.0)
+    assert issubclass(InvalidResamplePeriod, DataError)
+    for period in (0.0, -1.0, float("inf"), float("nan")):
+        with pytest.raises(InvalidResamplePeriod):
+            resample_uniform(s, period)
+        with pytest.raises(InvalidResamplePeriod):
+            resample_uniform(make_series([3.0], [72.0]), period)
+
+
+@pytest.mark.parametrize("bad", [float("nan"), float("inf")])
+def test_series_rejects_non_finite_timestamps(bad):
+    with pytest.raises(DataError, match="finite"):
+        make_series([bad], [60.0])
+    with pytest.raises(DataError, match="finite"):
+        make_series([0.0, bad], [60.0, 61.0])
 
 
 def test_parse_empty_directory(tmp_path):

@@ -2,10 +2,14 @@
 
 import numpy as np
 import pytest
+from oracles import net_backward_reference, net_forward_reference, net_train_reference
 
 from hractivity.errors import EmptyDataset, InvalidConfig, ShapeMismatch, UnknownLabel
 from hractivity.neuralnet import (
     ArchitectureId,
+    _backward,
+    _forward,
+    _im2col,
     NetConfig,
     build,
     cross_entropy,
@@ -185,3 +189,82 @@ def test_config_and_shape_errors():
         train(model, np.zeros((0, 50)), np.zeros((0, 3)), np.zeros(0, dtype=int))
     with pytest.raises(UnknownLabel):
         train(model, np.zeros((2, 50)), np.zeros((2, 3)), np.array([0, 5]))
+
+
+# -- the BLAS step against the einsum / argmax / per-tensor Adam reference ----
+
+
+def rel_err(got, want):
+    return float(np.max(np.abs(got - want)) / max(np.max(np.abs(want)), 1e-300))
+
+
+def step_task(arch, f, window_size, seed):
+    rng = np.random.default_rng(seed)
+    cfg = NetConfig(window_size=window_size, hc_dim=f, seed=seed, epochs=3)
+    w = rng.normal(size=(70, window_size))
+    h = rng.normal(size=(70, f)) if f else None
+    y = rng.integers(0, 5, size=70)
+    return cfg, w, h, y
+
+
+@pytest.mark.parametrize("window_size", [30, 31])  # even and odd conv lengths
+@pytest.mark.parametrize("arch,f", ALL_ARCHS)
+def test_eval_step_matches_reference(arch, f, window_size):
+    cfg, w, h, y = step_task(arch, f, window_size, seed=21)
+    model = build(arch, cfg)
+    hc = h if f else np.zeros((70, 0))
+    scores, cache = _forward(model, _im2col(model, w, hc), hc, train_mode=False)
+    ref_scores, ref_cache = net_forward_reference(model, w, h, train_mode=False)
+    assert rel_err(scores, ref_scores) < 1e-12
+    grads = _backward(model, cache, scores, y)
+    ref_grads = net_backward_reference(model, ref_cache, ref_scores, y)
+    assert sorted(grads) == sorted(model.params) == sorted(ref_grads)
+    for name, grad in grads.items():
+        assert grad.shape == model.params[name].shape
+        assert rel_err(grad, ref_grads[name]) < 1e-12, name
+
+
+@pytest.mark.parametrize("arch,f", ALL_ARCHS)
+def test_train_mode_drops_the_same_activations(arch, f):
+    cfg, w, h, _ = step_task(arch, f, 31, seed=22)
+    model, ref = build(arch, cfg), build(arch, cfg)
+    model.dropout_calls = ref.dropout_calls = 5
+    hc = h if f else np.zeros((70, 0))
+    scores, cache = _forward(model, _im2col(model, w, hc), hc, train_mode=True)
+    ref_scores, ref_cache = net_forward_reference(ref, w, h, train_mode=True)
+    assert model.dropout_calls == ref.dropout_calls == 6
+    zeroed = cache["gate"] == 0.0  # channels-last (n, L-4, 16)
+    ref_zeroed = ref_cache["act"].transpose(0, 2, 1) == 0.0
+    assert np.array_equal(zeroed, ref_zeroed)
+    assert ref_cache["drop_mask"].min() == 0.0  # some units really were dropped
+    assert rel_err(scores, ref_scores) < 1e-12
+
+
+@pytest.mark.parametrize("arch,f", ALL_ARCHS)
+def test_train_matches_reference(arch, f):
+    cfg, w, h, y = step_task(arch, f, 31, seed=23)
+    model = train(build(arch, cfg), w, h, y)
+    ref = net_train_reference(build(arch, cfg), w, h, y)
+    assert model.dropout_calls == ref.dropout_calls == 3 * 3
+    for name, want in ref.params.items():
+        assert rel_err(model.params[name], want) < 1e-9, name
+    assert len(model.training_log) == 3
+    assert rel_err(np.array(model.training_log), np.array(ref.training_log)) < 1e-12
+
+
+@pytest.mark.parametrize("arch,f", ALL_ARCHS)
+def test_trained_params_keep_layout_and_round_trip(arch, f, tmp_path):
+    cfg, w, h, y = step_task(arch, f, 30, seed=24)
+    model = build(arch, cfg)
+    layout = [(name, arr.shape) for name, arr in model.params.items()]
+    train(model, w, h, y)
+    assert [(name, arr.shape) for name, arr in model.params.items()] == layout
+    assert all(arr.dtype == np.float64 for arr in model.params.values())
+    save_net(model, tmp_path / "net.json")
+    loaded = load_net(tmp_path / "net.json")
+    assert sorted(loaded.params) == sorted(model.params)
+    for name, arr in model.params.items():
+        assert loaded.params[name].shape == arr.shape
+        assert np.array_equal(loaded.params[name], arr), name
+    assert loaded.training_log == model.training_log
+    assert np.array_equal(forward(model, w, h), forward(loaded, w, h))
