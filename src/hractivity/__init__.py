@@ -8,7 +8,7 @@ deterministic evaluation harness.
 
 from .config import ExperimentConfig, load_config, run_id_for
 from .errors import ConfigError, DataError, HrActivityError, InternalError
-from .series import ActivityLabel, GapRecord, HeartRateSample, SubjectSeries
+from .series import ActivityLabel, GapRecord, SubjectSeries
 
 __all__ = [
     "ActivityLabel",
@@ -16,7 +16,6 @@ __all__ = [
     "DataError",
     "ExperimentConfig",
     "GapRecord",
-    "HeartRateSample",
     "HrActivityError",
     "InternalError",
     "SubjectSeries",

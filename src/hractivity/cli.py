@@ -157,8 +157,8 @@ def cmd_cluster(cfg, run_dir: Path) -> None:
     series = _load_series(cfg)
     # clustering reads only the windows, so no feature matrix is built
     ds = build_dataset(series, cfgmod.window_config(cfg), cfg.standardization)
-    model, assignment = fit_cluster_model(list(ds.window_objs), cfg.space, cfg.k,
-                                          cfg.require_seed(), restarts=cfg.restarts)
+    model, assignment = fit_cluster_model(ds.windows, ds.labels, ds.subjects, cfg.space,
+                                          cfg.k, cfg.require_seed(), restarts=cfg.restarts)
     write_cluster_report(model, assignment, run_dir / "cluster_report.json")
 
 
@@ -207,8 +207,8 @@ def cmd_eval(cfg, run_dir: Path) -> None:
         _report_artifacts(report, run_dir)
         return
     if cfg.split_kind is SplitKind.WITHIN_CLUSTER_LOSO:
-        _, assignment = fit_cluster_model(list(ds.window_objs), cfg.space, cfg.k,
-                                          seed, restarts=cfg.restarts)
+        _, assignment = fit_cluster_model(ds.windows, ds.labels, ds.subjects, cfg.space,
+                                          cfg.k, seed, restarts=cfg.restarts)
         result = within_cluster_loso(ds, assignment, spec, seed, cfg.workers)
         for cluster, report in sorted(result.clusters.items()):
             _report_artifacts(report, run_dir, stem=f"cluster_{cluster}_report")
@@ -223,8 +223,8 @@ def cmd_eval(cfg, run_dir: Path) -> None:
         }, run_dir / "within_cluster_summary.json")
         return
     if cfg.split_kind is SplitKind.CROSS_CLUSTER:
-        _, assignment = fit_cluster_model(list(ds.window_objs), cfg.space, cfg.k,
-                                          seed, restarts=cfg.restarts)
+        _, assignment = fit_cluster_model(ds.windows, ds.labels, ds.subjects, cfg.space,
+                                          cfg.k, seed, restarts=cfg.restarts)
         report = cross_cluster_eval(ds, assignment, cfg.train_cluster,
                                     cfg.test_cluster, spec, seed)
     else:

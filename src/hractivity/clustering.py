@@ -23,7 +23,7 @@ from .errors import (
     TooFewVectors,
 )
 from .features import statistical_matrix, temporal_matrix
-from .preprocess import Scaler, Window, apply_scaler, fit_scaler
+from .preprocess import Scaler, apply_scaler, fit_scaler
 from .series import ActivityLabel, N_CLASSES
 
 
@@ -65,22 +65,31 @@ class ClusterModel:
         object.__setattr__(self, "centroids", centroids)
 
 
-def build_profiles(windows: list[Window]) -> list[SubjectProfile]:
-    """Per-subject 5-point profile: mean over windows of the window-mean BPM."""
-    sums: dict[str, np.ndarray] = {}
-    counts: dict[str, np.ndarray] = {}
-    for w in windows:
-        s = sums.setdefault(w.subject_id, np.zeros(N_CLASSES))
-        c = counts.setdefault(w.subject_id, np.zeros(N_CLASSES, dtype=np.int64))
-        s[int(w.label)] += float(w.values.mean())
-        c[int(w.label)] += 1
+def _subject_codes(subjects) -> tuple[list[str], np.ndarray]:
+    """(sorted distinct subject ids, each row's index into them)."""
+    ids = sorted(set(subjects))
+    code = {subject: i for i, subject in enumerate(ids)}
+    return ids, np.fromiter(map(code.__getitem__, subjects), np.int64, len(subjects))
+
+
+def build_profiles(values: np.ndarray, labels: np.ndarray, subjects) -> list[SubjectProfile]:
+    """Per-subject 5-point profile: mean over windows of the window-mean BPM.
+
+    ``values`` is the (n, W) window matrix; ``labels`` and ``subjects`` give
+    each window's label and subject id. Sums run in window order.
+    """
+    ids, codes = _subject_codes(subjects)
+    cells = codes * N_CLASSES + np.asarray(labels, dtype=np.int64)
+    size = len(ids) * N_CLASSES
+    sums = np.bincount(cells, weights=np.asarray(values).mean(axis=1), minlength=size)
+    counts = np.bincount(cells, minlength=size)
+    sums, counts = sums.reshape(-1, N_CLASSES), counts.reshape(-1, N_CLASSES)
     profiles = []
-    for subject in sorted(sums):
-        c = counts[subject]
+    for i, subject in enumerate(ids):
         for a in range(N_CLASSES):
-            if c[a] == 0:
+            if counts[i, a] == 0:
                 raise MissingActivity(subject, ActivityLabel(a).name)
-        profiles.append(SubjectProfile(subject, sums[subject] / c))
+        profiles.append(SubjectProfile(subject, sums[i] / counts[i]))
     return profiles
 
 
@@ -213,9 +222,9 @@ def route_subject(model: ClusterModel, vectors) -> int:
     return int(counts.argmax())
 
 
-def window_space_matrix(windows: list[Window], space: ClusterSpace) -> np.ndarray:
-    """Per-window vectors in a label-free routing space."""
-    mat = np.stack([w.values for w in windows])
+def window_space_matrix(values: np.ndarray, space: ClusterSpace) -> np.ndarray:
+    """Per-window vectors of an (n, W) window matrix in a label-free routing space."""
+    mat = np.asarray(values, dtype=np.float64)
     if space is ClusterSpace.STATISTICAL_WINDOW:
         return statistical_matrix(mat)
     if space is ClusterSpace.TEMPORAL_WINDOW:
@@ -223,29 +232,44 @@ def window_space_matrix(windows: list[Window], space: ClusterSpace) -> np.ndarra
     raise DimensionMismatch("window vectors undefined for profile space")
 
 
-def subject_summaries(windows: list[Window], space: ClusterSpace):
-    """(subject ids, summary matrix) for cluster fitting, subject-id order."""
+def subject_summaries(values: np.ndarray, labels: np.ndarray, subjects,
+                      space: ClusterSpace, vectors: np.ndarray | None = None):
+    """(subject ids, summary matrix) for cluster fitting, subject-id order.
+
+    In a window space a subject's summary is the mean of its windows'
+    vectors; pass ``vectors`` when the caller already has the rows'
+    ``window_space_matrix``.
+    """
     if space is ClusterSpace.MEAN_BPM_PROFILE:
-        profiles = build_profiles(windows)
+        profiles = build_profiles(values, labels, subjects)
         return [p.subject_id for p in profiles], np.stack([p.profile for p in profiles])
-    by_subject: dict[str, list[Window]] = {}
-    for w in windows:
-        by_subject.setdefault(w.subject_id, []).append(w)
-    ids = sorted(by_subject)
-    rows = [window_space_matrix(by_subject[s], space).mean(axis=0) for s in ids]
-    return ids, np.stack(rows)
+    ids, codes = _subject_codes(subjects)
+    order = np.argsort(codes, kind="stable")  # window order within a subject
+    per_subject = np.split(order, np.cumsum(np.bincount(codes, minlength=len(ids)))[:-1])
+    if vectors is None:  # one subject at a time keeps the feature temporaries small
+        blocks = (window_space_matrix(values[rows], space) for rows in per_subject)
+    else:
+        blocks = (vectors[rows] for rows in per_subject)
+    return ids, np.stack([block.mean(axis=0) for block in blocks])
 
 
 def fit_cluster_model(
-    windows: list[Window],
+    values: np.ndarray,
+    labels: np.ndarray,
+    subjects,
     space: ClusterSpace,
     k: int,
     seed: int,
     restarts: int = 10,
     with_scaler: bool = False,
+    vectors: np.ndarray | None = None,
 ) -> tuple[ClusterModel, dict[str, int]]:
-    """Cluster subjects by their summary vectors in the chosen space."""
-    ids, summaries = subject_summaries(windows, space)
+    """Cluster subjects by their summary vectors in the chosen space.
+
+    ``values``, ``labels`` and ``subjects`` describe the windows as in
+    ``subject_summaries``, which also explains ``vectors``.
+    """
+    ids, summaries = subject_summaries(values, labels, subjects, space, vectors)
     scaler = fit_scaler(summaries) if with_scaler else None
     return kmeans_fit(summaries, k, seed, restarts=restarts, space=space,
                       scaler=scaler, ids=ids)

@@ -76,6 +76,10 @@ class DimensionMismatch(DataError):
     pass
 
 
+class NonUniformSeries(DataError):
+    """A series is windowed by sample index but its sampling steps differ."""
+
+
 # -- features ----------------------------------------------------------------
 
 class WindowTooShort(DataError):

@@ -12,6 +12,7 @@ import csv
 import enum
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
+from itertools import repeat
 from pathlib import Path
 
 import numpy as np
@@ -113,7 +114,6 @@ class WindowDataset:
     labels: np.ndarray  # (n,)
     subjects: tuple[str, ...]
     starts: np.ndarray  # (n,)
-    window_objs: tuple  # the Window records, same order (clustering spaces)
     hc_names: tuple[str, ...]
     window_size: int
     stride: int
@@ -135,26 +135,27 @@ def build_dataset(
     mfcc: MfccConfig = MfccConfig(),
 ) -> WindowDataset:
     """Segment every series (per-subject standardized first under DataStd)."""
-    windows = []
+    parts = []
     for series in sorted(series_list, key=lambda s: s.subject_id):
         if standardization is StandardizationMode.DATA:
             series = standardize_series(series)
-        windows.extend(segment(series, cfg))
-    if not windows:
+        parts.append(segment(series, cfg))
+    n = sum(len(part) for part in parts)
+    if n == 0:
         raise NoWindows("no series long enough for the window size")
+    windows = np.concatenate([part.values for part in parts])
     if feature_kind is None:
-        hc = np.zeros((len(windows), 0))
+        hc = np.zeros((n, 0))
         names: tuple[str, ...] = ()
     else:
         hc = feature_matrix(windows, feature_kind, mfcc=mfcc)
         names = feature_names(feature_kind, mfcc)
     return WindowDataset(
-        windows=np.stack([w.values for w in windows]),
+        windows=windows,
         hc=hc,
-        labels=np.array([int(w.label) for w in windows], dtype=np.int64),
-        subjects=tuple(w.subject_id for w in windows),
-        starts=np.array([w.start_index for w in windows], dtype=np.int64),
-        window_objs=tuple(windows),
+        labels=np.concatenate([part.labels for part in parts]),
+        subjects=tuple(sid for part in parts for sid in repeat(part.subject_id, len(part))),
+        starts=np.concatenate([part.starts for part in parts]),
         hc_names=names,
         window_size=cfg.window_size,
         stride=cfg.stride,
@@ -510,15 +511,16 @@ def mean_fold_balanced(report: EvalReport) -> float:
     return float(np.mean([f.balanced_accuracy for f in report.folds]))
 
 
-def _routed_fold(ds, spec, space, k, routing, fold, fold_seed, restarts):
+def _routed_fold(ds, spec, space, k, routing, fold, fold_seed, restarts, vectors):
     fold_id, held_out, train_idx, test_idx = fold
-    train_windows = [ds.window_objs[i] for i in train_idx]
-    model, assign = fit_cluster_model(train_windows, space, k, fold_seed,
-                                      restarts=restarts, with_scaler=True)
+    subjects = ds.subject_array()
+    model, assign = fit_cluster_model(ds.windows[train_idx], ds.labels[train_idx],
+                                      subjects[train_idx], space, k, fold_seed,
+                                      restarts=restarts, with_scaler=True,
+                                      vectors=vectors[train_idx])
     clusters = sorted(set(assign.values()))
     if len(clusters) < k:
         raise EmptyCluster("clustering left an empty cluster on this fold")
-    subjects = ds.subject_array()
     classifiers = {}
     for cluster in clusters:
         members = {s for s, c in assign.items() if c == cluster}
@@ -529,14 +531,13 @@ def _routed_fold(ds, spec, space, k, routing, fold, fold_seed, restarts):
             spec, ds, rows, _fold_seed(fold_seed, 10 + cluster)
         )
 
-    test_windows = [ds.window_objs[i] for i in test_idx]
-    vectors = window_space_matrix(test_windows, space)
+    test_vectors = vectors[test_idx]
     preds = np.empty(test_idx.size, dtype=np.int64)
     if routing is RoutingMode.PER_SUBJECT:
-        cluster = route_subject(model, vectors)
+        cluster = route_subject(model, test_vectors)
         preds[:] = classifiers[cluster].predict(ds.windows[test_idx], ds.hc[test_idx])
     else:
-        assigned = assign_many(model, vectors)
+        assigned = assign_many(model, test_vectors)
         for cluster in np.unique(assigned):
             rows = np.nonzero(assigned == cluster)[0]
             sel = test_idx[rows]
@@ -558,14 +559,16 @@ def routed_eval(
 
     Train subjects are clustered in the given window-feature space; each test
     window (or the whole test subject, by majority) is routed to the nearest
-    cluster's classifier.
+    cluster's classifier. The windows' vectors in that space are computed
+    once and sliced per fold.
     """
     if space is ClusterSpace.MEAN_BPM_PROFILE:
         raise InvalidConfig("routing needs a per-window space, not subject profiles")
     folds = make_folds(ds, SplitPlan(SplitKind.LEAVE_SUBJECT_OUT, seed=seed))
+    vectors = window_space_matrix(ds.windows, space)
     preds_list = _run_jobs(
         _routed_fold,
-        [(ds, spec, space, k, routing, f, _fold_seed(seed, f[0]), restarts)
+        [(ds, spec, space, k, routing, f, _fold_seed(seed, f[0]), restarts, vectors)
          for f in folds],
         workers,
     )
@@ -697,16 +700,16 @@ def misclassification_timeline(
         else series
     )
     windows = segment(prepared, cfg)
-    mat = np.stack([w.values for w in windows])
+    mat = np.ascontiguousarray(windows.values)  # overlapping rows of one view otherwise
     hc = (
-        feature_matrix(windows, feature_kind, mfcc=mfcc)
+        feature_matrix(mat, feature_kind, mfcc=mfcc)
         if feature_kind is not None
         else np.zeros((len(windows), 0))
     )
     window_preds = np.asarray(clf.predict(mat, hc), dtype=np.int64)
 
     n = len(series)
-    centers = np.array([w.start_index for w in windows]) + (cfg.window_size - 1) / 2.0
+    centers = windows.starts + (cfg.window_size - 1) / 2.0
     steps = np.arange(n)
     # distance ties resolve to the earlier (lower-center) window
     dist = np.abs(steps[:, None] - centers[None, :])

@@ -8,17 +8,13 @@ the matrix versions.
 
 from __future__ import annotations
 
-import csv
 import enum
 from dataclasses import dataclass
-from pathlib import Path
 
 import numpy as np
 from scipy.fft import dct, rfft
 
 from .errors import InvalidConfig, NonFiniteFeature, WindowTooShort
-from .preprocess import Window
-from .series import ActivityLabel
 
 BASE_NAMES = (
     "0_Max",
@@ -87,22 +83,6 @@ class MfccConfig:
         return tuple(f"0_MFCC{i}" for i in range(self.n_coefficients))
 
 
-@dataclass(frozen=True)
-class FeatureVector:
-    names: tuple[str, ...]
-    values: np.ndarray
-    subject_id: str
-    start_index: int
-    label: ActivityLabel
-
-    def __post_init__(self):
-        values = np.ascontiguousarray(self.values, dtype=np.float64)
-        if values.shape != (len(self.names),):
-            raise NonFiniteFeature("feature values must match the name list")
-        values.flags.writeable = False
-        object.__setattr__(self, "values", values)
-
-
 def _require_width(mat: np.ndarray, minimum: int) -> None:
     if mat.shape[1] < minimum:
         raise WindowTooShort(minimum, mat.shape[1])
@@ -131,6 +111,31 @@ def base_matrix(mat: np.ndarray) -> np.ndarray:
     )
 
 
+def _lerp(a: np.ndarray, b: np.ndarray, t: float) -> np.ndarray:
+    """numpy's 'linear' quantile interpolation, term for term."""
+    diff = b - a
+    return b - diff * (1.0 - t) if t >= 0.5 else a + diff * t
+
+
+def order_statistics(mat: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Row-wise (median, 25th, 75th percentile) from one sort.
+
+    Bit-identical to ``np.median`` and ``np.percentile(..., method="linear")``:
+    the median is numpy's mean of the one or two middle values, and each
+    quartile is numpy's lerp between its two neighbouring order statistics.
+    """
+    ordered = np.sort(mat, axis=1)
+    w = ordered.shape[1]
+    half = w // 2
+    middle = ordered[:, half - 1 : half + 1] if w % 2 == 0 else ordered[:, half : half + 1]
+    quartiles = []
+    for q in (0.25, 0.75):
+        position = (w - 1) * q
+        below = int(position)
+        quartiles.append(_lerp(ordered[:, below], ordered[:, below + 1], position - below))
+    return middle.mean(axis=1), quartiles[0], quartiles[1]
+
+
 def statistical_matrix(mat: np.ndarray) -> np.ndarray:
     _require_width(mat, 3)
     n, w = mat.shape
@@ -147,7 +152,7 @@ def statistical_matrix(mat: np.ndarray) -> np.ndarray:
 
     lo = mat.min(axis=1)
     hi = mat.max(axis=1)
-    q25, q75 = np.percentile(mat, [25.0, 75.0], axis=1)
+    median, q25, q75 = order_statistics(mat)
 
     # row-wise histogram entropy: 10 equal-width bins over [min, max]
     entropy = np.zeros(n)
@@ -174,7 +179,7 @@ def statistical_matrix(mat: np.ndarray) -> np.ndarray:
             mat.var(axis=1, ddof=1),
             lo,
             hi,
-            np.median(mat, axis=1),
+            median,
             q75 - q25,
             skew,
             kurt,
@@ -311,24 +316,14 @@ def feature_names(kind: FeatureSetKind, mfcc: MfccConfig = MfccConfig()) -> tupl
 
 
 def feature_matrix(
-    windows: list[Window],
+    values: np.ndarray,
     kind: FeatureSetKind,
-    on_standardized_input: bool = False,
-    stats: dict[str, tuple[float, float]] | None = None,
     mfcc: MfccConfig = MfccConfig(),
 ) -> np.ndarray:
-    """(n_windows, n_features) matrix for a window list, order preserved."""
-    if not windows:
-        names = feature_names(kind, mfcc)
-        return np.zeros((0, len(names)))
-    mat = np.stack([w.values for w in windows])
-    if on_standardized_input:
-        if stats is None:
-            raise InvalidConfig("standardized input requires per-subject stats")
-        mean = np.array([stats[w.subject_id][0] for w in windows])
-        std = np.array([stats[w.subject_id][1] for w in windows])
-        mat = (mat - mean[:, None]) / std[:, None]
-
+    """(n_windows, n_features) matrix for an (n_windows, W) value matrix, row order kept."""
+    mat = np.asarray(values, dtype=np.float64)
+    if mat.shape[0] == 0:
+        return np.zeros((0, len(feature_names(kind, mfcc))))
     if kind is FeatureSetKind.BASE:
         out = base_matrix(mat)
     elif kind is FeatureSetKind.BASE_MFCC:
@@ -344,35 +339,3 @@ def feature_matrix(
     if not np.isfinite(out).all():
         raise NonFiniteFeature("non-finite feature value produced")
     return out
-
-
-def extract(
-    windows: list[Window],
-    kind: FeatureSetKind,
-    on_standardized_input: bool = False,
-    stats: dict[str, tuple[float, float]] | None = None,
-    mfcc: MfccConfig = MfccConfig(),
-) -> list[FeatureVector]:
-    names = feature_names(kind, mfcc)
-    matrix = feature_matrix(windows, kind, on_standardized_input, stats, mfcc)
-    return [
-        FeatureVector(names, row, w.subject_id, w.start_index, w.label)
-        for w, row in zip(windows, matrix)
-    ]
-
-
-def write_feature_csv(vectors: list[FeatureVector], path: str | Path) -> None:
-    """One row per window: feature columns then subject_id, start_index, label."""
-    if not vectors:
-        raise NonFiniteFeature("nothing to write")
-    names = vectors[0].names
-    with open(path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(list(names) + ["subject_id", "start_index", "label"])
-        for v in vectors:
-            if v.names != names:
-                raise NonFiniteFeature("mixed feature sets in one export")
-            writer.writerow(
-                [repr(float(x)) for x in v.values]
-                + [v.subject_id, str(v.start_index), v.label.name]
-            )

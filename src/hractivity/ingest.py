@@ -12,7 +12,9 @@ from __future__ import annotations
 import csv
 import datetime as _dt
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
+from itertools import repeat
+from operator import itemgetter
 from pathlib import Path
 
 import numpy as np
@@ -20,6 +22,7 @@ import numpy as np
 from .errors import (
     DataError,
     EmptySeries,
+    InternalError,
     InvalidResamplePeriod,
     MalformedRow,
     MissingColumn,
@@ -27,7 +30,16 @@ from .errors import (
     OutOfRangeBpm,
     TimestampFormatError,
 )
-from .series import ActivityLabel, GapRecord, SubjectSeries, bpm_in_range, parse_label
+from .series import (
+    BPM_MAX,
+    BPM_MIN,
+    LABEL_NAMES,
+    ActivityLabel,
+    GapRecord,
+    SubjectSeries,
+    bpm_in_range,
+    parse_label,
+)
 
 DEFAULT_DEVICE = "Apple Watch"
 
@@ -48,6 +60,16 @@ class CsvSchema:
     device_filter: str | None = DEFAULT_DEVICE
 
 
+def _iso_seconds(text: str) -> float:
+    try:
+        dt = _dt.datetime.fromisoformat(text.replace("Z", "+00:00"))
+    except ValueError:
+        raise TimestampFormatError(f"cannot parse timestamp {text!r}") from None
+    if dt.tzinfo is None:
+        dt = dt.replace(tzinfo=_dt.timezone.utc)
+    return dt.timestamp()
+
+
 def _parse_timestamp(text: str, mode: str) -> tuple[float, str]:
     """Parse one timestamp cell, locking the per-file format on first use."""
     if mode in ("", "epoch"):
@@ -60,13 +82,7 @@ def _parse_timestamp(text: str, mode: str) -> tuple[float, str]:
             if not math.isfinite(t):
                 raise TimestampFormatError(f"non-finite timestamp {text!r}")
             return t, "epoch"
-    try:
-        dt = _dt.datetime.fromisoformat(text.replace("Z", "+00:00"))
-    except ValueError:
-        raise TimestampFormatError(f"cannot parse timestamp {text!r}") from None
-    if dt.tzinfo is None:
-        dt = dt.replace(tzinfo=_dt.timezone.utc)
-    return dt.timestamp(), "iso"
+    return _iso_seconds(text), "iso"
 
 
 def _parse_bpm(text: str) -> float:
@@ -79,78 +95,146 @@ def _parse_bpm(text: str) -> float:
     return bpm
 
 
-def _read_file(path: Path, schema: CsvSchema):
-    """Yield (subject, device, t, bpm, label) tuples from one CSV file.
+_LABEL_CODES = {label.name: int(label) for label in ActivityLabel}
 
-    A row error keeps its DataError class and gains the file and the 1-based
+
+def _timestamp_column(cells: list[str]) -> np.ndarray:
+    """Seconds for one file's timestamp cells; the first cell fixes the format."""
+    if not cells:
+        return np.zeros(0)
+    try:
+        float(cells[0])
+    except ValueError:
+        return np.fromiter(map(_iso_seconds, cells), np.float64, len(cells))
+    t = np.fromiter(map(float, cells), np.float64, len(cells))
+    if not np.isfinite(t).all():
+        raise ValueError("non-finite timestamp")
+    return t
+
+
+def _header_index(reader, path: Path, schema: CsvSchema) -> tuple[int, list[int]]:
+    """(header width, column index of subject, device, timestamp, bpm, label)."""
+    header = next(reader, [])
+    index = {name: i for i, name in enumerate(header)}  # a repeated name: the last wins
+    columns = (schema.subject, schema.device, schema.timestamp, schema.bpm, schema.label)
+    for col in columns:
+        if col not in index:
+            raise MissingColumn(col, str(path))
+    return len(header), [index[col] for col in columns]
+
+
+def _raise_first_bad_row(path: Path, schema: CsvSchema) -> None:
+    """Read a file row by row and raise the first row's error.
+
+    The error keeps its DataError class and gains the file and the 1-based
     line number in its message.
     """
     with open(path, newline="", encoding="utf-8") as fh:
-        reader = csv.DictReader(fh)
-        header = reader.fieldnames or []
-        for col in (schema.subject, schema.device, schema.timestamp, schema.bpm, schema.label):
-            if col not in header:
-                raise MissingColumn(col, str(path))
+        reader = csv.reader(fh)
+        width, (_, _, ti, bi, li) = _header_index(reader, path, schema)
         ts_mode = ""
         for row in reader:
+            if not row:
+                continue
             try:
-                if None in row.values():  # DictReader pads a short row with None
-                    raise MalformedRow(f"row has fewer than {len(header)} cells")
-                t, ts_mode = _parse_timestamp(row[schema.timestamp], ts_mode)
-                bpm = _parse_bpm(row[schema.bpm])
-                label = parse_label(row[schema.label])
+                if len(row) < width:
+                    raise MalformedRow(f"row has fewer than {width} cells")
+                _, ts_mode = _parse_timestamp(row[ti], ts_mode)
+                _parse_bpm(row[bi])
+                parse_label(row[li])
             except DataError as exc:
                 exc.args = (f"{path}, line {reader.line_num}: {exc}",)
                 raise
-            yield row[schema.subject], row[schema.device], t, bpm, label
+
+
+def _read_file(path: Path, schema: CsvSchema):
+    """((subject, device) per row, t, bpm, labels) columns of one CSV file.
+
+    Whole columns are converted at once. When any cell fails a check, the
+    file is read again row by row, so the error names the first bad line.
+    Blank lines are skipped.
+    """
+    with open(path, newline="", encoding="utf-8") as fh:
+        reader = csv.reader(fh)
+        width, (si, di, ti, bi, li) = _header_index(reader, path, schema)
+        rows = [row for row in reader if row]
+    n = len(rows)
+    try:
+        if n and min(map(len, rows)) < width:
+            raise ValueError("short row")
+        t = _timestamp_column(list(map(itemgetter(ti), rows)))
+        bpm = np.fromiter(map(float, map(itemgetter(bi), rows)), np.float64, n)
+        if not ((bpm > BPM_MIN) & (bpm < BPM_MAX)).all():
+            raise ValueError("bpm out of range")
+        labels = np.fromiter(map(_LABEL_CODES.__getitem__, map(itemgetter(li), rows)),
+                             np.int64, n)
+    except (ValueError, KeyError, DataError):  # the rescan says which row and why
+        _raise_first_bad_row(path, schema)
+        raise InternalError(f"{path}: a column check failed but no row did") from None
+    return list(map(itemgetter(si, di), rows)), t, bpm, labels
+
+
+def _collapse_duplicates(subject: str, t, bpm, labels, starts) -> np.ndarray:
+    """Mean bpm of each run of equal timestamps (runs begin at ``starts``)."""
+    ends = np.append(starts[1:], t.size)
+    out = bpm[starts]
+    values = bpm.tolist()
+    for j in np.flatnonzero(ends - starts > 1):
+        a, b = int(starts[j]), int(ends[j])
+        if (labels[a:b] != labels[a]).any():
+            raise NonMonotonicTimestamps(
+                f"subject {subject!r}: conflicting labels at t={float(t[a])}"
+            )
+        out[j] = sum(values[a:b]) / (b - a)
+    return out
 
 
 def parse_corpus(path: str | Path, schema: CsvSchema = CsvSchema()) -> list[SubjectSeries]:
     """Parse a CSV file or a directory of CSV files into per-subject series.
 
     Rows are grouped by (subject, device), filtered to ``schema.device_filter``
-    when set, sorted by timestamp and shifted so each series starts at t=0.
-    Rows sharing a timestamp are collapsed to their mean bpm; conflicting
-    labels at an equal timestamp raise NonMonotonicTimestamps.
+    when set, sorted by timestamp (stable, so equal timestamps keep file and
+    row order) and shifted so each series starts at t=0. Rows sharing a
+    timestamp are collapsed to their mean bpm; conflicting labels at an
+    equal timestamp raise NonMonotonicTimestamps. Every row is checked,
+    including rows of filtered-out devices.
     """
     path = Path(path)
     files = sorted(path.glob("*.csv")) if path.is_dir() else [path]
     if not files:
         raise EmptySeries(f"no CSV files under {path}")
 
-    groups: dict[tuple[str, str], list[tuple[float, float, int]]] = {}
+    keys: dict[tuple[str, str], int] = {}
+    codes, ts, bpms, labels = [], [], [], []
     for f in files:
-        for subject, device, t, bpm, label in _read_file(f, schema):
-            if schema.device_filter is not None and device != schema.device_filter:
-                continue
-            groups.setdefault((subject, device), []).append((t, bpm, int(label)))
+        pairs, t, bpm, label = _read_file(f, schema)
+        for key in dict.fromkeys(pairs):  # new keys, in first-seen order
+            keys.setdefault(key, len(keys))
+        codes.append(np.fromiter(map(keys.__getitem__, pairs), np.int64, len(pairs)))
+        ts.append(t)
+        bpms.append(bpm)
+        labels.append(label)
+    codes, ts, bpms, labels = (np.concatenate(c) for c in (codes, ts, bpms, labels))
+    by_key = np.argsort(codes, kind="stable")
+    bounds = np.concatenate([[0], np.cumsum(np.bincount(codes, minlength=len(keys)))])
 
     corpus = []
-    for (subject, device), rows in sorted(groups.items()):
-        rows.sort(key=lambda r: r[0])
-        ts, bpms, labels = [], [], []
-        i = 0
-        while i < len(rows):
-            j = i
-            while j + 1 < len(rows) and rows[j + 1][0] == rows[i][0]:
-                j += 1
-            dup = rows[i : j + 1]
-            if len({r[2] for r in dup}) > 1:
-                raise NonMonotonicTimestamps(
-                    f"subject {subject!r}: conflicting labels at t={rows[i][0]}"
-                )
-            ts.append(rows[i][0])
-            bpms.append(sum(r[1] for r in dup) / len(dup))
-            labels.append(rows[i][2])
-            i = j + 1
-        t0 = ts[0]
+    for (subject, device), code in sorted(keys.items()):
+        if schema.device_filter is not None and device != schema.device_filter:
+            continue
+        rows = by_key[bounds[code] : bounds[code + 1]]
+        rows = rows[np.argsort(ts[rows], kind="stable")]
+        t, bpm, label = ts[rows], bpms[rows], labels[rows]
+        starts = np.flatnonzero(np.concatenate([[True], t[1:] != t[:-1]]))
+        if starts.size < t.size:
+            bpm = _collapse_duplicates(subject, t, bpm, label, starts)
         corpus.append(
             SubjectSeries(
                 subject_id=subject,
                 device_id=device,
-                timestamps=np.asarray(ts, dtype=np.float64) - t0,
-                bpm=np.asarray(bpms, dtype=np.float64),
-                labels=np.asarray(labels, dtype=np.int64),
+                timestamps=t[starts] - t[0],
+                bpm=bpm,
+                labels=label[starts],
             )
         )
     return corpus
@@ -165,14 +249,17 @@ def serialize_corpus(
     paths = []
     for series in corpus:
         p = out_dir / f"{series.subject_id}.csv"
+        n = len(series)
         with open(p, "w", newline="", encoding="utf-8") as fh:
             writer = csv.writer(fh)
             writer.writerow([schema.subject, schema.device, schema.timestamp, schema.bpm, schema.label])
-            for t, bpm, label in zip(series.timestamps, series.bpm, series.labels):
-                writer.writerow(
-                    [series.subject_id, series.device_id, repr(float(t)), repr(float(bpm)),
-                     ActivityLabel(int(label)).name]
-                )
+            writer.writerows(zip(
+                repeat(series.subject_id, n),
+                repeat(series.device_id, n),
+                map(repr, series.timestamps.tolist()),
+                map(repr, series.bpm.tolist()),
+                map(LABEL_NAMES.__getitem__, series.labels.tolist()),
+            ))
         paths.append(p)
     return paths
 

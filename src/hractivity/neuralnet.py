@@ -233,26 +233,38 @@ def forward(model: NetModel, windows, hc=None, train_mode: bool = False) -> np.n
     return scores
 
 
-def softmax(scores: np.ndarray) -> np.ndarray:
+def _exp_scores(scores: np.ndarray):
+    """(scores - row max, its exp, the exp's row sums): shared by softmax and loss."""
     shifted = scores - scores.max(axis=1, keepdims=True)
     e = np.exp(shifted)
-    return e / e.sum(axis=1, keepdims=True)
+    return shifted, e, e.sum(axis=1, keepdims=True)
+
+
+def _mean_nll(shifted: np.ndarray, z: np.ndarray, labels: np.ndarray) -> float:
+    picked = shifted[np.arange(shifted.shape[0]), labels]
+    return float(np.mean(np.log(z[:, 0]) - picked))
+
+
+def softmax(scores: np.ndarray) -> np.ndarray:
+    _, e, z = _exp_scores(scores)
+    return e / z
 
 
 def cross_entropy(scores: np.ndarray, labels: np.ndarray) -> float:
-    shifted = scores - scores.max(axis=1, keepdims=True)
-    log_z = np.log(np.exp(shifted).sum(axis=1))
-    picked = shifted[np.arange(scores.shape[0]), labels]
-    return float(np.mean(log_z - picked))
+    shifted, _, z = _exp_scores(scores)
+    return _mean_nll(shifted, z, labels)
 
 
-def _backward(model: NetModel, cache, scores, labels):
-    """Mean cross-entropy gradients for every parameter tensor."""
+def _backward(model: NetModel, cache, probs, labels):
+    """Mean cross-entropy gradients for every parameter tensor.
+
+    ``probs`` is the softmax of the scores; it is overwritten.
+    """
     p = model.params
-    n = scores.shape[0]
+    n = probs.shape[0]
     grads: dict[str, np.ndarray] = {}
 
-    dscores = softmax(scores)
+    dscores = probs
     dscores[np.arange(n), labels] -= 1.0
     dscores /= n
 
@@ -332,8 +344,9 @@ def train(model: NetModel, windows, hc, labels) -> NetModel:
         for start in range(0, n, cfg.batch_size):
             batch = order[start : start + cfg.batch_size]
             scores, cache = _forward(model, cols[batch], hc[batch], train_mode=True)
-            epoch_loss += cross_entropy(scores, labels[batch]) * batch.size
-            grads = _backward(model, cache, scores, labels[batch])
+            shifted, e, z = _exp_scores(scores)
+            epoch_loss += _mean_nll(shifted, z, labels[batch]) * batch.size
+            grads = _backward(model, cache, e / z, labels[batch])
             np.concatenate([grads[k].reshape(-1) for k in names], out=grad)
             step += 1
             bias1 = 1.0 - cfg.beta1**step
@@ -373,7 +386,7 @@ def gradient_check(model: NetModel, windows, hc, labels, n_params: int = 200,
     labels = np.asarray(labels, dtype=np.int64)
     cols = _im2col(model, windows, hc)
     scores, cache = _forward(model, cols, hc, train_mode=False)
-    grads = _backward(model, cache, scores, labels)
+    grads = _backward(model, cache, softmax(scores), labels)
 
     names = sorted(model.params)
     sizes = np.array([model.params[k].size for k in names])

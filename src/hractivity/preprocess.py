@@ -12,11 +12,16 @@ import enum
 from dataclasses import dataclass
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
-from .errors import DegenerateSeries, DimensionMismatch, InvalidConfig
-from .series import ActivityLabel, SubjectSeries
+from .errors import DegenerateSeries, DimensionMismatch, InvalidConfig, NonUniformSeries
+from .series import N_CLASSES, SubjectSeries
 
 EPSILON = 1e-12
+
+#: A sampling step may differ from the series' median step by at most this
+#: fraction of it.
+UNIFORM_TOLERANCE = 1e-3
 
 
 @dataclass(frozen=True)
@@ -31,22 +36,6 @@ class WindowConfig:
             raise InvalidConfig("stride must be >= 1")
 
 
-@dataclass(frozen=True)
-class Window:
-    """A fixed-length slice of one subject's series with a single label."""
-
-    subject_id: str
-    start_index: int
-    values: np.ndarray
-    label: ActivityLabel
-
-    def __post_init__(self):
-        values = np.ascontiguousarray(self.values, dtype=np.float64)
-        values.flags.writeable = False
-        object.__setattr__(self, "values", values)
-        object.__setattr__(self, "label", ActivityLabel(int(self.label)))
-
-
 class StandardizationMode(enum.Enum):
     NONE = "none"
     DATA = "data"
@@ -59,40 +48,73 @@ def window_count(n: int, cfg: WindowConfig) -> int:
     return (n - cfg.window_size) // cfg.stride + 1
 
 
-def _window_label(labels: np.ndarray) -> ActivityLabel:
-    counts = np.bincount(labels, minlength=len(ActivityLabel))
-    top = counts.max()
-    candidates = np.nonzero(counts == top)[0]
-    if len(candidates) == 1:
-        return ActivityLabel(int(candidates[0]))
-    last = int(labels[-1])
-    if counts[last] == top:
-        return ActivityLabel(last)
-    return ActivityLabel(int(candidates[0]))  # tie without the last sample: lowest label
+@dataclass(frozen=True)
+class Segments:
+    """One series cut into windows, as arrays aligned by window.
+
+    ``values`` is a read-only (n, W) view into the series; ``labels`` holds
+    each window's majority label and ``starts`` its first sample index.
+    """
+
+    subject_id: str
+    values: np.ndarray
+    labels: np.ndarray
+    starts: np.ndarray
+
+    def __len__(self) -> int:
+        return int(self.starts.size)
 
 
-def segment(series: SubjectSeries, cfg: WindowConfig) -> list[Window]:
+def _check_uniform(series: SubjectSeries) -> None:
+    """Refuse a series whose sampling steps differ from their median.
+
+    Windows are cut by sample index, so an irregular series would mix time
+    scales; resampling (``corpus.resample_period_s``) makes it uniform.
+    """
+    if len(series) < 3:
+        return
+    steps = np.diff(series.timestamps)
+    median = np.median(steps)
+    off = np.flatnonzero(np.abs(steps - median) > UNIFORM_TOLERANCE * median)
+    if off.size:
+        i = int(off[0]) + 1
+        raise NonUniformSeries(
+            f"subject {series.subject_id!r}: sample {i} (t={float(series.timestamps[i])}) "
+            f"comes {float(steps[i - 1])} s after the one before it, against a median "
+            f"step of {float(median)} s; set corpus.resample_period_s to resample"
+        )
+
+
+def _window_labels(labels: np.ndarray, starts: np.ndarray, w: int) -> np.ndarray:
+    """Majority label of each window ``labels[start : start + w]``.
+
+    Ties go to the label of the window's last sample when it is among the
+    most frequent, otherwise to the lowest tied label.
+    """
+    cumulative = np.zeros((labels.size + 1, N_CLASSES), dtype=np.int64)
+    np.cumsum(labels[:, None] == np.arange(N_CLASSES), axis=0, out=cumulative[1:])
+    counts = cumulative[starts + w] - cumulative[starts]
+    last = labels[starts + w - 1]
+    last_is_top = counts[np.arange(starts.size), last] == counts.max(axis=1)
+    return np.where(last_is_top, last, counts.argmax(axis=1))
+
+
+def segment(series: SubjectSeries, cfg: WindowConfig) -> Segments:
     """Cut a uniform series into overlapping windows.
 
     Windows start at indices 0, S, 2S, ...; a series shorter than one window
-    yields an empty list. The window label is the majority of its per-sample
-    labels, ties broken by the label of the window's last sample.
+    yields no windows. The window label is the majority of its per-sample
+    labels, ties broken by the label of the window's last sample (or, when
+    that label is not among the tied ones, by the lowest tied label). A
+    non-uniform series raises NonUniformSeries.
     """
-    n = len(series)
+    _check_uniform(series)
     w, s = cfg.window_size, cfg.stride
-    windows = []
-    for k in range(window_count(n, cfg)):
-        start = k * s
-        sl = slice(start, start + w)
-        windows.append(
-            Window(
-                subject_id=series.subject_id,
-                start_index=start,
-                values=series.bpm[sl],
-                label=_window_label(series.labels[sl]),
-            )
-        )
-    return windows
+    starts = np.arange(window_count(len(series), cfg), dtype=np.int64) * s
+    if starts.size == 0:
+        return Segments(series.subject_id, np.zeros((0, w)), np.zeros(0, np.int64), starts)
+    values = sliding_window_view(series.bpm, w)[::s]
+    return Segments(series.subject_id, values, _window_labels(series.labels, starts, w), starts)
 
 
 def subject_stats(series: SubjectSeries) -> tuple[float, float]:

@@ -1,4 +1,4 @@
-"""Core domain types: activity labels, samples and per-subject series.
+"""Core domain types: activity labels and per-subject series.
 
 A SubjectSeries stores its samples as parallel numpy arrays (timestamps, bpm,
 labels). Arrays are frozen after construction so series can be shared
@@ -8,7 +8,7 @@ read-only across workers.
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -37,13 +37,6 @@ def bpm_in_range(bpm: float) -> bool:
 
 
 @dataclass(frozen=True)
-class HeartRateSample:
-    timestamp: float  # seconds since session start
-    bpm: float
-    label: ActivityLabel
-
-
-@dataclass(frozen=True)
 class SubjectSeries:
     """One subject's uniformly- or irregularly-sampled heart-rate trace."""
 
@@ -67,17 +60,14 @@ class SubjectSeries:
             raise DataError("timestamps must be strictly increasing")
         if ts[0] < 0:
             raise DataError("timestamps must be non-negative")
+        if labels.min() < 0 or labels.max() >= N_CLASSES:
+            raise DataError("labels must be ActivityLabel values")
         for arr, name in ((ts, "timestamps"), (bpm, "bpm"), (labels, "labels")):
             arr.flags.writeable = False
             object.__setattr__(self, name, arr)
 
     def __len__(self) -> int:
         return int(self.timestamps.size)
-
-    def sample(self, i: int) -> HeartRateSample:
-        return HeartRateSample(
-            float(self.timestamps[i]), float(self.bpm[i]), ActivityLabel(int(self.labels[i]))
-        )
 
     def with_bpm(self, bpm: np.ndarray) -> "SubjectSeries":
         """Copy of this series with replaced values (timestamps/labels kept)."""

@@ -4,6 +4,11 @@ Everything here is written for clarity over speed and deliberately avoids
 the library's own code paths.
 """
 
+import csv
+import datetime as dt
+import math
+from pathlib import Path
+
 import numpy as np
 
 
@@ -291,3 +296,142 @@ def permutation_importance_reference(clf, windows, hc, labels, repeats=5, seed=0
             drops.append(base - balanced(clf.predict(shuffled[:, :w_dim], shuffled[:, w_dim:])))
         out[dim] = np.mean(drops)
     return out
+
+
+# -- windowing: one window at a time ------------------------------------------
+
+def window_label_reference(labels):
+    """Majority label; a tie goes to the last sample's label, else the lowest."""
+    counts = [int(np.sum(np.asarray(labels) == c)) for c in range(5)]
+    top = max(counts)
+    tied = [c for c in range(5) if counts[c] == top]
+    last = int(labels[-1])
+    if len(tied) == 1:
+        return tied[0]
+    return last if last in tied else tied[0]
+
+
+def segment_reference(bpm, labels, window_size, stride):
+    """(values, labels, starts) of every window, cut one by one."""
+    values, window_labels, starts = [], [], []
+    start = 0
+    while start + window_size <= len(bpm):
+        values.append(np.array(bpm[start : start + window_size], dtype=np.float64))
+        window_labels.append(window_label_reference(labels[start : start + window_size]))
+        starts.append(start)
+        start += stride
+    return values, window_labels, starts
+
+
+# -- order statistics: numpy's own median and linear percentiles -------------
+
+def order_statistics_reference(mat):
+    """Row-wise (median, 25th, 75th percentile) straight from numpy."""
+    q25, q75 = np.percentile(mat, [25.0, 75.0], axis=1)
+    return np.median(mat, axis=1), q25, q75
+
+
+# -- CSV corpus: a DictReader over rows, grouped in Python lists -------------
+
+_LABELS = ("Rest", "Breathe", "Activity", "RestAC", "Type")
+
+
+class ReferenceRowError(Exception):
+    """(error kind, message) of the first bad row, as the library words it."""
+
+
+def _reference_timestamp(text, mode):
+    if mode in ("", "epoch"):
+        try:
+            t = float(text)
+        except ValueError:
+            if mode == "epoch":
+                raise ReferenceRowError(
+                    "TimestampFormatError", f"mixed timestamp formats near {text!r}") from None
+        else:
+            if not math.isfinite(t):
+                raise ReferenceRowError("TimestampFormatError", f"non-finite timestamp {text!r}")
+            return t, "epoch"
+    try:
+        stamp = dt.datetime.fromisoformat(text.replace("Z", "+00:00"))
+    except ValueError:
+        raise ReferenceRowError("TimestampFormatError", f"cannot parse timestamp {text!r}") from None
+    if stamp.tzinfo is None:
+        stamp = stamp.replace(tzinfo=dt.timezone.utc)
+    return stamp.timestamp(), "iso"
+
+
+def parse_corpus_reference(path, columns=("subject_id", "device", "timestamp", "bpm", "label"),
+                           device_filter="Apple Watch"):
+    """[(subject, device, timestamps, bpm, labels)] in (subject, device) order.
+
+    Raises ReferenceRowError(kind, message) where the library raises a
+    DataError; the message carries the file and the 1-based line.
+    """
+    path = Path(path)
+    files = sorted(path.glob("*.csv")) if path.is_dir() else [path]
+    subject_col, device_col, ts_col, bpm_col, label_col = columns
+    groups = {}
+    for f in files:
+        with open(f, newline="", encoding="utf-8") as fh:
+            reader = csv.DictReader(fh)
+            header = reader.fieldnames or []
+            for col in columns:
+                if col not in header:
+                    raise ReferenceRowError("MissingColumn", f"missing column {col!r} in {f}")
+            mode = ""
+            for row in reader:
+                try:
+                    if None in row.values():
+                        raise ReferenceRowError(
+                            "MalformedRow", f"row has fewer than {len(header)} cells")
+                    t, mode = _reference_timestamp(row[ts_col], mode)
+                    try:
+                        bpm = float(row[bpm_col])
+                    except ValueError:
+                        raise ReferenceRowError(
+                            "MalformedRow", f"bpm {row[bpm_col]!r} is not a number") from None
+                    if not 20.0 < bpm < 250.0:
+                        raise ReferenceRowError(
+                            "OutOfRangeBpm", f"bpm {bpm} outside the accepted (20, 250) range")
+                    if row[label_col] not in _LABELS:
+                        raise ReferenceRowError(
+                            "UnknownLabel", f"unknown activity label {row[label_col]!r}")
+                except ReferenceRowError as exc:
+                    kind, message = exc.args
+                    raise ReferenceRowError(kind, f"{f}, line {reader.line_num}: {message}") from None
+                if device_filter is not None and row[device_col] != device_filter:
+                    continue
+                key = (row[subject_col], row[device_col])
+                groups.setdefault(key, []).append((t, bpm, _LABELS.index(row[label_col])))
+
+    out = []
+    for (subject, device), rows in sorted(groups.items()):
+        rows.sort(key=lambda r: r[0])
+        ts, bpms, labels = [], [], []
+        i = 0
+        while i < len(rows):
+            j = i
+            while j + 1 < len(rows) and rows[j + 1][0] == rows[i][0]:
+                j += 1
+            run = rows[i : j + 1]
+            if len({r[2] for r in run}) > 1:
+                raise ReferenceRowError("NonMonotonicTimestamps",
+                                        f"subject {subject!r}: conflicting labels at t={rows[i][0]}")
+            ts.append(rows[i][0])
+            bpms.append(sum(r[1] for r in run) / len(run))
+            labels.append(rows[i][2])
+            i = j + 1
+        out.append((subject, device, np.asarray(ts) - ts[0], np.asarray(bpms), np.asarray(labels)))
+    return out
+
+
+# -- subject profiles: one window at a time ------------------------------------
+
+def build_profiles_reference(values, labels, subjects):
+    """{subject: 5-point profile}, adding each window's mean in window order."""
+    sums, counts = {}, {}
+    for row, label, subject in zip(values, labels, subjects):
+        sums.setdefault(subject, np.zeros(5))[int(label)] += float(np.asarray(row).mean())
+        counts.setdefault(subject, np.zeros(5, dtype=np.int64))[int(label)] += 1
+    return {s: sums[s] / counts[s] for s in sorted(sums)}

@@ -41,7 +41,7 @@ from hractivity.features import (
     statistical_features,
     temporal_features,
 )
-from hractivity.ingest import CsvSchema, parse_corpus
+from hractivity.ingest import CsvSchema, parse_corpus, resample_uniform
 from hractivity.metrics import accuracy, balanced_accuracy, confusion_matrix
 from hractivity.neuralnet import (
     ArchitectureId,
@@ -53,14 +53,12 @@ from hractivity.neuralnet import (
 )
 from hractivity.preprocess import (
     StandardizationMode,
-    Window,
     WindowConfig,
     apply_scaler,
     fit_scaler,
     standardize_series,
     window_count,
 )
-from hractivity.series import ActivityLabel
 from hractivity.svm import KernelKind, KernelSpec, dual_objective, kkt_violation, train_binary
 from hractivity.synthetic import SyntheticCohortSpec, generate_synthetic
 
@@ -358,7 +356,7 @@ def test_criterion_09_within_cluster_gains(capsys):
             n_subjects=24, n_groups=3, seed=seed, group_offset_profiles=PROF9))
         ds = build_dataset(series, WindowConfig(50, 25), StandardizationMode.NONE)
         _, assignment = fit_cluster_model(
-            list(ds.window_objs), ClusterSpace.MEAN_BPM_PROFILE, 3, seed)
+            ds.windows, ds.labels, ds.subjects, ClusterSpace.MEAN_BPM_PROFILE, 3, seed)
         for c in range(3):
             members = [s for s, cc in assignment.items() if cc == c]
             all_aligned = all_aligned and len({groups[s] for s in members}) == 1
@@ -404,8 +402,7 @@ def test_criterion_10_feature_fusion_benefit(capsys):
         xte, yte = _dispersion_split(rng, 50, width)
 
         def hc_of(x):
-            windows = [Window("S000", 0, row, ActivityLabel.Rest) for row in x]
-            return feature_matrix(windows, FeatureSetKind.STAT_TEMPORAL)
+            return feature_matrix(x, FeatureSetKind.STAT_TEMPORAL)
 
         htr, hte = hc_of(xtr), hc_of(xte)
         sc = fit_scaler(htr)
@@ -501,7 +498,8 @@ def test_criterion_13_real_corpus_trends(capsys):
     if not root.is_dir() or not any(root.glob("**/*.csv")):
         pytest.skip("real corpus not provided; set HRACTIVITY_STEP_DIR to its CSV directory")
     t0 = time.perf_counter()
-    series = parse_corpus(root, CsvSchema())
+    # windows are cut by sample index, so the irregular watch series go on a 1 s grid first
+    series = [resample_uniform(s, 1.0)[0] for s in parse_corpus(root, CsvSchema())]
     spec = SvmSpec(inputs="features")
     ds = build_dataset(series, WindowConfig(50, 25), StandardizationMode.DATA,
                        FeatureSetKind.STAT_TEMPORAL)

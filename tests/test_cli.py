@@ -285,3 +285,23 @@ def test_non_finite_resample_period_is_a_config_error(tiny_corpus, capsys, perio
     assert "corpus.resample_period_s must be a finite number >= 0" in err
     assert "Traceback" not in err
     assert not runs.exists() or not any(runs.iterdir())
+
+
+def test_non_uniform_corpus_is_refused_until_resampled(tiny_corpus, capsys):
+    ini, corpus, runs = tiny_corpus
+    irregular = corpus.parent / "irregular"
+    irregular.mkdir()
+    for path in sorted(corpus.glob("*.csv")):
+        lines = path.read_text(encoding="utf-8").splitlines(keepends=True)
+        (irregular / path.name).write_text("".join(lines[:101] + lines[102:]), encoding="utf-8")
+    raw = write_ini(ini.with_name("raw.ini"), ini.read_text().replace(str(corpus), str(irregular)))
+    for command in ("eval", "timeline"):
+        rc = run_cli("--config", raw, command)
+        err = capsys.readouterr().err
+        assert rc == 3, command
+        assert "data error" in err and "sample 100 (t=101.0)" in err
+        assert "resample_period_s" in err and "Traceback" not in err
+    resampled = write_ini(ini.with_name("resampled.ini"),
+                          raw.read_text().replace("[corpus]\n", "[corpus]\nresample_period_s = 1.0\n"))
+    for command in ("eval", "timeline"):
+        assert run_cli("--config", resampled, "--out", runs / command, command) == 0

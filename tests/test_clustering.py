@@ -3,8 +3,9 @@
 import numpy as np
 import pytest
 
-from oracles import adjusted_rand_index, exhaustive_kmeans_inertia
+from oracles import adjusted_rand_index, build_profiles_reference, exhaustive_kmeans_inertia
 
+from hractivity import clustering
 from hractivity.clustering import (
     ClusterModel,
     ClusterSpace,
@@ -24,38 +25,42 @@ from hractivity.errors import (
     NoWindows,
     TooFewVectors,
 )
-from hractivity.preprocess import Window, WindowConfig, segment
+from hractivity.preprocess import WindowConfig, segment
 from hractivity.series import ActivityLabel
 from hractivity.synthetic import SyntheticCohortSpec, generate_synthetic
 
 
-def window_of(values, subject="A", start=0, label=ActivityLabel.Rest):
-    return Window(subject, start, np.asarray(values, float), label)
-
-
 def five_activity_windows(subject, means):
-    return [
-        window_of([m] * 10, subject=subject, start=i * 10, label=ActivityLabel(i))
-        for i, m in enumerate(means)
-    ]
+    """(values, labels, subjects) of five 10-sample constant windows, one per activity."""
+    values = np.repeat(np.asarray(means, float)[:, None], 10, axis=1)
+    return values, np.arange(5), [subject] * 5
+
+
+def windows_of(corpus, cfg):
+    """(values, labels, subjects) of every series' windows, in corpus order."""
+    parts = [segment(s, cfg) for s in corpus]
+    return (np.concatenate([p.values for p in parts]),
+            np.concatenate([p.labels for p in parts]),
+            [p.subject_id for p in parts for _ in range(len(p))])
 
 
 def test_build_profiles_constant_windows():
-    (p,) = build_profiles(five_activity_windows("A", [70.0] * 5))
+    (p,) = build_profiles(*five_activity_windows("A", [70.0] * 5))
     assert p.subject_id == "A"
     assert np.allclose(p.profile, 70.0)
 
 
 def test_build_profiles_missing_activity():
-    windows = five_activity_windows("A", [70.0] * 5)[:4]  # no Type window
-    with pytest.raises(MissingActivity):
-        build_profiles(windows)
+    values, labels, subjects = five_activity_windows("A", [70.0] * 5)
+    with pytest.raises(MissingActivity):  # no Type window
+        build_profiles(values[:4], labels[:4], subjects[:4])
 
 
 def test_build_profiles_averages_window_means():
-    windows = five_activity_windows("A", [60.0, 70.0, 80.0, 90.0, 100.0])
-    windows.append(window_of([80.0] * 10, subject="A", start=99, label=ActivityLabel.Rest))
-    (p,) = build_profiles(windows)
+    values, labels, subjects = five_activity_windows("A", [60.0, 70.0, 80.0, 90.0, 100.0])
+    values = np.vstack([values, np.full((1, 10), 80.0)])
+    labels = np.append(labels, int(ActivityLabel.Rest))
+    (p,) = build_profiles(values, labels, subjects + ["A"])
     assert p.profile[0] == 70.0  # Rest windows with means 60 and 80
 
 
@@ -165,11 +170,11 @@ def test_routing_recovers_latent_groups():
                 n_subjects=12, n_groups=2, seed=seed, group_offset_profiles=profiles
             )
         )
-        windows = [w for s in corpus for w in segment(s, cfg)]
-        model, _ = fit_cluster_model(windows, ClusterSpace.STATISTICAL_WINDOW, 2, seed)
+        model, _ = fit_cluster_model(*windows_of(corpus, cfg),
+                                     ClusterSpace.STATISTICAL_WINDOW, 2, seed)
         routed, latent = [], []
         for s in corpus:
-            vecs = window_space_matrix(segment(s, cfg), ClusterSpace.STATISTICAL_WINDOW)
+            vecs = window_space_matrix(segment(s, cfg).values, ClusterSpace.STATISTICAL_WINDOW)
             routed.append(route_subject(model, vecs))
             latent.append(groups[s.subject_id])
         assert adjusted_rand_index(routed, latent) >= 0.9
@@ -177,25 +182,25 @@ def test_routing_recovers_latent_groups():
 
 def test_subject_summaries_spaces():
     corpus, _ = generate_synthetic(SyntheticCohortSpec(n_subjects=3, n_groups=1, seed=2))
-    windows = [w for s in corpus for w in segment(s, WindowConfig(50, 50))]
-    ids, profiles = subject_summaries(windows, ClusterSpace.MEAN_BPM_PROFILE)
+    windows = windows_of(corpus, WindowConfig(50, 50))
+    ids, profiles = subject_summaries(*windows, ClusterSpace.MEAN_BPM_PROFILE)
     assert ids == ["S000", "S001", "S002"]
     assert profiles.shape == (3, 5)
-    ids2, stats = subject_summaries(windows, ClusterSpace.STATISTICAL_WINDOW)
+    ids2, stats = subject_summaries(*windows, ClusterSpace.STATISTICAL_WINDOW)
     assert ids2 == ids
     assert stats.shape == (3, 12)
-    _, temporal = subject_summaries(windows, ClusterSpace.TEMPORAL_WINDOW)
+    _, temporal = subject_summaries(*windows, ClusterSpace.TEMPORAL_WINDOW)
     assert temporal.shape == (3, 10)
 
 
 def test_fit_with_scaler_routes_consistently():
     corpus, _ = generate_synthetic(SyntheticCohortSpec(n_subjects=6, n_groups=2, seed=8))
-    windows = [w for s in corpus for w in segment(s, WindowConfig(50, 50))]
+    windows = windows_of(corpus, WindowConfig(50, 50))
     model, assignment = fit_cluster_model(
-        windows, ClusterSpace.TEMPORAL_WINDOW, 2, seed=8, with_scaler=True
+        *windows, ClusterSpace.TEMPORAL_WINDOW, 2, seed=8, with_scaler=True
     )
     assert model.scaler is not None
-    ids, summaries = subject_summaries(windows, ClusterSpace.TEMPORAL_WINDOW)
+    ids, summaries = subject_summaries(*windows, ClusterSpace.TEMPORAL_WINDOW)
     for subject, summary in zip(ids, summaries):
         assert assign_window(model, summary) == assignment[subject]
 
@@ -209,3 +214,48 @@ def test_cluster_report_deterministic(tmp_path):
     assert p1.read_bytes() == p2.read_bytes()
     text = p1.read_text()
     assert '"k": 2' in text and '"inertia"' in text
+
+
+@pytest.mark.parametrize("space", [ClusterSpace.STATISTICAL_WINDOW, ClusterSpace.TEMPORAL_WINDOW])
+def test_summaries_from_sliced_vectors_match_recomputed(space):
+    corpus, _ = generate_synthetic(SyntheticCohortSpec(n_subjects=5, n_groups=2, seed=3))
+    values, labels, subjects = windows_of(corpus, WindowConfig(50, 10))
+    vectors = window_space_matrix(values, space)
+    rows = np.flatnonzero(np.asarray(subjects) != "S001")
+    train = values[rows], labels[rows], [subjects[i] for i in rows]
+    ids, recomputed = subject_summaries(*train, space)
+    ids_sliced, sliced = subject_summaries(*train, space, vectors=vectors[rows])
+    assert ids == ids_sliced == ["S000", "S002", "S003", "S004"]
+    assert sliced.tobytes() == recomputed.tobytes()
+
+
+def test_build_profiles_matches_window_loop_reference():
+    # subjects interleaved and unsorted: sums must still run in window order
+    rng = np.random.default_rng(6)
+    n = 400
+    values = rng.normal(80.0, 15.0, (n, 23))
+    labels = np.concatenate([np.arange(5), rng.integers(0, 5, n - 5)])
+    subjects = [str(s) for s in rng.choice(["S2", "S0", "S1"], n)]
+    for s in ("S0", "S1", "S2"):  # every subject sees every activity
+        labels[[i for i, x in enumerate(subjects) if x == s][:5]] = np.arange(5)
+    expected = build_profiles_reference(values, labels, subjects)
+    profiles = build_profiles(values, labels, subjects)
+    assert [p.subject_id for p in profiles] == sorted(expected)
+    for p in profiles:
+        assert p.profile.tobytes() == expected[p.subject_id].tobytes()
+
+
+def test_subject_summaries_compute_one_subject_at_a_time(monkeypatch):
+    # a whole stride-1 cohort in one feature call doubles the cluster command's peak memory
+    corpus, _ = generate_synthetic(SyntheticCohortSpec(n_subjects=4, n_groups=2, seed=9))
+    values, labels, subjects = windows_of(corpus, WindowConfig(50, 10))
+    sizes = []
+    real = clustering.window_space_matrix
+
+    def sized(block, space):
+        sizes.append(len(block))
+        return real(block, space)
+
+    monkeypatch.setattr(clustering, "window_space_matrix", sized)
+    subject_summaries(values, labels, subjects, ClusterSpace.STATISTICAL_WINDOW)
+    assert sizes == [subjects.count(s) for s in sorted(set(subjects))]

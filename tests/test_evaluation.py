@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from oracles import permutation_importance_reference
 
+from hractivity import clustering, evaluation
 from hractivity.clustering import ClusterSpace, fit_cluster_model
 from hractivity.errors import EmptyCluster, InvalidConfig, NoWindows, SeriesTooShort, TooFewVectors
 from hractivity.evaluation import (
@@ -31,7 +32,7 @@ from hractivity.evaluation import (
 from hractivity.features import FeatureSetKind
 from hractivity.metrics import balanced_accuracy, confusion_matrix
 from hractivity.neuralnet import ArchitectureId
-from hractivity.preprocess import StandardizationMode, Window, WindowConfig, fit_scaler
+from hractivity.preprocess import StandardizationMode, WindowConfig, fit_scaler
 from hractivity.series import ActivityLabel, SubjectSeries
 from hractivity.synthetic import SyntheticCohortSpec, generate_synthetic
 
@@ -50,20 +51,15 @@ def small_dataset(seed=1, w=50, s=25, std=StandardizationMode.DATA):
 
 def manual_dataset(rows):
     """rows: (subject, values, label) triples -> WindowDataset without features."""
-    objs = tuple(
-        Window(subject_id=sid, start_index=i, values=np.asarray(vals, dtype=float),
-               label=ActivityLabel(label))
-        for i, (sid, vals, label) in enumerate(rows)
-    )
+    windows = np.array([vals for _, vals, _ in rows], dtype=float)
     return WindowDataset(
-        windows=np.stack([w.values for w in objs]),
-        hc=np.zeros((len(objs), 0)),
-        labels=np.array([int(w.label) for w in objs]),
-        subjects=tuple(w.subject_id for w in objs),
-        starts=np.array([w.start_index for w in objs]),
-        window_objs=objs,
+        windows=windows,
+        hc=np.zeros((len(rows), 0)),
+        labels=np.array([int(ActivityLabel(label)) for _, _, label in rows]),
+        subjects=tuple(sid for sid, _, _ in rows),
+        starts=np.arange(len(rows)),
         hc_names=(),
-        window_size=len(objs[0].values),
+        window_size=windows.shape[1],
         stride=1,
         standardization=StandardizationMode.NONE,
         feature_kind=None,
@@ -235,7 +231,7 @@ def test_importance_constant_dimension_is_zero():
     clf = fit_classifier(
         SvmSpec(inputs="features"),
         WindowDataset(windows, hc, labels, tuple("S" for _ in range(n)),
-                      np.arange(n), (), ds_like_names, 6, 1,
+                      np.arange(n), ds_like_names, 6, 1,
                       StandardizationMode.NONE, None),
         np.arange(n), seed=1,
     )
@@ -260,7 +256,7 @@ def test_importance_noise_feature_near_zero(seed):
     windows = np.zeros((n, 4))
     names = ("0_A", "0_B", "0_Noise")
     ds = WindowDataset(windows, hc, labels, tuple("S" for _ in range(n)),
-                       np.arange(n), (), names, 4, 1, StandardizationMode.NONE, None)
+                       np.arange(n), names, 4, 1, StandardizationMode.NONE, None)
     clf = fit_classifier(SvmSpec(inputs="features"), ds, np.arange(n), seed=seed)
     rep = permutation_importance(clf, windows, hc, labels, names, seed=seed)
     assert abs(rep.importances[6]) <= 0.02  # the noise column
@@ -274,7 +270,7 @@ def test_importance_cheat_feature_ranks_first(tmp_path):
     windows = rng.normal(size=(n, 5))
     names = ("0_Noise", "0_Cheat")
     ds = WindowDataset(windows, hc, labels, tuple("S" for _ in range(n)),
-                       np.arange(n), (), names, 5, 1, StandardizationMode.NONE, None)
+                       np.arange(n), names, 5, 1, StandardizationMode.NONE, None)
     clf = fit_classifier(SvmSpec(inputs="features"), ds, np.arange(n), seed=2)
     rep = permutation_importance(clf, windows, hc, labels, names, seed=2)
     assert rep.names[int(np.argmax(rep.importances))] == "0_Cheat"
@@ -402,3 +398,20 @@ def test_net_classifier_adapter_runs():
     rep = run_split(ds, SplitPlan(SplitKind.RANDOM_WINDOW, seed=1), spec, seed=1)
     assert rep.confusion.sum() == rep.folds[0].n_test
     assert rep.config["model"]["kind"] == "net"
+
+
+@pytest.mark.parametrize("routing", list(RoutingMode))
+def test_routed_eval_computes_window_vectors_once(monkeypatch, routing):
+    ds = small_dataset(std=StandardizationMode.FEATURE)
+    calls = []
+    real = clustering.window_space_matrix
+
+    def counting(values, space):
+        calls.append(len(values))
+        return real(values, space)
+
+    monkeypatch.setattr(evaluation, "window_space_matrix", counting)
+    monkeypatch.setattr(clustering, "window_space_matrix", counting)
+    rep = routed_eval(ds, 2, routing, ClusterSpace.STATISTICAL_WINDOW, SvmSpec(), seed=3)
+    assert len(rep.folds) == 8
+    assert calls == [len(ds)]  # once for the dataset, never per fold

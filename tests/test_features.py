@@ -2,6 +2,7 @@
 
 import numpy as np
 import pytest
+from oracles import order_statistics_reference
 
 from hractivity.errors import InvalidConfig, WindowTooShort
 from hractivity.features import (
@@ -11,7 +12,6 @@ from hractivity.features import (
     FeatureSetKind,
     MfccConfig,
     base_features,
-    extract,
     feature_matrix,
     feature_names,
     hz_to_mel,
@@ -19,12 +19,12 @@ from hractivity.features import (
     mel_filterbank,
     mel_to_hz,
     mfcc_features,
+    order_statistics,
     statistical_features,
+    statistical_matrix,
     temporal_features,
-    write_feature_csv,
 )
-from hractivity.preprocess import Window, WindowConfig, segment, subject_stats
-from hractivity.series import ActivityLabel
+from hractivity.preprocess import WindowConfig, segment, standardize_series
 from hractivity.synthetic import SyntheticCohortSpec, generate_synthetic
 
 TOL = 1e-9
@@ -216,10 +216,6 @@ def test_mel_filterbank_covers_positive_frequencies():
     assert bank.sum(axis=1).min() > 0.0  # every band sees at least one bin
 
 
-def window_of(values, subject="A", start=0, label=ActivityLabel.Rest):
-    return Window(subject, start, np.asarray(values, float), label)
-
-
 def test_translation_invariance():
     rng = np.random.default_rng(7)
     shift_by_c = {"0_Mean", "0_Min", "0_Max", "0_Median"}
@@ -262,14 +258,14 @@ def test_all_features_finite_across_generator_seeds():
     cfg = WindowConfig(50, 50)
     for seed in range(1, 101):
         corpus, _ = generate_synthetic(SyntheticCohortSpec(n_subjects=1, n_groups=1, seed=seed))
-        windows = segment(corpus[0], cfg)
+        windows = segment(corpus[0], cfg).values
         for kind in FeatureSetKind:
             mat = feature_matrix(windows, kind)
             assert np.isfinite(mat).all(), (seed, kind)
 
 
 def test_feature_set_shapes_and_names():
-    windows = [window_of(np.linspace(60, 90, 50))]
+    windows = np.linspace(60, 90, 50)[None, :]
     assert feature_matrix(windows, FeatureSetKind.STAT_TEMPORAL).shape == (1, 22)
     assert feature_matrix(windows, FeatureSetKind.BASE_MFCC).shape == (1, 11)
     assert feature_matrix(windows, FeatureSetKind.BASE).shape == (1, 6)
@@ -280,43 +276,36 @@ def test_feature_set_shapes_and_names():
     assert all(n.startswith("0_") for n in names + feature_names(FeatureSetKind.BASE_MFCC))
 
 
-def test_extract_standardized_grand_mean_small():
+def test_feature_matrix_standardized_grand_mean_small():
     for seed in range(1, 6):
         corpus, _ = generate_synthetic(SyntheticCohortSpec(n_subjects=4, n_groups=2, seed=seed))
-        stats = {s.subject_id: subject_stats(s) for s in corpus}
-        windows = []
-        for s in corpus:
-            windows += segment(s, WindowConfig(50, 25))
-        vectors = extract(windows, FeatureSetKind.STATISTICAL, True, stats)
-        grand = np.mean([v.values[0] for v in vectors])
+        windows = np.concatenate(
+            [segment(standardize_series(s), WindowConfig(50, 25)).values for s in corpus])
+        matrix = feature_matrix(windows, FeatureSetKind.STATISTICAL)
+        grand = np.mean(matrix[:, 0])
         assert abs(grand) < 0.5
 
 
-def test_extract_requires_stats_for_standardized_input():
-    with pytest.raises(InvalidConfig):
-        extract([window_of(np.arange(10.0))], FeatureSetKind.BASE, True, None)
+def test_feature_matrix_preserves_row_order():
+    rows = np.array([np.arange(10.0), np.arange(10.0) + 5])
+    matrix = feature_matrix(rows, FeatureSetKind.BASE)
+    assert matrix.shape == (2, 6)
+    for row, features in zip(rows, matrix):
+        assert np.array_equal(features, base_features(row))
+    assert matrix[0, 2] == 4.5 and matrix[1, 2] == 9.5  # 0_Mean
 
 
-def test_extract_preserves_order_and_metadata():
-    windows = [
-        window_of(np.arange(10.0), subject="B", start=20, label=ActivityLabel.Type),
-        window_of(np.arange(10.0) + 5, subject="A", start=0, label=ActivityLabel.Rest),
-    ]
-    vectors = extract(windows, FeatureSetKind.BASE)
-    assert [v.subject_id for v in vectors] == ["B", "A"]
-    assert vectors[0].start_index == 20
-    assert vectors[0].label is ActivityLabel.Type
-
-
-def test_feature_csv_round_trip(tmp_path):
-    windows = [window_of(np.linspace(60, 80, 12), start=3, label=ActivityLabel.Breathe)]
-    vectors = extract(windows, FeatureSetKind.TEMPORAL)
-    out = tmp_path / "features.csv"
-    write_feature_csv(vectors, out)
-    lines = out.read_text().splitlines()
-    header = lines[0].split(",")
-    assert header[:10] == list(TEMPORAL_NAMES)
-    assert header[10:] == ["subject_id", "start_index", "label"]
-    row = lines[1].split(",")
-    assert row[10:] == ["A", "3", "Breathe"]
-    assert float(row[5]) == pytest.approx(vectors[0].values[5], abs=0)
+@pytest.mark.parametrize("w", [3, 4, 5, 10, 49, 50, 51, 100, 120])
+def test_order_statistics_bit_identical_to_numpy(w):
+    rng = np.random.default_rng(w)
+    smooth = rng.normal(80.0, 10.0, (300, w))
+    ties = np.round(rng.normal(80.0, 3.0, (300, w)))  # whole-bpm values: many ties
+    flat = np.where(rng.random((300, w)) < 0.7, 70.0, smooth)
+    standardized = (smooth - smooth.mean(axis=1, keepdims=True)) / smooth.std(axis=1, keepdims=True)
+    for mat in (smooth, ties, flat, standardized):
+        for got, ref in zip(order_statistics(mat), order_statistics_reference(mat)):
+            assert got.tobytes() == ref.tobytes()
+    stats = statistical_matrix(ties)
+    median, q25, q75 = order_statistics_reference(ties)
+    assert stats[:, STATISTICAL_NAMES.index("0_Median")].tobytes() == median.tobytes()
+    assert stats[:, STATISTICAL_NAMES.index("0_InterquartileRange")].tobytes() == (q75 - q25).tobytes()

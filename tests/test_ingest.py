@@ -2,6 +2,7 @@
 
 import numpy as np
 import pytest
+from oracles import ReferenceRowError, parse_corpus_reference
 
 from hractivity.errors import (
     DataError,
@@ -255,3 +256,109 @@ def test_parse_empty_directory(tmp_path):
     (tmp_path / "empty").mkdir()
     with pytest.raises(EmptySeries):
         parse_corpus(tmp_path / "empty")
+
+
+# -- the column-wise reader against a DictReader reference --------------------
+
+def assert_parse_matches_reference(path, device_filter="Apple Watch"):
+    schema = CsvSchema(device_filter=device_filter)
+    try:
+        expected = parse_corpus_reference(path, device_filter=device_filter)
+    except ReferenceRowError as exc:
+        kind, message = exc.args
+        with pytest.raises(DataError) as info:
+            parse_corpus(path, schema)
+        assert type(info.value).__name__ == kind
+        assert str(info.value) == message
+        return
+    corpus = parse_corpus(path, schema)
+    assert len(corpus) == len(expected)
+    for series, (subject, device, ts, bpm, labels) in zip(corpus, expected):
+        assert (series.subject_id, series.device_id) == (subject, device)
+        assert series.timestamps.tobytes() == ts.astype(np.float64).tobytes()
+        assert series.bpm.tobytes() == bpm.astype(np.float64).tobytes()
+        assert series.labels.tolist() == labels.tolist()
+
+
+PARSE_CASES = {
+    "duplicates-unsorted": ["A,Apple Watch,3,61.1,Rest\n", "A,Apple Watch,1,70.3,Rest\n",
+                            "A,Apple Watch,3,62.7,Rest\n", "A,Apple Watch,2,64,Breathe\n",
+                            "A,Apple Watch,3,66.05,Rest\n", "A,Apple Watch,1,70.9,Rest\n"],
+    "conflicting-labels": ["A,Apple Watch,0,60,Rest\n", "A,Apple Watch,1,61,Rest\n",
+                           "A,Apple Watch,1,62,Type\n"],
+    "devices": ["A,Apple Watch,0,60,Rest\n", "A,Fitbit,0,90,Rest\n", "B,Fitbit,1,91,Type\n",
+                "A,Apple Watch,1,60.5,Rest\n"],
+    "iso": ["A,Apple Watch,2021-03-01T10:00:05Z,61,Rest\n",
+            "A,Apple Watch,2021-03-01T10:00:00+00:00,60,Rest\n",
+            "A,Apple Watch,2021-03-01T10:00:05,63,Rest\n"],
+    "blank-lines-then-bad-bpm": ["A,Apple Watch,0,60,Rest\n", "\n", "\n", "A,Apple Watch,1,x,Rest\n"],
+    "quoted-newline-then-bad-label": ['"A\nA",Apple Watch,0,60,Rest\n', "A,Apple Watch,1,61,Jog\n"],
+    "short-row": ["A,Apple Watch,0,60,Rest\n", "A,Apple Watch,1,61\n"],
+    "short-row-after-bad-bpm": ["A,Apple Watch,0,600,Rest\n", "A,Apple Watch,1\n"],
+    "bad-timestamp-before-bad-bpm": ["A,Apple Watch,0,60,Rest\n", "A,Apple Watch,?,abc,Rest\n"],
+    "nan-bpm": ["A,Apple Watch,0,nan,Rest\n"],
+    "empty-timestamp": ["A,Apple Watch,,60,Rest\n"],
+    "inf-timestamp-later": ["A,Apple Watch,0,60,Rest\n", "A,Apple Watch,-inf,60,Rest\n"],
+    "epoch-then-iso": ["A,Apple Watch,0,60,Rest\n", "A,Apple Watch,2021-03-01T10:00:05Z,61,Rest\n"],
+    "iso-then-epoch": ["A,Apple Watch,2021-03-01T10:00:05Z,61,Rest\n", "A,Apple Watch,7,61,Rest\n"],
+    "bad-row-on-filtered-device": ["A,Apple Watch,0,60,Rest\n", "A,Fitbit,1,19,Rest\n"],
+    "unknown-label": ["A,Apple Watch,0,60,rest\n"],
+    # a long run: a sum in another order than the rows' would change the mean's last bits
+    "long-duplicate-run": [f"A,Apple Watch,4,{60 + 7.31 * i % 90!r},Rest\n" for i in range(20)],
+}
+
+
+@pytest.mark.parametrize("case", sorted(PARSE_CASES))
+@pytest.mark.parametrize("device_filter", ["Apple Watch", None])
+def test_parse_matches_dictreader_reference(tmp_path, case, device_filter):
+    path = write_csv(tmp_path, PARSE_CASES[case], name="bad.csv")
+    assert_parse_matches_reference(path, device_filter)
+
+
+def test_parse_matches_reference_across_files(tmp_path):
+    # one subject spread over three files, duplicates across files, a bad row in the last file
+    write_csv(tmp_path, ["A,Apple Watch,2,60,Rest\n", "B,Apple Watch,0,70,Rest\n"], name="a.csv")
+    write_csv(tmp_path, ["A,Apple Watch,2,61.3,Rest\n", "A,Apple Watch,0,62,Type\n"], name="b.csv")
+    write_csv(tmp_path, ["A,Apple Watch,1,63,Rest\n", "B,Fitbit,1,71,Rest\n"], name="c.csv")
+    assert_parse_matches_reference(tmp_path)
+    assert_parse_matches_reference(tmp_path, None)
+    write_csv(tmp_path, ["C,Apple Watch,1,63,Rest\n", "C,Apple Watch,2,63,Nap\n"], name="d.csv")
+    with pytest.raises(UnknownLabel, match=r"d\.csv, line 3: "):
+        parse_corpus(tmp_path)
+    assert_parse_matches_reference(tmp_path)
+
+
+def test_parse_matches_reference_on_random_corpora(tmp_path):
+    rng = np.random.default_rng(5)
+    names = [label.name for label in ActivityLabel]
+    for trial in range(40):
+        folder = tmp_path / f"t{trial}"
+        folder.mkdir()
+        for f in range(int(rng.integers(1, 4))):
+            rows = []
+            for _ in range(int(rng.integers(0, 40))):
+                t = int(rng.integers(0, 12))
+                label = names[t % 5] if rng.random() > 0.02 else names[(t + 1) % 5]
+                rows.append(f"{rng.choice(['A', 'B'])},{rng.choice(['Apple Watch', 'Fitbit'])},"
+                            f"{t * 0.5!r},{rng.uniform(40, 200)!r},{label}\n")
+            write_csv(folder, rows, name=f"f{f}.csv")
+        for device_filter in ("Apple Watch", None):
+            assert_parse_matches_reference(folder, device_filter)
+
+
+def test_serialize_matches_a_row_writer(tmp_path):
+    corpus, _ = generate_synthetic(SyntheticCohortSpec(n_subjects=2, n_groups=1, seed=4))
+    (path, _) = serialize_corpus(corpus, tmp_path)
+    series = corpus[0]
+    lines = ["subject_id,device,timestamp,bpm,label"] + [
+        f"{series.subject_id},{series.device_id},{float(t)!r},{float(b)!r},"
+        f"{ActivityLabel(int(label)).name}"
+        for t, b, label in zip(series.timestamps, series.bpm, series.labels)
+    ]
+    assert path.read_bytes() == ("\r\n".join(lines) + "\r\n").encode()
+
+
+def test_series_rejects_labels_outside_the_activities():
+    for bad in (-1, 5):
+        with pytest.raises(DataError, match="ActivityLabel"):
+            make_series([0.0, 1.0], [60.0, 61.0], labels=[0, bad])

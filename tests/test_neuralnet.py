@@ -216,7 +216,7 @@ def test_eval_step_matches_reference(arch, f, window_size):
     scores, cache = _forward(model, _im2col(model, w, hc), hc, train_mode=False)
     ref_scores, ref_cache = net_forward_reference(model, w, h, train_mode=False)
     assert rel_err(scores, ref_scores) < 1e-12
-    grads = _backward(model, cache, scores, y)
+    grads = _backward(model, cache, softmax(scores), y)
     ref_grads = net_backward_reference(model, ref_cache, ref_scores, y)
     assert sorted(grads) == sorted(model.params) == sorted(ref_grads)
     for name, grad in grads.items():
@@ -268,3 +268,15 @@ def test_trained_params_keep_layout_and_round_trip(arch, f, tmp_path):
         assert np.array_equal(loaded.params[name], arr), name
     assert loaded.training_log == model.training_log
     assert np.array_equal(forward(model, w, h), forward(loaded, w, h))
+
+
+def test_softmax_and_loss_share_one_exponential_bit_for_bit():
+    # the training step derives both from one exp; each must equal its own formula
+    rng = np.random.default_rng(12)
+    scores = rng.normal(scale=4.0, size=(40, 5))
+    labels = rng.integers(0, 5, size=40)
+    shifted = scores - scores.max(axis=1, keepdims=True)
+    e = np.exp(shifted)
+    assert softmax(scores).tobytes() == (e / e.sum(axis=1, keepdims=True)).tobytes()
+    log_z = np.log(np.exp(shifted).sum(axis=1))
+    assert cross_entropy(scores, labels) == float(np.mean(log_z - shifted[np.arange(40), labels]))

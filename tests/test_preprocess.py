@@ -2,11 +2,18 @@
 
 import numpy as np
 import pytest
+from oracles import segment_reference
 
-from hractivity.errors import DegenerateSeries, DimensionMismatch, InvalidConfig
+from hractivity.errors import (
+    DataError,
+    DegenerateSeries,
+    DimensionMismatch,
+    InvalidConfig,
+    NonUniformSeries,
+)
 from hractivity.preprocess import (
     Scaler,
-    Window,
+    Segments,
     WindowConfig,
     apply_scaler,
     fit_scaler,
@@ -54,10 +61,11 @@ def test_window_count_formula_randomized():
 def test_segment_positions_and_values():
     s = series_of(np.arange(10, dtype=float))
     windows = segment(s, WindowConfig(4, 3))
-    assert [w.start_index for w in windows] == [0, 3, 6]
-    assert np.array_equal(windows[1].values, [3.0, 4.0, 5.0, 6.0])
-    assert all(len(w.values) == 4 for w in windows)
-    assert all(w.subject_id == "A" for w in windows)
+    assert len(windows) == 3
+    assert windows.starts.tolist() == [0, 3, 6]
+    assert np.array_equal(windows.values[1], [3.0, 4.0, 5.0, 6.0])
+    assert windows.values.shape == (3, 4)
+    assert windows.subject_id == "A"
 
 
 def test_segment_sample_coverage():
@@ -69,12 +77,12 @@ def test_segment_sample_coverage():
         s = int(rng.integers(1, w + 1))
         series = series_of(rng.uniform(50, 100, n))
         windows = segment(series, WindowConfig(w, s))
-        if not windows:
+        if not len(windows):
             continue
         covered = np.zeros(n, dtype=bool)
-        for win in windows:
-            covered[win.start_index : win.start_index + w] = True
-        end = windows[-1].start_index + w
+        for start in windows.starts:
+            covered[start : start + w] = True
+        end = windows.starts[-1] + w
         assert covered[:end].all()
         assert n - end < w + s  # only a short tail may be uncovered
 
@@ -82,24 +90,24 @@ def test_segment_sample_coverage():
 def test_window_label_majority():
     labels = [0] * 30 + [2] * 20
     s = series_of(np.zeros(50), labels)
-    (w,) = segment(s, WindowConfig(50, 50))
-    assert w.label == ActivityLabel.Rest
+    (label,) = segment(s, WindowConfig(50, 50)).labels
+    assert label == ActivityLabel.Rest
 
 
 def test_window_label_tie_goes_to_last_sample():
     s = series_of(np.zeros(4), [2, 2, 0, 0])
-    (w,) = segment(s, WindowConfig(4, 4))
-    assert w.label == ActivityLabel.Rest
+    (label,) = segment(s, WindowConfig(4, 4)).labels
+    assert label == ActivityLabel.Rest
     s = series_of(np.zeros(4), [0, 0, 2, 2])
-    (w,) = segment(s, WindowConfig(4, 4))
-    assert w.label == ActivityLabel.Activity
+    (label,) = segment(s, WindowConfig(4, 4)).labels
+    assert label == ActivityLabel.Activity
 
 
 def test_window_label_tie_without_last_sample_lowest_wins():
     # counts: two 0s, two 1s, one 4; the last sample is not part of the tie
     s = series_of(np.zeros(5), [0, 0, 1, 1, 4])
-    (w,) = segment(s, WindowConfig(5, 5))
-    assert w.label == ActivityLabel.Rest
+    (label,) = segment(s, WindowConfig(5, 5)).labels
+    assert label == ActivityLabel.Rest
 
 
 def test_standardize_series_example():
@@ -133,9 +141,8 @@ def test_datastd_then_segment_equals_segment_then_affine():
         pre = segment(standardize_series(series), cfg)
         post = segment(series, cfg)
         assert len(pre) == len(post)
-        for a, b in zip(pre, post):
-            assert a.label == b.label
-            assert np.max(np.abs(a.values - (b.values - mean) / std)) < 1e-12
+        assert np.array_equal(pre.labels, post.labels)
+        assert np.max(np.abs(pre.values - (post.values - mean) / std)) < 1e-12
 
 
 def test_fit_scaler_example():
@@ -175,7 +182,53 @@ def test_scaler_shape_validation():
 
 
 def test_window_values_read_only():
-    (w,) = segment(series_of(np.arange(5, dtype=float)), WindowConfig(5, 5))
-    assert isinstance(w, Window)
+    windows = segment(series_of(np.arange(5, dtype=float)), WindowConfig(5, 5))
+    assert isinstance(windows, Segments)
     with pytest.raises(ValueError):
-        w.values[0] = 1.0
+        windows.values[0, 0] = 1.0
+
+
+@pytest.mark.parametrize("w,s", [(2, 1), (3, 1), (4, 2), (5, 3), (6, 6), (7, 9), (10, 4), (50, 10)])
+def test_segment_matches_loop_reference(w, s):
+    # few distinct labels in short runs: most windows are ties of some kind
+    rng = np.random.default_rng(w * 100 + s)
+    for _ in range(30):
+        n = int(rng.integers(1, 150))
+        pool = rng.choice(5, size=int(rng.integers(1, 4)), replace=False)
+        labels = np.repeat(rng.choice(pool, size=n), rng.integers(1, 4, size=n))[:n]
+        bpm = rng.uniform(50, 150, labels.size)
+        got = segment(series_of(bpm, labels), WindowConfig(w, s))
+        values, window_labels, starts = segment_reference(bpm, labels, w, s)
+        assert len(got) == len(starts)
+        assert got.starts.tolist() == starts
+        assert got.labels.tolist() == window_labels
+        assert got.values.shape == (len(starts), w)
+        if starts:
+            assert np.array_equal(got.values, np.stack(values))
+
+
+def test_segment_of_a_short_series_is_empty():
+    windows = segment(series_of(np.arange(4.0)), WindowConfig(5, 1))
+    assert len(windows) == 0
+    assert windows.values.shape == (0, 5)
+    assert windows.labels.shape == windows.starts.shape == (0,)
+
+
+def test_segment_refuses_non_uniform_series():
+    assert issubclass(NonUniformSeries, DataError)
+    ts = np.arange(100.0)
+    ts[40:] += 0.5  # the step into sample 40 is 1.5 s
+    irregular = SubjectSeries("A", "dev", ts, np.full(100, 70.0), np.zeros(100, np.int64))
+    with pytest.raises(NonUniformSeries, match=r"subject 'A': sample 40 \(t=40\.5\)"):
+        segment(irregular, WindowConfig(10, 5))
+
+
+def test_segment_accepts_jitter_within_tolerance():
+    rng = np.random.default_rng(4)
+    ts = np.arange(200.0) * 2.0 + rng.uniform(-4e-4, 4e-4, 200)  # 2 s steps, 1e-3 tolerance
+    ts -= ts[0]
+    s = SubjectSeries("A", "dev", ts, np.full(200, 70.0), np.zeros(200, np.int64))
+    assert len(segment(s, WindowConfig(10, 5))) == 39
+    # two samples have a single step and are uniform by definition
+    two = SubjectSeries("B", "dev", [0.0, 7.0], [60.0, 61.0], [0, 0])
+    assert len(segment(two, WindowConfig(2, 1))) == 1
