@@ -69,17 +69,19 @@ def _sha256(path: Path) -> str:
     return digest.hexdigest()
 
 
-def _load_series(cfg) -> list:
+def _load_series(cfg) -> tuple[list, list]:
+    """The configured corpus, plus the gap records of its resampling."""
     if cfg.source == "synthetic":
         series, _ = generate_synthetic(cfgmod.cohort_spec(cfg))
-        return series
+        return series, []
     series = parse_corpus(cfg.source, cfgmod.csv_schema(cfg))
     if not series:
         raise DataError(f"no series found under {cfg.source} "
                         f"(device filter: {cfg.device_filter or 'off'})")
-    if cfg.resample_period_s > 0:
-        series = [resample_uniform(s, cfg.resample_period_s)[0] for s in series]
-    return series
+    if cfg.resample_period_s <= 0:
+        return series, []
+    resampled = [resample_uniform(s, cfg.resample_period_s) for s in series]
+    return [r for r, _ in resampled], [g for _, gaps in resampled for g in gaps]
 
 
 def _build_dataset(cfg, series):
@@ -109,18 +111,8 @@ def cmd_generate(cfg, run_dir: Path) -> None:
 def cmd_ingest(cfg, run_dir: Path) -> None:
     if cfg.source == "synthetic":
         raise ConfigError("ingest needs corpus.source to point at CSV files")
-    series = parse_corpus(cfg.source, cfgmod.csv_schema(cfg))
-    if not series:
-        raise DataError(f"no series found under {cfg.source} "
-                        f"(device filter: {cfg.device_filter or 'off'})")
-    gaps = []
+    series, gaps = _load_series(cfg)
     if cfg.resample_period_s > 0:
-        resampled = []
-        for s in series:
-            r, g = resample_uniform(s, cfg.resample_period_s)
-            resampled.append(r)
-            gaps.extend(g)
-        series = resampled
         write_gap_report(gaps, run_dir / "gap_report.csv")
     summary = []
     for s in series:
@@ -137,7 +129,8 @@ def cmd_ingest(cfg, run_dir: Path) -> None:
 
 
 def cmd_sweep(cfg, run_dir: Path) -> None:
-    series = _load_series(cfg)
+    cfgmod.check_protocol(cfg, "sweep")
+    series, _ = _load_series(cfg)
     seed = cfg.require_seed()
     reports = run_sweep(series, list(cfg.window_sizes), list(cfg.strides),
                         cfgmod.split_plan(cfg), cfgmod.model_spec(cfg),
@@ -154,7 +147,7 @@ def cmd_sweep(cfg, run_dir: Path) -> None:
 
 
 def cmd_cluster(cfg, run_dir: Path) -> None:
-    series = _load_series(cfg)
+    series, _ = _load_series(cfg)
     # clustering reads only the windows, so no feature matrix is built
     ds = build_dataset(series, cfgmod.window_config(cfg), cfg.standardization)
     model, assignment = fit_cluster_model(ds.windows, ds.labels, ds.subjects, cfg.space,
@@ -163,7 +156,7 @@ def cmd_cluster(cfg, run_dir: Path) -> None:
 
 
 def cmd_train(cfg, run_dir: Path) -> None:
-    series = _load_series(cfg)
+    series, _ = _load_series(cfg)
     ds = _build_dataset(cfg, series)
     seed = cfg.require_seed()
     clf = _fit_on_all(cfg, ds, seed)
@@ -197,43 +190,41 @@ def cmd_train(cfg, run_dir: Path) -> None:
 
 
 def cmd_eval(cfg, run_dir: Path) -> None:
-    series = _load_series(cfg)
+    cfgmod.check_protocol(cfg, "eval")
+    series, _ = _load_series(cfg)
     ds = _build_dataset(cfg, series)
     seed = cfg.require_seed()
     spec = cfgmod.model_spec(cfg)
     if cfg.routing is not None:
         report = routed_eval(ds, cfg.k, cfg.routing, cfg.space, spec, seed,
                              cfg.workers, cfg.restarts)
-        _report_artifacts(report, run_dir)
-        return
-    if cfg.split_kind is SplitKind.WITHIN_CLUSTER_LOSO:
+    elif cfg.split_kind in (SplitKind.WITHIN_CLUSTER_LOSO, SplitKind.CROSS_CLUSTER):
         _, assignment = fit_cluster_model(ds.windows, ds.labels, ds.subjects, cfg.space,
                                           cfg.k, seed, restarts=cfg.restarts)
-        result = within_cluster_loso(ds, assignment, spec, seed, cfg.workers)
-        for cluster, report in sorted(result.clusters.items()):
-            _report_artifacts(report, run_dir, stem=f"cluster_{cluster}_report")
-        _report_artifacts(result.baseline, run_dir, stem="baseline_report")
-        _write_json({
-            "schema": "within_cluster_summary.v1",
-            "clusters": {str(c): {"mean_fold_balanced": mean_fold_balanced(r),
-                                  "balanced_accuracy": r.balanced_accuracy}
-                         for c, r in sorted(result.clusters.items())},
-            "baseline_balanced_accuracy": result.baseline.balanced_accuracy,
-            "warnings": list(result.warnings),
-        }, run_dir / "within_cluster_summary.json")
-        return
-    if cfg.split_kind is SplitKind.CROSS_CLUSTER:
-        _, assignment = fit_cluster_model(ds.windows, ds.labels, ds.subjects, cfg.space,
-                                          cfg.k, seed, restarts=cfg.restarts)
-        report = cross_cluster_eval(ds, assignment, cfg.train_cluster,
-                                    cfg.test_cluster, spec, seed)
+        if cfg.split_kind is SplitKind.CROSS_CLUSTER:
+            report = cross_cluster_eval(ds, assignment, cfg.train_cluster,
+                                        cfg.test_cluster, spec, seed)
+        else:
+            result = within_cluster_loso(ds, assignment, spec, seed, cfg.workers)
+            for cluster, report in sorted(result.clusters.items()):
+                _report_artifacts(report, run_dir, stem=f"cluster_{cluster}_report")
+            _report_artifacts(result.baseline, run_dir, stem="baseline_report")
+            _write_json({
+                "schema": "within_cluster_summary.v1",
+                "clusters": {str(c): {"mean_fold_balanced": mean_fold_balanced(r),
+                                      "balanced_accuracy": r.balanced_accuracy}
+                             for c, r in sorted(result.clusters.items())},
+                "baseline_balanced_accuracy": result.baseline.balanced_accuracy,
+                "warnings": list(result.warnings),
+            }, run_dir / "within_cluster_summary.json")
+            return
     else:
         report = run_split(ds, cfgmod.split_plan(cfg), spec, seed, cfg.workers)
     _report_artifacts(report, run_dir)
 
 
 def cmd_importance(cfg, run_dir: Path) -> None:
-    series = _load_series(cfg)
+    series, _ = _load_series(cfg)
     ds = _build_dataset(cfg, series)
     seed = cfg.require_seed()
     clf = _fit_on_all(cfg, ds, seed)
@@ -252,7 +243,7 @@ def cmd_importance(cfg, run_dir: Path) -> None:
 
 
 def cmd_timeline(cfg, run_dir: Path) -> None:
-    series = _load_series(cfg)
+    series, _ = _load_series(cfg)
     seed = cfg.require_seed()
     by_id = {s.subject_id: s for s in series}
     target_id = cfg.timeline_subject or sorted(by_id)[0]

@@ -249,10 +249,34 @@ def _validate(cfg: ExperimentConfig) -> None:
          "corpus.resample_period_s must be a finite number >= 0"),
         (cfg.subjects >= 1, "synthetic.subjects must be positive"),
         (cfg.groups >= 1, "synthetic.groups must be positive"),
+        (not cfg.on_standardized_input,
+         "features.on_standardized_input = true has no effect: features are always "
+         "computed from the windows as standardized by standardization.mode"),
     ]
     for ok, message in checks:
         if not ok:
             raise ConfigError(message)
+
+
+def check_protocol(cfg: ExperimentConfig, command: str) -> None:
+    """Refuse [split]/[clustering] settings that ``command`` would ignore."""
+    kind = f"split.kind = {cfg.split_kind.value}"
+    if command == "sweep":
+        if cfg.routing is not None:
+            raise ConfigError("sweep does not route windows to clusters: "
+                              "unset clustering.routing")
+        if cfg.split_kind not in (SplitKind.LEAVE_SUBJECT_OUT, SplitKind.RANDOM_WINDOW):
+            raise ConfigError(f"sweep runs leave_subject_out or random_window splits, "
+                              f"not {kind}")
+    if command == "eval":
+        if cfg.routing is not None and cfg.split_kind is not SplitKind.LEAVE_SUBJECT_OUT:
+            raise ConfigError(f"clustering.routing = {cfg.routing.value} runs "
+                              f"leave-subject-out folds and cannot be combined with {kind}")
+        if (cfg.split_kind is SplitKind.CROSS_CLUSTER
+                and max(cfg.train_cluster, cfg.test_cluster) >= cfg.k):
+            raise ConfigError(f"split.train_cluster = {cfg.train_cluster} and "
+                              f"split.test_cluster = {cfg.test_cluster} must both be "
+                              f"below clustering.k = {cfg.k}")
 
 
 def _render(value) -> str:
@@ -328,10 +352,6 @@ def model_spec(cfg: ExperimentConfig):
 
 
 def split_plan(cfg: ExperimentConfig) -> SplitPlan:
-    if cfg.split_kind is SplitKind.CROSS_CLUSTER:
-        return SplitPlan(kind=cfg.split_kind, seed=cfg.require_seed(),
-                         test_fraction=cfg.test_fraction,
-                         train_cluster=cfg.train_cluster, test_cluster=cfg.test_cluster)
     return SplitPlan(kind=cfg.split_kind, seed=cfg.require_seed(),
                      test_fraction=cfg.test_fraction)
 

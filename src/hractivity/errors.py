@@ -134,9 +134,5 @@ class EmptyCluster(DataError):
     pass
 
 
-class ClusterTooSmall(DataError):
-    pass
-
-
 class SeriesTooShort(DataError):
     pass

@@ -14,6 +14,7 @@ from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from itertools import repeat
 from pathlib import Path
+from typing import NamedTuple
 
 import numpy as np
 
@@ -49,7 +50,7 @@ from .preprocess import (
     segment,
     standardize_series,
 )
-from .series import SubjectSeries
+from .series import N_CLASSES, SubjectSeries
 from .svm import KernelSpec, predict_ovo, train_ovo
 
 
@@ -70,16 +71,10 @@ class SplitPlan:
     kind: SplitKind
     seed: int = 0
     test_fraction: float = 0.3
-    train_cluster: int | None = None
-    test_cluster: int | None = None
 
     def __post_init__(self):
         if not 0.0 < self.test_fraction < 1.0:
             raise InvalidConfig("test_fraction must be in (0, 1)")
-        if self.kind is SplitKind.CROSS_CLUSTER and (
-            self.train_cluster is None or self.test_cluster is None
-        ):
-            raise InvalidConfig("cross-cluster split needs both cluster ids")
 
 
 @dataclass(frozen=True)
@@ -299,17 +294,34 @@ def _fold_seed(seed: int, fold_id: int) -> int:
     return int(np.random.SeedSequence(entropy=(int(seed), int(fold_id))).generate_state(1)[0])
 
 
-def make_folds(ds: WindowDataset, plan: SplitPlan):
-    """(fold_id, held_out, train_idx, test_idx) tuples for the plan."""
-    subjects = ds.subject_array()
+class FoldJob(NamedTuple):
+    """One train/test fold; ``seed`` seeds everything fitted on its train rows."""
+
+    fold_id: int
+    held_out: str
+    train_idx: np.ndarray
+    test_idx: np.ndarray
+    seed: int
+
+
+def _loso_jobs(subjects: np.ndarray, members: list[str], rows: np.ndarray,
+               seed: int, seed_base: int = 0) -> list[FoldJob]:
+    """Hold out each member subject in turn and train on the other ``rows``;
+    fold ``i`` is seeded with ``_fold_seed(seed, seed_base + i)``."""
+    in_rows = subjects[rows]
+    jobs = []
+    for fold_id, sid in enumerate(members):
+        held = in_rows == sid
+        jobs.append(FoldJob(fold_id, sid, rows[~held], rows[held],
+                            _fold_seed(seed, seed_base + fold_id)))
+    return jobs
+
+
+def make_folds(ds: WindowDataset, plan: SplitPlan, seed: int) -> list[FoldJob]:
+    """The plan's folds; fold ``i`` is seeded with ``_fold_seed(seed, i)``."""
     if plan.kind is SplitKind.LEAVE_SUBJECT_OUT:
-        folds = []
-        for fold_id, sid in enumerate(sorted(set(ds.subjects))):
-            test = np.nonzero(subjects == sid)[0]
-            train_rows = np.nonzero(subjects != sid)[0]
-            assert not set(test) & set(train_rows)
-            folds.append((fold_id, sid, train_rows, test))
-        return folds
+        return _loso_jobs(ds.subject_array(), sorted(set(ds.subjects)),
+                          np.arange(len(ds)), seed)
     if plan.kind is SplitKind.RANDOM_WINDOW:
         rng = np.random.default_rng(np.random.SeedSequence(entropy=(int(plan.seed), 97)))
         test_parts = []
@@ -320,14 +332,63 @@ def make_folds(ds: WindowDataset, plan: SplitPlan):
             test_parts.append(rng.permutation(rows)[:n_test])
         test = np.sort(np.concatenate(test_parts))
         train_rows = np.setdiff1d(np.arange(len(ds)), test)
-        return [(0, f"random:{plan.test_fraction}", train_rows, test)]
+        return [FoldJob(0, f"random:{plan.test_fraction}", train_rows, test,
+                        _fold_seed(seed, 0))]
     raise InvalidConfig(f"{plan.kind.value} folds are built by their own operation")
 
 
-def _eval_one_fold(ds, spec, fold, base_seed):
-    fold_id, held_out, train_idx, test_idx = fold
-    clf = fit_classifier(spec, ds, train_idx, _fold_seed(base_seed, fold_id))
-    preds = clf.predict(ds.windows[test_idx], ds.hc[test_idx])
+class _Routing(NamedTuple):
+    """Per-fold clustering settings plus every window's routing-space vector."""
+
+    mode: RoutingMode
+    space: ClusterSpace
+    k: int
+    restarts: int
+    vectors: np.ndarray
+
+
+def _fit_predict(ds: WindowDataset, spec, job: FoldJob,
+                 routing: _Routing | None = None) -> np.ndarray:
+    """Fit on the job's train rows and predict its test rows.
+
+    With routing, the fold's train subjects are clustered first and one
+    classifier is fitted per cluster; each test window (or the whole test
+    subject, by majority) goes to its cluster's classifier.
+    """
+    train_idx, test_idx = job.train_idx, job.test_idx
+    if routing is None:
+        clf = fit_classifier(spec, ds, train_idx, job.seed)
+        return clf.predict(ds.windows[test_idx], ds.hc[test_idx])
+
+    subjects = ds.subject_array()
+    model, assign = fit_cluster_model(ds.windows[train_idx], ds.labels[train_idx],
+                                      subjects[train_idx], routing.space, routing.k,
+                                      job.seed, restarts=routing.restarts,
+                                      with_scaler=True,
+                                      vectors=routing.vectors[train_idx])
+    clusters = sorted(set(assign.values()))
+    if len(clusters) < routing.k:
+        raise EmptyCluster("clustering left an empty cluster on this fold")
+    classifiers = {}
+    for cluster in clusters:
+        members = {s for s, c in assign.items() if c == cluster}
+        rows = train_idx[np.isin(subjects[train_idx], sorted(members))]
+        if rows.size == 0:
+            raise EmptyCluster(f"cluster {cluster} has no training windows")
+        classifiers[cluster] = fit_classifier(
+            spec, ds, rows, _fold_seed(job.seed, 10 + cluster)
+        )
+
+    test_vectors = routing.vectors[test_idx]
+    if routing.mode is RoutingMode.PER_SUBJECT:
+        assigned = np.full(test_idx.size, route_subject(model, test_vectors))
+    else:
+        assigned = assign_many(model, test_vectors)
+    preds = np.empty(test_idx.size, dtype=np.int64)
+    for cluster in np.unique(assigned):
+        rows = np.nonzero(assigned == cluster)[0]
+        sel = test_idx[rows]
+        preds[rows] = classifiers[int(cluster)].predict(ds.windows[sel], ds.hc[sel])
     return preds
 
 
@@ -339,34 +400,42 @@ def _run_jobs(fn, arg_tuples, workers: int):
         return [f.result() for f in futures]  # submission order, not finish order
 
 
-def _base_echo(ds: WindowDataset, spec, plan: SplitPlan | None) -> dict:
-    echo = {
+def _run_folds(ds: WindowDataset, spec, jobs: list[FoldJob], workers: int,
+               routing: _Routing | None = None) -> list[np.ndarray]:
+    return _run_jobs(_fit_predict, [(ds, spec, job, routing) for job in jobs], workers)
+
+
+def _report(ds: WindowDataset, jobs: list[FoldJob], preds: list[np.ndarray],
+            echo: dict) -> EvalReport:
+    """One report over the jobs' test rows: summed confusion plus a record per fold."""
+    cm_total = np.zeros((N_CLASSES, N_CLASSES), dtype=np.int64)
+    records = []
+    for job, fold_preds in zip(jobs, preds):
+        cm = confusion_matrix(ds.labels[job.test_idx], fold_preds)
+        cm_total += cm
+        records.append(FoldRecord(job.fold_id, str(job.held_out), int(job.test_idx.size),
+                                  accuracy(cm), balanced_accuracy(cm)))
+    return report_from_folds(cm_total, records, echo)
+
+
+def _base_echo(ds: WindowDataset, spec, split: dict) -> dict:
+    return {
         "window_size": ds.window_size,
         "stride": ds.stride,
         "standardization": ds.standardization.value,
         "features": ds.feature_kind.value if ds.feature_kind else None,
         "model": classifier_echo(spec),
+        "split": split,
     }
-    if plan is not None:
-        echo["split"] = {"kind": plan.kind.value, "seed": plan.seed,
-                         "test_fraction": plan.test_fraction}
-    return echo
 
 
 def run_split(ds: WindowDataset, plan: SplitPlan, spec, seed: int,
               workers: int = 1) -> EvalReport:
     """Train/evaluate over the plan's folds and aggregate one report."""
-    folds = make_folds(ds, plan)
-    preds_per_fold = _run_jobs(_eval_one_fold, [(ds, spec, f, seed) for f in folds],
-                               workers)
-    cm_total = np.zeros((5, 5), dtype=np.int64)
-    records = []
-    for (fold_id, held_out, _, test_idx), preds in zip(folds, preds_per_fold):
-        cm = confusion_matrix(ds.labels[test_idx], preds)
-        cm_total += cm
-        records.append(FoldRecord(fold_id, str(held_out), int(test_idx.size),
-                                  accuracy(cm), balanced_accuracy(cm)))
-    return report_from_folds(cm_total, records, _base_echo(ds, spec, plan))
+    jobs = make_folds(ds, plan, seed)
+    echo = _base_echo(ds, spec, {"kind": plan.kind.value, "seed": plan.seed,
+                                 "test_fraction": plan.test_fraction})
+    return _report(ds, jobs, _run_folds(ds, spec, jobs, workers), echo)
 
 
 # --------------------------------------------------------------------- sweep
@@ -421,18 +490,12 @@ def cross_cluster_eval(
         raise EmptyCluster(f"train cluster {train_cluster} has no windows")
     if not in_test.any():
         raise EmptyCluster(f"test cluster {test_cluster} has no windows")
-    train_idx = np.nonzero(in_train)[0]
-    test_idx = np.nonzero(in_test)[0]
-    clf = fit_classifier(spec, ds, train_idx, _fold_seed(seed, 0))
-    preds = clf.predict(ds.windows[test_idx], ds.hc[test_idx])
-    cm = confusion_matrix(ds.labels[test_idx], preds)
-    echo = _base_echo(ds, spec, None)
-    echo["split"] = {"kind": SplitKind.CROSS_CLUSTER.value,
-                     "train_cluster": int(train_cluster),
-                     "test_cluster": int(test_cluster)}
-    record = FoldRecord(0, f"cluster:{test_cluster}", int(test_idx.size),
-                        accuracy(cm), balanced_accuracy(cm))
-    return report_from_folds(cm, [record], echo)
+    jobs = [FoldJob(0, f"cluster:{test_cluster}", np.nonzero(in_train)[0],
+                    np.nonzero(in_test)[0], _fold_seed(seed, 0))]
+    echo = _base_echo(ds, spec, {"kind": SplitKind.CROSS_CLUSTER.value,
+                                 "train_cluster": int(train_cluster),
+                                 "test_cluster": int(test_cluster)})
+    return _report(ds, jobs, _run_folds(ds, spec, jobs, 1), echo)
 
 
 @dataclass(frozen=True)
@@ -457,8 +520,7 @@ def within_cluster_loso(
     subjects = ds.subject_array()
     present = set(ds.subjects)
     warnings: list[dict] = []
-    jobs = []
-    job_keys = []
+    jobs_by_cluster: dict[int, list[FoldJob]] = {}
     for cluster in sorted(set(assignment.values())):
         members = sorted(s for s, c in assignment.items() if c == cluster and s in present)
         if len(members) < 2:
@@ -468,31 +530,15 @@ def within_cluster_loso(
                 "members": members,
             })
             continue
-        member_rows = np.nonzero(np.isin(subjects, members))[0]
-        for fold_id, sid in enumerate(members):
-            test_idx = np.nonzero(subjects == sid)[0]
-            train_idx = member_rows[subjects[member_rows] != sid]
-            jobs.append((ds, spec, (fold_id, sid, train_idx, test_idx),
-                         _fold_seed(seed, cluster * 1000 + fold_id)))
-            job_keys.append((cluster, fold_id, sid, test_idx))
-    preds_list = _run_jobs(_eval_one_fold_prefixed, jobs, workers)
-
-    per_cluster: dict[int, list] = {}
-    for (cluster, fold_id, sid, test_idx), preds in zip(job_keys, preds_list):
-        per_cluster.setdefault(cluster, []).append((fold_id, sid, test_idx, preds))
+        rows = np.nonzero(np.isin(subjects, members))[0]
+        jobs_by_cluster[cluster] = _loso_jobs(subjects, members, rows, seed, cluster * 1000)
+    all_jobs = [job for jobs in jobs_by_cluster.values() for job in jobs]
+    preds = iter(_run_folds(ds, spec, all_jobs, workers))
     reports = {}
-    for cluster, fold_data in per_cluster.items():
-        cm_total = np.zeros((5, 5), dtype=np.int64)
-        records = []
-        for fold_id, sid, test_idx, preds in fold_data:
-            cm = confusion_matrix(ds.labels[test_idx], preds)
-            cm_total += cm
-            records.append(FoldRecord(fold_id, sid, int(test_idx.size),
-                                      accuracy(cm), balanced_accuracy(cm)))
-        echo = _base_echo(ds, spec, None)
-        echo["split"] = {"kind": SplitKind.WITHIN_CLUSTER_LOSO.value,
-                         "cluster": int(cluster)}
-        reports[cluster] = report_from_folds(cm_total, records, echo)
+    for cluster, jobs in jobs_by_cluster.items():
+        echo = _base_echo(ds, spec, {"kind": SplitKind.WITHIN_CLUSTER_LOSO.value,
+                                     "cluster": int(cluster)})
+        reports[cluster] = _report(ds, jobs, [next(preds) for _ in jobs], echo)
 
     baseline = run_split(
         ds, SplitPlan(SplitKind.LEAVE_SUBJECT_OUT, seed=seed), spec, seed, workers
@@ -501,48 +547,8 @@ def within_cluster_loso(
                                warnings=tuple(warnings))
 
 
-def _eval_one_fold_prefixed(ds, spec, fold, fold_seed):
-    fold_id, held_out, train_idx, test_idx = fold
-    clf = fit_classifier(spec, ds, train_idx, fold_seed)
-    return clf.predict(ds.windows[test_idx], ds.hc[test_idx])
-
-
 def mean_fold_balanced(report: EvalReport) -> float:
     return float(np.mean([f.balanced_accuracy for f in report.folds]))
-
-
-def _routed_fold(ds, spec, space, k, routing, fold, fold_seed, restarts, vectors):
-    fold_id, held_out, train_idx, test_idx = fold
-    subjects = ds.subject_array()
-    model, assign = fit_cluster_model(ds.windows[train_idx], ds.labels[train_idx],
-                                      subjects[train_idx], space, k, fold_seed,
-                                      restarts=restarts, with_scaler=True,
-                                      vectors=vectors[train_idx])
-    clusters = sorted(set(assign.values()))
-    if len(clusters) < k:
-        raise EmptyCluster("clustering left an empty cluster on this fold")
-    classifiers = {}
-    for cluster in clusters:
-        members = {s for s, c in assign.items() if c == cluster}
-        rows = train_idx[np.isin(subjects[train_idx], sorted(members))]
-        if rows.size == 0:
-            raise EmptyCluster(f"cluster {cluster} has no training windows")
-        classifiers[cluster] = fit_classifier(
-            spec, ds, rows, _fold_seed(fold_seed, 10 + cluster)
-        )
-
-    test_vectors = vectors[test_idx]
-    preds = np.empty(test_idx.size, dtype=np.int64)
-    if routing is RoutingMode.PER_SUBJECT:
-        cluster = route_subject(model, test_vectors)
-        preds[:] = classifiers[cluster].predict(ds.windows[test_idx], ds.hc[test_idx])
-    else:
-        assigned = assign_many(model, test_vectors)
-        for cluster in np.unique(assigned):
-            rows = np.nonzero(assigned == cluster)[0]
-            sel = test_idx[rows]
-            preds[rows] = classifiers[int(cluster)].predict(ds.windows[sel], ds.hc[sel])
-    return preds
 
 
 def routed_eval(
@@ -564,25 +570,11 @@ def routed_eval(
     """
     if space is ClusterSpace.MEAN_BPM_PROFILE:
         raise InvalidConfig("routing needs a per-window space, not subject profiles")
-    folds = make_folds(ds, SplitPlan(SplitKind.LEAVE_SUBJECT_OUT, seed=seed))
-    vectors = window_space_matrix(ds.windows, space)
-    preds_list = _run_jobs(
-        _routed_fold,
-        [(ds, spec, space, k, routing, f, _fold_seed(seed, f[0]), restarts, vectors)
-         for f in folds],
-        workers,
-    )
-    cm_total = np.zeros((5, 5), dtype=np.int64)
-    records = []
-    for (fold_id, held_out, _, test_idx), preds in zip(folds, preds_list):
-        cm = confusion_matrix(ds.labels[test_idx], preds)
-        cm_total += cm
-        records.append(FoldRecord(fold_id, str(held_out), int(test_idx.size),
-                                  accuracy(cm), balanced_accuracy(cm)))
-    echo = _base_echo(ds, spec, None)
-    echo["split"] = {"kind": SplitKind.LEAVE_SUBJECT_OUT.value, "seed": seed}
+    jobs = make_folds(ds, SplitPlan(SplitKind.LEAVE_SUBJECT_OUT, seed=seed), seed)
+    route = _Routing(routing, space, k, restarts, window_space_matrix(ds.windows, space))
+    echo = _base_echo(ds, spec, {"kind": SplitKind.LEAVE_SUBJECT_OUT.value, "seed": seed})
     echo["clustering"] = {"space": space.value, "k": int(k), "routing": routing.value}
-    return report_from_folds(cm_total, records, echo)
+    return _report(ds, jobs, _run_folds(ds, spec, jobs, workers, route), echo)
 
 
 # ---------------------------------------------------------------- importance

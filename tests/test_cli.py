@@ -6,7 +6,7 @@ from pathlib import Path
 
 import pytest
 
-from hractivity import evaluation
+from hractivity import cli, evaluation
 from hractivity.cli import main
 
 
@@ -134,8 +134,21 @@ def test_sweep_grid_emits_all_cell_reports(tiny_corpus):
     assert len(summary) == 29
 
 
-def test_eval_byte_identical_across_worker_counts(tiny_corpus):
+EVAL_PROTOCOLS = {
+    "leave_subject_out": "",
+    "random_window": "[split]\nkind = random_window\n",
+    "within_cluster_loso": "[clustering]\nk = 2\n[split]\nkind = within_cluster_loso\n",
+    "cross_cluster": "[clustering]\nk = 2\n[split]\nkind = cross_cluster\n",
+    "per_subject": "[clustering]\nk = 2\nrouting = per_subject\n",
+    "per_window": "[clustering]\nk = 2\nrouting = per_window\n",
+}
+
+
+@pytest.mark.parametrize("protocol", list(EVAL_PROTOCOLS))
+def test_eval_byte_identical_across_worker_counts(tiny_corpus, protocol):
     ini, _, runs = tiny_corpus
+    with open(ini, "a", encoding="utf-8") as fh:
+        fh.write(EVAL_PROTOCOLS[protocol])
     assert run_cli("--config", ini, "eval") == 0
     run_dir = only_run_dir(runs)
     first = dir_digest(run_dir)
@@ -305,3 +318,37 @@ def test_non_uniform_corpus_is_refused_until_resampled(tiny_corpus, capsys):
                           raw.read_text().replace("[corpus]\n", "[corpus]\nresample_period_s = 1.0\n"))
     for command in ("eval", "timeline"):
         assert run_cli("--config", resampled, "--out", runs / command, command) == 0
+
+
+@pytest.mark.parametrize("command,extra,keys", [
+    ("eval", "[clustering]\nrouting = per_window\n[split]\nkind = random_window\n",
+     ("clustering.routing", "split.kind")),
+    ("sweep", "[clustering]\nrouting = per_subject\n", ("clustering.routing",)),
+    ("sweep", "[split]\nkind = within_cluster_loso\n", ("split.kind",)),
+    ("sweep", "[split]\nkind = cross_cluster\n", ("split.kind",)),
+    ("eval", "[clustering]\nk = 2\n[split]\nkind = cross_cluster\ntest_cluster = 2\n",
+     ("split.test_cluster", "clustering.k")),
+    ("eval", "[clustering]\nk = 3\n[split]\nkind = cross_cluster\ntrain_cluster = 4\n",
+     ("split.train_cluster", "clustering.k")),
+    ("eval", "[features]\non_standardized_input = true\n", ("features.on_standardized_input",)),
+    ("cluster", "[features]\non_standardized_input = true\n",
+     ("features.on_standardized_input",)),
+], ids=["eval-routing-random_window", "sweep-routing", "sweep-within_cluster_loso",
+        "sweep-cross_cluster", "eval-test_cluster-ge-k", "eval-train_cluster-ge-k",
+        "eval-on_standardized_input", "cluster-on_standardized_input"])
+def test_ignored_settings_are_refused(tiny_corpus, capsys, monkeypatch, command, extra, keys):
+    ini, _, runs = tiny_corpus
+    bad = write_ini(ini.with_name("bad.ini"), ini.read_text() + extra)
+
+    def no_corpus(*args, **kwargs):
+        raise AssertionError("the corpus was read before the config was checked")
+
+    monkeypatch.setattr(cli, "parse_corpus", no_corpus)
+    rc = run_cli("--config", bad, command)
+    err = capsys.readouterr().err
+    assert rc == 2
+    assert err.startswith("config error: ")
+    for key in keys:
+        assert key in err, key
+    assert "Traceback" not in err
+    assert not runs.exists() or not any(runs.iterdir())

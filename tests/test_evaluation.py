@@ -75,23 +75,23 @@ def constant_series(sid="S0", n=200, label=ActivityLabel.Rest):
 
 def test_loso_folds_partition_subjects():
     ds = small_dataset()
-    folds = make_folds(ds, SplitPlan(SplitKind.LEAVE_SUBJECT_OUT, seed=0))
+    folds = make_folds(ds, SplitPlan(SplitKind.LEAVE_SUBJECT_OUT, seed=0), seed=0)
     assert len(folds) == 8
     seen = np.zeros(len(ds), dtype=int)
     subjects = ds.subject_array()
-    for _, held_out, train_idx, test_idx in folds:
-        assert not set(train_idx) & set(test_idx)
-        assert set(subjects[test_idx]) == {held_out}
-        assert held_out not in set(subjects[train_idx])
-        seen[test_idx] += 1
+    for fold in folds:
+        assert not set(fold.train_idx) & set(fold.test_idx)
+        assert set(subjects[fold.test_idx]) == {fold.held_out}
+        assert fold.held_out not in set(subjects[fold.train_idx])
+        seen[fold.test_idx] += 1
     assert np.all(seen == 1)
 
 
 def test_random_window_stratified_shares():
     ds = small_dataset()
-    folds = make_folds(ds, SplitPlan(SplitKind.RANDOM_WINDOW, seed=3))
+    folds = make_folds(ds, SplitPlan(SplitKind.RANDOM_WINDOW, seed=3), seed=3)
     assert len(folds) == 1
-    _, _, train_idx, test_idx = folds[0]
+    train_idx, test_idx = folds[0].train_idx, folds[0].test_idx
     assert len(set(train_idx) | set(test_idx)) == len(ds)
     for label in np.unique(ds.labels):
         share = np.isin(test_idx, np.nonzero(ds.labels == label)[0]).sum() / (
@@ -102,11 +102,11 @@ def test_random_window_stratified_shares():
 
 def test_random_window_deterministic_given_seed():
     ds = small_dataset()
-    a = make_folds(ds, SplitPlan(SplitKind.RANDOM_WINDOW, seed=5))[0]
-    b = make_folds(ds, SplitPlan(SplitKind.RANDOM_WINDOW, seed=5))[0]
-    c = make_folds(ds, SplitPlan(SplitKind.RANDOM_WINDOW, seed=6))[0]
-    assert np.array_equal(a[3], b[3])
-    assert not np.array_equal(a[3], c[3])
+    a = make_folds(ds, SplitPlan(SplitKind.RANDOM_WINDOW, seed=5), seed=5)[0]
+    b = make_folds(ds, SplitPlan(SplitKind.RANDOM_WINDOW, seed=5), seed=5)[0]
+    c = make_folds(ds, SplitPlan(SplitKind.RANDOM_WINDOW, seed=6), seed=6)[0]
+    assert np.array_equal(a.test_idx, b.test_idx)
+    assert not np.array_equal(a.test_idx, c.test_idx)
 
 
 def test_report_invariants():
@@ -121,8 +121,8 @@ def test_report_invariants():
 
 def test_feature_standardization_fits_on_train_only():
     ds = small_dataset(std=StandardizationMode.FEATURE)
-    folds = make_folds(ds, SplitPlan(SplitKind.LEAVE_SUBJECT_OUT, seed=0))
-    _, _, train_idx, test_idx = folds[0]
+    folds = make_folds(ds, SplitPlan(SplitKind.LEAVE_SUBJECT_OUT, seed=0), seed=0)
+    train_idx = folds[0].train_idx
     spec = SvmSpec(inputs="features")
     clf = fit_classifier(spec, ds, train_idx, seed=4)
     expected = fit_scaler(ds.hc[train_idx])
@@ -415,3 +415,57 @@ def test_routed_eval_computes_window_vectors_once(monkeypatch, routing):
     rep = routed_eval(ds, 2, routing, ClusterSpace.STATISTICAL_WINDOW, SvmSpec(), seed=3)
     assert len(rep.folds) == 8
     assert calls == [len(ds)]  # once for the dataset, never per fold
+
+
+def fold_seed(seed, fold_id):
+    return int(np.random.SeedSequence(entropy=(seed, fold_id)).generate_state(1)[0])
+
+
+def test_fold_jobs_carry_each_protocols_seed(monkeypatch):
+    ds = small_dataset()
+    sids = sorted(set(ds.subjects))
+    assign = {sid: int(i >= 3) for i, sid in enumerate(sids)}
+    seen = []
+
+    def record(ds, spec, job, routing=None):
+        assert np.intersect1d(job.train_idx, job.test_idx).size == 0
+        seen.append((job.fold_id, job.held_out, job.seed))
+        return ds.labels[job.test_idx]
+
+    monkeypatch.setattr(evaluation, "_fit_predict", record)
+    spec = SvmSpec()
+
+    def jobs_of(run):
+        seen.clear()
+        run()
+        return list(seen)
+
+    # the fold seed comes from the seed argument, not from plan.seed
+    loso = [(i, sid, fold_seed(4, i)) for i, sid in enumerate(sids)]
+    assert jobs_of(lambda: run_split(ds, SplitPlan(SplitKind.LEAVE_SUBJECT_OUT, seed=9),
+                                     spec, seed=4)) == loso
+    assert jobs_of(lambda: run_split(ds, SplitPlan(SplitKind.RANDOM_WINDOW, seed=9),
+                                     spec, seed=4)) == [(0, "random:0.3", fold_seed(4, 0))]
+    within = ([(i, sid, fold_seed(4, i)) for i, sid in enumerate(sids[:3])]
+              + [(i, sid, fold_seed(4, 1000 + i)) for i, sid in enumerate(sids[3:])])
+    assert jobs_of(lambda: within_cluster_loso(ds, assign, spec, seed=4)) == within + loso
+    assert jobs_of(lambda: cross_cluster_eval(ds, assign, 0, 1, spec, seed=4)) == [
+        (0, "cluster:1", fold_seed(4, 0))]
+    for routing in RoutingMode:
+        assert jobs_of(lambda: routed_eval(ds, 2, routing, ClusterSpace.STATISTICAL_WINDOW,
+                                           spec, seed=4)) == loso
+
+
+def test_routed_cluster_classifiers_are_seeded_from_the_fold_seed(monkeypatch):
+    ds = small_dataset(std=StandardizationMode.FEATURE)
+    seeds = []
+    real = evaluation.fit_classifier
+
+    def record(spec, ds, train_idx, seed):
+        seeds.append(seed)
+        return real(spec, ds, train_idx, seed)
+
+    monkeypatch.setattr(evaluation, "fit_classifier", record)
+    routed_eval(ds, 2, RoutingMode.PER_WINDOW, ClusterSpace.STATISTICAL_WINDOW, SvmSpec(),
+                seed=4)
+    assert seeds == [fold_seed(fold_seed(4, f), 10 + c) for f in range(8) for c in range(2)]
