@@ -8,6 +8,10 @@ JSON files byte for byte:
     python3 scripts/artifact_digests.py --src src --workers 1 > after.json
     cmp before.json after.json
 
+The ``--workers 1`` output of the current tree is checked in next to this
+script as ``artifact_digests.json``, so a refactor can ``cmp`` against it
+without rebuilding the old tree.
+
 The runs cover `generate`, `ingest` (resampled), `cluster` in every space,
 every `eval` protocol (leave-subject-out, random-window, within-cluster,
 cross-cluster, routed per subject and per window, and a Model1 net), a 2x2

@@ -23,6 +23,7 @@ from . import config as cfgmod
 from .clustering import fit_cluster_model, write_cluster_report
 from .errors import ConfigError, DataError, HrActivityError, InternalError
 from .evaluation import (
+    TRANSITION_HORIZON_S,
     ConstantPredictor,
     FittedNet,
     FittedSvm,
@@ -74,7 +75,7 @@ def _load_series(cfg) -> tuple[list, list]:
     if cfg.source == "synthetic":
         series, _ = generate_synthetic(cfgmod.cohort_spec(cfg))
         return series, []
-    series = parse_corpus(cfg.source, cfgmod.csv_schema(cfg))
+    series = parse_corpus(cfg.source, cfg.device_filter or None)
     if not series:
         raise DataError(f"no series found under {cfg.source} "
                         f"(device filter: {cfg.device_filter or 'off'})")
@@ -253,7 +254,7 @@ def cmd_timeline(cfg, run_dir: Path) -> None:
     if not others:
         raise DataError("timeline needs at least two subjects (one to hold out)")
     ds = _build_dataset(cfg, others)
-    clf = fit_classifier(cfgmod.model_spec(cfg), ds, np.arange(len(ds)), seed)
+    clf = _fit_on_all(cfg, ds, seed)
     record = misclassification_timeline(clf, by_id[target_id],
                                         cfgmod.window_config(cfg),
                                         cfg.standardization, cfg.feature_kind,
@@ -263,7 +264,7 @@ def cmd_timeline(cfg, run_dir: Path) -> None:
     _write_json({
         "schema": "transition_rates.v1",
         "subject_id": target_id,
-        "horizon_s": 60.0,
+        "horizon_s": TRANSITION_HORIZON_S,
         "post_transition_error_rate": post,
         "steady_state_error_rate": steady,
     }, run_dir / "transition_rates.json")

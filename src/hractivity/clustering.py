@@ -27,23 +27,14 @@ from .preprocess import Scaler, apply_scaler, fit_scaler
 from .series import ActivityLabel, N_CLASSES
 
 
+KMEANS_MAX_ITER = 300
+KMEANS_TOL = 1e-6  # Lloyd stops once no centroid moves this far
+
+
 class ClusterSpace(enum.Enum):
     MEAN_BPM_PROFILE = "mean_bpm_profile"
     STATISTICAL_WINDOW = "statistical_window"
     TEMPORAL_WINDOW = "temporal_window"
-
-
-@dataclass(frozen=True)
-class SubjectProfile:
-    subject_id: str
-    profile: np.ndarray  # per-activity mean BPM, ordered by ActivityLabel
-
-    def __post_init__(self):
-        profile = np.ascontiguousarray(self.profile, dtype=np.float64)
-        if profile.shape != (N_CLASSES,) or not np.isfinite(profile).all():
-            raise DimensionMismatch("profile must hold five finite values")
-        profile.flags.writeable = False
-        object.__setattr__(self, "profile", profile)
 
 
 @dataclass(frozen=True)
@@ -72,11 +63,14 @@ def _subject_codes(subjects) -> tuple[list[str], np.ndarray]:
     return ids, np.fromiter(map(code.__getitem__, subjects), np.int64, len(subjects))
 
 
-def build_profiles(values: np.ndarray, labels: np.ndarray, subjects) -> list[SubjectProfile]:
-    """Per-subject 5-point profile: mean over windows of the window-mean BPM.
+def build_profiles(values: np.ndarray, labels: np.ndarray,
+                   subjects) -> tuple[list[str], np.ndarray]:
+    """(sorted subject ids, (n_subjects, 5) profile matrix).
 
-    ``values`` is the (n, W) window matrix; ``labels`` and ``subjects`` give
-    each window's label and subject id. Sums run in window order.
+    A subject's profile is, per activity in ``ActivityLabel`` order, the mean
+    over its windows of the window-mean BPM. ``values`` is the (n, W) window
+    matrix; ``labels`` and ``subjects`` give each window's label and subject
+    id. Sums run in window order.
     """
     ids, codes = _subject_codes(subjects)
     cells = codes * N_CLASSES + np.asarray(labels, dtype=np.int64)
@@ -84,13 +78,11 @@ def build_profiles(values: np.ndarray, labels: np.ndarray, subjects) -> list[Sub
     sums = np.bincount(cells, weights=np.asarray(values).mean(axis=1), minlength=size)
     counts = np.bincount(cells, minlength=size)
     sums, counts = sums.reshape(-1, N_CLASSES), counts.reshape(-1, N_CLASSES)
-    profiles = []
     for i, subject in enumerate(ids):
         for a in range(N_CLASSES):
             if counts[i, a] == 0:
                 raise MissingActivity(subject, ActivityLabel(a).name)
-        profiles.append(SubjectProfile(subject, sums[i] / counts[i]))
-    return profiles
+    return ids, sums / counts
 
 
 def _squared_distances(vectors: np.ndarray, centroids: np.ndarray) -> np.ndarray:
@@ -114,11 +106,11 @@ def _kmeanspp_init(vectors: np.ndarray, k: int, rng: np.random.Generator) -> np.
     return centers
 
 
-def _lloyd(vectors: np.ndarray, centers: np.ndarray, max_iter: int, tol: float):
+def _lloyd(vectors: np.ndarray, centers: np.ndarray):
     k = centers.shape[0]
     previous_inertia = np.inf
     labels = np.zeros(vectors.shape[0], dtype=np.int64)
-    for _ in range(max_iter):
+    for _ in range(KMEANS_MAX_ITER):
         d2 = _squared_distances(vectors, centers)
         labels = d2.argmin(axis=1)
         point_d2 = d2[np.arange(len(labels)), labels]
@@ -147,7 +139,7 @@ def _lloyd(vectors: np.ndarray, centers: np.ndarray, max_iter: int, tol: float):
             new_centers[j] = vectors[labels == j].mean(axis=0)
         shift = np.sqrt(((new_centers - centers) ** 2).sum(axis=1)).max()
         centers = new_centers
-        if shift < tol:
+        if shift < KMEANS_TOL:
             break
     d2 = _squared_distances(vectors, centers)
     labels = d2.argmin(axis=1)
@@ -160,8 +152,6 @@ def kmeans_fit(
     k: int,
     seed: int,
     restarts: int = 10,
-    max_iter: int = 300,
-    tol: float = 1e-6,
     space: ClusterSpace = ClusterSpace.MEAN_BPM_PROFILE,
     scaler: Scaler | None = None,
     ids: list[str] | None = None,
@@ -179,7 +169,7 @@ def kmeans_fit(
     for r in range(restarts):
         rng = np.random.default_rng(np.random.SeedSequence(entropy=(int(seed), r)))
         centers = _kmeanspp_init(mat, k, rng)
-        centers, labels, inertia = _lloyd(mat, centers.copy(), max_iter, tol)
+        centers, labels, inertia = _lloyd(mat, centers.copy())
         if best is None or inertia < best[0]:
             best = (inertia, r, centers, labels)
 
@@ -192,19 +182,8 @@ def kmeans_fit(
     return model, {key: int(c) for key, c in zip(keys, labels)}
 
 
-def assign_window(model: ClusterModel, vector) -> int:
-    """Nearest centroid by squared Euclidean distance; ties to lowest index."""
-    v = np.asarray(vector, dtype=np.float64)
-    if model.scaler is not None:
-        v = apply_scaler(model.scaler, v)
-    if v.shape != (model.centroids.shape[1],):
-        raise DimensionMismatch(
-            f"expected dimension {model.centroids.shape[1]}, got {v.shape}"
-        )
-    return int(((model.centroids - v) ** 2).sum(axis=1).argmin())
-
-
 def assign_many(model: ClusterModel, vectors) -> np.ndarray:
+    """Each row's nearest centroid by squared Euclidean distance; ties to lowest index."""
     mat = np.asarray(vectors, dtype=np.float64)
     if model.scaler is not None:
         mat = apply_scaler(model.scaler, mat)
@@ -241,8 +220,7 @@ def subject_summaries(values: np.ndarray, labels: np.ndarray, subjects,
     ``window_space_matrix``.
     """
     if space is ClusterSpace.MEAN_BPM_PROFILE:
-        profiles = build_profiles(values, labels, subjects)
-        return [p.subject_id for p in profiles], np.stack([p.profile for p in profiles])
+        return build_profiles(values, labels, subjects)
     ids, codes = _subject_codes(subjects)
     order = np.argsort(codes, kind="stable")  # window order within a subject
     per_subject = np.split(order, np.cumsum(np.bincount(codes, minlength=len(ids)))[:-1])

@@ -19,7 +19,6 @@ from .clustering import ClusterSpace
 from .errors import ConfigError
 from .evaluation import NetSpec, RoutingMode, SplitKind, SplitPlan, SvmSpec
 from .features import FeatureSetKind, MfccConfig
-from .ingest import CsvSchema
 from .neuralnet import ArchitectureId
 from .preprocess import StandardizationMode, WindowConfig
 from .svm import KernelKind, KernelSpec
@@ -242,7 +241,7 @@ def _validate(cfg: ExperimentConfig) -> None:
         (0.0 < cfg.test_fraction < 1.0, "split.test_fraction must lie in (0, 1)"),
         (cfg.train_cluster >= 0, "split.train_cluster must be non-negative"),
         (cfg.test_cluster >= 0, "split.test_cluster must be non-negative"),
-        (cfg.repeats >= 1, "importance.repeats must be positive"),
+        (cfg.repeats >= 5, "importance.repeats must be at least 5"),
         (cfg.top >= 0, "importance.top must be non-negative"),
         (cfg.workers >= 1, "run.workers must be positive"),
         (math.isfinite(cfg.resample_period_s) and cfg.resample_period_s >= 0,
@@ -272,11 +271,19 @@ def check_protocol(cfg: ExperimentConfig, command: str) -> None:
         if cfg.routing is not None and cfg.split_kind is not SplitKind.LEAVE_SUBJECT_OUT:
             raise ConfigError(f"clustering.routing = {cfg.routing.value} runs "
                               f"leave-subject-out folds and cannot be combined with {kind}")
-        if (cfg.split_kind is SplitKind.CROSS_CLUSTER
-                and max(cfg.train_cluster, cfg.test_cluster) >= cfg.k):
-            raise ConfigError(f"split.train_cluster = {cfg.train_cluster} and "
-                              f"split.test_cluster = {cfg.test_cluster} must both be "
-                              f"below clustering.k = {cfg.k}")
+        if cfg.routing is not None and cfg.space is ClusterSpace.MEAN_BPM_PROFILE:
+            raise ConfigError(f"clustering.routing = {cfg.routing.value} routes single "
+                              f"windows and needs a per-window clustering.space, "
+                              f"not {cfg.space.value}")
+        if cfg.split_kind is SplitKind.CROSS_CLUSTER:
+            if max(cfg.train_cluster, cfg.test_cluster) >= cfg.k:
+                raise ConfigError(f"split.train_cluster = {cfg.train_cluster} and "
+                                  f"split.test_cluster = {cfg.test_cluster} must both be "
+                                  f"below clustering.k = {cfg.k}")
+            if cfg.train_cluster == cfg.test_cluster:
+                raise ConfigError(f"split.train_cluster and split.test_cluster are both "
+                                  f"{cfg.train_cluster}: a cross-cluster split would test "
+                                  f"on its own training subjects")
 
 
 def _render(value) -> str:
@@ -334,10 +341,6 @@ def cohort_spec(cfg: ExperimentConfig) -> SyntheticCohortSpec:
     )
 
 
-def csv_schema(cfg: ExperimentConfig) -> CsvSchema:
-    return CsvSchema(device_filter=cfg.device_filter or None)
-
-
 def window_config(cfg: ExperimentConfig) -> WindowConfig:
     return WindowConfig(window_size=cfg.window_size, stride=cfg.stride)
 
@@ -352,8 +355,7 @@ def model_spec(cfg: ExperimentConfig):
 
 
 def split_plan(cfg: ExperimentConfig) -> SplitPlan:
-    return SplitPlan(kind=cfg.split_kind, seed=cfg.require_seed(),
-                     test_fraction=cfg.test_fraction)
+    return SplitPlan(kind=cfg.split_kind, test_fraction=cfg.test_fraction)
 
 
 def mfcc_config(cfg: ExperimentConfig) -> MfccConfig:

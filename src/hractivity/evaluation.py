@@ -69,7 +69,6 @@ class RoutingMode(enum.Enum):
 @dataclass(frozen=True)
 class SplitPlan:
     kind: SplitKind
-    seed: int = 0
     test_fraction: float = 0.3
 
     def __post_init__(self):
@@ -318,12 +317,15 @@ def _loso_jobs(subjects: np.ndarray, members: list[str], rows: np.ndarray,
 
 
 def make_folds(ds: WindowDataset, plan: SplitPlan, seed: int) -> list[FoldJob]:
-    """The plan's folds; fold ``i`` is seeded with ``_fold_seed(seed, i)``."""
+    """The plan's folds; fold ``i`` is seeded with ``_fold_seed(seed, i)``.
+
+    Random-window test rows are drawn from ``seed`` too.
+    """
     if plan.kind is SplitKind.LEAVE_SUBJECT_OUT:
         return _loso_jobs(ds.subject_array(), sorted(set(ds.subjects)),
                           np.arange(len(ds)), seed)
     if plan.kind is SplitKind.RANDOM_WINDOW:
-        rng = np.random.default_rng(np.random.SeedSequence(entropy=(int(plan.seed), 97)))
+        rng = np.random.default_rng(np.random.SeedSequence(entropy=(int(seed), 97)))
         test_parts = []
         for label in np.unique(ds.labels):
             rows = np.nonzero(ds.labels == label)[0]
@@ -433,7 +435,7 @@ def run_split(ds: WindowDataset, plan: SplitPlan, spec, seed: int,
               workers: int = 1) -> EvalReport:
     """Train/evaluate over the plan's folds and aggregate one report."""
     jobs = make_folds(ds, plan, seed)
-    echo = _base_echo(ds, spec, {"kind": plan.kind.value, "seed": plan.seed,
+    echo = _base_echo(ds, spec, {"kind": plan.kind.value, "seed": seed,
                                  "test_fraction": plan.test_fraction})
     return _report(ds, jobs, _run_folds(ds, spec, jobs, workers), echo)
 
@@ -541,7 +543,7 @@ def within_cluster_loso(
         reports[cluster] = _report(ds, jobs, [next(preds) for _ in jobs], echo)
 
     baseline = run_split(
-        ds, SplitPlan(SplitKind.LEAVE_SUBJECT_OUT, seed=seed), spec, seed, workers
+        ds, SplitPlan(SplitKind.LEAVE_SUBJECT_OUT), spec, seed, workers
     )
     return WithinClusterResult(clusters=reports, baseline=baseline,
                                warnings=tuple(warnings))
@@ -566,11 +568,10 @@ def routed_eval(
     Train subjects are clustered in the given window-feature space; each test
     window (or the whole test subject, by majority) is routed to the nearest
     cluster's classifier. The windows' vectors in that space are computed
-    once and sliced per fold.
+    once and sliced per fold; a space without per-window vectors raises
+    DimensionMismatch there, before any fold runs.
     """
-    if space is ClusterSpace.MEAN_BPM_PROFILE:
-        raise InvalidConfig("routing needs a per-window space, not subject profiles")
-    jobs = make_folds(ds, SplitPlan(SplitKind.LEAVE_SUBJECT_OUT, seed=seed), seed)
+    jobs = make_folds(ds, SplitPlan(SplitKind.LEAVE_SUBJECT_OUT), seed)
     route = _Routing(routing, space, k, restarts, window_space_matrix(ds.windows, space))
     echo = _base_echo(ds, spec, {"kind": SplitKind.LEAVE_SUBJECT_OUT.value, "seed": seed})
     echo["clustering"] = {"space": space.value, "k": int(k), "routing": routing.value}
@@ -658,6 +659,8 @@ def write_importance_csv(report: ImportanceReport, path: str | Path,
 
 # ------------------------------------------------------------------ timeline
 
+TRANSITION_HORIZON_S = 60.0  # how long after a label change counts as "post-transition"
+
 
 @dataclass(frozen=True)
 class TimelineRecord:
@@ -686,22 +689,11 @@ def misclassification_timeline(
         raise SeriesTooShort(
             f"{len(series)} samples cannot fill a {cfg.window_size}-sample window"
         )
-    prepared = (
-        standardize_series(series)
-        if standardization is StandardizationMode.DATA
-        else series
-    )
-    windows = segment(prepared, cfg)
-    mat = np.ascontiguousarray(windows.values)  # overlapping rows of one view otherwise
-    hc = (
-        feature_matrix(mat, feature_kind, mfcc=mfcc)
-        if feature_kind is not None
-        else np.zeros((len(windows), 0))
-    )
-    window_preds = np.asarray(clf.predict(mat, hc), dtype=np.int64)
+    ds = build_dataset([series], cfg, standardization, feature_kind, mfcc)
+    window_preds = np.asarray(clf.predict(ds.windows, ds.hc), dtype=np.int64)
 
     n = len(series)
-    centers = windows.starts + (cfg.window_size - 1) / 2.0
+    centers = ds.starts + (cfg.window_size - 1) / 2.0
     steps = np.arange(n)
     # distance ties resolve to the earlier (lower-center) window
     dist = np.abs(steps[:, None] - centers[None, :])
@@ -721,12 +713,13 @@ def misclassification_timeline(
     )
 
 
-def transition_error_rates(record: TimelineRecord, horizon_s: float = 60.0):
-    """(error rate within horizon after a transition, steady-state error rate)."""
+def transition_error_rates(record: TimelineRecord):
+    """(error rate within ``TRANSITION_HORIZON_S`` after a transition,
+    steady-state error rate)."""
     t = record.timestamps
     after = np.zeros(t.size, dtype=bool)
     for idx in np.nonzero(record.transition)[0]:
-        after |= (t >= t[idx]) & (t < t[idx] + horizon_s)
+        after |= (t >= t[idx]) & (t < t[idx] + TRANSITION_HORIZON_S)
     errors = ~record.correct
     post = float(errors[after].mean()) if after.any() else 0.0
     steady = float(errors[~after].mean()) if (~after).any() else 0.0

@@ -1,9 +1,8 @@
 """Handcrafted window features: base, MFCC, statistical and temporal families.
 
 All feature names carry the "0_" prefix so importance reports line up with
-the naming used elsewhere in the toolkit. Family internals are vectorized
-over an (n_windows, W) value matrix; the public per-window operations wrap
-the matrix versions.
+the naming used elsewhere in the toolkit. Every family is computed over an
+(n_windows, W) value matrix.
 """
 
 from __future__ import annotations
@@ -55,6 +54,7 @@ TEMPORAL_NAMES = (
 
 ENTROPY_BINS = 10
 LOG_FLOOR = 1e-10
+N_MFCC = 5
 
 
 class FeatureSetKind(enum.Enum):
@@ -68,31 +68,21 @@ class FeatureSetKind(enum.Enum):
 @dataclass(frozen=True)
 class MfccConfig:
     n_mel_bands: int = 10
-    n_coefficients: int = 5
     sample_rate_hz: float = 1.0
 
     def __post_init__(self):
-        if self.n_mel_bands < 1 or self.n_coefficients < 1:
-            raise InvalidConfig("mel bands and coefficient counts must be positive")
-        if self.n_coefficients > self.n_mel_bands:
-            raise InvalidConfig("n_coefficients must not exceed n_mel_bands")
+        if self.n_mel_bands < N_MFCC:
+            raise InvalidConfig(f"n_mel_bands must be at least {N_MFCC}")
         if self.sample_rate_hz <= 0:
             raise InvalidConfig("sample_rate_hz must be positive")
 
     def names(self) -> tuple[str, ...]:
-        return tuple(f"0_MFCC{i}" for i in range(self.n_coefficients))
+        return tuple(f"0_MFCC{i}" for i in range(N_MFCC))
 
 
 def _require_width(mat: np.ndarray, minimum: int) -> None:
     if mat.shape[1] < minimum:
         raise WindowTooShort(minimum, mat.shape[1])
-
-
-def _as_matrix(values) -> np.ndarray:
-    mat = np.asarray(values, dtype=np.float64)
-    if mat.ndim == 1:
-        mat = mat[None, :]
-    return mat
 
 
 def base_matrix(mat: np.ndarray) -> np.ndarray:
@@ -266,39 +256,21 @@ def mel_filterbank(cfg: MfccConfig, n_fft: int) -> np.ndarray:
     return bank
 
 
-def mel_band_energies(values, cfg: MfccConfig = MfccConfig()) -> np.ndarray:
-    """Filterbank outputs of the single-frame pipeline, before the log."""
-    mat = _as_matrix(values)
+def mel_band_energies(mat: np.ndarray, cfg: MfccConfig = MfccConfig()) -> np.ndarray:
+    """Row-wise filterbank outputs of the single-frame pipeline, before the log."""
     _require_width(mat, 8)
     w = mat.shape[1]
     frame = (mat - mat.mean(axis=1, keepdims=True)) * np.hanning(w)
     n_fft = _next_pow2(w)
     spectrum = np.abs(rfft(frame, n=n_fft, axis=1))
-    energies = spectrum @ mel_filterbank(cfg, n_fft).T
-    return energies if np.asarray(values).ndim > 1 else energies[0]
+    return spectrum @ mel_filterbank(cfg, n_fft).T
 
 
 def mfcc_matrix(mat: np.ndarray, cfg: MfccConfig = MfccConfig()) -> np.ndarray:
     energies = mel_band_energies(mat, cfg)
     log_e = np.log(np.maximum(energies, LOG_FLOOR))
     coefficients = dct(log_e, type=2, norm="ortho", axis=1)
-    return coefficients[:, : cfg.n_coefficients]
-
-
-def base_features(values) -> np.ndarray:
-    return base_matrix(_as_matrix(values))[0]
-
-
-def statistical_features(values) -> np.ndarray:
-    return statistical_matrix(_as_matrix(values))[0]
-
-
-def temporal_features(values) -> np.ndarray:
-    return temporal_matrix(_as_matrix(values))[0]
-
-
-def mfcc_features(values, cfg: MfccConfig = MfccConfig()) -> np.ndarray:
-    return mfcc_matrix(_as_matrix(values), cfg)[0]
+    return coefficients[:, :N_MFCC]
 
 
 def feature_names(kind: FeatureSetKind, mfcc: MfccConfig = MfccConfig()) -> tuple[str, ...]:

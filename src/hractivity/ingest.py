@@ -1,10 +1,10 @@
 """CSV corpus parsing, serialization and uniform resampling.
 
 The on-disk schema follows the annotated heart-rate corpora this toolkit
-targets: one header row, configurable column names for (subject, device,
-timestamp, bpm, label), UTF-8, comma separated. Timestamps may be ISO-8601
-or plain epoch/relative seconds; the format is auto-detected per file and
-must be uniform within a file.
+targets: one header row that names the fixed columns in ``COLUMNS``
+(subject_id, device, timestamp, bpm, label) in any order, UTF-8, comma
+separated. Timestamps may be ISO-8601 or plain epoch/relative seconds; the
+format is auto-detected per file and must be uniform within a file.
 """
 
 from __future__ import annotations
@@ -12,7 +12,6 @@ from __future__ import annotations
 import csv
 import datetime as _dt
 import math
-from dataclasses import dataclass
 from itertools import repeat
 from operator import itemgetter
 from pathlib import Path
@@ -47,17 +46,8 @@ DEFAULT_DEVICE = "Apple Watch"
 #: reported instead of being interpolated across.
 GAP_PERIOD_FACTOR = 10.0
 
-
-@dataclass(frozen=True)
-class CsvSchema:
-    """Column-name map for annotated heart-rate CSV files."""
-
-    subject: str = "subject_id"
-    device: str = "device"
-    timestamp: str = "timestamp"
-    bpm: str = "bpm"
-    label: str = "label"
-    device_filter: str | None = DEFAULT_DEVICE
+#: Header names of the subject, device, timestamp, bpm and label columns.
+COLUMNS = ("subject_id", "device", "timestamp", "bpm", "label")
 
 
 def _iso_seconds(text: str) -> float:
@@ -112,18 +102,17 @@ def _timestamp_column(cells: list[str]) -> np.ndarray:
     return t
 
 
-def _header_index(reader, path: Path, schema: CsvSchema) -> tuple[int, list[int]]:
-    """(header width, column index of subject, device, timestamp, bpm, label)."""
+def _header_index(reader, path: Path) -> tuple[int, list[int]]:
+    """(header width, column index of each name in ``COLUMNS``)."""
     header = next(reader, [])
     index = {name: i for i, name in enumerate(header)}  # a repeated name: the last wins
-    columns = (schema.subject, schema.device, schema.timestamp, schema.bpm, schema.label)
-    for col in columns:
+    for col in COLUMNS:
         if col not in index:
             raise MissingColumn(col, str(path))
-    return len(header), [index[col] for col in columns]
+    return len(header), [index[col] for col in COLUMNS]
 
 
-def _raise_first_bad_row(path: Path, schema: CsvSchema) -> None:
+def _raise_first_bad_row(path: Path) -> None:
     """Read a file row by row and raise the first row's error.
 
     The error keeps its DataError class and gains the file and the 1-based
@@ -131,7 +120,7 @@ def _raise_first_bad_row(path: Path, schema: CsvSchema) -> None:
     """
     with open(path, newline="", encoding="utf-8") as fh:
         reader = csv.reader(fh)
-        width, (_, _, ti, bi, li) = _header_index(reader, path, schema)
+        width, (_, _, ti, bi, li) = _header_index(reader, path)
         ts_mode = ""
         for row in reader:
             if not row:
@@ -147,7 +136,7 @@ def _raise_first_bad_row(path: Path, schema: CsvSchema) -> None:
                 raise
 
 
-def _read_file(path: Path, schema: CsvSchema):
+def _read_file(path: Path):
     """((subject, device) per row, t, bpm, labels) columns of one CSV file.
 
     Whole columns are converted at once. When any cell fails a check, the
@@ -156,7 +145,7 @@ def _read_file(path: Path, schema: CsvSchema):
     """
     with open(path, newline="", encoding="utf-8") as fh:
         reader = csv.reader(fh)
-        width, (si, di, ti, bi, li) = _header_index(reader, path, schema)
+        width, (si, di, ti, bi, li) = _header_index(reader, path)
         rows = [row for row in reader if row]
     n = len(rows)
     try:
@@ -169,7 +158,7 @@ def _read_file(path: Path, schema: CsvSchema):
         labels = np.fromiter(map(_LABEL_CODES.__getitem__, map(itemgetter(li), rows)),
                              np.int64, n)
     except (ValueError, KeyError, DataError):  # the rescan says which row and why
-        _raise_first_bad_row(path, schema)
+        _raise_first_bad_row(path)
         raise InternalError(f"{path}: a column check failed but no row did") from None
     return list(map(itemgetter(si, di), rows)), t, bpm, labels
 
@@ -189,12 +178,13 @@ def _collapse_duplicates(subject: str, t, bpm, labels, starts) -> np.ndarray:
     return out
 
 
-def parse_corpus(path: str | Path, schema: CsvSchema = CsvSchema()) -> list[SubjectSeries]:
+def parse_corpus(path: str | Path,
+                 device_filter: str | None = DEFAULT_DEVICE) -> list[SubjectSeries]:
     """Parse a CSV file or a directory of CSV files into per-subject series.
 
-    Rows are grouped by (subject, device), filtered to ``schema.device_filter``
-    when set, sorted by timestamp (stable, so equal timestamps keep file and
-    row order) and shifted so each series starts at t=0. Rows sharing a
+    Rows are grouped by (subject, device), kept only for ``device_filter``
+    unless it is None, sorted by timestamp (stable, so equal timestamps keep
+    file and row order) and shifted so each series starts at t=0. Rows sharing a
     timestamp are collapsed to their mean bpm; conflicting labels at an
     equal timestamp raise NonMonotonicTimestamps. Every row is checked,
     including rows of filtered-out devices.
@@ -207,7 +197,7 @@ def parse_corpus(path: str | Path, schema: CsvSchema = CsvSchema()) -> list[Subj
     keys: dict[tuple[str, str], int] = {}
     codes, ts, bpms, labels = [], [], [], []
     for f in files:
-        pairs, t, bpm, label = _read_file(f, schema)
+        pairs, t, bpm, label = _read_file(f)
         for key in dict.fromkeys(pairs):  # new keys, in first-seen order
             keys.setdefault(key, len(keys))
         codes.append(np.fromiter(map(keys.__getitem__, pairs), np.int64, len(pairs)))
@@ -220,7 +210,7 @@ def parse_corpus(path: str | Path, schema: CsvSchema = CsvSchema()) -> list[Subj
 
     corpus = []
     for (subject, device), code in sorted(keys.items()):
-        if schema.device_filter is not None and device != schema.device_filter:
+        if device_filter is not None and device != device_filter:
             continue
         rows = by_key[bounds[code] : bounds[code + 1]]
         rows = rows[np.argsort(ts[rows], kind="stable")]
@@ -240,9 +230,7 @@ def parse_corpus(path: str | Path, schema: CsvSchema = CsvSchema()) -> list[Subj
     return corpus
 
 
-def serialize_corpus(
-    corpus: list[SubjectSeries], out_dir: str | Path, schema: CsvSchema = CsvSchema()
-) -> list[Path]:
+def serialize_corpus(corpus: list[SubjectSeries], out_dir: str | Path) -> list[Path]:
     """Write one CSV per series, in the same schema parse_corpus reads."""
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
@@ -252,7 +240,7 @@ def serialize_corpus(
         n = len(series)
         with open(p, "w", newline="", encoding="utf-8") as fh:
             writer = csv.writer(fh)
-            writer.writerow([schema.subject, schema.device, schema.timestamp, schema.bpm, schema.label])
+            writer.writerow(COLUMNS)
             writer.writerows(zip(
                 repeat(series.subject_id, n),
                 repeat(series.device_id, n),
@@ -265,13 +253,13 @@ def serialize_corpus(
 
 
 def resample_uniform(
-    series: SubjectSeries, period_s: float, gap_factor: float = GAP_PERIOD_FACTOR
+    series: SubjectSeries, period_s: float
 ) -> tuple[SubjectSeries, list[GapRecord]]:
     """Resample a series onto an arithmetic grid of the given period.
 
     bpm is linearly interpolated between neighbours; each grid point takes the
     label of the nearest original sample (ties go to the earlier one). Raw
-    gaps longer than ``gap_factor * period_s`` are forward-filled instead of
+    gaps longer than ``GAP_PERIOD_FACTOR * period_s`` are forward-filled instead of
     interpolated and reported as GapRecords.
     """
     if len(series) == 0:
@@ -301,7 +289,7 @@ def resample_uniform(
     labels = series.labels[nearest]
 
     gaps = []
-    threshold = gap_factor * period_s
+    threshold = GAP_PERIOD_FACTOR * period_s
     raw_gaps = np.diff(t)
     for i in np.nonzero(raw_gaps > threshold)[0]:
         lo, hi = t[i], t[i + 1]

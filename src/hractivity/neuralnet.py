@@ -433,19 +433,3 @@ def save_net(model: NetModel, path: str | Path) -> None:
     }
     Path(path).write_text(json.dumps(payload, sort_keys=True, indent=2) + "\n")
 
-
-def load_net(path: str | Path) -> NetModel:
-    payload = json.loads(Path(path).read_text())
-    if payload.get("schema") != "net_model.v1":
-        raise InvalidConfig("not a net_model.v1 file")
-    cfg = NetConfig(**payload["config"])
-    params = {
-        name: np.asarray(entry["data"], dtype=np.float64).reshape(entry["shape"])
-        for name, entry in payload["params"].items()
-    }
-    return NetModel(
-        arch=ArchitectureId(payload["arch"]),
-        config=cfg,
-        params=params,
-        training_log=list(payload["training_log"]),
-    )

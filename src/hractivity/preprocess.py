@@ -140,42 +140,38 @@ def standardize_series(series: SubjectSeries) -> SubjectSeries:
 
 @dataclass(frozen=True)
 class Scaler:
-    """Per-dimension standardizer with learned mean/std and an epsilon guard."""
+    """Per-dimension standardizer with learned mean/std; a std below
+    ``EPSILON`` is stored as 1."""
 
     mean: np.ndarray
     std: np.ndarray
-    epsilon: float = EPSILON
 
     def __post_init__(self):
         mean = np.ascontiguousarray(self.mean, dtype=np.float64)
         std = np.ascontiguousarray(self.std, dtype=np.float64)
         if mean.shape != std.shape or mean.ndim != 1:
             raise DimensionMismatch("scaler mean/std must be equal-length vectors")
-        std = np.where(std < self.epsilon, 1.0, std)  # constant dims pass through
+        std = np.where(std < EPSILON, 1.0, std)  # constant dims pass through
         for name, arr in (("mean", mean), ("std", std)):
             arr.flags.writeable = False
             object.__setattr__(self, name, arr)
 
 
-def fit_scaler(train_vectors: np.ndarray | list, epsilon: float = EPSILON) -> Scaler:
+def fit_scaler(train_vectors: np.ndarray | list) -> Scaler:
     """Fit per-dimension mean/std from training vectors only."""
     mat = np.asarray(train_vectors, dtype=np.float64)
     if mat.ndim != 2 or mat.shape[0] == 0:
         raise DimensionMismatch("expected a non-empty (n, d) training matrix")
     mean = mat.mean(axis=0)
     std = mat.std(axis=0, ddof=1) if mat.shape[0] > 1 else np.zeros(mat.shape[1])
-    return Scaler(mean=mean, std=std, epsilon=epsilon)
+    return Scaler(mean=mean, std=std)
 
 
 def apply_scaler(scaler: Scaler, vectors: np.ndarray | list) -> np.ndarray:
-    """Standardize one vector or an (n, d) matrix with a fitted scaler."""
+    """Standardize an (n, d) matrix with a fitted scaler."""
     arr = np.asarray(vectors, dtype=np.float64)
-    squeeze = arr.ndim == 1
-    if squeeze:
-        arr = arr[None, :]
     if arr.ndim != 2 or arr.shape[1] != scaler.mean.shape[0]:
         raise DimensionMismatch(
-            f"expected dimension {scaler.mean.shape[0]}, got {arr.shape[-1]}"
+            f"expected an (n, {scaler.mean.shape[0]}) matrix, got shape {arr.shape}"
         )
-    out = (arr - scaler.mean) / scaler.std
-    return out[0] if squeeze else out
+    return (arr - scaler.mean) / scaler.std

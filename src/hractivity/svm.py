@@ -175,14 +175,6 @@ def train_binary(
     )
 
 
-def dual_objective(svm_alpha, y, gram) -> float:
-    """W(alpha) for diagnostics and oracle comparison."""
-    a = np.asarray(svm_alpha, dtype=np.float64)
-    y = np.asarray(y, dtype=np.float64)
-    q = (y[:, None] * y[None, :]) * gram
-    return float(a.sum() - 0.5 * a @ q @ a)
-
-
 def kkt_violation(model: BinarySvm, x, y, tol_bound: float = 1e-9) -> float:
     """Largest stationarity violation over the training set the model saw.
 
@@ -210,9 +202,6 @@ class OvoSvm:
     kernel: KernelSpec
     c: float
     tol: float
-
-    def decision_rows(self, x) -> dict:
-        return {pair: m.decision(x) for pair, m in self.machines.items()}
 
 
 def train_ovo(
@@ -263,10 +252,6 @@ def _kernel_to_json(kernel: KernelSpec) -> dict:
     return {"kind": kernel.kind.value, "gamma": kernel.gamma}
 
 
-def _kernel_from_json(obj: dict) -> KernelSpec:
-    return KernelSpec(kind=KernelKind(obj["kind"]), gamma=obj["gamma"])
-
-
 def save_ovo(model: OvoSvm, path: str | Path) -> None:
     """Versioned JSON; float repr round-trips make reloaded predictions bit-exact."""
     payload = {
@@ -291,27 +276,3 @@ def save_ovo(model: OvoSvm, path: str | Path) -> None:
         json.dump(payload, fh, sort_keys=True, indent=2)
         fh.write("\n")
 
-
-def load_ovo(path: str | Path) -> OvoSvm:
-    with open(path, encoding="utf-8") as fh:
-        payload = json.load(fh)
-    if payload.get("schema") != "ovo_svm.v2":
-        raise InvalidConfig(f"unsupported model schema {payload.get('schema')!r}")
-    machines = {}
-    for entry in payload["machines"]:
-        a, b = entry["pair"]
-        d = len(entry["support_vectors"][0]) if entry["support_vectors"] else 0
-        machines[(int(a), int(b))] = BinarySvm(
-            support_vectors=np.asarray(entry["support_vectors"], dtype=np.float64).reshape(-1, d),
-            coef=np.asarray(entry["coef"], dtype=np.float64),
-            bias=float(entry["bias"]),
-            kernel=_kernel_from_json(entry["kernel"]),
-            c=float(entry["c"]),
-        )
-    return OvoSvm(
-        classes=tuple(int(v) for v in payload["classes"]),
-        machines=machines,
-        kernel=_kernel_from_json(payload["kernel"]),
-        c=float(payload["c"]),
-        tol=float(payload["tol"]),
-    )

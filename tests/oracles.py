@@ -1,15 +1,20 @@
 """Independent reference implementations used to cross-check the library.
 
 Everything here is written for clarity over speed and deliberately avoids
-the library's own code paths.
+the library's own code paths. The model file readers at the end build the
+library's model classes, since they check that saved models round-trip.
 """
 
 import csv
 import datetime as dt
+import json
 import math
 from pathlib import Path
 
 import numpy as np
+
+from hractivity.neuralnet import ArchitectureId, NetConfig, NetModel
+from hractivity.svm import BinarySvm, KernelKind, KernelSpec, OvoSvm
 
 
 def exhaustive_kmeans_inertia(vectors, k):
@@ -435,3 +440,54 @@ def build_profiles_reference(values, labels, subjects):
         sums.setdefault(subject, np.zeros(5))[int(label)] += float(np.asarray(row).mean())
         counts.setdefault(subject, np.zeros(5, dtype=np.int64))[int(label)] += 1
     return {s: sums[s] / counts[s] for s in sorted(sums)}
+
+
+# -- model file readers ---------------------------------------------------------
+# No command reads model.json; these readers check that save_ovo and save_net
+# round-trip bit-exactly.
+
+def _kernel_from_json(obj):
+    return KernelSpec(kind=KernelKind(obj["kind"]), gamma=obj["gamma"])
+
+
+def load_ovo(path):
+    """OvoSvm from an ovo_svm.v2 file written by save_ovo."""
+    with open(path, encoding="utf-8") as fh:
+        payload = json.load(fh)
+    if payload.get("schema") != "ovo_svm.v2":
+        raise ValueError(f"unsupported model schema {payload.get('schema')!r}")
+    machines = {}
+    for entry in payload["machines"]:
+        a, b = entry["pair"]
+        d = len(entry["support_vectors"][0]) if entry["support_vectors"] else 0
+        machines[(int(a), int(b))] = BinarySvm(
+            support_vectors=np.asarray(entry["support_vectors"], dtype=np.float64).reshape(-1, d),
+            coef=np.asarray(entry["coef"], dtype=np.float64),
+            bias=float(entry["bias"]),
+            kernel=_kernel_from_json(entry["kernel"]),
+            c=float(entry["c"]),
+        )
+    return OvoSvm(
+        classes=tuple(int(v) for v in payload["classes"]),
+        machines=machines,
+        kernel=_kernel_from_json(payload["kernel"]),
+        c=float(payload["c"]),
+        tol=float(payload["tol"]),
+    )
+
+
+def load_net(path):
+    """NetModel from a net_model.v1 file written by save_net."""
+    payload = json.loads(Path(path).read_text())
+    if payload.get("schema") != "net_model.v1":
+        raise ValueError("not a net_model.v1 file")
+    params = {
+        name: np.asarray(entry["data"], dtype=np.float64).reshape(entry["shape"])
+        for name, entry in payload["params"].items()
+    }
+    return NetModel(
+        arch=ArchitectureId(payload["arch"]),
+        config=NetConfig(**payload["config"]),
+        params=params,
+        training_log=list(payload["training_log"]),
+    )

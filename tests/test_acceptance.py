@@ -36,12 +36,12 @@ from hractivity.features import (
     STATISTICAL_NAMES,
     TEMPORAL_NAMES,
     FeatureSetKind,
-    base_features,
+    base_matrix,
     feature_matrix,
-    statistical_features,
-    temporal_features,
+    statistical_matrix,
+    temporal_matrix,
 )
-from hractivity.ingest import CsvSchema, parse_corpus, resample_uniform
+from hractivity.ingest import parse_corpus, resample_uniform
 from hractivity.metrics import accuracy, balanced_accuracy, confusion_matrix
 from hractivity.neuralnet import (
     ArchitectureId,
@@ -59,7 +59,7 @@ from hractivity.preprocess import (
     standardize_series,
     window_count,
 )
-from hractivity.svm import KernelKind, KernelSpec, dual_objective, kkt_violation, train_binary
+from hractivity.svm import KernelKind, KernelSpec, kkt_violation, train_binary
 from hractivity.synthetic import SyntheticCohortSpec, generate_synthetic
 
 LINEAR = KernelSpec(KernelKind.LINEAR)
@@ -125,7 +125,11 @@ def test_criterion_02_standardization_contracts(capsys):
 def test_criterion_03_feature_values_and_invariances(capsys):
     t0 = time.perf_counter()
     tol = 1e-9
-    got = dict(zip(BASE_NAMES, base_features([60.0, 70.0, 80.0])))
+
+    def base(values):
+        return base_matrix(np.asarray(values, dtype=np.float64)[None, :])[0]
+
+    got = dict(zip(BASE_NAMES, base([60.0, 70.0, 80.0])))
     ok = (
         got["0_Max"] == 80.0
         and got["0_Min"] == 60.0
@@ -134,15 +138,16 @@ def test_criterion_03_feature_values_and_invariances(capsys):
         and abs(got["0_FirstDerivativeMean"] - 10.0) < tol
         and abs(got["0_SecondDerivativeMean"]) < tol
     )
-    ok = ok and np.allclose(base_features([72.0] * 5), [72, 72, 72, 0, 0, 0], atol=tol)
-    quad = dict(zip(BASE_NAMES, base_features([0.0, 1.0, 4.0, 9.0])))
+    ok = ok and np.allclose(base([72.0] * 5), [72, 72, 72, 0, 0, 0], atol=tol)
+    quad = dict(zip(BASE_NAMES, base([0.0, 1.0, 4.0, 9.0])))
     ok = ok and abs(quad["0_FirstDerivativeMean"] - 3.0) < tol
     ok = ok and abs(quad["0_SecondDerivativeMean"] - 2.0) < tol
     assert ok, "hand-computed feature examples"
 
     def stat_temp(values):
-        out = dict(zip(STATISTICAL_NAMES, statistical_features(values)))
-        out.update(zip(TEMPORAL_NAMES, temporal_features(values)))
+        mat = np.asarray(values, dtype=np.float64)[None, :]
+        out = dict(zip(STATISTICAL_NAMES, statistical_matrix(mat)[0]))
+        out.update(zip(TEMPORAL_NAMES, temporal_matrix(mat)[0]))
         return out
 
     shift_by_c = {"0_Mean", "0_Min", "0_Max", "0_Median"}
@@ -208,7 +213,7 @@ def test_criterion_05_svm_matches_qp_oracle(capsys):
         model = train_binary(x, y, kernel, c=1.0, tol=1e-4)
         gram = model.kernel.matrix(x, x)
         w_oracle = svm_dual_objective(solve_svm_dual_qp(gram, y, 1.0), y, gram)
-        rel = abs(dual_objective(model.alpha, y, gram) - w_oracle) / max(1.0, abs(w_oracle))
+        rel = abs(svm_dual_objective(model.alpha, y, gram) - w_oracle) / max(1.0, abs(w_oracle))
         worst_rel = max(worst_rel, rel)
         worst_kkt = max(worst_kkt, kkt_violation(model, x, y))
         assert rel <= 1e-3, trial
@@ -499,7 +504,7 @@ def test_criterion_13_real_corpus_trends(capsys):
         pytest.skip("real corpus not provided; set HRACTIVITY_STEP_DIR to its CSV directory")
     t0 = time.perf_counter()
     # windows are cut by sample index, so the irregular watch series go on a 1 s grid first
-    series = [resample_uniform(s, 1.0)[0] for s in parse_corpus(root, CsvSchema())]
+    series = [resample_uniform(s, 1.0)[0] for s in parse_corpus(root)]
     spec = SvmSpec(inputs="features")
     ds = build_dataset(series, WindowConfig(50, 25), StandardizationMode.DATA,
                        FeatureSetKind.STAT_TEMPORAL)
@@ -507,7 +512,7 @@ def test_criterion_13_real_corpus_trends(capsys):
                              spec, seed=1)
     by_window = routed_eval(ds, 4, RoutingMode.PER_WINDOW, ClusterSpace.STATISTICAL_WINDOW,
                             spec, seed=1)
-    plan = SplitPlan(SplitKind.LEAVE_SUBJECT_OUT, seed=1)
+    plan = SplitPlan(SplitKind.LEAVE_SUBJECT_OUT)
     sweep = run_sweep(series, [80], [10, 120], plan, spec,
                       StandardizationMode.DATA, FeatureSetKind.STAT_TEMPORAL, seed=1)
     ok = (

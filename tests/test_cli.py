@@ -210,7 +210,7 @@ def test_malformed_row_is_a_data_error(tmp_path, capsys, command, bad_row):
 
 
 def test_failed_run_leaves_no_partial_output(tmp_path):
-    # importance rejects repeats < 5 only after the run dir machinery starts
+    # an unknown timeline subject is refused only after the run dir machinery starts
     gen_out = tmp_path / "gen"
     assert run_cli("--seed", 7, "--out", gen_out, "generate", "--subjects", 4, "--groups", 2) == 0
     corpus = only_run_dir(gen_out) / "corpus"
@@ -222,13 +222,13 @@ device_filter = synthetic
 [windows]
 window_size = 50
 stride = 60
-[importance]
-repeats = 3
+[timeline]
+subject = NOPE
 [run]
 seed = 7
 out = {runs}
 """)
-    rc = run_cli("--config", ini, "importance")
+    rc = run_cli("--config", ini, "timeline")
     assert rc == 2
     leftovers = list(runs.iterdir()) if runs.exists() else []
     assert leftovers == []
@@ -333,9 +333,16 @@ def test_non_uniform_corpus_is_refused_until_resampled(tiny_corpus, capsys):
     ("eval", "[features]\non_standardized_input = true\n", ("features.on_standardized_input",)),
     ("cluster", "[features]\non_standardized_input = true\n",
      ("features.on_standardized_input",)),
+    ("eval", "[clustering]\nk = 2\n[split]\nkind = cross_cluster\ntrain_cluster = 1\n"
+     "test_cluster = 1\n", ("split.train_cluster", "split.test_cluster")),
+    ("eval", "[clustering]\nrouting = per_subject\nspace = mean_bpm_profile\n",
+     ("clustering.routing", "clustering.space")),
+    ("importance", "[importance]\nrepeats = 4\n", ("importance.repeats",)),
 ], ids=["eval-routing-random_window", "sweep-routing", "sweep-within_cluster_loso",
         "sweep-cross_cluster", "eval-test_cluster-ge-k", "eval-train_cluster-ge-k",
-        "eval-on_standardized_input", "cluster-on_standardized_input"])
+        "eval-on_standardized_input", "cluster-on_standardized_input",
+        "eval-train_cluster-eq-test_cluster", "eval-routing-profile_space",
+        "importance-repeats-lt-5"])
 def test_ignored_settings_are_refused(tiny_corpus, capsys, monkeypatch, command, extra, keys):
     ini, _, runs = tiny_corpus
     bad = write_ini(ini.with_name("bad.ini"), ini.read_text() + extra)

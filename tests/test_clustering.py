@@ -10,7 +10,6 @@ from hractivity.clustering import (
     ClusterModel,
     ClusterSpace,
     assign_many,
-    assign_window,
     build_profiles,
     fit_cluster_model,
     kmeans_fit,
@@ -45,9 +44,10 @@ def windows_of(corpus, cfg):
 
 
 def test_build_profiles_constant_windows():
-    (p,) = build_profiles(*five_activity_windows("A", [70.0] * 5))
-    assert p.subject_id == "A"
-    assert np.allclose(p.profile, 70.0)
+    ids, profiles = build_profiles(*five_activity_windows("A", [70.0] * 5))
+    assert ids == ["A"]
+    assert profiles.shape == (1, 5)
+    assert np.allclose(profiles[0], 70.0)
 
 
 def test_build_profiles_missing_activity():
@@ -60,8 +60,8 @@ def test_build_profiles_averages_window_means():
     values, labels, subjects = five_activity_windows("A", [60.0, 70.0, 80.0, 90.0, 100.0])
     values = np.vstack([values, np.full((1, 10), 80.0)])
     labels = np.append(labels, int(ActivityLabel.Rest))
-    (p,) = build_profiles(values, labels, subjects + ["A"])
-    assert p.profile[0] == 70.0  # Rest windows with means 60 and 80
+    _, profiles = build_profiles(values, labels, subjects + ["A"])
+    assert profiles[0, 0] == 70.0  # Rest windows with means 60 and 80
 
 
 def test_kmeans_k1_is_mean():
@@ -120,7 +120,7 @@ def test_kmeans_permutation_invariance_as_partition():
     assert adjusted_rand_index(labels_a, labels_b_in_orig_order) == 1.0
 
 
-def test_assign_window_centroid_identity_and_ties():
+def test_assign_many_centroid_identity_and_ties():
     model = ClusterModel(
         k=3,
         centroids=np.array([[0.0, 0.0], [4.0, 0.0], [0.0, 4.0]]),
@@ -128,11 +128,10 @@ def test_assign_window_centroid_identity_and_ties():
         seed=0,
         inertia=0.0,
     )
-    for i in range(3):
-        assert assign_window(model, model.centroids[i]) == i
-    assert assign_window(model, [2.0, 0.0]) == 0  # equidistant 0/1: lowest wins
+    assert assign_many(model, model.centroids).tolist() == [0, 1, 2]
+    assert assign_many(model, [[2.0, 0.0]])[0] == 0  # equidistant 0/1: lowest wins
     with pytest.raises(DimensionMismatch):
-        assign_window(model, [1.0, 2.0, 3.0])
+        assign_many(model, [[1.0, 2.0, 3.0]])
 
 
 def test_assign_matches_linear_scan():
@@ -201,8 +200,7 @@ def test_fit_with_scaler_routes_consistently():
     )
     assert model.scaler is not None
     ids, summaries = subject_summaries(*windows, ClusterSpace.TEMPORAL_WINDOW)
-    for subject, summary in zip(ids, summaries):
-        assert assign_window(model, summary) == assignment[subject]
+    assert assign_many(model, summaries).tolist() == [assignment[s] for s in ids]
 
 
 def test_cluster_report_deterministic(tmp_path):
@@ -239,10 +237,10 @@ def test_build_profiles_matches_window_loop_reference():
     for s in ("S0", "S1", "S2"):  # every subject sees every activity
         labels[[i for i, x in enumerate(subjects) if x == s][:5]] = np.arange(5)
     expected = build_profiles_reference(values, labels, subjects)
-    profiles = build_profiles(values, labels, subjects)
-    assert [p.subject_id for p in profiles] == sorted(expected)
-    for p in profiles:
-        assert p.profile.tobytes() == expected[p.subject_id].tobytes()
+    ids, profiles = build_profiles(values, labels, subjects)
+    assert ids == sorted(expected)
+    for subject, profile in zip(ids, profiles):
+        assert profile.tobytes() == expected[subject].tobytes()
 
 
 def test_subject_summaries_compute_one_subject_at_a_time(monkeypatch):

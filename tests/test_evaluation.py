@@ -6,7 +6,13 @@ from oracles import permutation_importance_reference
 
 from hractivity import clustering, evaluation
 from hractivity.clustering import ClusterSpace, fit_cluster_model
-from hractivity.errors import EmptyCluster, InvalidConfig, NoWindows, SeriesTooShort, TooFewVectors
+from hractivity.errors import (
+    DimensionMismatch,
+    EmptyCluster,
+    NoWindows,
+    SeriesTooShort,
+    TooFewVectors,
+)
 from hractivity.evaluation import (
     ConstantPredictor,
     NetSpec,
@@ -75,7 +81,7 @@ def constant_series(sid="S0", n=200, label=ActivityLabel.Rest):
 
 def test_loso_folds_partition_subjects():
     ds = small_dataset()
-    folds = make_folds(ds, SplitPlan(SplitKind.LEAVE_SUBJECT_OUT, seed=0), seed=0)
+    folds = make_folds(ds, SplitPlan(SplitKind.LEAVE_SUBJECT_OUT), seed=0)
     assert len(folds) == 8
     seen = np.zeros(len(ds), dtype=int)
     subjects = ds.subject_array()
@@ -89,7 +95,7 @@ def test_loso_folds_partition_subjects():
 
 def test_random_window_stratified_shares():
     ds = small_dataset()
-    folds = make_folds(ds, SplitPlan(SplitKind.RANDOM_WINDOW, seed=3), seed=3)
+    folds = make_folds(ds, SplitPlan(SplitKind.RANDOM_WINDOW), seed=3)
     assert len(folds) == 1
     train_idx, test_idx = folds[0].train_idx, folds[0].test_idx
     assert len(set(train_idx) | set(test_idx)) == len(ds)
@@ -102,16 +108,16 @@ def test_random_window_stratified_shares():
 
 def test_random_window_deterministic_given_seed():
     ds = small_dataset()
-    a = make_folds(ds, SplitPlan(SplitKind.RANDOM_WINDOW, seed=5), seed=5)[0]
-    b = make_folds(ds, SplitPlan(SplitKind.RANDOM_WINDOW, seed=5), seed=5)[0]
-    c = make_folds(ds, SplitPlan(SplitKind.RANDOM_WINDOW, seed=6), seed=6)[0]
+    a = make_folds(ds, SplitPlan(SplitKind.RANDOM_WINDOW), seed=5)[0]
+    b = make_folds(ds, SplitPlan(SplitKind.RANDOM_WINDOW), seed=5)[0]
+    c = make_folds(ds, SplitPlan(SplitKind.RANDOM_WINDOW), seed=6)[0]
     assert np.array_equal(a.test_idx, b.test_idx)
     assert not np.array_equal(a.test_idx, c.test_idx)
 
 
 def test_report_invariants():
     ds = small_dataset()
-    rep = run_split(ds, SplitPlan(SplitKind.LEAVE_SUBJECT_OUT, seed=1),
+    rep = run_split(ds, SplitPlan(SplitKind.LEAVE_SUBJECT_OUT),
                     SvmSpec(inputs="features"), seed=1)
     assert abs(rep.accuracy - np.trace(rep.confusion) / rep.confusion.sum()) < 1e-12
     assert rep.confusion.sum() == len(ds)
@@ -121,7 +127,7 @@ def test_report_invariants():
 
 def test_feature_standardization_fits_on_train_only():
     ds = small_dataset(std=StandardizationMode.FEATURE)
-    folds = make_folds(ds, SplitPlan(SplitKind.LEAVE_SUBJECT_OUT, seed=0), seed=0)
+    folds = make_folds(ds, SplitPlan(SplitKind.LEAVE_SUBJECT_OUT), seed=0)
     train_idx = folds[0].train_idx
     spec = SvmSpec(inputs="features")
     clf = fit_classifier(spec, ds, train_idx, seed=4)
@@ -134,7 +140,7 @@ def test_feature_standardization_fits_on_train_only():
 
 def test_worker_count_does_not_change_results():
     ds = small_dataset()
-    plan = SplitPlan(SplitKind.LEAVE_SUBJECT_OUT, seed=2)
+    plan = SplitPlan(SplitKind.LEAVE_SUBJECT_OUT)
     spec = SvmSpec(inputs="features")
     one = run_split(ds, plan, spec, seed=2, workers=1)
     two = run_split(ds, plan, spec, seed=2, workers=2)
@@ -145,7 +151,7 @@ def test_worker_count_does_not_change_results():
 def test_sweep_grid_shape_and_window_arithmetic():
     series, _ = cohort(n=3)
     reports = run_sweep(series, [50, 80, 100, 120], [10, 25, 40, 50, 80, 100, 120],
-                        SplitPlan(SplitKind.RANDOM_WINDOW, seed=1),
+                        SplitPlan(SplitKind.RANDOM_WINDOW),
                         SvmSpec(inputs="features"),
                         StandardizationMode.DATA, FeatureSetKind.STATISTICAL, seed=1)
     assert len(reports) == 28
@@ -211,9 +217,14 @@ def test_per_window_routing_splits_subject():
     assert abs(fold_c.accuracy - 5.0 / 8.0) < 1e-12
 
 
-def test_routed_eval_rejects_profile_space_and_big_k():
+def test_routed_eval_rejects_profile_space_and_big_k(monkeypatch):
     ds = routing_toy()
-    with pytest.raises(InvalidConfig):
+
+    def no_fold(*args):
+        raise AssertionError("a fold ran before the space was refused")
+
+    with monkeypatch.context() as patch, pytest.raises(DimensionMismatch):
+        patch.setattr(evaluation, "_fit_predict", no_fold)
         routed_eval(ds, 2, RoutingMode.PER_WINDOW, ClusterSpace.MEAN_BPM_PROFILE,
                     SvmSpec(inputs="windows"), seed=0)
     with pytest.raises(TooFewVectors):
@@ -382,7 +393,7 @@ def test_transition_error_rates_windowing():
     rec = TimelineRecord(true_labels=true, predicted=pred, correct=pred == true,
                          transition=np.concatenate([[False], true[1:] != true[:-1]]),
                          **rec_args)
-    post, steady = transition_error_rates(rec, horizon_s=60.0)
+    post, steady = transition_error_rates(rec)  # TRANSITION_HORIZON_S = 60
     assert post == 0.5  # 30 errors in the 60-step window
     assert steady == 0.0
 
@@ -395,7 +406,7 @@ def test_build_dataset_no_windows():
 def test_net_classifier_adapter_runs():
     ds = small_dataset(w=30, s=60)
     spec = NetSpec(epochs=2)
-    rep = run_split(ds, SplitPlan(SplitKind.RANDOM_WINDOW, seed=1), spec, seed=1)
+    rep = run_split(ds, SplitPlan(SplitKind.RANDOM_WINDOW), spec, seed=1)
     assert rep.confusion.sum() == rep.folds[0].n_test
     assert rep.config["model"]["kind"] == "net"
 
@@ -440,11 +451,11 @@ def test_fold_jobs_carry_each_protocols_seed(monkeypatch):
         run()
         return list(seen)
 
-    # the fold seed comes from the seed argument, not from plan.seed
+    # every fold seed comes from the seed argument
     loso = [(i, sid, fold_seed(4, i)) for i, sid in enumerate(sids)]
-    assert jobs_of(lambda: run_split(ds, SplitPlan(SplitKind.LEAVE_SUBJECT_OUT, seed=9),
+    assert jobs_of(lambda: run_split(ds, SplitPlan(SplitKind.LEAVE_SUBJECT_OUT),
                                      spec, seed=4)) == loso
-    assert jobs_of(lambda: run_split(ds, SplitPlan(SplitKind.RANDOM_WINDOW, seed=9),
+    assert jobs_of(lambda: run_split(ds, SplitPlan(SplitKind.RANDOM_WINDOW),
                                      spec, seed=4)) == [(0, "random:0.3", fold_seed(4, 0))]
     within = ([(i, sid, fold_seed(4, i)) for i, sid in enumerate(sids[:3])]
               + [(i, sid, fold_seed(4, 1000 + i)) for i, sid in enumerate(sids[3:])])

@@ -11,18 +11,17 @@ from hractivity.features import (
     TEMPORAL_NAMES,
     FeatureSetKind,
     MfccConfig,
-    base_features,
+    base_matrix,
     feature_matrix,
     feature_names,
     hz_to_mel,
     mel_band_energies,
     mel_filterbank,
     mel_to_hz,
-    mfcc_features,
+    mfcc_matrix,
     order_statistics,
-    statistical_features,
     statistical_matrix,
-    temporal_features,
+    temporal_matrix,
 )
 from hractivity.preprocess import WindowConfig, segment, standardize_series
 from hractivity.synthetic import SyntheticCohortSpec, generate_synthetic
@@ -30,16 +29,29 @@ from hractivity.synthetic import SyntheticCohortSpec, generate_synthetic
 TOL = 1e-9
 
 
+def one_row(values):
+    """A single window as a (1, W) matrix."""
+    return np.asarray(values, dtype=np.float64)[None, :]
+
+
+def base(values):
+    return base_matrix(one_row(values))[0]
+
+
 def stat(values):
-    return dict(zip(STATISTICAL_NAMES, statistical_features(values)))
+    return dict(zip(STATISTICAL_NAMES, statistical_matrix(one_row(values))[0]))
 
 
 def temp(values):
-    return dict(zip(TEMPORAL_NAMES, temporal_features(values)))
+    return dict(zip(TEMPORAL_NAMES, temporal_matrix(one_row(values))[0]))
+
+
+def mfcc(values, cfg=MfccConfig()):
+    return mfcc_matrix(one_row(values), cfg)[0]
 
 
 def test_base_features_60_70_80():
-    got = dict(zip(BASE_NAMES, base_features([60.0, 70.0, 80.0])))
+    got = dict(zip(BASE_NAMES, base([60.0, 70.0, 80.0])))
     assert got["0_Max"] == 80.0
     assert got["0_Min"] == 60.0
     assert got["0_Mean"] == 70.0
@@ -49,18 +61,18 @@ def test_base_features_60_70_80():
 
 
 def test_base_features_constant():
-    assert np.allclose(base_features([72.0] * 5), [72, 72, 72, 0, 0, 0], atol=TOL)
+    assert np.allclose(base([72.0] * 5), [72, 72, 72, 0, 0, 0], atol=TOL)
 
 
 def test_base_features_quadratic():
-    got = dict(zip(BASE_NAMES, base_features([0.0, 1.0, 4.0, 9.0])))
+    got = dict(zip(BASE_NAMES, base([0.0, 1.0, 4.0, 9.0])))
     assert abs(got["0_FirstDerivativeMean"] - 3.0) < TOL  # (1+3+5)/3
     assert abs(got["0_SecondDerivativeMean"] - 2.0) < TOL  # (2+2)/2
 
 
 def test_base_features_too_short():
     with pytest.raises(WindowTooShort):
-        base_features([60.0, 61.0])
+        base([60.0, 61.0])
 
 
 def test_statistical_features_60_70_80():
@@ -151,7 +163,7 @@ def test_slope_matches_lstsq():
 
 def test_mfcc_constant_window():
     cfg = MfccConfig()
-    got = mfcc_features([70.0] * 16, cfg)
+    got = mfcc([70.0] * 16, cfg)
     assert got.shape == (5,)
     # all band energies at the floor: DCT-II (orthonormal) of a constant vector
     assert abs(got[0] - np.sqrt(cfg.n_mel_bands) * np.log(1e-10)) < TOL
@@ -159,12 +171,12 @@ def test_mfcc_constant_window():
 
 
 def test_mfcc_shapes_and_validation():
-    assert mfcc_features(np.random.default_rng(0).normal(size=32)).shape == (5,)
-    assert mfcc_features(np.zeros(9), MfccConfig(n_mel_bands=6, n_coefficients=3)).shape == (3,)
+    assert mfcc(np.random.default_rng(0).normal(size=32)).shape == (5,)
+    assert mfcc(np.zeros(9), MfccConfig(n_mel_bands=6)).shape == (5,)
     with pytest.raises(WindowTooShort):
-        mfcc_features(np.zeros(7))
+        mfcc(np.zeros(7))
     with pytest.raises(InvalidConfig):
-        MfccConfig(n_mel_bands=4, n_coefficients=5)
+        MfccConfig(n_mel_bands=4)
 
 
 def naive_band_energies(x, cfg, n_fft):
@@ -200,7 +212,7 @@ def test_mel_energy_concentrates_at_band_center():
         f_center = edges[band + 1]
         t = np.arange(w)
         x = np.sin(2 * np.pi * f_center * t)
-        lib = mel_band_energies(x, cfg)
+        lib = mel_band_energies(one_row(x), cfg)[0]
         oracle = naive_band_energies(x, cfg, 64)
         assert np.max(np.abs(lib - oracle)) < 1e-9 * max(1.0, oracle.max())
         assert int(np.argmax(lib)) == band
@@ -291,7 +303,7 @@ def test_feature_matrix_preserves_row_order():
     matrix = feature_matrix(rows, FeatureSetKind.BASE)
     assert matrix.shape == (2, 6)
     for row, features in zip(rows, matrix):
-        assert np.array_equal(features, base_features(row))
+        assert np.array_equal(features, base(row))
     assert matrix[0, 2] == 4.5 and matrix[1, 2] == 9.5  # 0_Mean
 
 

@@ -15,7 +15,6 @@ from hractivity.errors import (
     UnknownLabel,
 )
 from hractivity.ingest import (
-    CsvSchema,
     parse_corpus,
     resample_uniform,
     serialize_corpus,
@@ -123,7 +122,7 @@ def test_parse_filters_other_devices(tmp_path):
     assert corpus[0].device_id == "Apple Watch"
     assert len(corpus[0]) == 1
 
-    everything = parse_corpus(p, CsvSchema(device_filter=None))
+    everything = parse_corpus(p, device_filter=None)
     assert {s.device_id for s in everything} == {"Apple Watch", "Fitbit"}
 
 
@@ -159,9 +158,8 @@ def test_parse_directory_collects_all_files(tmp_path):
 def test_round_trip_identity(tmp_path):
     spec = SyntheticCohortSpec(n_subjects=4, n_groups=2, seed=7)
     corpus, _ = generate_synthetic(spec)
-    schema = CsvSchema(device_filter=None)
-    serialize_corpus(corpus, tmp_path / "out", schema)
-    back = parse_corpus(tmp_path / "out", schema)
+    serialize_corpus(corpus, tmp_path / "out")
+    back = parse_corpus(tmp_path / "out", device_filter=None)
     assert len(back) == len(corpus)
     for a, b in zip(corpus, back):
         assert a.subject_id == b.subject_id
@@ -261,17 +259,16 @@ def test_parse_empty_directory(tmp_path):
 # -- the column-wise reader against a DictReader reference --------------------
 
 def assert_parse_matches_reference(path, device_filter="Apple Watch"):
-    schema = CsvSchema(device_filter=device_filter)
     try:
         expected = parse_corpus_reference(path, device_filter=device_filter)
     except ReferenceRowError as exc:
         kind, message = exc.args
         with pytest.raises(DataError) as info:
-            parse_corpus(path, schema)
+            parse_corpus(path, device_filter)
         assert type(info.value).__name__ == kind
         assert str(info.value) == message
         return
-    corpus = parse_corpus(path, schema)
+    corpus = parse_corpus(path, device_filter)
     assert len(corpus) == len(expected)
     for series, (subject, device, ts, bpm, labels) in zip(corpus, expected):
         assert (series.subject_id, series.device_id) == (subject, device)

@@ -2,7 +2,12 @@
 
 import numpy as np
 import pytest
-from oracles import net_backward_reference, net_forward_reference, net_train_reference
+from oracles import (
+    load_net,
+    net_backward_reference,
+    net_forward_reference,
+    net_train_reference,
+)
 
 from hractivity.errors import EmptyDataset, InvalidConfig, ShapeMismatch, UnknownLabel
 from hractivity.neuralnet import (
@@ -16,7 +21,6 @@ from hractivity.neuralnet import (
     flatten_dim,
     forward,
     gradient_check,
-    load_net,
     parameter_count,
     predict,
     save_net,

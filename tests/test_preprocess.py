@@ -149,14 +149,14 @@ def test_fit_scaler_example():
     scaler = fit_scaler([[0.0], [2.0]])
     assert scaler.mean[0] == 1.0
     assert abs(scaler.std[0] - np.sqrt(2.0)) < 1e-15
-    assert apply_scaler(scaler, [1.0])[0] == 0.0
+    assert apply_scaler(scaler, [[1.0]])[0, 0] == 0.0
 
 
 def test_scaler_constant_dimension_guard():
     scaler = fit_scaler([[5.0, 1.0], [5.0, 3.0]])
     assert scaler.std[0] == 1.0  # guard replaces ~0 std
-    out = apply_scaler(scaler, [5.0, 2.0])
-    assert out[0] == 0.0
+    out = apply_scaler(scaler, [[5.0, 2.0]])
+    assert out[0, 0] == 0.0
 
 
 def test_scaler_normalizes_its_training_set():
@@ -171,7 +171,9 @@ def test_scaler_normalizes_its_training_set():
 def test_apply_scaler_dimension_mismatch():
     scaler = fit_scaler([[0.0, 1.0], [2.0, 3.0]])
     with pytest.raises(DimensionMismatch):
-        apply_scaler(scaler, [1.0, 2.0, 3.0])
+        apply_scaler(scaler, [[1.0, 2.0, 3.0]])
+    with pytest.raises(DimensionMismatch):  # a single vector is a (1, d) matrix
+        apply_scaler(scaler, [1.0, 2.0])
 
 
 def test_scaler_shape_validation():

@@ -6,7 +6,7 @@ from itertools import combinations
 import numpy as np
 import pytest
 
-from oracles import solve_svm_dual_qp, svm_dual_objective
+from oracles import load_ovo, solve_svm_dual_qp, svm_dual_objective
 
 from hractivity import svm
 from hractivity.errors import DimensionMismatch, NonFiniteFeature, SingleClassInput
@@ -18,9 +18,7 @@ from hractivity.svm import (
     KernelKind,
     KernelSpec,
     OvoSvm,
-    dual_objective,
     kkt_violation,
-    load_ovo,
     predict_ovo,
     save_ovo,
     train_binary,
@@ -91,7 +89,7 @@ def test_xor_rbf_separates():
     gram = model.kernel.matrix(x, x)
     oracle_alpha = solve_svm_dual_qp(gram, y, 10.0)
     w_oracle = svm_dual_objective(oracle_alpha, y, gram)
-    w_smo = dual_objective(model.alpha, y, gram)
+    w_smo = svm_dual_objective(model.alpha, y, gram)
     assert abs(w_smo - w_oracle) <= 1e-3 * max(1.0, abs(w_oracle))
 
 
@@ -124,7 +122,7 @@ def test_dual_matches_qp_oracle_random_instances():
         model = train_binary(x, y, kernel, c=1.0, tol=1e-4)
         gram = model.kernel.matrix(x, x)
         w_oracle = svm_dual_objective(solve_svm_dual_qp(gram, y, 1.0), y, gram)
-        w_smo = dual_objective(model.alpha, y, gram)
+        w_smo = svm_dual_objective(model.alpha, y, gram)
         assert abs(w_smo - w_oracle) <= 1e-3 * max(1.0, abs(w_oracle)), trial
         assert kkt_violation(model, x, y) <= 1e-4 + 1e-6
         assert kkt_violation(model, x, y) == kkt_violation_loop(model, x, y)
