@@ -14,7 +14,8 @@ without rebuilding the old tree.
 
 The runs cover `generate`, `ingest` (resampled), `cluster` in every space,
 every `eval` protocol (leave-subject-out, random-window, within-cluster,
-cross-cluster, routed per subject and per window, and a Model1 net), a 2x2
+cross-cluster, routed per subject and per window, and a Model1 net), an
+`eval` on base + MFCC features fed with the windows, a 2x2
 `sweep`, `importance`, `timeline` and `train`, all on one generated
 6-subject cohort. Every path written into a config is relative to a fresh
 working directory, so run ids do not depend on where the script runs.
@@ -65,6 +66,7 @@ RUNS = {
     "eval-routed-per_window": ("eval", "[standardization]\nmode = feature\n"
                                        "[clustering]\nk = 2\nrouting = per_window\n"),
     "eval-net-model1": ("eval", "[model]\nkind = net\narch = model1\nepochs = 2\n"),
+    "eval-base_mfcc": ("eval", "[features]\nkind = base_mfcc\n[model]\ninputs = both\n"),
     "sweep": ("sweep", ""),
     "importance": ("importance", ""),
     "timeline": ("timeline", ""),

@@ -50,7 +50,6 @@ class ExperimentConfig:
 
     # [features]
     feature_kind: FeatureSetKind | None = FeatureSetKind.STAT_TEMPORAL
-    on_standardized_input: bool = False
     n_mel_bands: int = 10
 
     # [model]
@@ -94,15 +93,6 @@ class ExperimentConfig:
         if self.seed < 0:
             raise ConfigError("run.seed is mandatory (set it in [run] or pass --seed)")
         return self.seed
-
-
-def _parse_bool(text: str) -> bool:
-    lowered = text.strip().lower()
-    if lowered in ("true", "yes", "on", "1"):
-        return True
-    if lowered in ("false", "no", "off", "0"):
-        return False
-    raise ValueError(f"not a boolean: {text!r}")
 
 
 def _parse_int_tuple(text: str) -> tuple[int, ...]:
@@ -156,7 +146,6 @@ _KEYS: dict[tuple[str, str], tuple[str, object]] = {
     ("windows", "strides"): ("strides", _parse_int_tuple),
     ("standardization", "mode"): ("standardization", _enum_parser(StandardizationMode)),
     ("features", "kind"): ("feature_kind", _optional(_enum_parser(FeatureSetKind))),
-    ("features", "on_standardized_input"): ("on_standardized_input", _parse_bool),
     ("features", "n_mel_bands"): ("n_mel_bands", int),
     ("model", "kind"): ("model_kind", _choice("svm", "net")),
     ("model", "inputs"): ("svm_inputs", _choice("windows", "features", "both")),
@@ -208,12 +197,12 @@ def load_config(path: str | Path | None, overrides: dict[str, object] | None = N
             for key, raw in parser.items(section):
                 spec = _KEYS.get((section, key))
                 if spec is None:
-                    raise ConfigError(f"unknown config key [{section}] {key}")
+                    raise ConfigError(f"unknown config key {section}.{key}")
                 field_name, parse = spec
                 try:
                     values[field_name] = parse(raw)
                 except ValueError as exc:
-                    raise ConfigError(f"bad value for [{section}] {key}: {exc}") from exc
+                    raise ConfigError(f"bad value for {section}.{key}: {exc}") from exc
     for field_name, value in (overrides or {}).items():
         if value is not None:
             values[field_name] = value
@@ -248,9 +237,6 @@ def _validate(cfg: ExperimentConfig) -> None:
          "corpus.resample_period_s must be a finite number >= 0"),
         (cfg.subjects >= 1, "synthetic.subjects must be positive"),
         (cfg.groups >= 1, "synthetic.groups must be positive"),
-        (not cfg.on_standardized_input,
-         "features.on_standardized_input = true has no effect: features are always "
-         "computed from the windows as standardized by standardization.mode"),
     ]
     for ok, message in checks:
         if not ok:
@@ -289,8 +275,6 @@ def check_protocol(cfg: ExperimentConfig, command: str) -> None:
 def _render(value) -> str:
     if value is None:
         return "none"
-    if isinstance(value, bool):
-        return "true" if value else "false"
     if isinstance(value, float):
         return repr(value)
     if isinstance(value, tuple):

@@ -695,9 +695,11 @@ def misclassification_timeline(
     n = len(series)
     centers = ds.starts + (cfg.window_size - 1) / 2.0
     steps = np.arange(n)
-    # distance ties resolve to the earlier (lower-center) window
-    dist = np.abs(steps[:, None] - centers[None, :])
-    nearest = dist.argmin(axis=1)
+    # centers ascend: the nearest is the first center at or after the step or
+    # the one before it, and distance ties resolve to the earlier window
+    after = np.minimum(np.searchsorted(centers, steps), centers.size - 1)
+    before = np.maximum(after - 1, 0)
+    nearest = np.where(steps - centers[before] <= centers[after] - steps, before, after)
     per_step_pred = window_preds[nearest]
 
     true_labels = np.array([int(v) for v in series.labels], dtype=np.int64)

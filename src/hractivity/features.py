@@ -11,7 +11,6 @@ import enum
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.fft import dct, rfft
 
 from .errors import InvalidConfig, NonFiniteFeature, WindowTooShort
 
@@ -68,13 +67,10 @@ class FeatureSetKind(enum.Enum):
 @dataclass(frozen=True)
 class MfccConfig:
     n_mel_bands: int = 10
-    sample_rate_hz: float = 1.0
 
     def __post_init__(self):
         if self.n_mel_bands < N_MFCC:
             raise InvalidConfig(f"n_mel_bands must be at least {N_MFCC}")
-        if self.sample_rate_hz <= 0:
-            raise InvalidConfig("sample_rate_hz must be positive")
 
     def names(self) -> tuple[str, ...]:
         return tuple(f"0_MFCC{i}" for i in range(N_MFCC))
@@ -131,9 +127,10 @@ def statistical_matrix(mat: np.ndarray) -> np.ndarray:
     n, w = mat.shape
     mean = mat.mean(axis=1)
     centered = mat - mean[:, None]
-    m2 = (centered**2).mean(axis=1)
-    m3 = (centered**3).mean(axis=1)
-    m4 = (centered**4).mean(axis=1)
+    sq = centered * centered
+    m2 = sq.mean(axis=1)
+    m3 = (sq * centered).mean(axis=1)
+    m4 = (sq * sq).mean(axis=1)
     nonzero = m2 > 0
     skew = np.zeros(n)
     kurt = np.zeros(n)
@@ -240,13 +237,15 @@ def mel_to_hz(m):
 def mel_filterbank(cfg: MfccConfig, n_fft: int) -> np.ndarray:
     """Triangular filters on the rfft bin grid, shape (n_mel_bands, n_fft//2+1).
 
-    Band edges are mel-spaced between 0 and sample_rate/2; band b rises over
+    Frequencies are normalized, in cycles per sample, so the bank does not
+    depend on the series' sampling period; the mel formula reads them as Hz,
+    and far below its 700 Hz knee it is close to linear. Band edges are
+    mel-spaced between 0 and the Nyquist frequency 0.5; band b rises over
     [edge_b, edge_{b+1}] and falls over [edge_{b+1}, edge_{b+2}], so the bin
-    at 0 Hz always gets weight 0.
+    at 0 always gets weight 0.
     """
-    edges_mel = np.linspace(0.0, hz_to_mel(cfg.sample_rate_hz / 2.0), cfg.n_mel_bands + 2)
-    edges = mel_to_hz(edges_mel)
-    freqs = np.fft.rfftfreq(n_fft, d=1.0 / cfg.sample_rate_hz)
+    edges = mel_to_hz(np.linspace(0.0, hz_to_mel(0.5), cfg.n_mel_bands + 2))
+    freqs = np.fft.rfftfreq(n_fft)
     bank = np.zeros((cfg.n_mel_bands, freqs.size))
     for b in range(cfg.n_mel_bands):
         left, center, right = edges[b], edges[b + 1], edges[b + 2]
@@ -256,21 +255,28 @@ def mel_filterbank(cfg: MfccConfig, n_fft: int) -> np.ndarray:
     return bank
 
 
+def _dct_basis(n: int) -> np.ndarray:
+    """The first N_MFCC rows of the orthonormal DCT-II basis of length n."""
+    k = np.arange(N_MFCC)[:, None]
+    basis = np.cos(np.pi * k * (2 * np.arange(n) + 1) / (2 * n)) * np.sqrt(2.0 / n)
+    basis[0] /= np.sqrt(2.0)
+    return basis
+
+
 def mel_band_energies(mat: np.ndarray, cfg: MfccConfig = MfccConfig()) -> np.ndarray:
     """Row-wise filterbank outputs of the single-frame pipeline, before the log."""
     _require_width(mat, 8)
     w = mat.shape[1]
     frame = (mat - mat.mean(axis=1, keepdims=True)) * np.hanning(w)
     n_fft = _next_pow2(w)
-    spectrum = np.abs(rfft(frame, n=n_fft, axis=1))
+    spectrum = np.abs(np.fft.rfft(frame, n=n_fft, axis=1))
     return spectrum @ mel_filterbank(cfg, n_fft).T
 
 
 def mfcc_matrix(mat: np.ndarray, cfg: MfccConfig = MfccConfig()) -> np.ndarray:
     energies = mel_band_energies(mat, cfg)
     log_e = np.log(np.maximum(energies, LOG_FLOOR))
-    coefficients = dct(log_e, type=2, norm="ortho", axis=1)
-    return coefficients[:, :N_MFCC]
+    return log_e @ _dct_basis(cfg.n_mel_bands).T
 
 
 def feature_names(kind: FeatureSetKind, mfcc: MfccConfig = MfccConfig()) -> tuple[str, ...]:

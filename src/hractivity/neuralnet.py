@@ -85,7 +85,6 @@ class NetModel:
     config: NetConfig
     params: dict  # name -> float64 array
     training_log: list = field(default_factory=list)  # per-epoch mean loss
-    dropout_calls: int = 0  # counts train-mode forwards; names the mask stream
 
 
 def _layer_sizes(arch: ArchitectureId, cfg: NetConfig) -> list[tuple[str, int, int]]:
@@ -167,11 +166,13 @@ def _im2col(model: NetModel, windows, hc) -> np.ndarray:
     )
 
 
-def _forward(model: NetModel, cols, hc, train_mode: bool):
+def _forward(model: NetModel, cols, hc, rng=None):
     """Class scores plus every intermediate needed by _backward.
 
-    Conv activations are channels-last, (n, L-4, 16); only the pooled block
-    is transposed to the channel-major flat vector that fc1 reads.
+    ``rng`` is the dropout generator of a training step; None means eval
+    mode, with no dropout. Conv activations are channels-last, (n, L-4, 16);
+    only the pooled block is transposed to the channel-major flat vector
+    that fc1 reads.
     """
     cfg = model.config
     p = model.params
@@ -183,13 +184,8 @@ def _forward(model: NetModel, cols, hc, train_mode: bool):
     )
     # ReLU and inverted dropout as one multiplier that _backward reuses
     gate = conv_pre > 0.0
-    if train_mode and cfg.dropout_p > 0.0:
-        mask_rng = np.random.default_rng(
-            np.random.SeedSequence(entropy=(int(cfg.seed), 1, model.dropout_calls))
-        )
-        model.dropout_calls += 1
-        keep = mask_rng.random((n, CONV_CHANNELS, conv_len)) >= cfg.dropout_p
-        gate &= keep.transpose(0, 2, 1)
+    if rng is not None and cfg.dropout_p > 0.0:
+        gate &= rng.random(gate.shape) >= cfg.dropout_p
         gate = gate * (1.0 / (1.0 - cfg.dropout_p))
     act = conv_pre * gate
 
@@ -227,9 +223,10 @@ def _forward(model: NetModel, cols, hc, train_mode: bool):
     return scores, cache
 
 
-def forward(model: NetModel, windows, hc=None, train_mode: bool = False) -> np.ndarray:
+def forward(model: NetModel, windows, hc=None) -> np.ndarray:
+    """Eval-mode class scores."""
     windows, hc = _check_batch(model, windows, hc)
-    scores, _ = _forward(model, _im2col(model, windows, hc), hc, train_mode)
+    scores, _ = _forward(model, _im2col(model, windows, hc), hc)
     return scores
 
 
@@ -307,7 +304,8 @@ def _backward(model: NetModel, cache, probs, labels):
 def train(model: NetModel, windows, hc, labels) -> NetModel:
     """Adam on mean softmax cross-entropy; in-place, returns the same model.
 
-    All parameters live in one flat vector for the run, ``model.params``
+    Every dropout mask of the call comes from one (seed, 1) generator. All
+    parameters live in one flat vector for the run, ``model.params``
     holding reshaped views into it, so each Adam step is a few whole-vector
     in-place operations.
     """
@@ -336,6 +334,7 @@ def train(model: NetModel, windows, hc, labels) -> NetModel:
     scratch = np.empty_like(theta)
     denom = np.empty_like(theta)
     step = 0
+    dropout_rng = np.random.default_rng(np.random.SeedSequence(entropy=(int(cfg.seed), 1)))
     shuffle_rng = np.random.default_rng(np.random.SeedSequence(entropy=(int(cfg.seed), 2)))
 
     for _ in range(cfg.epochs):
@@ -343,7 +342,7 @@ def train(model: NetModel, windows, hc, labels) -> NetModel:
         epoch_loss = 0.0
         for start in range(0, n, cfg.batch_size):
             batch = order[start : start + cfg.batch_size]
-            scores, cache = _forward(model, cols[batch], hc[batch], train_mode=True)
+            scores, cache = _forward(model, cols[batch], hc[batch], dropout_rng)
             shifted, e, z = _exp_scores(scores)
             epoch_loss += _mean_nll(shifted, z, labels[batch]) * batch.size
             grads = _backward(model, cache, e / z, labels[batch])
@@ -372,7 +371,7 @@ def train(model: NetModel, windows, hc, labels) -> NetModel:
 
 
 def predict(model: NetModel, windows, hc=None) -> np.ndarray:
-    return np.argmax(forward(model, windows, hc, train_mode=False), axis=1)
+    return np.argmax(forward(model, windows, hc), axis=1)
 
 
 def gradient_check(model: NetModel, windows, hc, labels, n_params: int = 200,
@@ -385,7 +384,7 @@ def gradient_check(model: NetModel, windows, hc, labels, n_params: int = 200,
     windows, hc = _check_batch(model, windows, hc)
     labels = np.asarray(labels, dtype=np.int64)
     cols = _im2col(model, windows, hc)
-    scores, cache = _forward(model, cols, hc, train_mode=False)
+    scores, cache = _forward(model, cols, hc)
     grads = _backward(model, cache, softmax(scores), labels)
 
     names = sorted(model.params)
@@ -407,9 +406,9 @@ def gradient_check(model: NetModel, windows, hc, labels, n_params: int = 200,
         view = model.params[name].reshape(-1)
         saved = view[local]
         view[local] = saved + step
-        up = cross_entropy(_forward(model, cols, hc, train_mode=False)[0], labels)
+        up = cross_entropy(_forward(model, cols, hc)[0], labels)
         view[local] = saved - step
-        down = cross_entropy(_forward(model, cols, hc, train_mode=False)[0], labels)
+        down = cross_entropy(_forward(model, cols, hc)[0], labels)
         view[local] = saved
         numeric = (up - down) / (2.0 * step)
         analytic = grads[name].reshape(-1)[local]

@@ -142,13 +142,13 @@ def _cross_entropy(scores, labels):
     return float(np.mean(log_z - shifted[np.arange(scores.shape[0]), labels]))
 
 
-def net_forward_reference(model, windows, hc, train_mode):
+def net_forward_reference(model, windows, hc, rng=None):
     """Scores and intermediates with channel-major conv activations (n, 16, L-4).
 
     The conv is an einsum over shifted views and the 2/2 max pool an argmax,
-    so ties go to the left element.  A train-mode call draws its dropout mask
-    from the same (seed, 1, dropout_calls) stream as the library and advances
-    ``model.dropout_calls``.
+    so ties go to the left element.  With a generator ``rng`` (train mode)
+    the dropout uniforms are drawn from it in (n, L-4, 16) order, as the
+    library draws them, and transposed to channel-major.
     """
     cfg = model.config
     p = model.params
@@ -159,12 +159,10 @@ def net_forward_reference(model, windows, hc, train_mode):
     conv_pre = np.einsum("nlk,ck->ncl", cols, p["conv_w"]) + p["conv_b"][None, :, None]
     act = np.maximum(conv_pre, 0.0)
     drop_mask = None
-    if train_mode and cfg.dropout_p > 0.0:
-        mask_rng = np.random.default_rng(
-            np.random.SeedSequence(entropy=(int(cfg.seed), 1, model.dropout_calls))
-        )
-        model.dropout_calls += 1
-        drop_mask = (mask_rng.random(act.shape) >= cfg.dropout_p) / (1.0 - cfg.dropout_p)
+    if rng is not None and cfg.dropout_p > 0.0:
+        n, channels, conv_len = act.shape
+        uniforms = rng.random((n, conv_len, channels)).transpose(0, 2, 1)
+        drop_mask = (uniforms >= cfg.dropout_p) / (1.0 - cfg.dropout_p)
         act = act * drop_mask
 
     n, channels, conv_len = act.shape
@@ -240,7 +238,10 @@ def net_backward_reference(model, cache, scores, labels):
 
 
 def net_train_reference(model, windows, hc, labels):
-    """Minibatch Adam with one (m, v) pair per parameter tensor, updated in turn."""
+    """Minibatch Adam with one (m, v) pair per parameter tensor, updated in turn.
+
+    Every batch's dropout mask comes from one (seed, 1) generator.
+    """
     cfg = model.config
     windows = np.asarray(windows, dtype=np.float64)
     _, hc = _net_signal(model, windows, hc)
@@ -249,13 +250,14 @@ def net_train_reference(model, windows, hc, labels):
     m = {k: np.zeros_like(v) for k, v in model.params.items()}
     v = {k: np.zeros_like(vv) for k, vv in model.params.items()}
     step = 0
+    dropout_rng = np.random.default_rng(np.random.SeedSequence(entropy=(int(cfg.seed), 1)))
     shuffle_rng = np.random.default_rng(np.random.SeedSequence(entropy=(int(cfg.seed), 2)))
     for _ in range(cfg.epochs):
         order = shuffle_rng.permutation(n)
         epoch_loss = 0.0
         for start in range(0, n, cfg.batch_size):
             batch = order[start : start + cfg.batch_size]
-            scores, cache = net_forward_reference(model, windows[batch], hc[batch], True)
+            scores, cache = net_forward_reference(model, windows[batch], hc[batch], dropout_rng)
             epoch_loss += _cross_entropy(scores, labels[batch]) * batch.size
             grads = net_backward_reference(model, cache, scores, labels[batch])
             step += 1
@@ -301,6 +303,74 @@ def permutation_importance_reference(clf, windows, hc, labels, repeats=5, seed=0
             drops.append(base - balanced(clf.predict(shuffled[:, :w_dim], shuffled[:, w_dim:])))
         out[dim] = np.mean(drops)
     return out
+
+
+# -- MFCC: a loop-based DFT, the triangle formula and a loop-based DCT-II -----
+
+def _mel(f):
+    return 2595.0 * math.log10(1.0 + f / 700.0)
+
+
+def _inverse_mel(m):
+    return 700.0 * (10.0 ** (m / 2595.0) - 1.0)
+
+
+def dft_magnitudes_reference(frame, n_fft):
+    """|X_k| for k = 0..n_fft/2 of the zero-padded frame, one bin at a time."""
+    padded = np.zeros(n_fft)
+    padded[: len(frame)] = frame
+    t = np.arange(n_fft)
+    mags = np.empty(n_fft // 2 + 1)
+    for k in range(mags.size):
+        angle = -2.0 * np.pi * k * t / n_fft
+        mags[k] = math.hypot(float(padded @ np.cos(angle)), float(padded @ np.sin(angle)))
+    return mags
+
+
+def mel_band_energies_reference(x, n_mel_bands=10):
+    """Filterbank outputs of one window, on normalized frequency (Nyquist 0.5)."""
+    x = np.asarray(x, dtype=np.float64)
+    n_fft = 1
+    while n_fft < len(x):
+        n_fft *= 2
+    mags = dft_magnitudes_reference((x - x.mean()) * np.hanning(len(x)), n_fft)
+    freqs = np.arange(mags.size) / n_fft
+    top = _mel(0.5)
+    edges = [_inverse_mel(top * i / (n_mel_bands + 1)) for i in range(n_mel_bands + 2)]
+    energies = np.zeros(n_mel_bands)
+    for b in range(n_mel_bands):
+        left, center, right = edges[b], edges[b + 1], edges[b + 2]
+        for f, mag in zip(freqs, mags):
+            weight = max(0.0, min((f - left) / (center - left), (right - f) / (right - center)))
+            energies[b] += weight * mag
+    return energies
+
+
+def dct2_ortho_reference(values):
+    """Orthonormal DCT-II, one coefficient at a time."""
+    n = len(values)
+    out = np.empty(n)
+    for k in range(n):
+        total = sum(v * math.cos(math.pi * k * (2 * i + 1) / (2 * n)) for i, v in enumerate(values))
+        out[k] = total * math.sqrt((1.0 if k == 0 else 2.0) / n)
+    return out
+
+
+def mfcc_reference(x, n_mel_bands=10):
+    """The first five coefficients of the DCT-II of the floored log band energies."""
+    energies = mel_band_energies_reference(x, n_mel_bands)
+    logs = [math.log(max(e, 1e-10)) for e in energies]
+    return dct2_ortho_reference(logs)[:5]
+
+
+# -- timeline: the nearest window center by a dense distance matrix ------------
+
+def nearest_window_reference(n_samples, window_size, stride):
+    """Index of the window whose center is nearest each timestep; ties to the earlier."""
+    starts = np.arange(0, n_samples - window_size + 1, stride)
+    centers = starts + (window_size - 1) / 2.0
+    dist = np.abs(np.arange(n_samples)[:, None] - centers[None, :])
+    return dist.argmin(axis=1)
 
 
 # -- windowing: one window at a time ------------------------------------------

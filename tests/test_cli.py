@@ -2,6 +2,9 @@
 
 import hashlib
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -338,11 +341,12 @@ def test_non_uniform_corpus_is_refused_until_resampled(tiny_corpus, capsys):
     ("eval", "[clustering]\nrouting = per_subject\nspace = mean_bpm_profile\n",
      ("clustering.routing", "clustering.space")),
     ("importance", "[importance]\nrepeats = 4\n", ("importance.repeats",)),
+    ("eval", "[clustering]\nrestart = 3\n", ("unknown config key clustering.restart",)),
 ], ids=["eval-routing-random_window", "sweep-routing", "sweep-within_cluster_loso",
         "sweep-cross_cluster", "eval-test_cluster-ge-k", "eval-train_cluster-ge-k",
         "eval-on_standardized_input", "cluster-on_standardized_input",
         "eval-train_cluster-eq-test_cluster", "eval-routing-profile_space",
-        "importance-repeats-lt-5"])
+        "importance-repeats-lt-5", "eval-unknown-key"])
 def test_ignored_settings_are_refused(tiny_corpus, capsys, monkeypatch, command, extra, keys):
     ini, _, runs = tiny_corpus
     bad = write_ini(ini.with_name("bad.ini"), ini.read_text() + extra)
@@ -359,3 +363,12 @@ def test_ignored_settings_are_refused(tiny_corpus, capsys, monkeypatch, command,
         assert key in err, key
     assert "Traceback" not in err
     assert not runs.exists() or not any(runs.iterdir())
+
+
+def test_cli_import_loads_no_scipy():
+    src = Path(cli.__file__).resolve().parents[1]
+    code = "import sys, hractivity.cli; print(sorted(m for m in sys.modules if m.startswith('scipy')))"
+    env = {**os.environ, "PYTHONPATH": str(src)}
+    done = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                          text=True, check=True)
+    assert done.stdout.strip() == "[]"

@@ -2,7 +2,7 @@
 
 import numpy as np
 import pytest
-from oracles import permutation_importance_reference
+from oracles import nearest_window_reference, permutation_importance_reference
 
 from hractivity import clustering, evaluation
 from hractivity.clustering import ClusterSpace, fit_cluster_model
@@ -373,6 +373,32 @@ def test_timeline_nearest_center_tie_to_earlier():
     rec = misclassification_timeline(clf, series, WindowConfig(4, 2))
     # t=2 is 0.5 from both centers 1.5 and 3.5 -> earlier window wins
     assert rec.predicted[2] == rec.predicted[1]
+
+
+def test_timeline_nearest_center_matches_dense_reference():
+    for n in [*range(2, 30, 3), 29, 47, 64, 101]:
+        series = constant_series(n=n)
+        for w in range(2, min(n, 29) + 1):
+            for stride in range(1, 25):
+                n_windows = (n - w) // stride + 1
+                rec = misclassification_timeline(FixedAnswers(np.arange(n_windows)), series,
+                                                 WindowConfig(w, stride))
+                want = nearest_window_reference(n, w, stride)
+                assert np.array_equal(rec.predicted, want), (n, w, stride)
+
+
+def test_timeline_memory_is_linear_in_series_length():
+    import tracemalloc
+
+    series = constant_series(n=8000)
+    clf = FixedAnswers(np.zeros(8000, dtype=int))
+    tracemalloc.start()
+    try:
+        misclassification_timeline(clf, series, WindowConfig(50, 10))
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 10 * 2**20, peak
 
 
 def test_timeline_too_short():

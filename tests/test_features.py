@@ -2,7 +2,7 @@
 
 import numpy as np
 import pytest
-from oracles import order_statistics_reference
+from oracles import mel_band_energies_reference, mfcc_reference, order_statistics_reference
 
 from hractivity.errors import InvalidConfig, WindowTooShort
 from hractivity.features import (
@@ -179,29 +179,19 @@ def test_mfcc_shapes_and_validation():
         MfccConfig(n_mel_bands=4)
 
 
-def naive_band_energies(x, cfg, n_fft):
-    """O(N^2) DFT + filterbank built straight from the triangle formula."""
-    x = np.asarray(x, float)
-    frame = (x - x.mean()) * np.hanning(len(x))
-    padded = np.zeros(n_fft)
-    padded[: len(x)] = frame
-    freqs = np.arange(n_fft // 2 + 1) * cfg.sample_rate_hz / n_fft
-    mags = np.empty(freqs.size)
-    for i, k in enumerate(range(n_fft // 2 + 1)):
-        re = sum(padded[n] * np.cos(-2 * np.pi * k * n / n_fft) for n in range(n_fft))
-        im = sum(padded[n] * np.sin(-2 * np.pi * k * n / n_fft) for n in range(n_fft))
-        mags[i] = np.hypot(re, im)
-    edges = mel_to_hz(np.linspace(0.0, hz_to_mel(cfg.sample_rate_hz / 2.0), cfg.n_mel_bands + 2))
-    energies = np.zeros(cfg.n_mel_bands)
-    for b in range(cfg.n_mel_bands):
-        left, center, right = edges[b], edges[b + 1], edges[b + 2]
-        weights = np.clip(
-            np.minimum((freqs - left) / (center - left), (right - freqs) / (right - center)),
-            0.0,
-            None,
-        )
-        energies[b] = float(weights @ mags)
-    return energies
+@pytest.mark.parametrize("w", [8, 9, 16, 50, 51, 80, 120])
+@pytest.mark.parametrize("n_mel_bands", [5, 10, 16])
+def test_mfcc_pipeline_matches_loop_references(w, n_mel_bands):
+    cfg = MfccConfig(n_mel_bands=n_mel_bands)
+    mat = np.random.default_rng(w).normal(70.0, 8.0, size=(4, w))
+    energies = mel_band_energies(mat, cfg)
+    coefficients = mfcc_matrix(mat, cfg)
+    assert coefficients.shape == (4, 5)
+    for row, x in enumerate(mat):
+        want = mel_band_energies_reference(x, n_mel_bands)
+        assert np.max(np.abs(energies[row] - want)) < 1e-12 * max(1.0, np.abs(want).max())
+        want = mfcc_reference(x, n_mel_bands)
+        assert np.max(np.abs(coefficients[row] - want)) < 1e-12 * max(1.0, np.abs(want).max())
 
 
 def test_mel_energy_concentrates_at_band_center():
@@ -213,7 +203,7 @@ def test_mel_energy_concentrates_at_band_center():
         t = np.arange(w)
         x = np.sin(2 * np.pi * f_center * t)
         lib = mel_band_energies(one_row(x), cfg)[0]
-        oracle = naive_band_energies(x, cfg, 64)
+        oracle = mel_band_energies_reference(x, cfg.n_mel_bands)
         assert np.max(np.abs(lib - oracle)) < 1e-9 * max(1.0, oracle.max())
         assert int(np.argmax(lib)) == band
         logs = np.log(np.maximum(lib, 1e-10))

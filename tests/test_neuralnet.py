@@ -9,6 +9,7 @@ from oracles import (
     net_train_reference,
 )
 
+from hractivity import neuralnet
 from hractivity.errors import EmptyDataset, InvalidConfig, ShapeMismatch, UnknownLabel
 from hractivity.neuralnet import (
     ArchitectureId,
@@ -74,19 +75,26 @@ def test_eval_forward_deterministic_and_pure():
     model = build(ArchitectureId.MODEL3, NetConfig(window_size=30, hc_dim=4, seed=2))
     rng = np.random.default_rng(5)
     w, h = rng.normal(size=(8, 30)), rng.normal(size=(8, 4))
+    params = {k: v.copy() for k, v in model.params.items()}
     first = forward(model, w, h)
     assert np.array_equal(first, forward(model, w, h))
-    assert model.dropout_calls == 0  # eval passes must not touch the mask stream
+    assert all(np.array_equal(model.params[k], params[k]) for k in params)
 
 
-def test_train_mode_dropout_differs_and_counts():
+def dropout_stream(seed):
+    """The generator ``train`` draws every dropout mask of one call from."""
+    return np.random.default_rng(np.random.SeedSequence(entropy=(seed, 1)))
+
+
+def test_train_mode_dropout_differs_per_step():
     model = build(ArchitectureId.BASELINE, NetConfig(window_size=30, seed=2))
     rng = np.random.default_rng(5)
-    w = rng.normal(size=(8, 30))
-    a = forward(model, w, train_mode=True)
-    b = forward(model, w, train_mode=True)
-    assert model.dropout_calls == 2
-    assert not np.array_equal(a, b)
+    w, hc = rng.normal(size=(8, 30)), np.zeros((8, 0))
+    cols = _im2col(model, w, hc)
+    stream = dropout_stream(2)
+    a, _ = _forward(model, cols, hc, stream)
+    b, _ = _forward(model, cols, hc, stream)
+    assert not np.array_equal(a, b)  # the stream advances between steps
     assert not np.array_equal(a, forward(model, w))
 
 
@@ -217,8 +225,8 @@ def test_eval_step_matches_reference(arch, f, window_size):
     cfg, w, h, y = step_task(arch, f, window_size, seed=21)
     model = build(arch, cfg)
     hc = h if f else np.zeros((70, 0))
-    scores, cache = _forward(model, _im2col(model, w, hc), hc, train_mode=False)
-    ref_scores, ref_cache = net_forward_reference(model, w, h, train_mode=False)
+    scores, cache = _forward(model, _im2col(model, w, hc), hc)
+    ref_scores, ref_cache = net_forward_reference(model, w, h)
     assert rel_err(scores, ref_scores) < 1e-12
     grads = _backward(model, cache, softmax(scores), y)
     ref_grads = net_backward_reference(model, ref_cache, ref_scores, y)
@@ -232,16 +240,40 @@ def test_eval_step_matches_reference(arch, f, window_size):
 def test_train_mode_drops_the_same_activations(arch, f):
     cfg, w, h, _ = step_task(arch, f, 31, seed=22)
     model, ref = build(arch, cfg), build(arch, cfg)
-    model.dropout_calls = ref.dropout_calls = 5
     hc = h if f else np.zeros((70, 0))
-    scores, cache = _forward(model, _im2col(model, w, hc), hc, train_mode=True)
-    ref_scores, ref_cache = net_forward_reference(ref, w, h, train_mode=True)
-    assert model.dropout_calls == ref.dropout_calls == 6
-    zeroed = cache["gate"] == 0.0  # channels-last (n, L-4, 16)
-    ref_zeroed = ref_cache["act"].transpose(0, 2, 1) == 0.0
-    assert np.array_equal(zeroed, ref_zeroed)
-    assert ref_cache["drop_mask"].min() == 0.0  # some units really were dropped
-    assert rel_err(scores, ref_scores) < 1e-12
+    stream, ref_stream = dropout_stream(22), dropout_stream(22)
+    for _ in range(2):  # the second step draws the stream's next uniforms
+        scores, cache = _forward(model, _im2col(model, w, hc), hc, stream)
+        ref_scores, ref_cache = net_forward_reference(ref, w, h, ref_stream)
+        zeroed = cache["gate"] == 0.0  # channels-last (n, L-4, 16)
+        ref_zeroed = ref_cache["act"].transpose(0, 2, 1) == 0.0
+        assert np.array_equal(zeroed, ref_zeroed)
+        assert ref_cache["drop_mask"].min() == 0.0  # some units really were dropped
+        assert rel_err(scores, ref_scores) < 1e-12
+    assert stream.random() == ref_stream.random()  # both drew the same count
+
+
+def test_train_draws_every_mask_from_one_stream(monkeypatch):
+    # one (seed, 1) generator per train call, masks drawn channels-last in step order
+    cfg, w, _, y = step_task(ArchitectureId.BASELINE, 0, 31, seed=25)
+    model = build(ArchitectureId.BASELINE, cfg)
+    steps = []
+
+    def recording_forward(model, cols, hc, rng=None):
+        pre = cols @ model.params["conv_w"].T + model.params["conv_b"]
+        scores, cache = _forward(model, cols, hc, rng)
+        steps.append((pre > 0.0, cache["gate"] != 0.0))
+        return scores, cache
+
+    monkeypatch.setattr(neuralnet, "_forward", recording_forward)
+    for _ in range(2):  # a second call starts the same stream again
+        steps.clear()
+        train(model, w, None, y)
+        stream = dropout_stream(25)
+        assert len(steps) == cfg.epochs * 3
+        for positive, alive in steps:  # both (batch, L-4, 16)
+            keep = stream.random(alive.shape) >= cfg.dropout_p
+            assert np.array_equal(alive, positive & keep)
 
 
 @pytest.mark.parametrize("arch,f", ALL_ARCHS)
@@ -249,7 +281,6 @@ def test_train_matches_reference(arch, f):
     cfg, w, h, y = step_task(arch, f, 31, seed=23)
     model = train(build(arch, cfg), w, h, y)
     ref = net_train_reference(build(arch, cfg), w, h, y)
-    assert model.dropout_calls == ref.dropout_calls == 3 * 3
     for name, want in ref.params.items():
         assert rel_err(model.params[name], want) < 1e-9, name
     assert len(model.training_log) == 3
