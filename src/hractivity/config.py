@@ -218,12 +218,14 @@ def _validate(cfg: ExperimentConfig) -> None:
         (cfg.stride >= 1, "windows.stride must be positive"),
         (all(w >= 1 for w in cfg.window_sizes), "windows.window_sizes must be positive"),
         (all(s >= 1 for s in cfg.strides), "windows.strides must be positive"),
-        (cfg.c > 0, "model.c must be positive"),
-        (cfg.tol > 0, "model.tol must be positive"),
-        (cfg.gamma is None or cfg.gamma > 0, "model.gamma must be positive or auto"),
+        (math.isfinite(cfg.c) and cfg.c > 0, "model.c must be a finite number > 0"),
+        (math.isfinite(cfg.tol) and cfg.tol > 0, "model.tol must be a finite number > 0"),
+        (cfg.gamma is None or (math.isfinite(cfg.gamma) and cfg.gamma > 0),
+         "model.gamma must be a finite number > 0 or auto"),
         (cfg.epochs >= 1, "model.epochs must be positive"),
         (cfg.batch_size >= 1, "model.batch_size must be positive"),
-        (cfg.learning_rate > 0, "model.learning_rate must be positive"),
+        (math.isfinite(cfg.learning_rate) and cfg.learning_rate > 0,
+         "model.learning_rate must be a finite number > 0"),
         (0.0 <= cfg.dropout_p < 1.0, "model.dropout_p must lie in [0, 1)"),
         (cfg.k >= 1, "clustering.k must be positive"),
         (cfg.restarts >= 1, "clustering.restarts must be positive"),

@@ -5,8 +5,10 @@ working-set selection (WSS2; Fan, Chen & Lin, "Working Set Selection Using
 Second Order Information for Training SVM", JMLR 2005), the LIBSVM solver:
 each step takes the maximal violator i over I_up and the partner j over I_low
 with the largest second-order gain, both by vectorized scans of the gradient,
-and moves the pair analytically. Training stops when the maximal-violating-pair
-gap is at most ``tol``; a fit that hits the iteration cap says so through
+and moves the pair analytically. Each curvature row is computed once per
+machine, and the two index sets are masks that each step updates only at the
+pair it moved. Training stops when the maximal-violating-pair gap is at
+most ``tol``; a fit that hits the iteration cap says so through
 ``BinarySvm.converged``.
 """
 
@@ -107,36 +109,71 @@ def train_binary(
     kernel = kernel.resolve(x)
     gram = kernel.matrix(x, x)
     diag = gram.diagonal().copy()
+    # Curvature rows a_ij = K_ii + K_jj - 2 K_ij, non-positive entries set to
+    # TAU, each built the first time its i is picked.  A fit picks the same i
+    # many times and builds from a third to a twentieth of the n rows, so the
+    # full n x n matrix up front would cost more than the steps themselves.
+    curv = {}
     n = x.shape[0]
-    alpha = np.zeros(n)
+    c = float(c)
+    max_iter = MAX_ITER
+    alpha = [0.0] * n
+    pos = (y > 0).tolist()
+    signs = y.tolist()
     # v = -y * (gradient of the dual) = y - K (alpha * y); starts at alpha = 0
     v = y.copy()
-    pos = y > 0
+    # I_up (y * alpha may still grow) and I_low (it may still shrink) as
+    # masks added to a vector: 0 inside the set, -inf outside.  At alpha = 0
+    # I_up holds the positives and I_low the negatives.
+    up = np.where(y > 0, 0.0, -np.inf)
+    low = np.where(y > 0, -np.inf, 0.0)
+    b = np.empty(n)
+    work = np.empty(n)
     iterations = 0
     converged = False
     while True:
-        # I_up: y * alpha may still grow; I_low: it may still shrink
-        v_up = np.where(np.where(pos, alpha < c, alpha > 0.0), v, -np.inf)
-        low = np.where(pos, alpha > 0.0, alpha < c)
-        i = int(v_up.argmax())
-        if v_up[i] - np.where(low, v, np.inf).min() <= tol:
+        np.add(v, up, out=work)
+        i = int(work.argmax())
+        np.subtract(v[i], v, out=b)
+        # max over I_low of v_i - v is m(alpha) - M(alpha): subtraction
+        # rounds monotonically, so it equals v_i - min over I_low of v
+        np.add(b, low, out=work)
+        if work[work.argmax()] <= tol:  # argmax: cheaper than max() on short vectors
             converged = True
             break
-        if iterations >= MAX_ITER:
+        if iterations >= max_iter:
             break
         iterations += 1
-        # j: the violating partner with the largest second-order gain b^2 / a
-        b = v[i] - v
-        a = diag[i] + diag - 2.0 * gram[i]
-        a = np.where(a > 0.0, a, TAU)
-        j = int(np.where(low & (b > 0.0), -(b * b) / a, np.inf).argmin())
+        curv_i = curv.get(i)
+        if curv_i is None:
+            curv_i = curv[i] = diag[i] + diag
+            curv_i -= 2.0 * gram[i]
+            curv_i[curv_i <= 0.0] = TAU
+        # j: the violating partner with the largest second-order gain b^2 / a.
+        # Rows with b <= 0 score 0.  Some row of I_low has b = gap > tol, so
+        # its gain is positive (unless b * b / a underflows, which takes a tol
+        # far below 1e-100), and argmax keeps the first of tied rows, as
+        # argmin of -(b * b) / a over I_low with b > 0 would.
+        np.maximum(b, 0.0, out=work)
+        np.multiply(work, work, out=work)
+        np.divide(work, curv_i, out=work)
+        np.add(work, low, out=work)
+        j = int(work.argmax())
         # move alpha_i by y_i * t and alpha_j by -y_j * t, clipped to the box
-        room_i = c - alpha[i] if pos[i] else alpha[i]
-        room_j = alpha[j] if pos[j] else c - alpha[j]
-        t = min(b[j] / a[j], room_i, room_j)
-        alpha[i] = (c if pos[i] else 0.0) if t == room_i else alpha[i] + y[i] * t
-        alpha[j] = (0.0 if pos[j] else c) if t == room_j else alpha[j] - y[j] * t
-        v -= t * (gram[i] - gram[j])
+        a_i, a_j = alpha[i], alpha[j]
+        room_i = c - a_i if pos[i] else a_i
+        room_j = a_j if pos[j] else c - a_j
+        t = min(float(b[j]) / float(curv_i[j]), room_i, room_j)
+        a_i = alpha[i] = (c if pos[i] else 0.0) if t == room_i else a_i + signs[i] * t
+        a_j = alpha[j] = (0.0 if pos[j] else c) if t == room_j else a_j - signs[j] * t
+        up[i] = 0.0 if (a_i < c if pos[i] else a_i > 0.0) else -np.inf
+        low[i] = 0.0 if (a_i > 0.0 if pos[i] else a_i < c) else -np.inf
+        up[j] = 0.0 if (a_j < c if pos[j] else a_j > 0.0) else -np.inf
+        low[j] = 0.0 if (a_j > 0.0 if pos[j] else a_j < c) else -np.inf
+        np.subtract(gram[i], gram[j], out=work)
+        np.multiply(work, t, out=work)
+        np.subtract(v, work, out=v)
+    alpha = np.array(alpha)
 
     # Threshold from the final multipliers: the mean over free ones, or the
     # middle of the feasible interval when every multiplier sits at a bound.

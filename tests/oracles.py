@@ -1,8 +1,10 @@
 """Independent reference implementations used to cross-check the library.
 
 Everything here is written for clarity over speed and deliberately avoids
-the library's own code paths. The model file readers at the end build the
-library's model classes, since they check that saved models round-trip.
+the library's own code paths. The SVM reference solver takes the library's
+kernel and returns its model class, so that fits compare field by field, and
+the model file readers at the end build the library's model classes, since
+they check that saved models round-trip.
 """
 
 import csv
@@ -14,7 +16,7 @@ from pathlib import Path
 import numpy as np
 
 from hractivity.neuralnet import ArchitectureId, NetConfig, NetModel
-from hractivity.svm import BinarySvm, KernelKind, KernelSpec, OvoSvm
+from hractivity.svm import ALPHA_KEEP, TAU, BinarySvm, KernelKind, KernelSpec, OvoSvm
 
 
 def exhaustive_kmeans_inertia(vectors, k):
@@ -118,6 +120,86 @@ def solve_svm_dual_qp(gram, y, c, iterations=200_000):
             break
         alpha = new
     return alpha
+
+
+def train_binary_reference(x, y, kernel=KernelSpec(), c=1.0, tol=1e-3, max_iter=10_000_000):
+    """WSS2 SMO written step by step: every set, curvature row and candidate
+    vector is recomputed over all n rows at each step.
+
+    The library's train_binary must return the same multipliers bit for bit,
+    the same step count and the same model.
+    """
+    x = np.ascontiguousarray(x, dtype=np.float64)
+    y = np.asarray(y, dtype=np.float64)
+    kernel = kernel.resolve(x)
+    gram = kernel.matrix(x, x)
+    diag = gram.diagonal().copy()
+    n = x.shape[0]
+    alpha = np.zeros(n)
+    # v = -y * (gradient of the dual) = y - K (alpha * y); starts at alpha = 0
+    v = y.copy()
+    pos = y > 0
+    iterations = 0
+    converged = False
+    while True:
+        # I_up: y * alpha may still grow; I_low: it may still shrink
+        v_up = np.where(np.where(pos, alpha < c, alpha > 0.0), v, -np.inf)
+        low = np.where(pos, alpha > 0.0, alpha < c)
+        i = int(v_up.argmax())
+        if v_up[i] - np.where(low, v, np.inf).min() <= tol:
+            converged = True
+            break
+        if iterations >= max_iter:
+            break
+        iterations += 1
+        # j: the violating partner with the largest second-order gain b^2 / a
+        b = v[i] - v
+        a = diag[i] + diag - 2.0 * gram[i]
+        a = np.where(a > 0.0, a, TAU)
+        j = int(np.where(low & (b > 0.0), -(b * b) / a, np.inf).argmin())
+        # move alpha_i by y_i * t and alpha_j by -y_j * t, clipped to the box
+        room_i = c - alpha[i] if pos[i] else alpha[i]
+        room_j = alpha[j] if pos[j] else c - alpha[j]
+        t = min(b[j] / a[j], room_i, room_j)
+        alpha[i] = (c if pos[i] else 0.0) if t == room_i else alpha[i] + y[i] * t
+        alpha[j] = (0.0 if pos[j] else c) if t == room_j else alpha[j] - y[j] * t
+        v -= t * (gram[i] - gram[j])
+
+    # Threshold from the final multipliers: the mean over free ones, or the
+    # middle of the feasible interval when every multiplier sits at a bound.
+    g = (alpha * y) @ gram
+    bias = 0.0
+    eps_b = 1e-10 * max(1.0, c)
+    free = (alpha > eps_b) & (alpha < c - eps_b)
+    if np.any(free):
+        bias = float(np.mean(y[free] - g[free]))
+    else:
+        at_zero = alpha <= eps_b
+        at_c = alpha >= c - eps_b
+        lows = np.concatenate(
+            [(1.0 - g)[at_zero & (y > 0)], (-1.0 - g)[at_c & (y < 0)]]
+        )
+        highs = np.concatenate(
+            [(1.0 - g)[at_c & (y > 0)], (-1.0 - g)[at_zero & (y < 0)]]
+        )
+        if lows.size and highs.size:
+            bias = float((lows.max() + highs.min()) / 2.0)
+        elif lows.size:
+            bias = float(lows.max())
+        elif highs.size:
+            bias = float(highs.min())
+
+    keep = alpha > ALPHA_KEEP
+    return BinarySvm(
+        support_vectors=x[keep].copy(),
+        coef=(alpha * y)[keep],
+        bias=bias,
+        kernel=kernel,
+        c=float(c),
+        alpha=alpha,
+        iterations=iterations,
+        converged=converged,
+    )
 
 
 # -- conv net: the einsum / argmax / per-tensor Adam formulation -------------

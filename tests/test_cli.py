@@ -1,6 +1,8 @@
 """Command-line front end: artifacts, determinism, exit codes."""
 
+import configparser
 import hashlib
+import io
 import json
 import os
 import subprocess
@@ -342,14 +344,25 @@ def test_non_uniform_corpus_is_refused_until_resampled(tiny_corpus, capsys):
      ("clustering.routing", "clustering.space")),
     ("importance", "[importance]\nrepeats = 4\n", ("importance.repeats",)),
     ("eval", "[clustering]\nrestart = 3\n", ("unknown config key clustering.restart",)),
+    ("eval", "[model]\nc = inf\n", ("model.c", "finite")),
+    ("eval", "[model]\ntol = inf\n", ("model.tol", "finite")),
+    ("eval", "[model]\ngamma = inf\n", ("model.gamma", "finite")),
+    ("eval", "[model]\nlearning_rate = inf\n", ("model.learning_rate", "finite")),
 ], ids=["eval-routing-random_window", "sweep-routing", "sweep-within_cluster_loso",
         "sweep-cross_cluster", "eval-test_cluster-ge-k", "eval-train_cluster-ge-k",
         "eval-on_standardized_input", "cluster-on_standardized_input",
         "eval-train_cluster-eq-test_cluster", "eval-routing-profile_space",
-        "importance-repeats-lt-5", "eval-unknown-key"])
+        "importance-repeats-lt-5", "eval-unknown-key", "eval-c-inf", "eval-tol-inf",
+        "eval-gamma-inf", "eval-learning_rate-inf"])
 def test_ignored_settings_are_refused(tiny_corpus, capsys, monkeypatch, command, extra, keys):
     ini, _, runs = tiny_corpus
-    bad = write_ini(ini.with_name("bad.ini"), ini.read_text() + extra)
+    # merge section by section: the base file already has a [model] section
+    merged = configparser.ConfigParser(interpolation=None)
+    merged.read_string(ini.read_text())
+    merged.read_string(extra)
+    text = io.StringIO()
+    merged.write(text)
+    bad = write_ini(ini.with_name("bad.ini"), text.getvalue())
 
     def no_corpus(*args, **kwargs):
         raise AssertionError("the corpus was read before the config was checked")

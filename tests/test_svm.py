@@ -1,12 +1,12 @@
-"""WSS2 SMO solver vs analytic cases, a dense QP oracle, convergence reports,
-and the OvO vote rules."""
+"""WSS2 SMO solver vs analytic cases, a dense QP oracle, the step-by-step
+reference solver, convergence reports, and the OvO vote rules."""
 
 from itertools import combinations
 
 import numpy as np
 import pytest
 
-from oracles import load_ovo, solve_svm_dual_qp, svm_dual_objective
+from oracles import load_ovo, solve_svm_dual_qp, svm_dual_objective, train_binary_reference
 
 from hractivity import svm
 from hractivity.errors import DimensionMismatch, NonFiniteFeature, SingleClassInput
@@ -317,3 +317,86 @@ def test_refit_gives_bit_identical_multipliers():
     assert first.alpha.tobytes() == second.alpha.tobytes()
     assert first.bias == second.bias
     assert first.iterations == second.iterations
+
+
+def assert_same_fit(model, ref):
+    assert model.alpha.tobytes() == ref.alpha.tobytes()
+    assert model.iterations == ref.iterations
+    assert model.converged == ref.converged
+    assert model.bias == ref.bias
+    assert model.coef.tobytes() == ref.coef.tobytes()
+    assert model.support_vectors.tobytes() == ref.support_vectors.tobytes()
+
+
+def random_labels(rng, n):
+    y = np.where(rng.random(n) < 0.5, 1.0, -1.0)
+    if np.unique(y).size < 2:
+        y[0] = -y[0]
+    return y
+
+
+@pytest.mark.parametrize("c", [0.05, 1.0, 100.0])
+@pytest.mark.parametrize("kernel", [KernelSpec(), LINEAR], ids=["rbf", "linear"])
+def test_matches_reference_solver_random_instances(kernel, c):
+    rng = np.random.default_rng(41)
+    for trial in range(8):
+        n = int(rng.integers(5, 31))
+        x = rng.normal(size=(n, int(rng.integers(1, 6))))
+        y = random_labels(rng, n)
+        assert_same_fit(train_binary(x, y, kernel, c), train_binary_reference(x, y, kernel, c))
+
+
+@pytest.mark.parametrize("kernel", [KernelSpec(), LINEAR], ids=["rbf", "linear"])
+def test_matches_reference_solver_on_duplicated_rows(kernel):
+    # Repeated rows give pairs with curvature 1 + 1 - 2 = 0 (RBF), so the
+    # solver falls back to TAU; repeats with the other label are pairs it picks.
+    rng = np.random.default_rng(43)
+    for trial in range(6):
+        base = rng.normal(size=(int(rng.integers(4, 16)), 2))
+        y_base = random_labels(rng, base.shape[0])
+        x = np.concatenate([base, base[:3], base[3:6]])
+        y = np.concatenate([y_base, y_base[:3], -y_base[3:6]])
+        if kernel.kind is KernelKind.RBF:
+            gram = kernel.resolve(x).matrix(x, x)
+            d = gram.diagonal()
+            assert ((d[:, None] + d[None, :]) - 2.0 * gram <= 0.0).any()
+        for c in (0.05, 1.0, 100.0):
+            assert_same_fit(train_binary(x, y, kernel, c),
+                            train_binary_reference(x, y, kernel, c))
+
+
+def test_matches_reference_solver_one_vs_many():
+    rng = np.random.default_rng(47)
+    for n in (2, 9, 40):
+        x = rng.normal(size=(n, 3))
+        y = -np.ones(n)
+        y[int(rng.integers(n))] = 1.0
+        for labels in (y, -y):
+            for c in (0.05, 1.0, 100.0):
+                assert_same_fit(train_binary(x, labels, c=c),
+                                train_binary_reference(x, labels, c=c))
+
+
+@pytest.mark.parametrize("cap", [1, 3])
+def test_matches_reference_solver_under_iteration_cap(monkeypatch, cap):
+    rng = np.random.default_rng(53)
+    monkeypatch.setattr(svm, "MAX_ITER", cap)
+    for trial in range(5):
+        x = rng.normal(size=(30, 2))
+        y = random_labels(rng, 30)
+        model = train_binary(x, y)
+        assert model.converged is False and model.iterations == cap
+        assert_same_fit(model, train_binary_reference(x, y, max_iter=cap))
+
+
+def test_every_ovo_machine_matches_reference_under_feature_standardization():
+    series, _ = generate_synthetic(SyntheticCohortSpec(n_subjects=7, n_groups=3, seed=2))
+    ds = build_dataset(series, WindowConfig(50, 10), StandardizationMode.FEATURE,
+                       FeatureSetKind.STAT_TEMPORAL)
+    x = apply_scaler(fit_scaler(ds.hc), ds.hc)
+    model = train_ovo(x, ds.labels)
+    assert len(model.machines) == 10
+    for (a, b), machine in model.machines.items():
+        mask = (ds.labels == a) | (ds.labels == b)
+        pair_y = np.where(ds.labels[mask] == a, 1.0, -1.0)
+        assert_same_fit(machine, train_binary_reference(x[mask], pair_y, model.kernel))
