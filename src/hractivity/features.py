@@ -128,7 +128,9 @@ def statistical_matrix(mat: np.ndarray) -> np.ndarray:
     mean = mat.mean(axis=1)
     centered = mat - mean[:, None]
     sq = centered * centered
-    m2 = sq.mean(axis=1)
+    s2 = sq.sum(axis=1)  # numpy's var/std reduce exactly this sum
+    m2 = s2 / w
+    var = s2 / (w - 1)
     m3 = (sq * centered).mean(axis=1)
     m4 = (sq * sq).mean(axis=1)
     nonzero = m2 > 0
@@ -141,29 +143,27 @@ def statistical_matrix(mat: np.ndarray) -> np.ndarray:
     hi = mat.max(axis=1)
     median, q25, q75 = order_statistics(mat)
 
-    # row-wise histogram entropy: 10 equal-width bins over [min, max]
-    entropy = np.zeros(n)
+    # row-wise histogram entropy: 10 equal-width bins over [min, max]; a
+    # constant row is binned with width 1 and its entropy set to 0
     spread = hi - lo
     live = spread > 0
-    if live.any():
-        sub = mat[live]
-        width = spread[live][:, None]
-        idx = np.floor((sub - lo[live][:, None]) / width * ENTROPY_BINS).astype(np.int64)
-        np.clip(idx, 0, ENTROPY_BINS - 1, out=idx)  # max lands in the last bin
-        rows = np.repeat(np.arange(idx.shape[0]), w)
-        counts = np.bincount(
-            rows * ENTROPY_BINS + idx.ravel(), minlength=idx.shape[0] * ENTROPY_BINS
-        ).reshape(idx.shape[0], ENTROPY_BINS)
-        p = counts / w
-        with np.errstate(divide="ignore", invalid="ignore"):
-            plogp = np.where(p > 0, p * np.log(p), 0.0)
-        entropy[live] = -plogp.sum(axis=1)
+    idx = mat - lo[:, None]
+    idx /= np.where(live, spread, 1.0)[:, None]
+    idx *= ENTROPY_BINS
+    idx = np.floor(idx, out=idx).astype(np.int64)
+    np.clip(idx, 0, ENTROPY_BINS - 1, out=idx)  # max lands in the last bin
+    idx += np.arange(n)[:, None] * ENTROPY_BINS
+    counts = np.bincount(idx.ravel(), minlength=n * ENTROPY_BINS).reshape(n, ENTROPY_BINS)
+    p = counts / w
+    with np.errstate(divide="ignore", invalid="ignore"):
+        plogp = np.where(p > 0, p * np.log(p), 0.0)
+    entropy = np.where(live, -plogp.sum(axis=1), 0.0)
 
     return np.column_stack(
         [
             mean,
-            mat.std(axis=1, ddof=1),
-            mat.var(axis=1, ddof=1),
+            np.sqrt(var),
+            var,
             lo,
             hi,
             median,

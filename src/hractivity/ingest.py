@@ -4,15 +4,22 @@ The on-disk schema follows the annotated heart-rate corpora this toolkit
 targets: one header row that names the fixed columns in ``COLUMNS``
 (subject_id, device, timestamp, bpm, label) in any order, UTF-8, comma
 separated. Timestamps may be ISO-8601 or plain epoch/relative seconds; the
-format is auto-detected per file and must be uniform within a file.
+format is auto-detected per file and must be uniform within a file. A file
+that is not UTF-8 or that csv cannot split raises MalformedRow with the
+file and line, like a row with a bad cell.
+
+``serialize_corpus`` writes the bytes of csv's excel dialect: only the
+subject and device cells can need quoting, so each series' prefix is
+quoted once and each file is written in one join, with ``repr`` floats
+that parse back bit for bit.
 """
 
 from __future__ import annotations
 
 import csv
 import datetime as _dt
+import io
 import math
-from itertools import repeat
 from operator import itemgetter
 from pathlib import Path
 
@@ -136,6 +143,18 @@ def _raise_first_bad_row(path: Path) -> None:
                 raise
 
 
+def _not_utf8(path: Path) -> MalformedRow:
+    """The error for a file that is not UTF-8, naming the line of its first bad byte."""
+    raw = path.read_bytes()
+    try:
+        raw.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        head = raw[: exc.start]
+        line = 1 + head.count(b"\n") + head.count(b"\r") - head.count(b"\r\n")
+        return MalformedRow(f"{path}, line {line}: byte {raw[exc.start]:#04x} is not UTF-8")
+    return MalformedRow(f"{path}: not UTF-8")
+
+
 def _read_file(path: Path):
     """((subject, device) per row, t, bpm, labels) columns of one CSV file.
 
@@ -145,8 +164,13 @@ def _read_file(path: Path):
     """
     with open(path, newline="", encoding="utf-8") as fh:
         reader = csv.reader(fh)
-        width, (si, di, ti, bi, li) = _header_index(reader, path)
-        rows = [row for row in reader if row]
+        try:
+            width, (si, di, ti, bi, li) = _header_index(reader, path)
+            rows = [row for row in reader if row]
+        except csv.Error as exc:  # e.g. a field over csv's size limit
+            raise MalformedRow(f"{path}, line {reader.line_num}: {exc}") from None
+        except UnicodeDecodeError:
+            raise _not_utf8(path) from None
     n = len(rows)
     try:
         if n and min(map(len, rows)) < width:
@@ -237,17 +261,13 @@ def serialize_corpus(corpus: list[SubjectSeries], out_dir: str | Path) -> list[P
     paths = []
     for series in corpus:
         p = out_dir / f"{series.subject_id}.csv"
-        n = len(series)
+        cells = io.StringIO()
+        csv.writer(cells).writerow((series.subject_id, series.device_id, ""))
+        prefix = cells.getvalue()[:-2]  # "subject,device," less the writer's "\r\n"
+        rows = zip(series.timestamps.tolist(), series.bpm.tolist(), series.labels.tolist())
         with open(p, "w", newline="", encoding="utf-8") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(COLUMNS)
-            writer.writerows(zip(
-                repeat(series.subject_id, n),
-                repeat(series.device_id, n),
-                map(repr, series.timestamps.tolist()),
-                map(repr, series.bpm.tolist()),
-                map(LABEL_NAMES.__getitem__, series.labels.tolist()),
-            ))
+            fh.write(",".join(COLUMNS) + "\r\n" + "".join(
+                f"{prefix}{t!r},{b!r},{LABEL_NAMES[label]}\r\n" for t, b, label in rows))
         paths.append(p)
     return paths
 

@@ -488,6 +488,53 @@ def order_statistics_reference(mat):
     return np.median(mat, axis=1), q25, q75
 
 
+def statistical_matrix_reference(mat):
+    """The twelve statistical features per row, one numpy reduction each.
+
+    Variance and Std come from numpy's own ``var``/``std``; the histogram
+    entropy bins only the non-constant rows, on a copy of them.
+    """
+    n, w = mat.shape
+    mean = mat.mean(axis=1)
+    centered = mat - mean[:, None]
+    sq = centered * centered
+    m2 = sq.mean(axis=1)
+    m3 = (sq * centered).mean(axis=1)
+    m4 = (sq * sq).mean(axis=1)
+    nonzero = m2 > 0
+    skew = np.zeros(n)
+    kurt = np.zeros(n)
+    skew[nonzero] = m3[nonzero] / m2[nonzero] ** 1.5
+    kurt[nonzero] = m4[nonzero] / m2[nonzero] ** 2 - 3.0
+
+    lo = mat.min(axis=1)
+    hi = mat.max(axis=1)
+    median, q25, q75 = order_statistics_reference(mat)
+
+    bins = 10
+    entropy = np.zeros(n)
+    spread = hi - lo
+    live = spread > 0
+    if live.any():
+        sub = mat[live]
+        width = spread[live][:, None]
+        idx = np.floor((sub - lo[live][:, None]) / width * bins).astype(np.int64)
+        np.clip(idx, 0, bins - 1, out=idx)
+        rows = np.repeat(np.arange(idx.shape[0]), w)
+        counts = np.bincount(
+            rows * bins + idx.ravel(), minlength=idx.shape[0] * bins
+        ).reshape(idx.shape[0], bins)
+        p = counts / w
+        with np.errstate(divide="ignore", invalid="ignore"):
+            plogp = np.where(p > 0, p * np.log(p), 0.0)
+        entropy[live] = -plogp.sum(axis=1)
+
+    return np.column_stack([
+        mean, mat.std(axis=1, ddof=1), mat.var(axis=1, ddof=1), lo, hi, median, q75 - q25,
+        skew, kurt, np.sqrt((mat**2).mean(axis=1)), np.abs(centered).mean(axis=1), entropy,
+    ])
+
+
 # -- CSV corpus: a DictReader over rows, grouped in Python lists -------------
 
 _LABELS = ("Rest", "Breathe", "Activity", "RestAC", "Type")
@@ -581,6 +628,24 @@ def parse_corpus_reference(path, columns=("subject_id", "device", "timestamp", "
             i = j + 1
         out.append((subject, device, np.asarray(ts) - ts[0], np.asarray(bpms), np.asarray(labels)))
     return out
+
+
+def serialize_corpus_reference(corpus, out_dir):
+    """One CSV per series through csv.writer, one writer call per row."""
+    out_dir = Path(out_dir)
+    out_dir.mkdir(parents=True, exist_ok=True)
+    paths = []
+    for series in corpus:
+        path = out_dir / f"{series.subject_id}.csv"
+        with open(path, "w", newline="", encoding="utf-8") as fh:
+            writer = csv.writer(fh)
+            writer.writerow(("subject_id", "device", "timestamp", "bpm", "label"))
+            for t, bpm, label in zip(series.timestamps.tolist(), series.bpm.tolist(),
+                                     series.labels.tolist()):
+                writer.writerow((series.subject_id, series.device_id, repr(t), repr(bpm),
+                                 _LABELS[label]))
+        paths.append(path)
+    return paths
 
 
 # -- subject profiles: one window at a time ------------------------------------

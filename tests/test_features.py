@@ -2,7 +2,12 @@
 
 import numpy as np
 import pytest
-from oracles import mel_band_energies_reference, mfcc_reference, order_statistics_reference
+from oracles import (
+    mel_band_energies_reference,
+    mfcc_reference,
+    order_statistics_reference,
+    statistical_matrix_reference,
+)
 
 from hractivity.errors import InvalidConfig, WindowTooShort
 from hractivity.features import (
@@ -311,3 +316,17 @@ def test_order_statistics_bit_identical_to_numpy(w):
     median, q25, q75 = order_statistics_reference(ties)
     assert stats[:, STATISTICAL_NAMES.index("0_Median")].tobytes() == median.tobytes()
     assert stats[:, STATISTICAL_NAMES.index("0_InterquartileRange")].tobytes() == (q75 - q25).tobytes()
+
+
+@pytest.mark.parametrize("w", [3, 8, 50, 51])
+def test_statistical_matrix_bit_identical_to_reference(w):
+    rng = np.random.default_rng(100 + w)
+    walks = 80.0 + np.cumsum(rng.normal(0.0, 1.5, (400, w)), axis=1)
+    constant = np.repeat(rng.uniform(50.0, 120.0, (40, 1)), w, axis=1)
+    tied = np.round(walks)  # whole-bpm values: ties, and constant rows at small w
+    centred = walks - walks.mean(axis=1, keepdims=True)
+    mixed = np.concatenate([walks[:100], constant, tied[:100]])[rng.permutation(240)]
+    for mat in (walks, constant, tied, centred, mixed):
+        got = statistical_matrix(mat)
+        assert got.tobytes() == statistical_matrix_reference(mat).tobytes()
+    assert (statistical_matrix(constant)[:, STATISTICAL_NAMES.index("0_HistogramEntropy")] == 0).all()

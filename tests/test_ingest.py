@@ -2,12 +2,14 @@
 
 import numpy as np
 import pytest
-from oracles import ReferenceRowError, parse_corpus_reference
+from oracles import ReferenceRowError, parse_corpus_reference, serialize_corpus_reference
 
+from hractivity.cli import main
 from hractivity.errors import (
     DataError,
     EmptySeries,
     InvalidResamplePeriod,
+    MalformedRow,
     MissingColumn,
     NonMonotonicTimestamps,
     OutOfRangeBpm,
@@ -359,3 +361,73 @@ def test_series_rejects_labels_outside_the_activities():
     for bad in (-1, 5):
         with pytest.raises(DataError, match="ActivityLabel"):
             make_series([0.0, 1.0], [60.0, 61.0], labels=[0, bad])
+
+
+# -- the joined writer against a csv.writer row loop -----------------------------
+
+def assert_serialize_matches_reference(corpus, tmp_path):
+    paths = serialize_corpus(corpus, tmp_path / "joined")
+    expected = serialize_corpus_reference(corpus, tmp_path / "rows")
+    assert [p.name for p in paths] == [p.name for p in expected]
+    for got, ref in zip(paths, expected):
+        assert got.read_bytes() == ref.read_bytes(), got.name
+
+
+@pytest.mark.parametrize("seed", [1, 2, 3])
+def test_serialize_matches_row_writer_on_generated_cohorts(tmp_path, seed):
+    corpus, _ = generate_synthetic(SyntheticCohortSpec(n_subjects=3, n_groups=2, seed=seed))
+    assert_serialize_matches_reference(corpus, tmp_path)
+
+
+QUOTED_IDS = [  # (subject, device): each cell needs csv quoting or keeps an edge
+    ("a,b", "Apple Watch"),
+    ('say "hi"', "dev"),
+    ("line\nbreak", "dev\rcr"),
+    ("no-device", ""),
+    (" leading", " space"),
+    ("", "empty subject"),
+]
+
+
+def test_serialize_quotes_ids_like_the_row_writer_and_round_trips(tmp_path):
+    rng = np.random.default_rng(9)
+    corpus = [
+        SubjectSeries(subject, device, np.cumsum(rng.uniform(0.5, 2.0, 30)) - 0.5,
+                      rng.uniform(40.0, 200.0, 30), rng.integers(0, 5, 30))
+        for subject, device in QUOTED_IDS
+    ]
+    assert_serialize_matches_reference(corpus, tmp_path)
+    back = parse_corpus(tmp_path / "joined", device_filter=None)
+    by_key = {(s.subject_id, s.device_id): s for s in corpus}
+    assert sorted(by_key) == [(s.subject_id, s.device_id) for s in back]
+    for series in back:
+        orig = by_key[(series.subject_id, series.device_id)]
+        assert series.timestamps.tobytes() == (orig.timestamps - orig.timestamps[0]).tobytes()
+        assert series.bpm.tobytes() == orig.bpm.tobytes()
+        assert series.labels.tolist() == orig.labels.tolist()
+
+
+# -- files csv or UTF-8 cannot read: MalformedRow with file and line, exit 3 ----
+
+UNREADABLE = {
+    "non-utf8-bpm": (b"A,Apple Watch,0,60,Rest\r\nA,Apple Watch,1,6\xff,Rest\r\n", 3,
+                     "byte 0xff is not UTF-8"),
+    "oversized-quoted-field": (b'A,Apple Watch,0,60,Rest\n"' + b"x" * 200_000
+                               + b'",Apple Watch,1,61,Rest\n', 3, "field larger than field limit"),
+    "non-utf8-after-cr-lines": (b"A,Apple Watch,0,60,Rest\rA,Apple Watch,1,61,Rest\r\xfe", 4,
+                                "byte 0xfe is not UTF-8"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(UNREADABLE))
+def test_unreadable_file_is_a_malformed_row(tmp_path, case, capsys):
+    body, line, reason = UNREADABLE[case]
+    path = tmp_path / "bad.csv"
+    path.write_bytes(HEADER.encode() + body)
+    with pytest.raises(MalformedRow, match=rf"bad\.csv, line {line}: {reason}"):
+        parse_corpus(path)
+    ini = tmp_path / "ingest.ini"
+    ini.write_text(f"[corpus]\nsource = {path}\n[run]\nseed = 1\nout = {tmp_path / 'runs'}\n",
+                   encoding="utf-8")
+    assert main(["--config", str(ini), "ingest"]) == 3
+    assert f"{path}, line {line}: {reason}" in capsys.readouterr().err

@@ -1,0 +1,108 @@
+"""Property tests of the CSV corpus reader and writer.
+
+A mutated corpus file must end in a clean exit code, never a traceback, and
+any finite series must survive a serialize/parse round trip bit for bit.
+Examples are derandomized and no example database is kept, so every run
+tries the same inputs. Hypothesis's own cache (the constants it collects
+from source files) goes to a temporary directory, so nothing is written to
+``.hypothesis/``.
+"""
+
+import tempfile
+from pathlib import Path
+
+import numpy as np
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.configuration import set_hypothesis_home_dir
+
+from hractivity.cli import main
+from hractivity.ingest import parse_corpus, serialize_corpus
+from hractivity.series import SubjectSeries
+
+PROPERTY_SETTINGS = settings(derandomize=True, database=None, deadline=None)
+
+# set on import: Hypothesis's pytest plugin collects the constants while
+# collecting the tests, before any fixture runs; removed at interpreter exit
+HYPOTHESIS_HOME = tempfile.TemporaryDirectory(prefix="hypothesis-")
+set_hypothesis_home_dir(HYPOTHESIS_HOME.name)
+
+
+def valid_corpus_bytes() -> bytes:
+    """One small, valid corpus file: 24 one-second samples with a label change."""
+    rng = np.random.default_rng(3)
+    series = SubjectSeries("S1", "Apple Watch", np.arange(24.0), rng.uniform(55.0, 95.0, 24),
+                           np.repeat([0, 2, 4], 8))
+    with tempfile.TemporaryDirectory() as folder:
+        (path,) = serialize_corpus([series], folder)
+        return path.read_bytes()
+
+
+VALID = valid_corpus_bytes()
+INSERTS = [b'"', b",", b"\r", b"\x00", b"\xff"]
+
+positions = st.integers(min_value=0, max_value=len(VALID))
+mutation = st.one_of(
+    st.tuples(st.just("flip"), positions, st.integers(min_value=0, max_value=7)),
+    st.tuples(st.just("delete"), positions, st.integers(min_value=1, max_value=4)),
+    st.tuples(st.just("truncate"), positions, st.just(0)),
+    st.tuples(st.just("insert"), positions, st.integers(min_value=0, max_value=len(INSERTS) - 1)),
+)
+
+
+def mutate(data: bytes, edits) -> bytes:
+    buf = bytearray(data)
+    for kind, pos, arg in edits:
+        pos = min(pos, len(buf))
+        if kind == "flip" and pos < len(buf):
+            buf[pos] ^= 1 << arg  # one bit of one byte
+        elif kind == "delete":
+            del buf[pos : pos + arg]
+        elif kind == "truncate":
+            del buf[pos:]
+        elif kind == "insert":
+            buf[pos:pos] = INSERTS[arg]
+    return bytes(buf)
+
+
+@settings(PROPERTY_SETTINGS, max_examples=150)
+@given(edits=st.lists(mutation, min_size=1, max_size=3))
+def test_mutated_corpus_ingest_exits_cleanly(edits):
+    with tempfile.TemporaryDirectory() as folder:
+        root = Path(folder)
+        (root / "corpus.csv").write_bytes(mutate(VALID, edits))
+        (root / "ingest.ini").write_text(
+            f"[corpus]\nsource = {root / 'corpus.csv'}\nresample_period_s = 1.0\n"
+            f"[run]\nseed = 1\nout = {root / 'runs'}\n", encoding="utf-8")
+        assert main(["--config", str(root / "ingest.ini"), "ingest"]) in (0, 2, 3)
+
+
+@st.composite
+def finite_series(draw):
+    n = draw(st.integers(min_value=1, max_value=40))
+    steps = draw(st.lists(st.floats(min_value=1e-3, max_value=1e6), min_size=n - 1, max_size=n - 1))
+    timestamps = np.concatenate([[0.0], np.cumsum(steps)])
+    bpm = draw(st.lists(st.floats(min_value=20.0, max_value=250.0, exclude_min=True,
+                                  exclude_max=True), min_size=n, max_size=n))
+    labels = draw(st.lists(st.integers(min_value=0, max_value=4), min_size=n, max_size=n))
+    return timestamps, np.asarray(bpm), np.asarray(labels)
+
+
+subject_ids = st.text(alphabet='AZaz09 ,"-', min_size=1, max_size=8)
+
+
+@settings(PROPERTY_SETTINGS, max_examples=100)
+@given(ids=st.lists(subject_ids, min_size=1, max_size=3, unique=True),
+       device=st.text(alphabet='Wach ,"', max_size=6), data=st.data())
+def test_serialize_then_parse_is_bit_exact(ids, device, data):
+    corpus = [SubjectSeries(subject, device, *data.draw(finite_series())) for subject in ids]
+    with tempfile.TemporaryDirectory() as folder:
+        serialize_corpus(corpus, folder)
+        back = parse_corpus(folder, device_filter=None)
+    corpus.sort(key=lambda s: s.subject_id)
+    assert [s.subject_id for s in back] == [s.subject_id for s in corpus]
+    for got, sent in zip(back, corpus):
+        assert got.device_id == device
+        assert got.timestamps.tobytes() == sent.timestamps.tobytes()
+        assert got.bpm.tobytes() == sent.bpm.tobytes()
+        assert got.labels.tolist() == sent.labels.tolist()
