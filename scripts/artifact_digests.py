@@ -89,7 +89,8 @@ def _run(main, argv: list[str]) -> dict:
         rc = main(argv)
     if rc != 0:
         raise SystemExit(f"hractivity {' '.join(argv)} exited {rc}")
-    manifest = json.loads((Path(out.getvalue().strip()) / "manifest.json").read_text())
+    manifest_path = Path(out.getvalue().strip()) / "manifest.json"
+    manifest = json.loads(manifest_path.read_text(encoding="utf-8"))
     return {"run_id": manifest["run_id"], "artifacts": manifest["artifacts"]}
 
 

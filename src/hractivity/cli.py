@@ -12,7 +12,6 @@ from __future__ import annotations
 
 import argparse
 import hashlib
-import json
 import shutil
 import sys
 from pathlib import Path
@@ -20,6 +19,7 @@ from pathlib import Path
 import numpy as np
 
 from . import config as cfgmod
+from .artifacts import write_json
 from .clustering import fit_cluster_model, write_cluster_report
 from .errors import ConfigError, DataError, HrActivityError, InternalError
 from .evaluation import (
@@ -54,12 +54,6 @@ EXIT_OK = 0
 EXIT_CONFIG = 2
 EXIT_DATA = 3
 EXIT_INTERNAL = 4
-
-
-def _write_json(payload: dict, path: Path) -> None:
-    with open(path, "w", encoding="utf-8") as handle:
-        json.dump(payload, handle, indent=2, sort_keys=True)
-        handle.write("\n")
 
 
 def _sha256(path: Path) -> str:
@@ -106,7 +100,7 @@ def cmd_generate(cfg, run_dir: Path) -> None:
     series, groups = generate_synthetic(cfgmod.cohort_spec(cfg))
     corpus_dir = run_dir / "corpus"
     serialize_corpus(series, corpus_dir)
-    _write_json({"schema": "group_map.v1", "groups": groups}, run_dir / "groups.json")
+    write_json({"schema": "group_map.v1", "groups": groups}, run_dir / "groups.json")
 
 
 def cmd_ingest(cfg, run_dir: Path) -> None:
@@ -125,8 +119,8 @@ def cmd_ingest(cfg, run_dir: Path) -> None:
             "duration_s": float(s.timestamps[-1] - s.timestamps[0]),
             "labels": {name: int(c) for name, c in zip(LABEL_NAMES, counts)},
         })
-    _write_json({"schema": "corpus_summary.v1", "subjects": summary},
-                run_dir / "corpus_summary.json")
+    write_json({"schema": "corpus_summary.v1", "subjects": summary},
+               run_dir / "corpus_summary.json")
 
 
 def cmd_sweep(cfg, run_dir: Path) -> None:
@@ -166,8 +160,8 @@ def cmd_train(cfg, run_dir: Path) -> None:
     elif isinstance(clf, FittedNet):
         save_net(clf.model, run_dir / "model.json")
     elif isinstance(clf, ConstantPredictor):
-        _write_json({"schema": "constant_model.v1", "label": clf.label},
-                    run_dir / "model.json")
+        write_json({"schema": "constant_model.v1", "label": clf.label},
+                   run_dir / "model.json")
     else:  # pragma: no cover - the adapters above are exhaustive
         raise InternalError(f"unknown classifier type {type(clf).__name__}")
     scaler = getattr(clf, "scaler", None)
@@ -187,7 +181,7 @@ def cmd_train(cfg, run_dir: Path) -> None:
             "std": [float(x) for x in scaler.std],
         },
     }
-    _write_json(echo, run_dir / "train_echo.json")
+    write_json(echo, run_dir / "train_echo.json")
 
 
 def cmd_eval(cfg, run_dir: Path) -> None:
@@ -210,7 +204,7 @@ def cmd_eval(cfg, run_dir: Path) -> None:
             for cluster, report in sorted(result.clusters.items()):
                 _report_artifacts(report, run_dir, stem=f"cluster_{cluster}_report")
             _report_artifacts(result.baseline, run_dir, stem="baseline_report")
-            _write_json({
+            write_json({
                 "schema": "within_cluster_summary.v1",
                 "clusters": {str(c): {"mean_fold_balanced": mean_fold_balanced(r),
                                       "balanced_accuracy": r.balanced_accuracy}
@@ -234,7 +228,7 @@ def cmd_importance(cfg, run_dir: Path) -> None:
                                     seed=seed)
     write_importance_csv(report, run_dir / "importance.csv",
                          top=cfg.top or None)
-    _write_json({
+    write_json({
         "schema": "importance_report.v1",
         "baseline_balanced": report.baseline_balanced,
         "repeats": report.repeats,
@@ -261,7 +255,7 @@ def cmd_timeline(cfg, run_dir: Path) -> None:
                                         cfgmod.mfcc_config(cfg))
     write_timeline_csv(record, run_dir / "timeline.csv")
     post, steady = transition_error_rates(record)
-    _write_json({
+    write_json({
         "schema": "transition_rates.v1",
         "subject_id": target_id,
         "horizon_s": TRANSITION_HORIZON_S,
@@ -299,7 +293,7 @@ def _run_command(command: str, cfg) -> Path:
         for path in sorted(tmp_dir.rglob("*")):
             if path.is_file():
                 artifacts[path.relative_to(tmp_dir).as_posix()] = _sha256(path)
-        _write_json({
+        write_json({
             "schema": "run_manifest.v1",
             "command": command,
             "run_id": run_id,

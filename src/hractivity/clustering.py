@@ -9,12 +9,12 @@ label-free routing of unseen windows.
 from __future__ import annotations
 
 import enum
-import json
 from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
 
+from .artifacts import write_json
 from .errors import (
     DimensionMismatch,
     InternalError,
@@ -268,6 +268,4 @@ def write_cluster_report(
         "centroids": [[float(x) for x in row] for row in model.centroids],
         "members": members,
     }
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(report, fh, sort_keys=True, indent=2)
-        fh.write("\n")
+    write_json(report, path)

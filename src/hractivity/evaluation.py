@@ -8,7 +8,6 @@ results in submission order, so reports are identical for any worker count.
 
 from __future__ import annotations
 
-import csv
 import enum
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
@@ -18,6 +17,7 @@ from typing import NamedTuple
 
 import numpy as np
 
+from .artifacts import write_csv
 from .clustering import (
     ClusterSpace,
     assign_many,
@@ -193,19 +193,11 @@ class FittedSvm:
     def reads_hc(self) -> bool:
         return self.inputs != "windows"
 
-    def _matrix(self, windows, hc):
-        if self.inputs == "windows":
-            x = np.atleast_2d(windows)
-        elif self.inputs == "features":
-            x = np.atleast_2d(hc)
-        else:
-            x = np.column_stack([np.atleast_2d(windows), np.atleast_2d(hc)])
+    def predict(self, windows, hc):
+        x = _svm_matrix(self.inputs, windows, hc)
         if self.scaler is not None:
             x = apply_scaler(self.scaler, x)
-        return x
-
-    def predict(self, windows, hc):
-        return predict_ovo(self.model, self._matrix(windows, hc))
+        return predict_ovo(self.model, x)
 
 
 class FittedNet:
@@ -227,14 +219,16 @@ class FittedNet:
         return net_predict(self.model, windows, hc)
 
 
-def _svm_matrix(spec: SvmSpec, ds: WindowDataset, idx: np.ndarray) -> np.ndarray:
-    if spec.inputs == "windows":
-        return ds.windows[idx]
-    if spec.inputs == "features":
-        if ds.hc.shape[1] == 0:
+def _svm_matrix(inputs: str, windows, hc, rows=slice(None)) -> np.ndarray:
+    """The rows an SVM fits or predicts on: windows, features or both side by side."""
+    if inputs == "windows":
+        return np.atleast_2d(windows)[rows]
+    hc = np.atleast_2d(hc)
+    if inputs == "features":
+        if hc.shape[1] == 0:
             raise InvalidConfig("svm on features requires a feature set")
-        return ds.hc[idx]
-    return np.column_stack([ds.windows[idx], ds.hc[idx]])
+        return hc[rows]
+    return np.column_stack([np.atleast_2d(windows)[rows], hc[rows]])
 
 
 def fit_classifier(spec, ds: WindowDataset, train_idx: np.ndarray, seed: int):
@@ -245,7 +239,7 @@ def fit_classifier(spec, ds: WindowDataset, train_idx: np.ndarray, seed: int):
         return ConstantPredictor(labels[0])
 
     if isinstance(spec, SvmSpec):
-        x = _svm_matrix(spec, ds, train_idx)
+        x = _svm_matrix(spec.inputs, ds.windows, ds.hc, train_idx)
         scaler = None
         if ds.standardization is StandardizationMode.FEATURE:
             scaler = fit_scaler(x)
@@ -647,14 +641,10 @@ def permutation_importance(
 
 def write_importance_csv(report: ImportanceReport, path: str | Path,
                          top: int | None = None) -> None:
-    order = np.argsort(-report.importances, kind="stable")
-    if top is not None:
-        order = order[:top]
-    with open(path, "w", newline="") as handle:
-        writer = csv.writer(handle)
-        writer.writerow(["name", "importance", "rank"])
-        for rank, i in enumerate(order, start=1):
-            writer.writerow([report.names[i], repr(float(report.importances[i])), rank])
+    order = np.argsort(-report.importances, kind="stable")[:top]
+    write_csv(path, ["name", "importance", "rank"],
+              ([report.names[i], repr(float(report.importances[i])), rank]
+               for rank, i in enumerate(order, start=1)))
 
 
 # ------------------------------------------------------------------ timeline
@@ -729,15 +719,8 @@ def transition_error_rates(record: TimelineRecord):
 
 
 def write_timeline_csv(record: TimelineRecord, path: str | Path) -> None:
-    with open(path, "w", newline="") as handle:
-        writer = csv.writer(handle)
-        writer.writerow(["t", "bpm", "true", "pred", "correct", "transition"])
-        for i in range(record.timestamps.size):
-            writer.writerow([
-                repr(float(record.timestamps[i])),
-                repr(float(record.bpm[i])),
-                int(record.true_labels[i]),
-                int(record.predicted[i]),
-                int(record.correct[i]),
-                int(record.transition[i]),
-            ])
+    write_csv(path, ["t", "bpm", "true", "pred", "correct", "transition"],
+              ([repr(float(t)), repr(float(b)), int(y), int(p), int(ok), int(tr)]
+               for t, b, y, p, ok, tr in zip(record.timestamps, record.bpm, record.true_labels,
+                                             record.predicted, record.correct,
+                                             record.transition)))

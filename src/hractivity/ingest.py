@@ -25,6 +25,7 @@ from pathlib import Path
 
 import numpy as np
 
+from .artifacts import write_csv
 from .errors import (
     DataError,
     EmptySeries,
@@ -52,6 +53,10 @@ DEFAULT_DEVICE = "Apple Watch"
 #: Raw gaps longer than this many sampling periods are forward-filled and
 #: reported instead of being interpolated across.
 GAP_PERIOD_FACTOR = 10.0
+
+#: A resampling grid of more points than this is refused, not allocated:
+#: about 116 days at a 1 s period, 80 MB per float64 array.
+MAX_GRID_POINTS = 10**7
 
 #: Header names of the subject, device, timestamp, bpm and label columns.
 COLUMNS = ("subject_id", "device", "timestamp", "bpm", "label")
@@ -280,7 +285,8 @@ def resample_uniform(
     bpm is linearly interpolated between neighbours; each grid point takes the
     label of the nearest original sample (ties go to the earlier one). Raw
     gaps longer than ``GAP_PERIOD_FACTOR * period_s`` are forward-filled instead of
-    interpolated and reported as GapRecords.
+    interpolated and reported as GapRecords. A grid of more than
+    ``MAX_GRID_POINTS`` points raises InvalidResamplePeriod.
     """
     if len(series) == 0:
         raise EmptySeries(series.subject_id)
@@ -292,7 +298,13 @@ def resample_uniform(
     if len(series) == 1:
         return series, []
 
-    n = int(np.floor((t[-1] - t[0]) / period_s + 1e-9)) + 1
+    span = float(t[-1] - t[0])
+    count = np.floor(span / period_s + 1e-9) + 1.0  # a float, so no int is ever too large
+    if not count <= MAX_GRID_POINTS:
+        raise InvalidResamplePeriod(
+            f"subject {series.subject_id!r}: resampling a span of {span!r} s at a period of "
+            f"{period_s!r} s needs {count:.4g} grid points, more than {MAX_GRID_POINTS}")
+    n = int(count)
     grid = t[0] + np.arange(n, dtype=np.float64) * period_s
     values = np.interp(grid, t, series.bpm)
 
@@ -322,8 +334,5 @@ def resample_uniform(
 
 
 def write_gap_report(gaps: list[GapRecord], path: str | Path) -> None:
-    with open(path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["subject_id", "gap_start_s", "gap_end_s"])
-        for g in gaps:
-            writer.writerow([g.subject_id, repr(g.gap_start_s), repr(g.gap_end_s)])
+    write_csv(path, ["subject_id", "gap_start_s", "gap_end_s"],
+              ([g.subject_id, repr(g.gap_start_s), repr(g.gap_end_s)] for g in gaps))

@@ -2,13 +2,12 @@
 
 from __future__ import annotations
 
-import csv
-import json
 from dataclasses import dataclass, field
 from pathlib import Path
 
 import numpy as np
 
+from .artifacts import write_csv, write_json
 from .errors import DimensionMismatch, EmptyDataset
 from .series import LABEL_NAMES, N_CLASSES
 
@@ -89,21 +88,15 @@ def write_report_json(report: EvalReport, path: str | Path) -> None:
         ],
         "config": report.config,
     }
-    Path(path).write_text(json.dumps(payload, sort_keys=True, indent=2) + "\n")
+    write_json(payload, path)
 
 
 def write_fold_csv(report: EvalReport, path: str | Path) -> None:
-    with open(path, "w", newline="") as handle:
-        writer = csv.writer(handle)
-        writer.writerow(["fold_id", "held_out", "n_test", "accuracy", "balanced_accuracy"])
-        for f in report.folds:
-            writer.writerow([f.fold_id, f.held_out, f.n_test, repr(f.accuracy),
-                             repr(f.balanced_accuracy)])
+    write_csv(path, ["fold_id", "held_out", "n_test", "accuracy", "balanced_accuracy"],
+              ([f.fold_id, f.held_out, f.n_test, repr(f.accuracy), repr(f.balanced_accuracy)]
+               for f in report.folds))
 
 
 def write_confusion_csv(cm: np.ndarray, path: str | Path) -> None:
-    with open(path, "w", newline="") as handle:
-        writer = csv.writer(handle)
-        writer.writerow(["true\\pred"] + list(LABEL_NAMES))
-        for name, row in zip(LABEL_NAMES, np.asarray(cm)):
-            writer.writerow([name] + [int(v) for v in row])
+    write_csv(path, ["true\\pred"] + list(LABEL_NAMES),
+              ([name] + [int(v) for v in row] for name, row in zip(LABEL_NAMES, np.asarray(cm))))

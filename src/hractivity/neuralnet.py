@@ -17,13 +17,13 @@ the bit.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass, field
 from enum import Enum
 from pathlib import Path
 
 import numpy as np
 
+from .artifacts import write_json
 from .errors import EmptyDataset, InvalidConfig, InternalError, ShapeMismatch, UnknownLabel
 
 CONV_CHANNELS = 16
@@ -430,5 +430,5 @@ def save_net(model: NetModel, path: str | Path) -> None:
             for name, arr in sorted(model.params.items())
         },
     }
-    Path(path).write_text(json.dumps(payload, sort_keys=True, indent=2) + "\n")
+    write_json(payload, path)
 

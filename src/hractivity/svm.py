@@ -15,13 +15,13 @@ most ``tol``; a fit that hits the iteration cap says so through
 from __future__ import annotations
 
 import enum
-import json
 from dataclasses import dataclass, replace
 from itertools import combinations
 from pathlib import Path
 
 import numpy as np
 
+from .artifacts import write_json
 from .errors import DimensionMismatch, InvalidConfig, NonFiniteFeature, SingleClassInput
 
 ALPHA_KEEP = 1e-12  # multipliers at or below this are dropped from the model
@@ -309,7 +309,5 @@ def save_ovo(model: OvoSvm, path: str | Path) -> None:
             for (a, b), m in sorted(model.machines.items())
         ],
     }
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(payload, fh, sort_keys=True, indent=2)
-        fh.write("\n")
+    write_json(payload, path)
 

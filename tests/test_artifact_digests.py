@@ -4,6 +4,8 @@
 protocol, sweep, importance, timeline and train on one generated cohort and
 prints each run's id and artifact digests. Its output must equal
 ``scripts/artifact_digests.json`` byte for byte, with one fold worker or two.
+Both runs turn an ``EncodingWarning`` into an error, so a text file opened
+without an explicit encoding (and so in the locale's) fails the gate.
 """
 
 import json
@@ -37,7 +39,8 @@ def digest_mismatches(got: dict, expected: dict) -> list[str]:
 def test_artifact_digests_match_the_checked_in_file(tmp_path, workers):
     output = tmp_path / "digests.json"
     subprocess.run(
-        [sys.executable, str(ROOT / "scripts" / "artifact_digests.py"), "--src", str(ROOT / "src"),
+        [sys.executable, "-X", "warn_default_encoding", "-W", "error::EncodingWarning",
+         str(ROOT / "scripts" / "artifact_digests.py"), "--src", str(ROOT / "src"),
          "--workers", str(workers), "--output", str(output)],
         check=True, cwd=tmp_path, timeout=600,
     )

@@ -1,6 +1,7 @@
 """Command-line front end: artifacts, determinism, exit codes."""
 
 import configparser
+import dataclasses
 import hashlib
 import io
 import json
@@ -13,6 +14,8 @@ import pytest
 
 from hractivity import cli, evaluation
 from hractivity.cli import main
+from hractivity.ingest import serialize_corpus
+from hractivity.synthetic import SyntheticCohortSpec, generate_synthetic
 
 
 def run_cli(*argv):
@@ -323,6 +326,62 @@ def test_non_uniform_corpus_is_refused_until_resampled(tiny_corpus, capsys):
                           raw.read_text().replace("[corpus]\n", "[corpus]\nresample_period_s = 1.0\n"))
     for command in ("eval", "timeline"):
         assert run_cli("--config", resampled, "--out", runs / command, command) == 0
+
+
+def test_oversized_resample_grid_is_a_data_error(tmp_path, capsys):
+    # 1e300 s at 1 s per point: the grid is refused before anything is allocated
+    csv_path = tmp_path / "far.csv"
+    csv_path.write_text("subject_id,device,timestamp,bpm,label\n"
+                        "A,W,0,60,Rest\nA,W,1e300,61,Rest\n", encoding="utf-8")
+    ini = write_ini(tmp_path / "far.ini", f"""
+[corpus]
+source = {csv_path}
+device_filter =
+resample_period_s = 1.0
+[run]
+seed = 1
+out = {tmp_path / 'runs'}
+""")
+    rc = run_cli("--config", ini, "ingest")
+    err = capsys.readouterr().err
+    assert rc == 3
+    assert err.startswith("data error: subject 'A'")
+    assert "1e+300 s" in err and "1.0 s" in err and "grid points" in err
+    assert "Traceback" not in err
+    assert not any((tmp_path / "runs").iterdir())
+
+
+def test_eval_writes_the_same_bytes_under_any_locale(tmp_path):
+    series, _ = generate_synthetic(SyntheticCohortSpec(n_subjects=4, n_groups=2, seed=9))
+    series[1] = dataclasses.replace(series[1], subject_id="Zo\u00eb")
+    corpus = tmp_path / "corpus"
+    serialize_corpus(series, corpus)
+    ini = write_ini(tmp_path / "exp.ini", f"""
+[corpus]
+source = {corpus}
+device_filter = synthetic
+[windows]
+window_size = 50
+stride = 30
+[model]
+kind = svm
+inputs = features
+[run]
+seed = 9
+""")
+    src = Path(cli.__file__).resolve().parents[1]
+    manifests = []
+    for name, locale_env in [("posix", {"LC_ALL": "POSIX", "PYTHONUTF8": "0"}),
+                             ("utf8", {"PYTHONUTF8": "1"})]:
+        env = {**os.environ, "PYTHONPATH": str(src), **locale_env}
+        done = subprocess.run([sys.executable, "-m", "hractivity.cli", "--config", str(ini),
+                               "--out", str(tmp_path / name), "eval"],
+                              env=env, capture_output=True, text=True, timeout=300)
+        assert done.returncode == 0, done.stderr
+        run_dir = only_run_dir(tmp_path / name)
+        assert "Zo\u00eb" in (run_dir / "eval_folds.csv").read_text(encoding="utf-8")
+        manifests.append((run_dir / "manifest.json").read_bytes())
+    assert manifests[0] == manifests[1]
 
 
 @pytest.mark.parametrize("command,extra,keys", [

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from oracles import ReferenceRowError, parse_corpus_reference, serialize_corpus_reference
 
+from hractivity import ingest
 from hractivity.cli import main
 from hractivity.errors import (
     DataError,
@@ -242,6 +243,19 @@ def test_resample_empty_period_validation():
             resample_uniform(s, period)
         with pytest.raises(InvalidResamplePeriod):
             resample_uniform(make_series([3.0], [72.0]), period)
+
+
+def test_resample_refuses_a_grid_over_the_limit(monkeypatch):
+    monkeypatch.setattr(ingest, "MAX_GRID_POINTS", 100)
+    out, _ = resample_uniform(make_series([0.0, 99.0], [60.0, 61.0]), 1.0)
+    assert len(out) == 100
+    with pytest.raises(InvalidResamplePeriod) as refused:
+        resample_uniform(make_series([0.0, 100.0], [60.0, 61.0], subject="Far"), 1.0)
+    assert str(refused.value) == ("subject 'Far': resampling a span of 100.0 s at a period of "
+                                  "1.0 s needs 101 grid points, more than 100")
+    # span / period overflows to inf: refused, never turned into an int
+    with pytest.raises(InvalidResamplePeriod, match="needs inf grid points"):
+        resample_uniform(make_series([0.0, 1e300], [60.0, 61.0]), 1e-10)
 
 
 @pytest.mark.parametrize("bad", [float("nan"), float("inf")])

@@ -1,7 +1,8 @@
 """Property tests of the CSV corpus reader and writer.
 
 A mutated corpus file must end in a clean exit code, never a traceback, and
-any finite series must survive a serialize/parse round trip bit for bit.
+any finite series, resampled or not, must survive a serialize/parse round
+trip bit for bit.
 Examples are derandomized and no example database is kept, so every run
 tries the same inputs. Hypothesis's own cache (the constants it collects
 from source files) goes to a temporary directory, so nothing is written to
@@ -17,7 +18,7 @@ from hypothesis import strategies as st
 from hypothesis.configuration import set_hypothesis_home_dir
 
 from hractivity.cli import main
-from hractivity.ingest import parse_corpus, serialize_corpus
+from hractivity.ingest import parse_corpus, resample_uniform, serialize_corpus
 from hractivity.series import SubjectSeries
 
 PROPERTY_SETTINGS = settings(derandomize=True, database=None, deadline=None)
@@ -78,9 +79,10 @@ def test_mutated_corpus_ingest_exits_cleanly(edits):
 
 
 @st.composite
-def finite_series(draw):
+def finite_series(draw, max_step=1e6):
     n = draw(st.integers(min_value=1, max_value=40))
-    steps = draw(st.lists(st.floats(min_value=1e-3, max_value=1e6), min_size=n - 1, max_size=n - 1))
+    steps = draw(st.lists(st.floats(min_value=1e-3, max_value=max_step), min_size=n - 1,
+                          max_size=n - 1))
     timestamps = np.concatenate([[0.0], np.cumsum(steps)])
     bpm = draw(st.lists(st.floats(min_value=20.0, max_value=250.0, exclude_min=True,
                                   exclude_max=True), min_size=n, max_size=n))
@@ -106,3 +108,19 @@ def test_serialize_then_parse_is_bit_exact(ids, device, data):
         assert got.timestamps.tobytes() == sent.timestamps.tobytes()
         assert got.bpm.tobytes() == sent.bpm.tobytes()
         assert got.labels.tolist() == sent.labels.tolist()
+
+
+# steps of at most 50 s on a period of at least 0.25 s: at most 7,801 grid points;
+# the series start at t=0, where parse_corpus puts every series
+@settings(PROPERTY_SETTINGS, max_examples=100)
+@given(subject=subject_ids, raw=finite_series(max_step=50.0),
+       period=st.floats(min_value=0.25, max_value=5.0))
+def test_resample_then_serialize_then_parse_is_bit_exact(subject, raw, period):
+    resampled, _ = resample_uniform(SubjectSeries(subject, "W", *raw), period)
+    with tempfile.TemporaryDirectory() as folder:
+        serialize_corpus([resampled], folder)
+        (back,) = parse_corpus(folder, device_filter=None)
+    assert back.subject_id == subject
+    assert back.timestamps.tobytes() == resampled.timestamps.tobytes()
+    assert back.bpm.tobytes() == resampled.bpm.tobytes()
+    assert back.labels.tolist() == resampled.labels.tolist()
