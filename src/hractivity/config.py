@@ -18,7 +18,7 @@ from pathlib import Path
 from .clustering import ClusterSpace
 from .errors import ConfigError
 from .evaluation import NetSpec, RoutingMode, SplitKind, SplitPlan, SvmSpec
-from .features import FeatureSetKind, MfccConfig
+from .features import N_MFCC, FeatureSetKind, MfccConfig
 from .neuralnet import ArchitectureId
 from .preprocess import StandardizationMode, WindowConfig
 from .svm import KernelKind, KernelSpec
@@ -129,52 +129,74 @@ def _choice(*allowed: str):
     return parse
 
 
-# (section, key) -> (field name, parser).  The table is the single source of
-# truth for what a config file may contain; unknown keys are rejected.
-_KEYS: dict[tuple[str, str], tuple[str, object]] = {
-    ("corpus", "source"): ("source", str.strip),
-    ("corpus", "device_filter"): ("device_filter", lambda s: s.strip()),
-    ("corpus", "resample_period_s"): ("resample_period_s", float),
-    ("synthetic", "subjects"): ("subjects", int),
-    ("synthetic", "groups"): ("groups", int),
-    ("synthetic", "noise_std"): ("noise_std", float),
-    ("synthetic", "lag_tau_s"): ("lag_tau_s", float),
-    ("synthetic", "sample_period_s"): ("sample_period_s", float),
-    ("windows", "window_size"): ("window_size", int),
-    ("windows", "stride"): ("stride", int),
-    ("windows", "window_sizes"): ("window_sizes", _parse_int_tuple),
-    ("windows", "strides"): ("strides", _parse_int_tuple),
-    ("standardization", "mode"): ("standardization", _enum_parser(StandardizationMode)),
-    ("features", "kind"): ("feature_kind", _optional(_enum_parser(FeatureSetKind))),
-    ("features", "n_mel_bands"): ("n_mel_bands", int),
-    ("model", "kind"): ("model_kind", _choice("svm", "net")),
-    ("model", "inputs"): ("svm_inputs", _choice("windows", "features", "both")),
-    ("model", "kernel"): ("kernel", _enum_parser(KernelKind)),
-    ("model", "c"): ("c", float),
-    ("model", "gamma"): ("gamma", _optional(float, ("auto", "none", ""))),
-    ("model", "tol"): ("tol", float),
-    ("model", "arch"): ("arch", _enum_parser(ArchitectureId)),
-    ("model", "epochs"): ("epochs", int),
-    ("model", "batch_size"): ("batch_size", int),
-    ("model", "learning_rate"): ("learning_rate", float),
-    ("model", "dropout_p"): ("dropout_p", float),
-    ("clustering", "space"): ("space", _enum_parser(ClusterSpace)),
-    ("clustering", "k"): ("k", int),
-    ("clustering", "routing"): ("routing", _optional(_enum_parser(RoutingMode))),
-    ("clustering", "restarts"): ("restarts", int),
-    ("split", "kind"): ("split_kind", _enum_parser(SplitKind)),
-    ("split", "test_fraction"): ("test_fraction", float),
-    ("split", "train_cluster"): ("train_cluster", int),
-    ("split", "test_cluster"): ("test_cluster", int),
-    ("importance", "repeats"): ("repeats", int),
-    ("importance", "top"): ("top", int),
-    ("timeline", "subject"): ("timeline_subject", lambda s: s.strip()),
-    ("run", "seed"): ("seed", int),
-    ("run", "out"): ("out", str.strip),
-    ("run", "workers"): ("workers", int),
+def _at_least(floor: int):
+    """Rule: an integer no smaller than ``floor``; a tuple key checks every entry."""
+    def check(value):
+        if not all(v >= floor for v in (value if isinstance(value, tuple) else (value,))):
+            return f"must be at least {floor}"
+    return check
+
+
+def _finite(low: float, high: float = math.inf, *, strict: bool = False):
+    """Rule: a finite float in [low, high), (low, high) if strict; None (gamma = auto) passes."""
+    bound = (f"{'>' if strict else '>='} {low:g}" if high == math.inf
+             else f"in {'(' if strict else '['}{low:g}, {high:g})")
+    def check(value):
+        if value is not None and not (math.isfinite(value) and value < high
+                                      and (value > low if strict else value >= low)):
+            return f"must be a finite number {bound}"
+    return check
+
+
+# (section, key) -> (field name, parser, rule).  The table is the single source
+# of truth for what a config file may contain and which values each key takes,
+# in the ranges of the code that consumes them.  A rule returns None for a good
+# value, else the message; load_config applies every rule after the overrides.
+_KEYS: dict[tuple[str, str], tuple[str, object, object]] = {
+    ("corpus", "source"): ("source", str.strip, None),
+    ("corpus", "device_filter"): ("device_filter", lambda s: s.strip(), None),
+    ("corpus", "resample_period_s"): ("resample_period_s", float, _finite(0.0)),
+    ("synthetic", "subjects"): ("subjects", int, _at_least(1)),
+    ("synthetic", "groups"): ("groups", int, _at_least(1)),
+    ("synthetic", "noise_std"): ("noise_std", float, _finite(0.0)),
+    ("synthetic", "lag_tau_s"): ("lag_tau_s", float, _finite(0.0)),
+    ("synthetic", "sample_period_s"): ("sample_period_s", float, _finite(0.0, strict=True)),
+    ("windows", "window_size"): ("window_size", int, _at_least(2)),
+    ("windows", "stride"): ("stride", int, _at_least(1)),
+    ("windows", "window_sizes"): ("window_sizes", _parse_int_tuple, _at_least(2)),
+    ("windows", "strides"): ("strides", _parse_int_tuple, _at_least(1)),
+    ("standardization", "mode"): ("standardization", _enum_parser(StandardizationMode), None),
+    ("features", "kind"): ("feature_kind", _optional(_enum_parser(FeatureSetKind)), None),
+    ("features", "n_mel_bands"): ("n_mel_bands", int, _at_least(N_MFCC)),
+    ("model", "kind"): ("model_kind", _choice("svm", "net"), None),
+    ("model", "inputs"): ("svm_inputs", _choice("windows", "features", "both"), None),
+    ("model", "kernel"): ("kernel", _enum_parser(KernelKind), None),
+    ("model", "c"): ("c", float, _finite(0.0, strict=True)),
+    ("model", "gamma"): ("gamma", _optional(float, ("auto", "none", "")),
+                         _finite(0.0, strict=True)),
+    ("model", "tol"): ("tol", float, _finite(0.0, strict=True)),
+    ("model", "arch"): ("arch", _enum_parser(ArchitectureId), None),
+    ("model", "epochs"): ("epochs", int, _at_least(1)),
+    ("model", "batch_size"): ("batch_size", int, _at_least(1)),
+    ("model", "learning_rate"): ("learning_rate", float, _finite(0.0, strict=True)),
+    ("model", "dropout_p"): ("dropout_p", float, _finite(0.0, 1.0)),
+    ("clustering", "space"): ("space", _enum_parser(ClusterSpace), None),
+    ("clustering", "k"): ("k", int, _at_least(1)),
+    ("clustering", "routing"): ("routing", _optional(_enum_parser(RoutingMode)), None),
+    ("clustering", "restarts"): ("restarts", int, _at_least(1)),
+    ("split", "kind"): ("split_kind", _enum_parser(SplitKind), None),
+    ("split", "test_fraction"): ("test_fraction", float, _finite(0.0, 1.0, strict=True)),
+    ("split", "train_cluster"): ("train_cluster", int, _at_least(0)),
+    ("split", "test_cluster"): ("test_cluster", int, _at_least(0)),
+    ("importance", "repeats"): ("repeats", int, _at_least(5)),
+    ("importance", "top"): ("top", int, _at_least(0)),
+    ("timeline", "subject"): ("timeline_subject", lambda s: s.strip(), None),
+    ("run", "seed"): ("seed", int, None),
+    ("run", "out"): ("out", str.strip, None),
+    ("run", "workers"): ("workers", int, _at_least(1)),
 }
 
-_FIELD_TO_KEY = {field: key for key, (field, _) in _KEYS.items()}
+_FIELD_TO_KEY = {field: key for key, (field, _, _) in _KEYS.items()}
 
 
 def load_config(path: str | Path | None, overrides: dict[str, object] | None = None) -> ExperimentConfig:
@@ -198,51 +220,20 @@ def load_config(path: str | Path | None, overrides: dict[str, object] | None = N
                 spec = _KEYS.get((section, key))
                 if spec is None:
                     raise ConfigError(f"unknown config key {section}.{key}")
-                field_name, parse = spec
+                field_name, parse, _ = spec
                 try:
                     values[field_name] = parse(raw)
                 except ValueError as exc:
-                    raise ConfigError(f"bad value for {section}.{key}: {exc}") from exc
+                    raise ConfigError(f"{section}.{key} has a bad value: {exc}") from exc
     for field_name, value in (overrides or {}).items():
         if value is not None:
             values[field_name] = value
 
     cfg = ExperimentConfig(**values)
-    _validate(cfg)
+    for (section, key), (field_name, _, rule) in _KEYS.items():
+        if rule is not None and (message := rule(getattr(cfg, field_name))):
+            raise ConfigError(f"{section}.{key} {message}")
     return cfg
-
-
-def _validate(cfg: ExperimentConfig) -> None:
-    checks = [
-        (cfg.window_size >= 1, "windows.window_size must be positive"),
-        (cfg.stride >= 1, "windows.stride must be positive"),
-        (all(w >= 1 for w in cfg.window_sizes), "windows.window_sizes must be positive"),
-        (all(s >= 1 for s in cfg.strides), "windows.strides must be positive"),
-        (math.isfinite(cfg.c) and cfg.c > 0, "model.c must be a finite number > 0"),
-        (math.isfinite(cfg.tol) and cfg.tol > 0, "model.tol must be a finite number > 0"),
-        (cfg.gamma is None or (math.isfinite(cfg.gamma) and cfg.gamma > 0),
-         "model.gamma must be a finite number > 0 or auto"),
-        (cfg.epochs >= 1, "model.epochs must be positive"),
-        (cfg.batch_size >= 1, "model.batch_size must be positive"),
-        (math.isfinite(cfg.learning_rate) and cfg.learning_rate > 0,
-         "model.learning_rate must be a finite number > 0"),
-        (0.0 <= cfg.dropout_p < 1.0, "model.dropout_p must lie in [0, 1)"),
-        (cfg.k >= 1, "clustering.k must be positive"),
-        (cfg.restarts >= 1, "clustering.restarts must be positive"),
-        (0.0 < cfg.test_fraction < 1.0, "split.test_fraction must lie in (0, 1)"),
-        (cfg.train_cluster >= 0, "split.train_cluster must be non-negative"),
-        (cfg.test_cluster >= 0, "split.test_cluster must be non-negative"),
-        (cfg.repeats >= 5, "importance.repeats must be at least 5"),
-        (cfg.top >= 0, "importance.top must be non-negative"),
-        (cfg.workers >= 1, "run.workers must be positive"),
-        (math.isfinite(cfg.resample_period_s) and cfg.resample_period_s >= 0,
-         "corpus.resample_period_s must be a finite number >= 0"),
-        (cfg.subjects >= 1, "synthetic.subjects must be positive"),
-        (cfg.groups >= 1, "synthetic.groups must be positive"),
-    ]
-    for ok, message in checks:
-        if not ok:
-            raise ConfigError(message)
 
 
 def check_protocol(cfg: ExperimentConfig, command: str) -> None:

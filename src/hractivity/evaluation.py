@@ -143,7 +143,7 @@ def build_dataset(
         names: tuple[str, ...] = ()
     else:
         hc = feature_matrix(windows, feature_kind, mfcc=mfcc)
-        names = feature_names(feature_kind, mfcc)
+        names = feature_names(feature_kind)
     return WindowDataset(
         windows=windows,
         hc=hc,
@@ -388,7 +388,8 @@ def _fit_predict(ds: WindowDataset, spec, job: FoldJob,
     return preds
 
 
-def _run_jobs(fn, arg_tuples, workers: int):
+def _run_jobs(fn, arg_tuples: list, workers: int):
+    workers = min(workers, len(arg_tuples))  # a pool forks all its workers at once
     if workers <= 1:
         return [fn(*args) for args in arg_tuples]
     with ProcessPoolExecutor(max_workers=workers) as pool:

@@ -23,6 +23,9 @@ BASE_NAMES = (
     "0_SecondDerivativeMean",
 )
 
+N_MFCC = 5
+MFCC_NAMES = tuple(f"0_MFCC{i}" for i in range(N_MFCC))
+
 STATISTICAL_NAMES = (
     "0_Mean",
     "0_Std",
@@ -53,7 +56,6 @@ TEMPORAL_NAMES = (
 
 ENTROPY_BINS = 10
 LOG_FLOOR = 1e-10
-N_MFCC = 5
 
 
 class FeatureSetKind(enum.Enum):
@@ -71,9 +73,6 @@ class MfccConfig:
     def __post_init__(self):
         if self.n_mel_bands < N_MFCC:
             raise InvalidConfig(f"n_mel_bands must be at least {N_MFCC}")
-
-    def names(self) -> tuple[str, ...]:
-        return tuple(f"0_MFCC{i}" for i in range(N_MFCC))
 
 
 def _require_width(mat: np.ndarray, minimum: int) -> None:
@@ -279,11 +278,11 @@ def mfcc_matrix(mat: np.ndarray, cfg: MfccConfig = MfccConfig()) -> np.ndarray:
     return log_e @ _dct_basis(cfg.n_mel_bands).T
 
 
-def feature_names(kind: FeatureSetKind, mfcc: MfccConfig = MfccConfig()) -> tuple[str, ...]:
+def feature_names(kind: FeatureSetKind) -> tuple[str, ...]:
     if kind is FeatureSetKind.BASE:
         return BASE_NAMES
     if kind is FeatureSetKind.BASE_MFCC:
-        return BASE_NAMES + mfcc.names()
+        return BASE_NAMES + MFCC_NAMES
     if kind is FeatureSetKind.STATISTICAL:
         return STATISTICAL_NAMES
     if kind is FeatureSetKind.TEMPORAL:
@@ -301,7 +300,7 @@ def feature_matrix(
     """(n_windows, n_features) matrix for an (n_windows, W) value matrix, row order kept."""
     mat = np.asarray(values, dtype=np.float64)
     if mat.shape[0] == 0:
-        return np.zeros((0, len(feature_names(kind, mfcc))))
+        return np.zeros((0, len(feature_names(kind))))
     if kind is FeatureSetKind.BASE:
         out = base_matrix(mat)
     elif kind is FeatureSetKind.BASE_MFCC:

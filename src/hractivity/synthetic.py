@@ -9,7 +9,8 @@ run.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+import math
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -22,6 +23,9 @@ DEFAULT_SEGMENT_DURATIONS = (240.0, 60.0, 300.0, 120.0, 60.0)
 BASELINE_MEAN = 65.0
 BASELINE_VAR = 8.0
 BASELINE_CLIP = (45.0, 100.0)
+
+#: Most samples (subjects x samples per subject) a cohort may hold; checked before allocating.
+MAX_SAMPLES = 10**7
 
 
 def default_group_profiles(n_groups: int) -> tuple[tuple[float, ...], ...]:
@@ -60,16 +64,23 @@ class SyntheticCohortSpec:
             raise InvalidSpec("n_groups must not exceed n_subjects")
         if self.seed < 0 or self.seed > 2**64 - 1:
             raise InvalidSpec("seed must fit in 64 unsigned bits")
-        if self.period_s <= 0:
+        if not self.period_s > 0:
             raise InvalidSpec("period_s must be positive")
         if len(self.segment_durations_s) != N_CLASSES:
             raise InvalidSpec("exactly five segment durations required")
-        if any(d <= 0 for d in self.segment_durations_s):
-            raise InvalidSpec("segment durations must be positive")
+        if not all(0 < d < math.inf for d in self.segment_durations_s):
+            raise InvalidSpec("segment durations must be finite and positive")
+        per_subject = sum(self.segment_durations_s) / self.period_s
+        if per_subject < 1:
+            raise InvalidSpec("period longer than the whole protocol")
+        if not (self.n_subjects <= MAX_SAMPLES and self.n_subjects * per_subject <= MAX_SAMPLES):
+            raise InvalidSpec(f"{self.n_subjects} subjects x {per_subject:.6g} samples exceed "
+                              f"MAX_SAMPLES = {MAX_SAMPLES}")
         if not 0 <= self.noise_ar_coeff < 1:
             raise InvalidSpec("noise_ar_coeff must lie in [0, 1)")
-        if self.noise_std < 0:
-            raise InvalidSpec("noise_std must be non-negative")
+        for name in ("noise_std", "lag_tau_s"):
+            if not 0 <= getattr(self, name) < math.inf:
+                raise InvalidSpec(f"{name} must be finite and non-negative")
         if self.group_offset_profiles is not None:
             if len(self.group_offset_profiles) != self.n_groups:
                 raise InvalidSpec("one offset profile per group required")
@@ -112,10 +123,7 @@ def generate_synthetic(spec: SyntheticCohortSpec) -> tuple[list[SubjectSeries], 
     """Generate one cohort; returns (series list, subject_id -> group index)."""
     spec.validate()
     profiles = spec.profiles()
-    total = float(sum(spec.segment_durations_s))
-    n = int(total / spec.period_s)
-    if n < 1:
-        raise InvalidSpec("period longer than the whole protocol")
+    n = int(sum(spec.segment_durations_s) / spec.period_s)
     times = np.arange(n, dtype=np.float64) * spec.period_s
 
     corpus: list[SubjectSeries] = []

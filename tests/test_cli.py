@@ -97,6 +97,20 @@ def test_generate_rejects_more_groups_than_subjects(tmp_path, capsys):
     assert not any(out.iterdir()) if out.exists() else True
 
 
+@pytest.mark.parametrize("ini_text,flags", [
+    ("[synthetic]\nsample_period_s = 1e-9\n", ()),
+    ("", ("--subjects", 20_000)),
+], ids=["tiny-period", "huge-cohort"])
+def test_generate_refuses_a_cohort_over_the_sample_bound(tmp_path, capsys, ini_text, flags):
+    ini = write_ini(tmp_path / "big.ini", ini_text)
+    out = tmp_path / "out"
+    rc = run_cli("--config", ini, "--seed", 1, "--out", out, "generate", *flags)
+    err = capsys.readouterr().err
+    assert rc == 2
+    assert "MAX_SAMPLES" in err and "Traceback" not in err
+    assert not any(out.iterdir()) if out.exists() else True
+
+
 def test_seed_is_mandatory(tmp_path, capsys):
     rc = run_cli("--out", tmp_path / "out", "generate")
     assert rc == 2
@@ -407,12 +421,19 @@ seed = 9
     ("eval", "[model]\ntol = inf\n", ("model.tol", "finite")),
     ("eval", "[model]\ngamma = inf\n", ("model.gamma", "finite")),
     ("eval", "[model]\nlearning_rate = inf\n", ("model.learning_rate", "finite")),
+    ("eval", "[synthetic]\nnoise_std = nan\n", ("synthetic.noise_std", "finite")),
+    ("eval", "[synthetic]\nlag_tau_s = -5\n", ("synthetic.lag_tau_s", ">= 0")),
+    ("eval", "[synthetic]\nsample_period_s = nan\n", ("synthetic.sample_period_s", "finite")),
+    ("eval", "[windows]\nwindow_size = 1\n", ("windows.window_size", "at least 2")),
+    ("eval", "[features]\nn_mel_bands = 4\n", ("features.n_mel_bands", "at least")),
 ], ids=["eval-routing-random_window", "sweep-routing", "sweep-within_cluster_loso",
         "sweep-cross_cluster", "eval-test_cluster-ge-k", "eval-train_cluster-ge-k",
         "eval-on_standardized_input", "cluster-on_standardized_input",
         "eval-train_cluster-eq-test_cluster", "eval-routing-profile_space",
         "importance-repeats-lt-5", "eval-unknown-key", "eval-c-inf", "eval-tol-inf",
-        "eval-gamma-inf", "eval-learning_rate-inf"])
+        "eval-gamma-inf", "eval-learning_rate-inf", "eval-noise_std-nan",
+        "eval-lag_tau_s-negative", "eval-sample_period_s-nan", "eval-window_size-1",
+        "eval-n_mel_bands-4"])
 def test_ignored_settings_are_refused(tiny_corpus, capsys, monkeypatch, command, extra, keys):
     ini, _, runs = tiny_corpus
     # merge section by section: the base file already has a [model] section

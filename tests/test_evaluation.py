@@ -1,5 +1,7 @@
 """Split contracts, routing rules, importance checks, timeline semantics."""
 
+from concurrent.futures import Future
+
 import numpy as np
 import pytest
 from oracles import nearest_window_reference, permutation_importance_reference
@@ -146,6 +148,39 @@ def test_worker_count_does_not_change_results():
     two = run_split(ds, plan, spec, seed=2, workers=2)
     assert np.array_equal(one.confusion, two.confusion)
     assert one.folds == two.folds
+
+
+def test_pool_never_has_more_workers_than_jobs(monkeypatch):
+    # a fork pool starts all its workers at the first submit, whatever the job count
+    sizes = []
+
+    class InlinePool:
+        def __init__(self, max_workers):
+            sizes.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def submit(self, fn, *args):
+            future = Future()
+            future.set_result(fn(*args))
+            return future
+
+    monkeypatch.setattr(evaluation, "ProcessPoolExecutor", InlinePool)
+    ds = small_dataset()
+    plan = SplitPlan(SplitKind.LEAVE_SUBJECT_OUT)
+    spec = SvmSpec(inputs="features")
+    many = run_split(ds, plan, spec, seed=2, workers=100_000)
+    assert sizes == [len(set(ds.subjects))]
+    one = run_split(ds, plan, spec, seed=2, workers=1)
+    assert np.array_equal(many.confusion, one.confusion)
+    assert many.folds == one.folds
+    assert evaluation._run_jobs(abs, [(-3,)], workers=4) == [3]
+    assert evaluation._run_jobs(abs, [], workers=4) == []
+    assert sizes == [len(set(ds.subjects))]
 
 
 def test_sweep_grid_shape_and_window_arithmetic():

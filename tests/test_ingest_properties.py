@@ -4,9 +4,7 @@ A mutated corpus file must end in a clean exit code, never a traceback, and
 any finite series, resampled or not, must survive a serialize/parse round
 trip bit for bit.
 Examples are derandomized and no example database is kept, so every run
-tries the same inputs. Hypothesis's own cache (the constants it collects
-from source files) goes to a temporary directory, so nothing is written to
-``.hypothesis/``.
+tries the same inputs.
 """
 
 import tempfile
@@ -15,18 +13,12 @@ from pathlib import Path
 import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from hypothesis.configuration import set_hypothesis_home_dir
 
 from hractivity.cli import main
 from hractivity.ingest import parse_corpus, resample_uniform, serialize_corpus
 from hractivity.series import SubjectSeries
 
 PROPERTY_SETTINGS = settings(derandomize=True, database=None, deadline=None)
-
-# set on import: Hypothesis's pytest plugin collects the constants while
-# collecting the tests, before any fixture runs; removed at interpreter exit
-HYPOTHESIS_HOME = tempfile.TemporaryDirectory(prefix="hypothesis-")
-set_hypothesis_home_dir(HYPOTHESIS_HOME.name)
 
 
 def valid_corpus_bytes() -> bytes:

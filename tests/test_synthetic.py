@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from hractivity import synthetic
 from hractivity.errors import InvalidSpec
 from hractivity.synthetic import (
     DEFAULT_SEGMENT_DURATIONS,
@@ -84,8 +85,13 @@ def test_default_profiles_shape():
         dict(n_subjects=2, n_groups=1, period_s=0.0),
         dict(n_subjects=2, n_groups=1, segment_durations_s=(240.0, 60.0)),
         dict(n_subjects=2, n_groups=1, segment_durations_s=(240.0, 60.0, -1.0, 120.0, 60.0)),
+        dict(n_subjects=2, n_groups=1, segment_durations_s=(240.0, 60.0, float("nan"), 120.0, 60.0)),
         dict(n_subjects=2, n_groups=1, noise_ar_coeff=1.0),
         dict(n_subjects=2, n_groups=1, noise_std=-0.5),
+        dict(n_subjects=2, n_groups=1, noise_std=float("nan")),
+        dict(n_subjects=2, n_groups=1, period_s=float("nan")),
+        dict(n_subjects=2, n_groups=1, lag_tau_s=-5.0),
+        dict(n_subjects=2, n_groups=1, lag_tau_s=float("nan")),
         dict(n_subjects=2, n_groups=2, group_offset_profiles=((0.0,) * 5,)),
         dict(n_subjects=2, n_groups=1, group_offset_profiles=((0.0,) * 4,)),
     ],
@@ -93,6 +99,29 @@ def test_default_profiles_shape():
 def test_invalid_specs_rejected(kwargs):
     with pytest.raises(InvalidSpec):
         generate_synthetic(SyntheticCohortSpec(seed=1, **kwargs))
+
+
+@pytest.mark.parametrize("kwargs", [
+    dict(n_subjects=4, n_groups=2, period_s=1e-9),  # 4 x 7.8e11 samples: 5.68 TiB of times
+    dict(n_subjects=10**8, n_groups=2),
+    dict(n_subjects=10**400, n_groups=2),
+])
+def test_cohort_over_the_sample_bound_is_refused_before_any_array(monkeypatch, kwargs):
+    def no_arrays(*args, **kw):
+        raise AssertionError("an array was allocated before the bound was checked")
+
+    monkeypatch.setattr(synthetic.np, "arange", no_arrays)
+    with pytest.raises(InvalidSpec, match="MAX_SAMPLES"):
+        generate_synthetic(SyntheticCohortSpec(seed=1, **kwargs))
+
+
+def test_sample_bound_is_inclusive(monkeypatch):
+    per_subject = int(sum(DEFAULT_SEGMENT_DURATIONS))
+    monkeypatch.setattr(synthetic, "MAX_SAMPLES", 3 * per_subject)
+    corpus, _ = generate_synthetic(SyntheticCohortSpec(n_subjects=3, n_groups=1, seed=1))
+    assert sum(len(s.bpm) for s in corpus) == synthetic.MAX_SAMPLES
+    with pytest.raises(InvalidSpec, match=f"4 subjects x {per_subject} samples"):
+        generate_synthetic(SyntheticCohortSpec(n_subjects=4, n_groups=1, seed=1))
 
 
 def test_activity_separation_between_groups():
