@@ -56,6 +56,9 @@ TEMPORAL_NAMES = (
 
 ENTROPY_BINS = 10
 LOG_FLOOR = 1e-10
+# Largest mel filterbank, in weights (bands x rfft bins), that mel_filterbank
+# allocates; past it n_mel_bands is refused before any array is built.
+MAX_FILTERBANK_WEIGHTS = 10**7
 
 
 class FeatureSetKind(enum.Enum):
@@ -241,8 +244,15 @@ def mel_filterbank(cfg: MfccConfig, n_fft: int) -> np.ndarray:
     and far below its 700 Hz knee it is close to linear. Band edges are
     mel-spaced between 0 and the Nyquist frequency 0.5; band b rises over
     [edge_b, edge_{b+1}] and falls over [edge_{b+1}, edge_{b+2}], so the bin
-    at 0 always gets weight 0.
+    at 0 always gets weight 0. A bank of more than ``MAX_FILTERBANK_WEIGHTS``
+    weights raises InvalidConfig.
     """
+    n_bins = n_fft // 2 + 1
+    if cfg.n_mel_bands * n_bins > MAX_FILTERBANK_WEIGHTS:
+        raise InvalidConfig(
+            f"features.n_mel_bands = {cfg.n_mel_bands} on a {n_fft}-point FFT needs "
+            f"{cfg.n_mel_bands} x {n_bins} filter weights, more than "
+            f"MAX_FILTERBANK_WEIGHTS = {MAX_FILTERBANK_WEIGHTS}")
     edges = mel_to_hz(np.linspace(0.0, hz_to_mel(0.5), cfg.n_mel_bands + 2))
     freqs = np.fft.rfftfreq(n_fft)
     bank = np.zeros((cfg.n_mel_bands, freqs.size))
@@ -266,10 +276,11 @@ def mel_band_energies(mat: np.ndarray, cfg: MfccConfig = MfccConfig()) -> np.nda
     """Row-wise filterbank outputs of the single-frame pipeline, before the log."""
     _require_width(mat, 8)
     w = mat.shape[1]
-    frame = (mat - mat.mean(axis=1, keepdims=True)) * np.hanning(w)
     n_fft = _next_pow2(w)
+    bank = mel_filterbank(cfg, n_fft)  # first: it refuses an oversized bank
+    frame = (mat - mat.mean(axis=1, keepdims=True)) * np.hanning(w)
     spectrum = np.abs(np.fft.rfft(frame, n=n_fft, axis=1))
-    return spectrum @ mel_filterbank(cfg, n_fft).T
+    return spectrum @ bank.T
 
 
 def mfcc_matrix(mat: np.ndarray, cfg: MfccConfig = MfccConfig()) -> np.ndarray:

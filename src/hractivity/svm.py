@@ -55,8 +55,17 @@ class KernelSpec:
             return a @ b.T
         if self.gamma is None or not np.isfinite(self.gamma) or self.gamma <= 0:
             raise InvalidConfig("rbf kernel requires a positive resolved gamma")
-        sq = (a**2).sum(axis=1)[:, None] + (b**2).sum(axis=1)[None, :] - 2.0 * (a @ b.T)
-        return np.exp(-self.gamma * np.maximum(sq, 0.0))
+        # exp(-gamma * max(|a|^2 + |b|^2 - 2 a.b, 0)) in two n x m buffers, each
+        # step the same IEEE operation on the same operands as the expression
+        # written out: doubling is exact and -gamma * m equals m * -gamma.
+        sq_a = (a**2).sum(axis=1)
+        sq_b = sq_a if b is a else (b**2).sum(axis=1)
+        k = a @ b.T
+        k *= 2.0
+        np.subtract(np.add.outer(sq_a, sq_b), k, out=k)
+        np.maximum(k, 0.0, out=k)
+        k *= -self.gamma
+        return np.exp(k, out=k)
 
 
 @dataclass(frozen=True)
@@ -99,9 +108,10 @@ def train_binary(
         raise DimensionMismatch("x must be (n, d) with matching labels")
     if not np.isfinite(x).all():
         raise NonFiniteFeature("non-finite training feature")
-    if not np.all(np.isin(y, (-1.0, 1.0))):
+    pos = y == 1.0
+    if not (pos | (y == -1.0)).all():
         raise SingleClassInput("labels must be -1/+1")
-    if np.unique(y).size < 2:
+    if pos.all() or not pos.any():
         raise SingleClassInput("need both classes to train")
     if c <= 0:
         raise InvalidConfig("C must be positive")
@@ -118,15 +128,15 @@ def train_binary(
     c = float(c)
     max_iter = MAX_ITER
     alpha = [0.0] * n
-    pos = (y > 0).tolist()
-    signs = y.tolist()
     # v = -y * (gradient of the dual) = y - K (alpha * y); starts at alpha = 0
     v = y.copy()
     # I_up (y * alpha may still grow) and I_low (it may still shrink) as
     # masks added to a vector: 0 inside the set, -inf outside.  At alpha = 0
     # I_up holds the positives and I_low the negatives.
-    up = np.where(y > 0, 0.0, -np.inf)
-    low = np.where(y > 0, -np.inf, 0.0)
+    up = np.where(pos, 0.0, -np.inf)
+    low = np.where(pos, -np.inf, 0.0)
+    pos = pos.tolist()
+    signs = y.tolist()
     b = np.empty(n)
     work = np.empty(n)
     iterations = 0
@@ -201,7 +211,7 @@ def train_binary(
 
     keep = alpha > ALPHA_KEEP
     return BinarySvm(
-        support_vectors=x[keep].copy(),
+        support_vectors=x[keep],  # boolean indexing copies
         coef=(alpha * y)[keep],
         bias=bias,
         kernel=kernel,

@@ -122,6 +122,20 @@ def solve_svm_dual_qp(gram, y, c, iterations=200_000):
     return alpha
 
 
+def kernel_matrix_reference(kernel, a, b):
+    """K(a_i, b_j) as one expression per kernel kind, each operation on a
+    fresh array.
+
+    KernelSpec.matrix must return the same bytes when called the same way:
+    ``a @ a.T`` (b is a) and ``a @ b.T`` go to different BLAS routines, so
+    compare matrix(x, x) with kernel_matrix_reference(kernel, x, x).
+    """
+    if kernel.kind is KernelKind.LINEAR:
+        return a @ b.T
+    sq = (a**2).sum(axis=1)[:, None] + (b**2).sum(axis=1)[None, :] - 2.0 * (a @ b.T)
+    return np.exp(-kernel.gamma * np.maximum(sq, 0.0))
+
+
 def train_binary_reference(x, y, kernel=KernelSpec(), c=1.0, tol=1e-3, max_iter=10_000_000):
     """WSS2 SMO written step by step: every set, curvature row and candidate
     vector is recomputed over all n rows at each step.
@@ -132,7 +146,7 @@ def train_binary_reference(x, y, kernel=KernelSpec(), c=1.0, tol=1e-3, max_iter=
     x = np.ascontiguousarray(x, dtype=np.float64)
     y = np.asarray(y, dtype=np.float64)
     kernel = kernel.resolve(x)
-    gram = kernel.matrix(x, x)
+    gram = kernel_matrix_reference(kernel, x, x)
     diag = gram.diagonal().copy()
     n = x.shape[0]
     alpha = np.zeros(n)

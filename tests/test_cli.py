@@ -365,6 +365,20 @@ out = {tmp_path / 'runs'}
     assert not any((tmp_path / "runs").iterdir())
 
 
+@pytest.mark.usefixtures("refuse_huge_linspace")
+def test_oversized_mel_filterbank_is_a_config_error(tiny_corpus, capsys):
+    # 10^13 bands x 33 bins would ask np.linspace for 10^13 points first
+    ini, _, runs = tiny_corpus
+    bad = write_ini(ini.with_name("mel.ini"), ini.read_text().replace(
+        "[model]\n", "[features]\nkind = base_mfcc\nn_mel_bands = 10000000000000\n[model]\n"))
+    rc = run_cli("--config", bad, "eval")
+    err = capsys.readouterr().err
+    assert rc == 2
+    assert err.startswith("config error: features.n_mel_bands = 10000000000000")
+    assert "MAX_FILTERBANK_WEIGHTS" in err and "Traceback" not in err
+    assert not runs.exists() or not any(runs.iterdir())
+
+
 def test_eval_writes_the_same_bytes_under_any_locale(tmp_path):
     series, _ = generate_synthetic(SyntheticCohortSpec(n_subjects=4, n_groups=2, seed=9))
     series[1] = dataclasses.replace(series[1], subject_id="Zo\u00eb")

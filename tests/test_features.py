@@ -12,6 +12,7 @@ from oracles import (
 from hractivity.errors import InvalidConfig, WindowTooShort
 from hractivity.features import (
     BASE_NAMES,
+    MAX_FILTERBANK_WEIGHTS,
     STATISTICAL_NAMES,
     TEMPORAL_NAMES,
     FeatureSetKind,
@@ -221,6 +222,18 @@ def test_mel_filterbank_covers_positive_frequencies():
     assert np.all(bank[:, 0] == 0.0)  # 0 Hz bin excluded
     assert np.all(bank >= 0.0)
     assert bank.sum(axis=1).min() > 0.0  # every band sees at least one bin
+
+
+@pytest.mark.parametrize("n_fft", [8, 64])
+@pytest.mark.usefixtures("refuse_huge_linspace")
+def test_mel_filterbank_refuses_an_oversized_bank_before_allocating(n_fft):
+    n_bins = n_fft // 2 + 1
+    for n_mel_bands in (MAX_FILTERBANK_WEIGHTS // n_bins + 1, 10**13):
+        with pytest.raises(InvalidConfig, match="features.n_mel_bands") as caught:
+            mel_filterbank(MfccConfig(n_mel_bands=n_mel_bands), n_fft)
+        assert "MAX_FILTERBANK_WEIGHTS" in str(caught.value)
+        with pytest.raises(InvalidConfig, match="features.n_mel_bands"):
+            mel_band_energies(np.zeros((3, n_fft)), MfccConfig(n_mel_bands=n_mel_bands))
 
 
 def test_translation_invariance():

@@ -6,10 +6,21 @@ from itertools import combinations
 import numpy as np
 import pytest
 
-from oracles import load_ovo, solve_svm_dual_qp, svm_dual_objective, train_binary_reference
+from oracles import (
+    kernel_matrix_reference,
+    load_ovo,
+    solve_svm_dual_qp,
+    svm_dual_objective,
+    train_binary_reference,
+)
 
 from hractivity import svm
-from hractivity.errors import DimensionMismatch, NonFiniteFeature, SingleClassInput
+from hractivity.errors import (
+    DimensionMismatch,
+    InvalidConfig,
+    NonFiniteFeature,
+    SingleClassInput,
+)
 from hractivity.evaluation import build_dataset
 from hractivity.features import FeatureSetKind
 from hractivity.preprocess import StandardizationMode, WindowConfig, apply_scaler, fit_scaler
@@ -400,3 +411,87 @@ def test_every_ovo_machine_matches_reference_under_feature_standardization():
         mask = (ds.labels == a) | (ds.labels == b)
         pair_y = np.where(ds.labels[mask] == a, 1.0, -1.0)
         assert_same_fit(machine, train_binary_reference(x[mask], pair_y, model.kernel))
+
+
+def assert_kernel_bytes(kernel, a, b):
+    got = kernel.matrix(a, b)
+    want = kernel_matrix_reference(kernel, a, b)
+    assert got.shape == want.shape and got.dtype == want.dtype
+    assert got.tobytes() == want.tobytes()
+
+
+@pytest.mark.parametrize("n", [1, 2, 59, 207, 364])
+@pytest.mark.parametrize("kind", [KernelKind.RBF, KernelKind.LINEAR], ids=["rbf", "linear"])
+def test_kernel_matrix_matches_reference_bytes(kind, n):
+    rng = np.random.default_rng(59 + n)
+    a = rng.normal(size=(n, 22)) * rng.uniform(0.1, 10.0, size=22)
+    kernel = KernelSpec(kind).resolve(a)
+    assert_kernel_bytes(kernel, a, a)  # b is a: the Gram matrix of a fit
+    assert_kernel_bytes(kernel, a, rng.normal(size=(n + 5, 22)))
+    assert_kernel_bytes(kernel, a[:1], a)  # one row against many, as in decision
+    assert_kernel_bytes(kernel, a, a[:1])
+
+
+@pytest.mark.parametrize("scale", [1.0, 100.0])
+def test_kernel_matrix_matches_reference_bytes_when_the_clamp_acts(scale):
+    # duplicated rows: |x|^2 + |x|^2 - 2 x.x rounds below 0 for some pairs
+    rng = np.random.default_rng(67)
+    base = rng.normal(size=(30, 22)) * scale
+    x = np.concatenate([base, base[:10]])
+    unclamped = (x**2).sum(axis=1)[:, None] + (x**2).sum(axis=1)[None, :] - 2.0 * (x @ x.T)
+    assert (unclamped < 0.0).any()
+    kernel = KernelSpec().resolve(x)
+    assert_kernel_bytes(kernel, x, x)
+    assert_kernel_bytes(kernel, x, base)
+
+
+def test_ovo_looks_up_train_binary_and_kernel_matrix_per_call(monkeypatch):
+    # Per-layer timers wrap hractivity.svm.train_binary and KernelSpec.matrix
+    # where they are looked up; a fit that bypassed either would read 0 there.
+    calls = {"train_binary": 0, "matrix": 0}
+    train = svm.train_binary
+    matrix = KernelSpec.matrix
+
+    def counting_train(*args, **kwargs):
+        calls["train_binary"] += 1
+        return train(*args, **kwargs)
+
+    def counting_matrix(self, a, b):
+        calls["matrix"] += 1
+        return matrix(self, a, b)
+
+    monkeypatch.setattr(svm, "train_binary", counting_train)
+    monkeypatch.setattr(KernelSpec, "matrix", counting_matrix)
+    rng = np.random.default_rng(71)
+    y = np.arange(50) % 5
+    x = rng.normal(size=(50, 3)) + 3.0 * y[:, None]
+    model = train_ovo(x, y)
+    assert calls == {"train_binary": 10, "matrix": 10}
+    predict_ovo(model, x[:7])
+    assert calls == {"train_binary": 10, "matrix": 20}
+
+
+@pytest.mark.parametrize("x,y,c,error,message", [
+    (np.zeros((3, 2)), np.array([0.0, 1.0, 1.0]), 1.0,
+     SingleClassInput, "labels must be -1/+1"),
+    (np.zeros((2, 2)), np.array([2.0, 2.0]), 1.0, SingleClassInput, "labels must be -1/+1"),
+    (np.zeros((3, 2)), np.array([-2.0, 1.0, 1.0]), 1.0,
+     SingleClassInput, "labels must be -1/+1"),
+    (np.zeros((3, 2)), np.array([1.0, np.nan, -1.0]), 1.0,
+     SingleClassInput, "labels must be -1/+1"),
+    (np.zeros((3, 2)), np.ones(3), 1.0, SingleClassInput, "need both classes to train"),
+    (np.zeros((3, 2)), -np.ones(3), 1.0, SingleClassInput, "need both classes to train"),
+    (np.zeros((0, 2)), np.zeros(0), 1.0, SingleClassInput, "need both classes to train"),
+    (np.eye(2), np.array([1.0, -1.0]), 0.0, InvalidConfig, "C must be positive"),
+    (np.eye(2), np.array([1.0, -1.0]), -1.0, InvalidConfig, "C must be positive"),
+    (np.array([[1.0, np.inf], [0.0, 1.0]]), np.array([1.0, -1.0]), 1.0,
+     NonFiniteFeature, "non-finite training feature"),
+    (np.array([[1.0, 0.0], [np.nan, 1.0]]), np.array([1.0, -1.0]), 1.0,
+     NonFiniteFeature, "non-finite training feature"),
+], ids=["labels-0-1", "labels-2-2", "labels-minus2-1", "label-nan", "all-positive",
+        "all-negative", "empty", "c-zero", "c-negative", "x-inf", "x-nan"])
+def test_train_binary_refusals(x, y, c, error, message):
+    with pytest.raises(error) as caught:
+        train_binary(x, y, c=c)
+    assert type(caught.value) is error
+    assert str(caught.value) == message
