@@ -18,7 +18,7 @@ from pathlib import Path
 from .clustering import ClusterSpace
 from .errors import ConfigError
 from .evaluation import NetSpec, RoutingMode, SplitKind, SplitPlan, SvmSpec
-from .features import N_MFCC, FeatureSetKind, MfccConfig
+from .features import MAX_FILTERBANK_WEIGHTS, MAX_MEL_BANDS, N_MFCC, FeatureSetKind, MfccConfig
 from .neuralnet import ArchitectureId
 from .preprocess import StandardizationMode, WindowConfig
 from .svm import KernelKind, KernelSpec
@@ -137,6 +137,15 @@ def _at_least(floor: int):
     return check
 
 
+def _mel_band_count(value):
+    """Rule for features.n_mel_bands: N_MFCC to MAX_MEL_BANDS bands."""
+    if value < N_MFCC:
+        return f"must be at least {N_MFCC}"
+    if value > MAX_MEL_BANDS:
+        return (f"= {value} is more than MAX_MEL_BANDS = {MAX_MEL_BANDS}; the filterbank "
+                f"is further bounded by MAX_FILTERBANK_WEIGHTS = {MAX_FILTERBANK_WEIGHTS}")
+
+
 def _finite(low: float, high: float = math.inf, *, strict: bool = False):
     """Rule: a finite float in [low, high), (low, high) if strict; None (gamma = auto) passes."""
     bound = (f"{'>' if strict else '>='} {low:g}" if high == math.inf
@@ -167,7 +176,7 @@ _KEYS: dict[tuple[str, str], tuple[str, object, object]] = {
     ("windows", "strides"): ("strides", _parse_int_tuple, _at_least(1)),
     ("standardization", "mode"): ("standardization", _enum_parser(StandardizationMode), None),
     ("features", "kind"): ("feature_kind", _optional(_enum_parser(FeatureSetKind)), None),
-    ("features", "n_mel_bands"): ("n_mel_bands", int, _at_least(N_MFCC)),
+    ("features", "n_mel_bands"): ("n_mel_bands", int, _mel_band_count),
     ("model", "kind"): ("model_kind", _choice("svm", "net"), None),
     ("model", "inputs"): ("svm_inputs", _choice("windows", "features", "both"), None),
     ("model", "kernel"): ("kernel", _enum_parser(KernelKind), None),

@@ -59,6 +59,9 @@ LOG_FLOOR = 1e-10
 # Largest mel filterbank, in weights (bands x rfft bins), that mel_filterbank
 # allocates; past it n_mel_bands is refused before any array is built.
 MAX_FILTERBANK_WEIGHTS = 10**7
+# Most bands features.n_mel_bands may ask for: the energies of a feature
+# matrix are n_windows x n_mel_bands, which no window size bounds.
+MAX_MEL_BANDS = 256
 
 
 class FeatureSetKind(enum.Enum):
@@ -255,13 +258,10 @@ def mel_filterbank(cfg: MfccConfig, n_fft: int) -> np.ndarray:
             f"MAX_FILTERBANK_WEIGHTS = {MAX_FILTERBANK_WEIGHTS}")
     edges = mel_to_hz(np.linspace(0.0, hz_to_mel(0.5), cfg.n_mel_bands + 2))
     freqs = np.fft.rfftfreq(n_fft)
-    bank = np.zeros((cfg.n_mel_bands, freqs.size))
-    for b in range(cfg.n_mel_bands):
-        left, center, right = edges[b], edges[b + 1], edges[b + 2]
-        rise = (freqs - left) / (center - left)
-        fall = (right - freqs) / (right - center)
-        bank[b] = np.clip(np.minimum(rise, fall), 0.0, None)
-    return bank
+    left, center, right = edges[:-2, None], edges[1:-1, None], edges[2:, None]
+    rise = (freqs - left) / (center - left)
+    fall = (right - freqs) / (right - center)
+    return np.clip(np.minimum(rise, fall), 0.0, None)
 
 
 def _dct_basis(n: int) -> np.ndarray:

@@ -179,24 +179,27 @@ def _forward(model: NetModel, cols, hc, rng=None):
     cache: dict = {}
 
     n, conv_len, _ = cols.shape
-    conv_pre = (cols.reshape(-1, CONV_KERNEL) @ p["conv_w"].T + p["conv_b"]).reshape(
-        n, conv_len, CONV_CHANNELS
-    )
+    act = cols.reshape(-1, CONV_KERNEL) @ p["conv_w"].T
+    act += p["conv_b"]
+    act = act.reshape(n, conv_len, CONV_CHANNELS)
     # ReLU and inverted dropout as one multiplier that _backward reuses
-    gate = conv_pre > 0.0
+    gate = act > 0.0
     if rng is not None and cfg.dropout_p > 0.0:
         gate &= rng.random(gate.shape) >= cfg.dropout_p
-        gate = gate * (1.0 / (1.0 - cfg.dropout_p))
-    act = conv_pre * gate
+        gate = gate.astype(np.float64)
+        gate *= 1.0 / (1.0 - cfg.dropout_p)
+    act *= gate
 
-    # max pool 2/2; ties keep the left element
+    # max pool 2/2; take_right routes the gradient, so ties keep the left
+    # element (np.maximum may return either zero of a +0/-0 tie)
     end = conv_len - conv_len % POOL_STRIDE
     left, right = act[:, 0:end:POOL_STRIDE], act[:, 1:end:POOL_STRIDE]
     take_right = right > left
-    pooled = np.where(take_right, right, left)
+    pooled = np.maximum(right, left)
     flat = pooled.transpose(0, 2, 1).reshape(n, -1)
 
-    fc1_pre = flat @ p["fc1_w"].T + p["fc1_b"]
+    fc1_pre = flat @ p["fc1_w"].T
+    fc1_pre += p["fc1_b"]
     fc1_act = np.maximum(fc1_pre, 0.0)
 
     if model.arch is ArchitectureId.MODEL1:
@@ -252,52 +255,68 @@ def cross_entropy(scores: np.ndarray, labels: np.ndarray) -> float:
     return _mean_nll(shifted, z, labels)
 
 
-def _backward(model: NetModel, cache, probs, labels):
+def _backward(model: NetModel, cache, probs, labels, grads=None):
     """Mean cross-entropy gradients for every parameter tensor.
 
-    ``probs`` is the softmax of the scores; it is overwritten.
+    ``probs`` is the softmax of the scores; it is overwritten.  ``grads``
+    maps each parameter name to the array its gradient is written into
+    (``train`` passes views into Adam's flat buffer); None allocates them.
     """
     p = model.params
     n = probs.shape[0]
-    grads: dict[str, np.ndarray] = {}
+    if grads is None:
+        grads = {name: np.empty_like(arr) for name, arr in p.items()}
 
     dscores = probs
     dscores[np.arange(n), labels] -= 1.0
     dscores /= n
 
     if model.arch in (ArchitectureId.MODEL1, ArchitectureId.MODEL3):
-        grads["out_w"] = dscores.T @ cache["mid_act"]
-        grads["out_b"] = dscores.sum(axis=0)
-        dmid = (dscores @ p["out_w"]) * (cache["mid_pre"] > 0.0)
-        grads["mid_w"] = dmid.T @ cache["joined"]
-        grads["mid_b"] = dmid.sum(axis=0)
+        np.matmul(dscores.T, cache["mid_act"], out=grads["out_w"])
+        np.sum(dscores, axis=0, out=grads["out_b"])
+        dmid = dscores @ p["out_w"]
+        dmid *= cache["mid_pre"] > 0.0
+        np.matmul(dmid.T, cache["joined"], out=grads["mid_w"])
+        np.sum(dmid, axis=0, out=grads["mid_b"])
         djoined = dmid @ p["mid_w"]
         dfc1_act = djoined[:, : model.config.fc1_out]
         dtail = djoined[:, model.config.fc1_out:]
         if model.arch is ArchitectureId.MODEL3:
             dhc_act = dtail * (cache["hc_pre"] > 0.0)
-            grads["hc_w"] = dhc_act.T @ cache["hc"]
-            grads["hc_b"] = dhc_act.sum(axis=0)
+            np.matmul(dhc_act.T, cache["hc"], out=grads["hc_w"])
+            np.sum(dhc_act, axis=0, out=grads["hc_b"])
     else:
-        grads["out_w"] = dscores.T @ cache["fc1_act"]
-        grads["out_b"] = dscores.sum(axis=0)
+        np.matmul(dscores.T, cache["fc1_act"], out=grads["out_w"])
+        np.sum(dscores, axis=0, out=grads["out_b"])
         dfc1_act = dscores @ p["out_w"]
 
     dfc1 = dfc1_act * (cache["fc1_pre"] > 0.0)
-    grads["fc1_w"] = dfc1.T @ cache["flat"]
-    grads["fc1_b"] = dfc1.sum(axis=0)
+    np.matmul(dfc1.T, cache["flat"], out=grads["fc1_w"])
+    np.sum(dfc1, axis=0, out=grads["fc1_b"])
     dflat = dfc1 @ p["fc1_w"]
 
+    # unpool and gate: each pair's gradient goes to the side take_right
+    # names, times that side's gate; the other side gets 0 * gate * dpool,
+    # which is -0.0 where dpool < 0.  A -0 term changes no sum that has a
+    # nonzero term, and Adam's b1 m + (1 - b1) g is the same for g = +0 and
+    # -0, so training keeps the bytes of np.where selects that write +0
+    # (tests/oracles.py::net_train_blas_reference).
     gate = cache["gate"]
     take_right = cache["take_right"]
     end = take_right.shape[1] * POOL_STRIDE
-    dpool = dflat.reshape(n, CONV_CHANNELS, -1).transpose(0, 2, 1)
-    dact = np.zeros(gate.shape)
-    dact[:, 0:end:POOL_STRIDE] = np.where(take_right, 0.0, dpool)
-    dact[:, 1:end:POOL_STRIDE] = np.where(take_right, dpool, 0.0)
-    dconv = (dact * gate).reshape(-1, CONV_CHANNELS)
-    grads["conv_w"] = dconv.T @ cache["cols"].reshape(-1, CONV_KERNEL)
-    grads["conv_b"] = dconv.sum(axis=0)
+    dpool = np.ascontiguousarray(dflat.reshape(n, CONV_CHANNELS, -1).transpose(0, 2, 1))
+    dconv = np.zeros(gate.shape)
+    route = take_right.astype(np.float64)
+    odd = dconv[:, 1:end:POOL_STRIDE]
+    np.multiply(route, gate[:, 1:end:POOL_STRIDE], out=odd)
+    odd *= dpool
+    np.subtract(1.0, route, out=route)
+    even = dconv[:, 0:end:POOL_STRIDE]
+    np.multiply(route, gate[:, 0:end:POOL_STRIDE], out=even)
+    even *= dpool
+    dconv = dconv.reshape(-1, CONV_CHANNELS)
+    np.matmul(dconv.T, cache["cols"].reshape(-1, CONV_KERNEL), out=grads["conv_w"])
+    np.sum(dconv, axis=0, out=grads["conv_b"])
     return grads
 
 
@@ -306,8 +325,9 @@ def train(model: NetModel, windows, hc, labels) -> NetModel:
 
     Every dropout mask of the call comes from one (seed, 1) generator. All
     parameters live in one flat vector for the run, ``model.params``
-    holding reshaped views into it, so each Adam step is a few whole-vector
-    in-place operations.
+    holding reshaped views into it, and ``_backward`` writes each gradient
+    into the same views of one flat gradient vector, so each Adam step is a
+    few whole-vector in-place operations.
     """
     cfg = model.config
     windows, hc = _check_batch(model, windows, hc)
@@ -321,14 +341,15 @@ def train(model: NetModel, windows, hc, labels) -> NetModel:
         raise UnknownLabel("label outside [0, n_classes)")
 
     cols = _im2col(model, windows, hc)
-    names = list(model.params)
-    theta = np.concatenate([model.params[k].reshape(-1) for k in names])
-    offset = 0
-    for k in names:
-        size = model.params[k].size
-        model.params[k] = theta[offset : offset + size].reshape(model.params[k].shape)
-        offset += size
+    theta = np.concatenate([arr.reshape(-1) for arr in model.params.values()])
     grad = np.empty_like(theta)
+    grads = {}
+    offset = 0
+    for k, arr in model.params.items():
+        size = arr.size
+        model.params[k] = theta[offset : offset + size].reshape(arr.shape)
+        grads[k] = grad[offset : offset + size].reshape(arr.shape)
+        offset += size
     m = np.zeros_like(theta)
     v = np.zeros_like(theta)
     scratch = np.empty_like(theta)
@@ -345,8 +366,7 @@ def train(model: NetModel, windows, hc, labels) -> NetModel:
             scores, cache = _forward(model, cols[batch], hc[batch], dropout_rng)
             shifted, e, z = _exp_scores(scores)
             epoch_loss += _mean_nll(shifted, z, labels[batch]) * batch.size
-            grads = _backward(model, cache, e / z, labels[batch])
-            np.concatenate([grads[k].reshape(-1) for k in names], out=grad)
+            _backward(model, cache, e / z, labels[batch], grads)
             step += 1
             bias1 = 1.0 - cfg.beta1**step
             bias2 = 1.0 - cfg.beta2**step

@@ -15,7 +15,19 @@ from pathlib import Path
 
 import numpy as np
 
-from hractivity.neuralnet import ArchitectureId, NetConfig, NetModel
+from hractivity.errors import EmptyDataset, ShapeMismatch, UnknownLabel
+from hractivity.neuralnet import (
+    CONV_CHANNELS,
+    CONV_KERNEL,
+    POOL_STRIDE,
+    ArchitectureId,
+    NetConfig,
+    NetModel,
+    _check_batch,
+    _exp_scores,
+    _im2col,
+    _mean_nll,
+)
 from hractivity.svm import ALPHA_KEEP, TAU, BinarySvm, KernelKind, KernelSpec, OvoSvm
 
 
@@ -365,6 +377,191 @@ def net_train_reference(model, windows, hc, labels):
                 model.params[key] -= cfg.learning_rate * (m[key] / bias1) / (
                     np.sqrt(v[key] / bias2) + cfg.adam_epsilon
                 )
+        model.training_log.append(epoch_loss / n)
+    return model
+
+
+# -- conv net: the BLAS step as it was before the branch-free pool ----------
+#
+# _forward, _backward and train as they stood before the max pool became
+# np.maximum, the unpool a pair of products and the gradients views into
+# Adam's flat buffer.  Kept verbatim, as train_binary_reference keeps the old
+# SMO loop: the library must train to the same bytes.  Unlike the oracles
+# above it calls the library's batch checks, im2col and softmax helpers,
+# which are not part of the step it pins down.
+
+def net_forward_blas_reference(model: NetModel, cols, hc, rng=None):
+    """Class scores plus every intermediate needed by _backward.
+
+    ``rng`` is the dropout generator of a training step; None means eval
+    mode, with no dropout. Conv activations are channels-last, (n, L-4, 16);
+    only the pooled block is transposed to the channel-major flat vector
+    that fc1 reads.
+    """
+    cfg = model.config
+    p = model.params
+    cache: dict = {}
+
+    n, conv_len, _ = cols.shape
+    conv_pre = (cols.reshape(-1, CONV_KERNEL) @ p["conv_w"].T + p["conv_b"]).reshape(
+        n, conv_len, CONV_CHANNELS
+    )
+    # ReLU and inverted dropout as one multiplier that _backward reuses
+    gate = conv_pre > 0.0
+    if rng is not None and cfg.dropout_p > 0.0:
+        gate &= rng.random(gate.shape) >= cfg.dropout_p
+        gate = gate * (1.0 / (1.0 - cfg.dropout_p))
+    act = conv_pre * gate
+
+    # max pool 2/2; ties keep the left element
+    end = conv_len - conv_len % POOL_STRIDE
+    left, right = act[:, 0:end:POOL_STRIDE], act[:, 1:end:POOL_STRIDE]
+    take_right = right > left
+    pooled = np.where(take_right, right, left)
+    flat = pooled.transpose(0, 2, 1).reshape(n, -1)
+
+    fc1_pre = flat @ p["fc1_w"].T + p["fc1_b"]
+    fc1_act = np.maximum(fc1_pre, 0.0)
+
+    if model.arch is ArchitectureId.MODEL1:
+        joined = np.concatenate([fc1_act, hc], axis=1)
+        mid_pre = joined @ p["mid_w"].T + p["mid_b"]
+        mid_act = np.maximum(mid_pre, 0.0)
+        scores = mid_act @ p["out_w"].T + p["out_b"]
+        cache.update(joined=joined, mid_pre=mid_pre, mid_act=mid_act)
+    elif model.arch is ArchitectureId.MODEL3:
+        hc_pre = hc @ p["hc_w"].T + p["hc_b"]
+        hc_act = np.maximum(hc_pre, 0.0)
+        joined = np.concatenate([fc1_act, hc_act], axis=1)
+        mid_pre = joined @ p["mid_w"].T + p["mid_b"]
+        mid_act = np.maximum(mid_pre, 0.0)
+        scores = mid_act @ p["out_w"].T + p["out_b"]
+        cache.update(hc_pre=hc_pre, joined=joined, mid_pre=mid_pre, mid_act=mid_act)
+    else:
+        scores = fc1_act @ p["out_w"].T + p["out_b"]
+
+    cache.update(
+        hc=hc, cols=cols, gate=gate, take_right=take_right,
+        flat=flat, fc1_pre=fc1_pre, fc1_act=fc1_act,
+    )
+    return scores, cache
+
+
+def net_backward_blas_reference(model: NetModel, cache, probs, labels):
+    """Mean cross-entropy gradients for every parameter tensor.
+
+    ``probs`` is the softmax of the scores; it is overwritten.
+    """
+    p = model.params
+    n = probs.shape[0]
+    grads: dict[str, np.ndarray] = {}
+
+    dscores = probs
+    dscores[np.arange(n), labels] -= 1.0
+    dscores /= n
+
+    if model.arch in (ArchitectureId.MODEL1, ArchitectureId.MODEL3):
+        grads["out_w"] = dscores.T @ cache["mid_act"]
+        grads["out_b"] = dscores.sum(axis=0)
+        dmid = (dscores @ p["out_w"]) * (cache["mid_pre"] > 0.0)
+        grads["mid_w"] = dmid.T @ cache["joined"]
+        grads["mid_b"] = dmid.sum(axis=0)
+        djoined = dmid @ p["mid_w"]
+        dfc1_act = djoined[:, : model.config.fc1_out]
+        dtail = djoined[:, model.config.fc1_out:]
+        if model.arch is ArchitectureId.MODEL3:
+            dhc_act = dtail * (cache["hc_pre"] > 0.0)
+            grads["hc_w"] = dhc_act.T @ cache["hc"]
+            grads["hc_b"] = dhc_act.sum(axis=0)
+    else:
+        grads["out_w"] = dscores.T @ cache["fc1_act"]
+        grads["out_b"] = dscores.sum(axis=0)
+        dfc1_act = dscores @ p["out_w"]
+
+    dfc1 = dfc1_act * (cache["fc1_pre"] > 0.0)
+    grads["fc1_w"] = dfc1.T @ cache["flat"]
+    grads["fc1_b"] = dfc1.sum(axis=0)
+    dflat = dfc1 @ p["fc1_w"]
+
+    gate = cache["gate"]
+    take_right = cache["take_right"]
+    end = take_right.shape[1] * POOL_STRIDE
+    dpool = dflat.reshape(n, CONV_CHANNELS, -1).transpose(0, 2, 1)
+    dact = np.zeros(gate.shape)
+    dact[:, 0:end:POOL_STRIDE] = np.where(take_right, 0.0, dpool)
+    dact[:, 1:end:POOL_STRIDE] = np.where(take_right, dpool, 0.0)
+    dconv = (dact * gate).reshape(-1, CONV_CHANNELS)
+    grads["conv_w"] = dconv.T @ cache["cols"].reshape(-1, CONV_KERNEL)
+    grads["conv_b"] = dconv.sum(axis=0)
+    return grads
+
+
+def net_train_blas_reference(model: NetModel, windows, hc, labels) -> NetModel:
+    """Adam on mean softmax cross-entropy; in-place, returns the same model.
+
+    Every dropout mask of the call comes from one (seed, 1) generator. All
+    parameters live in one flat vector for the run, ``model.params``
+    holding reshaped views into it, so each Adam step is a few whole-vector
+    in-place operations.
+    """
+    cfg = model.config
+    windows, hc = _check_batch(model, windows, hc)
+    labels = np.asarray(labels, dtype=np.int64)
+    n = windows.shape[0]
+    if n == 0:
+        raise EmptyDataset("no training samples")
+    if labels.shape != (n,):
+        raise ShapeMismatch("labels must be one per sample")
+    if labels.min() < 0 or labels.max() >= cfg.n_classes:
+        raise UnknownLabel("label outside [0, n_classes)")
+
+    cols = _im2col(model, windows, hc)
+    names = list(model.params)
+    theta = np.concatenate([model.params[k].reshape(-1) for k in names])
+    offset = 0
+    for k in names:
+        size = model.params[k].size
+        model.params[k] = theta[offset : offset + size].reshape(model.params[k].shape)
+        offset += size
+    grad = np.empty_like(theta)
+    m = np.zeros_like(theta)
+    v = np.zeros_like(theta)
+    scratch = np.empty_like(theta)
+    denom = np.empty_like(theta)
+    step = 0
+    dropout_rng = np.random.default_rng(np.random.SeedSequence(entropy=(int(cfg.seed), 1)))
+    shuffle_rng = np.random.default_rng(np.random.SeedSequence(entropy=(int(cfg.seed), 2)))
+
+    for _ in range(cfg.epochs):
+        order = shuffle_rng.permutation(n)
+        epoch_loss = 0.0
+        for start in range(0, n, cfg.batch_size):
+            batch = order[start : start + cfg.batch_size]
+            scores, cache = net_forward_blas_reference(model, cols[batch], hc[batch],
+                                                       dropout_rng)
+            shifted, e, z = _exp_scores(scores)
+            epoch_loss += _mean_nll(shifted, z, labels[batch]) * batch.size
+            grads = net_backward_blas_reference(model, cache, e / z, labels[batch])
+            np.concatenate([grads[k].reshape(-1) for k in names], out=grad)
+            step += 1
+            bias1 = 1.0 - cfg.beta1**step
+            bias2 = 1.0 - cfg.beta2**step
+            # m = b1 m + (1 - b1) g;  v = b2 v + (1 - b2) g g
+            m *= cfg.beta1
+            np.multiply(grad, 1.0 - cfg.beta1, out=scratch)
+            m += scratch
+            v *= cfg.beta2
+            np.multiply(grad, 1.0 - cfg.beta2, out=scratch)
+            scratch *= grad
+            v += scratch
+            # theta -= lr (m / bias1) / (sqrt(v / bias2) + eps)
+            np.divide(m, bias1, out=scratch)
+            scratch *= cfg.learning_rate
+            np.divide(v, bias2, out=denom)
+            np.sqrt(denom, out=denom)
+            denom += cfg.adam_epsilon
+            scratch /= denom
+            theta -= scratch
         model.training_log.append(epoch_loss / n)
     return model
 

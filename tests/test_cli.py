@@ -379,6 +379,16 @@ def test_oversized_mel_filterbank_is_a_config_error(tiny_corpus, capsys):
     assert not runs.exists() or not any(runs.iterdir())
 
 
+def test_mel_band_ceiling_runs(tiny_corpus, capsys):
+    # MAX_MEL_BANDS itself runs; 257 is a row of test_ignored_settings_are_refused
+    ini, _, runs = tiny_corpus
+    ok = write_ini(ini.with_name("mel.ini"), ini.read_text().replace(
+        "[model]\n", "[features]\nkind = base_mfcc\nn_mel_bands = 256\n[model]\n"))
+    assert run_cli("--config", ok, "eval") == 0, capsys.readouterr().err
+    manifest = json.loads((only_run_dir(runs) / "manifest.json").read_text())
+    assert manifest["config"]["features.n_mel_bands"] == "256"
+
+
 def test_eval_writes_the_same_bytes_under_any_locale(tmp_path):
     series, _ = generate_synthetic(SyntheticCohortSpec(n_subjects=4, n_groups=2, seed=9))
     series[1] = dataclasses.replace(series[1], subject_id="Zo\u00eb")
@@ -440,6 +450,8 @@ seed = 9
     ("eval", "[synthetic]\nsample_period_s = nan\n", ("synthetic.sample_period_s", "finite")),
     ("eval", "[windows]\nwindow_size = 1\n", ("windows.window_size", "at least 2")),
     ("eval", "[features]\nn_mel_bands = 4\n", ("features.n_mel_bands", "at least")),
+    ("eval", "[features]\nkind = base_mfcc\nn_mel_bands = 257\n",
+     ("features.n_mel_bands = 257", "MAX_MEL_BANDS = 256")),
 ], ids=["eval-routing-random_window", "sweep-routing", "sweep-within_cluster_loso",
         "sweep-cross_cluster", "eval-test_cluster-ge-k", "eval-train_cluster-ge-k",
         "eval-on_standardized_input", "cluster-on_standardized_input",
@@ -447,7 +459,7 @@ seed = 9
         "importance-repeats-lt-5", "eval-unknown-key", "eval-c-inf", "eval-tol-inf",
         "eval-gamma-inf", "eval-learning_rate-inf", "eval-noise_std-nan",
         "eval-lag_tau_s-negative", "eval-sample_period_s-nan", "eval-window_size-1",
-        "eval-n_mel_bands-4"])
+        "eval-n_mel_bands-4", "eval-n_mel_bands-257"])
 def test_ignored_settings_are_refused(tiny_corpus, capsys, monkeypatch, command, extra, keys):
     ini, _, runs = tiny_corpus
     # merge section by section: the base file already has a [model] section

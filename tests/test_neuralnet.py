@@ -4,8 +4,11 @@ import numpy as np
 import pytest
 from oracles import (
     load_net,
+    net_backward_blas_reference,
     net_backward_reference,
+    net_forward_blas_reference,
     net_forward_reference,
+    net_train_blas_reference,
     net_train_reference,
 )
 
@@ -303,6 +306,100 @@ def test_trained_params_keep_layout_and_round_trip(arch, f, tmp_path):
         assert np.array_equal(loaded.params[name], arr), name
     assert loaded.training_log == model.training_log
     assert np.array_equal(forward(model, w, h), forward(loaded, w, h))
+
+
+# -- the step against its own earlier form, byte for byte ----------------------
+#
+# The max pool is np.maximum and the unpool two products, where the earlier
+# step (tests/oracles.py::net_train_blas_reference) used np.where.  They can
+# differ only in the sign of an exact zero: a pair's unrouted side gets
+# 0 * gate * dpool, which is -0.0 where dpool < 0, and np.maximum may return
+# either zero of a +0/-0 pair.  A -0 term changes no sum that has a nonzero
+# term, a sum of zeros enters Adam as g = +-0, and b1 m + (1 - b1) g and
+# b2 v + (1 - b2) g g give the same m and v for either sign, so no sign
+# reaches the parameters, the loss or the scores.
+
+
+def assert_same_bytes(model, ref, w, h):
+    assert list(model.params) == list(ref.params)
+    for name, arr in model.params.items():
+        assert arr.tobytes() == ref.params[name].tobytes(), name
+    assert np.array(model.training_log).tobytes() == np.array(ref.training_log).tobytes()
+    assert forward(model, w, h).tobytes() == forward(ref, w, h).tobytes()
+
+
+@pytest.mark.parametrize("batch_size", [7, 32])
+@pytest.mark.parametrize("dropout_p", [0.0, 0.3, 0.5])
+@pytest.mark.parametrize("window_size", [30, 31, 50])
+@pytest.mark.parametrize("arch,f", ALL_ARCHS)
+def test_train_matches_blas_oracle_byte_for_byte(arch, f, window_size, dropout_p, batch_size):
+    for seed in (1, 2):
+        rng = np.random.default_rng(seed)
+        w = rng.normal(size=(70, window_size))
+        h = rng.normal(size=(70, f)) if f else None
+        y = rng.integers(0, 5, size=70)
+        cfg = NetConfig(window_size=window_size, hc_dim=f, seed=seed, epochs=3,
+                        dropout_p=dropout_p, batch_size=batch_size)
+        model = train(build(arch, cfg), w, h, y)
+        assert_same_bytes(model, net_train_blas_reference(build(arch, cfg), w, h, y), w, h)
+
+
+@pytest.mark.parametrize("window_size", [30, 31])
+@pytest.mark.parametrize("arch,f", ALL_ARCHS)
+def test_step_gradients_match_blas_oracle(arch, f, window_size):
+    cfg, w, h, y = step_task(arch, f, window_size, seed=26)
+    model = build(arch, cfg)
+    hc = h if f else np.zeros((70, 0))
+    cols = _im2col(model, w, hc)
+    stream, ref_stream = dropout_stream(26), dropout_stream(26)
+    for _ in range(2):
+        scores, cache = _forward(model, cols, hc, stream)
+        ref_scores, ref_cache = net_forward_blas_reference(model, cols, hc, ref_stream)
+        assert scores.tobytes() == ref_scores.tobytes()
+        assert cache["gate"].tobytes() == ref_cache["gate"].tobytes()
+        assert np.array_equal(cache["take_right"], ref_cache["take_right"])
+        _, e, z = neuralnet._exp_scores(scores)
+        ref_grads = net_backward_blas_reference(model, ref_cache, e / z, y)
+        grads = _backward(model, cache, e / z, y)
+        flat = np.full(parameter_count(arch, cfg), np.nan)
+        views, offset = {}, 0
+        for name, arr in model.params.items():
+            views[name] = flat[offset : offset + arr.size].reshape(arr.shape)
+            offset += arr.size
+        assert _backward(model, cache, e / z, y, views) is views
+        assert not np.isnan(flat).any()  # every entry of the buffer was written
+        for name, want in ref_grads.items():
+            assert np.array_equal(grads[name], want), name  # +0 == -0
+            assert grads[name].tobytes() == views[name].tobytes(), name
+
+
+def test_pool_ties_keep_the_left_element():
+    # Constant windows tie every pool pair at one positive value in each
+    # channel whose conv output is positive; random ones put a ReLU-dead
+    # unit (-0.0 after the gate) next to a dropped live one (+0.0).
+    cfg = NetConfig(window_size=31, seed=27, epochs=3, dropout_p=0.5)
+    rng = np.random.default_rng(27)
+    levels = np.repeat(np.linspace(-2.0, 2.0, 35)[:, None], 31, axis=1)
+    w = np.concatenate([levels, rng.normal(size=(35, 31))])
+    y = rng.integers(0, 5, size=70)
+    model = build(ArchitectureId.BASELINE, cfg)
+    hc = np.zeros((70, 0))
+    cols = _im2col(model, w, hc)
+    scores, cache = _forward(model, cols, hc, dropout_stream(27))
+    pre = cols.reshape(-1, 5) @ model.params["conv_w"].T
+    pre += model.params["conv_b"]
+    act = pre.reshape(cache["gate"].shape) * cache["gate"]
+    left, right = act[:, 0:26:2], act[:, 1:27:2]
+    ties = left == right
+    assert not cache["take_right"][ties].any()
+    assert (ties & (left > 0.0)).sum() > 100
+    assert (ties & np.signbit(left) & ~np.signbit(right)).sum() > 100
+    assert (ties & ~np.signbit(left) & np.signbit(right)).sum() > 100
+    ref_scores, _ = net_forward_blas_reference(model, cols, hc, dropout_stream(27))
+    assert scores.tobytes() == ref_scores.tobytes()
+    trained = train(model, w, None, y)
+    assert_same_bytes(trained, net_train_blas_reference(build(ArchitectureId.BASELINE, cfg),
+                                                        w, None, y), w, None)
 
 
 def test_softmax_and_loss_share_one_exponential_bit_for_bit():
