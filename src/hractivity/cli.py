@@ -20,8 +20,8 @@ import numpy as np
 
 from . import config as cfgmod
 from .artifacts import write_json
-from .clustering import fit_cluster_model, write_cluster_report
-from .errors import ConfigError, DataError, HrActivityError, InternalError
+from .clustering import SubjectBlock, fit_cluster_model, subject_blocks, write_cluster_report
+from .errors import ConfigError, DataError, HrActivityError, InternalError, TooFewVectors
 from .evaluation import (
     TRANSITION_HORIZON_S,
     ConstantPredictor,
@@ -38,6 +38,7 @@ from .evaluation import (
     routed_eval,
     run_split,
     run_sweep,
+    subject_segments,
     transition_error_rates,
     within_cluster_loso,
     write_importance_csv,
@@ -141,12 +142,31 @@ def cmd_sweep(cfg, run_dir: Path) -> None:
             handle.write(f"{w},{s},{acc!r},{bal!r}\n")
 
 
+def _windowless(series, window) -> str:
+    """'; subject ... has N samples, fewer than window_size W' for each subject
+    none of whose series fills one window, or '' when there is none."""
+    lengths: dict[str, list[int]] = {}
+    for s in series:
+        lengths.setdefault(s.subject_id, []).append(len(s))
+    w = window.window_size
+    return "".join(
+        f"; subject {sid!r} has {'series of ' if len(n) > 1 else ''}"
+        f"{' and '.join(map(str, n))} samples, fewer than window_size {w}"
+        for sid, n in sorted(lengths.items()) if max(n) < w)
+
+
 def cmd_cluster(cfg, run_dir: Path) -> None:
     series, _ = _load_series(cfg)
-    # clustering reads only the windows, so no feature matrix is built
-    ds = build_dataset(series, cfgmod.window_config(cfg), cfg.standardization)
-    model, assignment = fit_cluster_model(ds.windows, ds.labels, ds.subjects, cfg.space,
-                                          cfg.k, cfg.require_seed(), restarts=cfg.restarts)
+    window = cfgmod.window_config(cfg)
+    # one subject's windows at a time, and no feature matrix: a subject's
+    # summary is all that clustering keeps
+    blocks = (SubjectBlock(part.subject_id, part.values, part.labels)
+              for part in subject_segments(series, window, cfg.standardization))
+    try:
+        model, assignment = fit_cluster_model(blocks, cfg.space, cfg.k, cfg.require_seed(),
+                                              restarts=cfg.restarts)
+    except TooFewVectors as exc:
+        raise TooFewVectors(f"{exc}{_windowless(series, window)}") from None
     write_cluster_report(model, assignment, run_dir / "cluster_report.json")
 
 
@@ -194,8 +214,8 @@ def cmd_eval(cfg, run_dir: Path) -> None:
         report = routed_eval(ds, cfg.k, cfg.routing, cfg.space, spec, seed,
                              cfg.workers, cfg.restarts)
     elif cfg.split_kind in (SplitKind.WITHIN_CLUSTER_LOSO, SplitKind.CROSS_CLUSTER):
-        _, assignment = fit_cluster_model(ds.windows, ds.labels, ds.subjects, cfg.space,
-                                          cfg.k, seed, restarts=cfg.restarts)
+        _, assignment = fit_cluster_model(subject_blocks(ds.windows, ds.labels, ds.subjects),
+                                          cfg.space, cfg.k, seed, restarts=cfg.restarts)
         if cfg.split_kind is SplitKind.CROSS_CLUSTER:
             report = cross_cluster_eval(ds, assignment, cfg.train_cluster,
                                         cfg.test_cluster, spec, seed)

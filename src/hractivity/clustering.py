@@ -3,7 +3,9 @@
 Profiles are 5-point per-activity BPM means (label-dependent, used when
 cluster membership may see labels). Window-feature spaces cluster subjects
 by the mean of their per-window statistical or temporal vectors and allow
-label-free routing of unseen windows.
+label-free routing of unseen windows. Summaries read one subject's windows
+at a time (``SubjectBlock``), so a whole cohort's windows need never be in
+memory together.
 """
 
 from __future__ import annotations
@@ -11,11 +13,13 @@ from __future__ import annotations
 import enum
 from dataclasses import dataclass
 from pathlib import Path
+from typing import Iterable, Iterator, NamedTuple
 
 import numpy as np
 
 from .artifacts import write_json
 from .errors import (
+    DataError,
     DimensionMismatch,
     InternalError,
     MissingActivity,
@@ -56,33 +60,51 @@ class ClusterModel:
         object.__setattr__(self, "centroids", centroids)
 
 
-def _subject_codes(subjects) -> tuple[list[str], np.ndarray]:
-    """(sorted distinct subject ids, each row's index into them)."""
+class SubjectBlock(NamedTuple):
+    """One subject's windows, the unit a cluster summary reads.
+
+    ``values`` is the subject's (n, W) window matrix and ``labels`` each
+    window's label, in window order. ``vectors``, when given, holds the
+    windows' ``window_space_matrix`` rows already computed; a window-space
+    summary then reads them, and ``values`` may be None.
+    """
+
+    subject_id: str
+    values: np.ndarray | None
+    labels: np.ndarray
+    vectors: np.ndarray | None = None
+
+
+def subject_blocks(values: np.ndarray | None, labels: np.ndarray, subjects,
+                   vectors: np.ndarray | None = None) -> Iterator[SubjectBlock]:
+    """One ``SubjectBlock`` per distinct subject of row-aligned arrays.
+
+    Subjects come in sorted id order and each block keeps its rows in row
+    order. ``subjects`` gives each row's subject id; ``values`` or ``vectors``
+    may be None as ``SubjectBlock`` allows.
+    """
     ids = sorted(set(subjects))
     code = {subject: i for i, subject in enumerate(ids)}
-    return ids, np.fromiter(map(code.__getitem__, subjects), np.int64, len(subjects))
+    codes = np.fromiter(map(code.__getitem__, subjects), np.int64, len(subjects))
+    order = np.argsort(codes, kind="stable")
+    bounds = np.cumsum(np.bincount(codes, minlength=len(ids)))[:-1]
+    labels = np.asarray(labels)
+    for subject, rows in zip(ids, np.split(order, bounds)):
+        yield SubjectBlock(subject, None if values is None else values[rows], labels[rows],
+                           None if vectors is None else vectors[rows])
 
 
-def build_profiles(values: np.ndarray, labels: np.ndarray,
-                   subjects) -> tuple[list[str], np.ndarray]:
-    """(sorted subject ids, (n_subjects, 5) profile matrix).
-
-    A subject's profile is, per activity in ``ActivityLabel`` order, the mean
-    over its windows of the window-mean BPM. ``values`` is the (n, W) window
-    matrix; ``labels`` and ``subjects`` give each window's label and subject
-    id. Sums run in window order.
-    """
-    ids, codes = _subject_codes(subjects)
-    cells = codes * N_CLASSES + np.asarray(labels, dtype=np.int64)
-    size = len(ids) * N_CLASSES
-    sums = np.bincount(cells, weights=np.asarray(values).mean(axis=1), minlength=size)
-    counts = np.bincount(cells, minlength=size)
-    sums, counts = sums.reshape(-1, N_CLASSES), counts.reshape(-1, N_CLASSES)
-    for i, subject in enumerate(ids):
-        for a in range(N_CLASSES):
-            if counts[i, a] == 0:
-                raise MissingActivity(subject, ActivityLabel(a).name)
-    return ids, sums / counts
+def _activity_profile(block: SubjectBlock) -> np.ndarray:
+    """Per activity in ``ActivityLabel`` order, the mean over the subject's
+    windows of the window-mean BPM. Sums run in window order."""
+    means = np.ascontiguousarray(block.values, dtype=np.float64).mean(axis=1)
+    labels = np.asarray(block.labels, dtype=np.int64)
+    sums = np.bincount(labels, weights=means, minlength=N_CLASSES)
+    counts = np.bincount(labels, minlength=N_CLASSES)
+    missing = np.flatnonzero(counts == 0)
+    if missing.size:
+        raise MissingActivity(block.subject_id, ActivityLabel(int(missing[0])).name)
+    return sums / counts
 
 
 def _squared_distances(vectors: np.ndarray, centroids: np.ndarray) -> np.ndarray:
@@ -211,43 +233,58 @@ def window_space_matrix(values: np.ndarray, space: ClusterSpace) -> np.ndarray:
     raise DimensionMismatch("window vectors undefined for profile space")
 
 
-def subject_summaries(values: np.ndarray, labels: np.ndarray, subjects,
-                      space: ClusterSpace, vectors: np.ndarray | None = None):
-    """(subject ids, summary matrix) for cluster fitting, subject-id order.
-
-    In a window space a subject's summary is the mean of its windows'
-    vectors; pass ``vectors`` when the caller already has the rows'
-    ``window_space_matrix``.
-    """
+def _summary(block: SubjectBlock, space: ClusterSpace) -> np.ndarray:
     if space is ClusterSpace.MEAN_BPM_PROFILE:
-        return build_profiles(values, labels, subjects)
-    ids, codes = _subject_codes(subjects)
-    order = np.argsort(codes, kind="stable")  # window order within a subject
-    per_subject = np.split(order, np.cumsum(np.bincount(codes, minlength=len(ids)))[:-1])
-    if vectors is None:  # one subject at a time keeps the feature temporaries small
-        blocks = (window_space_matrix(values[rows], space) for rows in per_subject)
-    else:
-        blocks = (vectors[rows] for rows in per_subject)
-    return ids, np.stack([block.mean(axis=0) for block in blocks])
+        return _activity_profile(block)
+    vectors = block.vectors
+    if vectors is None:
+        vectors = window_space_matrix(np.ascontiguousarray(block.values), space)
+    return vectors.mean(axis=0)
+
+
+def subject_summaries(blocks: Iterable[SubjectBlock], space: ClusterSpace):
+    """(subject ids, summary matrix) for cluster fitting, in block order.
+
+    ``blocks`` yields one ``SubjectBlock`` per subject, in subject-id order,
+    and is read one block at a time. A subject's summary is its 5-point
+    activity profile in ``mean_bpm_profile``, else the mean of its windows'
+    vectors. A block with no window is left out. The window matrix is copied
+    once, so a view and a copy of the same windows give the same bits.
+
+    The whole stream is read before a summary's error is raised: an error
+    the stream raises for a later subject, such as ``NonUniformSeries``,
+    wins over an earlier subject's ``MissingActivity``.
+    """
+    ids, rows, failure = [], [], None
+    for block in blocks:
+        if failure is not None or len(block.labels) == 0:
+            continue
+        try:
+            rows.append(_summary(block, space))
+        except DataError as exc:
+            failure = exc
+            continue
+        ids.append(block.subject_id)
+    if failure is not None:
+        raise failure
+    if not ids:
+        raise NoWindows("no series long enough for the window size")
+    return ids, np.stack(rows)
 
 
 def fit_cluster_model(
-    values: np.ndarray,
-    labels: np.ndarray,
-    subjects,
+    blocks: Iterable[SubjectBlock],
     space: ClusterSpace,
     k: int,
     seed: int,
     restarts: int = 10,
     with_scaler: bool = False,
-    vectors: np.ndarray | None = None,
 ) -> tuple[ClusterModel, dict[str, int]]:
     """Cluster subjects by their summary vectors in the chosen space.
 
-    ``values``, ``labels`` and ``subjects`` describe the windows as in
-    ``subject_summaries``, which also explains ``vectors``.
+    ``blocks`` is read as in ``subject_summaries``.
     """
-    ids, summaries = subject_summaries(values, labels, subjects, space, vectors)
+    ids, summaries = subject_summaries(blocks, space)
     scaler = fit_scaler(summaries) if with_scaler else None
     return kmeans_fit(summaries, k, seed, restarts=restarts, space=space,
                       scaler=scaler, ids=ids)

@@ -9,11 +9,10 @@ results in submission order, so reports are identical for any worker count.
 from __future__ import annotations
 
 import enum
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
-from itertools import repeat
+from itertools import groupby, repeat
 from pathlib import Path
-from typing import NamedTuple
+from typing import Iterator, NamedTuple
 
 import numpy as np
 
@@ -23,6 +22,7 @@ from .clustering import (
     assign_many,
     fit_cluster_model,
     route_subject,
+    subject_blocks,
     window_space_matrix,
 )
 from .errors import (
@@ -43,6 +43,7 @@ from .metrics import (
 )
 from .neuralnet import ArchitectureId, NetConfig, build, predict as net_predict, train
 from .preprocess import (
+    Segments,
     StandardizationMode,
     WindowConfig,
     apply_scaler,
@@ -121,6 +122,32 @@ class WindowDataset:
         return np.asarray(self.subjects, dtype=object)
 
 
+def subject_segments(
+    series_list: list[SubjectSeries],
+    cfg: WindowConfig,
+    standardization: StandardizationMode = StandardizationMode.NONE,
+) -> Iterator[Segments]:
+    """Each subject's windows, one subject at a time in subject-id order.
+
+    Under ``DATA`` each series is standardized before it is cut. A subject's
+    series (one per device) are cut one by one and their windows joined in
+    input order. A subject with no window yields an empty ``Segments``.
+    """
+    ordered = sorted(series_list, key=lambda s: s.subject_id)
+    for subject_id, group in groupby(ordered, key=lambda s: s.subject_id):
+        parts = []
+        for series in group:
+            if standardization is StandardizationMode.DATA:
+                series = standardize_series(series)
+            parts.append(segment(series, cfg))
+        if len(parts) == 1:
+            yield parts[0]
+        else:
+            yield Segments(subject_id, np.concatenate([p.values for p in parts]),
+                           np.concatenate([p.labels for p in parts]),
+                           np.concatenate([p.starts for p in parts]))
+
+
 def build_dataset(
     series_list: list[SubjectSeries],
     cfg: WindowConfig,
@@ -129,11 +156,7 @@ def build_dataset(
     mfcc: MfccConfig = MfccConfig(),
 ) -> WindowDataset:
     """Segment every series (per-subject standardized first under DataStd)."""
-    parts = []
-    for series in sorted(series_list, key=lambda s: s.subject_id):
-        if standardization is StandardizationMode.DATA:
-            series = standardize_series(series)
-        parts.append(segment(series, cfg))
+    parts = list(subject_segments(series_list, cfg, standardization))
     n = sum(len(part) for part in parts)
     if n == 0:
         raise NoWindows("no series long enough for the window size")
@@ -357,11 +380,10 @@ def _fit_predict(ds: WindowDataset, spec, job: FoldJob,
         return clf.predict(ds.windows[test_idx], ds.hc[test_idx])
 
     subjects = ds.subject_array()
-    model, assign = fit_cluster_model(ds.windows[train_idx], ds.labels[train_idx],
-                                      subjects[train_idx], routing.space, routing.k,
-                                      job.seed, restarts=routing.restarts,
-                                      with_scaler=True,
-                                      vectors=routing.vectors[train_idx])
+    blocks = subject_blocks(None, ds.labels[train_idx], subjects[train_idx],
+                            routing.vectors[train_idx])
+    model, assign = fit_cluster_model(blocks, routing.space, routing.k, job.seed,
+                                      restarts=routing.restarts, with_scaler=True)
     clusters = sorted(set(assign.values()))
     if len(clusters) < routing.k:
         raise EmptyCluster("clustering left an empty cluster on this fold")
@@ -392,6 +414,10 @@ def _run_jobs(fn, arg_tuples: list, workers: int):
     workers = min(workers, len(arg_tuples))  # a pool forks all its workers at once
     if workers <= 1:
         return [fn(*args) for args in arg_tuples]
+    # imported here: the pool's modules (multiprocessing, socket, logging)
+    # would otherwise load with every command
+    from concurrent.futures import ProcessPoolExecutor
+
     with ProcessPoolExecutor(max_workers=workers) as pool:
         futures = [pool.submit(fn, *args) for args in arg_tuples]
         return [f.result() for f in futures]  # submission order, not finish order

@@ -15,7 +15,8 @@ from pathlib import Path
 
 import numpy as np
 
-from hractivity.errors import EmptyDataset, ShapeMismatch, UnknownLabel
+from hractivity.clustering import ClusterSpace, window_space_matrix
+from hractivity.errors import EmptyDataset, MissingActivity, ShapeMismatch, UnknownLabel
 from hractivity.neuralnet import (
     CONV_CHANNELS,
     CONV_KERNEL,
@@ -28,6 +29,7 @@ from hractivity.neuralnet import (
     _im2col,
     _mean_nll,
 )
+from hractivity.series import N_CLASSES, ActivityLabel
 from hractivity.svm import ALPHA_KEEP, TAU, BinarySvm, KernelKind, KernelSpec, OvoSvm
 
 
@@ -868,6 +870,38 @@ def build_profiles_reference(values, labels, subjects):
         sums.setdefault(subject, np.zeros(5))[int(label)] += float(np.asarray(row).mean())
         counts.setdefault(subject, np.zeros(5, dtype=np.int64))[int(label)] += 1
     return {s: sums[s] / counts[s] for s in sorted(sums)}
+
+
+def subject_summaries_reference(values, labels, subjects, space, vectors=None):
+    """(sorted subject ids, summary matrix) from the full (n, W) window matrix.
+
+    The whole-cohort form the library replaced with per-subject blocks:
+    profiles add every window's mean into one ``np.bincount`` over
+    (subject, activity) cells, and a window-space summary copies each
+    subject's rows out of ``values`` (or ``vectors``) and averages their
+    vectors.
+    """
+    ids = sorted(set(subjects))
+    code = {subject: i for i, subject in enumerate(ids)}
+    codes = np.fromiter(map(code.__getitem__, subjects), np.int64, len(subjects))
+    if space is ClusterSpace.MEAN_BPM_PROFILE:
+        cells = codes * N_CLASSES + np.asarray(labels, dtype=np.int64)
+        size = len(ids) * N_CLASSES
+        sums = np.bincount(cells, weights=np.asarray(values).mean(axis=1), minlength=size)
+        counts = np.bincount(cells, minlength=size)
+        sums, counts = sums.reshape(-1, N_CLASSES), counts.reshape(-1, N_CLASSES)
+        for i, subject in enumerate(ids):
+            for a in range(N_CLASSES):
+                if counts[i, a] == 0:
+                    raise MissingActivity(subject, ActivityLabel(a).name)
+        return ids, sums / counts
+    order = np.argsort(codes, kind="stable")
+    per_subject = np.split(order, np.cumsum(np.bincount(codes, minlength=len(ids)))[:-1])
+    if vectors is None:
+        blocks = (window_space_matrix(values[rows], space) for rows in per_subject)
+    else:
+        blocks = (vectors[rows] for rows in per_subject)
+    return ids, np.stack([block.mean(axis=0) for block in blocks])
 
 
 # -- model file readers ---------------------------------------------------------

@@ -17,7 +17,7 @@ import pytest
 from oracles import exhaustive_kmeans_inertia, solve_svm_dual_qp, svm_dual_objective
 
 from hractivity.cli import main as cli_main
-from hractivity.clustering import ClusterSpace, fit_cluster_model, kmeans_fit
+from hractivity.clustering import ClusterSpace, fit_cluster_model, kmeans_fit, subject_blocks
 from hractivity.evaluation import (
     RoutingMode,
     SplitKind,
@@ -361,7 +361,8 @@ def test_criterion_09_within_cluster_gains(capsys):
             n_subjects=24, n_groups=3, seed=seed, group_offset_profiles=PROF9))
         ds = build_dataset(series, WindowConfig(50, 25), StandardizationMode.NONE)
         _, assignment = fit_cluster_model(
-            ds.windows, ds.labels, ds.subjects, ClusterSpace.MEAN_BPM_PROFILE, 3, seed)
+            subject_blocks(ds.windows, ds.labels, ds.subjects),
+            ClusterSpace.MEAN_BPM_PROFILE, 3, seed)
         for c in range(3):
             members = [s for s, cc in assignment.items() if cc == c]
             all_aligned = all_aligned and len({groups[s] for s in members}) == 1

@@ -484,10 +484,23 @@ def test_ignored_settings_are_refused(tiny_corpus, capsys, monkeypatch, command,
     assert not runs.exists() or not any(runs.iterdir())
 
 
-def test_cli_import_loads_no_scipy():
+def loaded_by_cli_import(*packages) -> str:
+    """The modules of the given top-level packages that a fresh interpreter
+    has loaded after ``import hractivity.cli``, as a printed sorted list."""
     src = Path(cli.__file__).resolve().parents[1]
-    code = "import sys, hractivity.cli; print(sorted(m for m in sys.modules if m.startswith('scipy')))"
+    code = ("import sys, hractivity.cli; "
+            f"print(sorted(m for m in sys.modules if m.partition('.')[0] in {packages!r}))")
     env = {**os.environ, "PYTHONPATH": str(src)}
     done = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
                           text=True, check=True)
-    assert done.stdout.strip() == "[]"
+    return done.stdout.strip()
+
+
+def test_cli_import_loads_no_scipy():
+    assert loaded_by_cli_import("scipy") == "[]"
+
+
+def test_cli_import_loads_no_process_pool():
+    # the fold pool is imported when a run asks for a second worker, not before
+    assert loaded_by_cli_import("concurrent", "multiprocessing", "socket", "subprocess",
+                                "logging") == "[]"

@@ -3,17 +3,22 @@
 import numpy as np
 import pytest
 
-from oracles import adjusted_rand_index, build_profiles_reference, exhaustive_kmeans_inertia
+from oracles import (
+    adjusted_rand_index,
+    build_profiles_reference,
+    exhaustive_kmeans_inertia,
+    subject_summaries_reference,
+)
 
 from hractivity import clustering
 from hractivity.clustering import (
     ClusterModel,
     ClusterSpace,
     assign_many,
-    build_profiles,
     fit_cluster_model,
     kmeans_fit,
     route_subject,
+    subject_blocks,
     subject_summaries,
     window_space_matrix,
     write_cluster_report,
@@ -41,6 +46,12 @@ def windows_of(corpus, cfg):
     return (np.concatenate([p.values for p in parts]),
             np.concatenate([p.labels for p in parts]),
             [p.subject_id for p in parts for _ in range(len(p))])
+
+
+def build_profiles(values, labels, subjects):
+    """(sorted subject ids, (n_subjects, 5) profile matrix) of row-aligned windows."""
+    return subject_summaries(subject_blocks(values, labels, subjects),
+                             ClusterSpace.MEAN_BPM_PROFILE)
 
 
 def test_build_profiles_constant_windows():
@@ -169,7 +180,7 @@ def test_routing_recovers_latent_groups():
                 n_subjects=12, n_groups=2, seed=seed, group_offset_profiles=profiles
             )
         )
-        model, _ = fit_cluster_model(*windows_of(corpus, cfg),
+        model, _ = fit_cluster_model(subject_blocks(*windows_of(corpus, cfg)),
                                      ClusterSpace.STATISTICAL_WINDOW, 2, seed)
         routed, latent = [], []
         for s in corpus:
@@ -182,13 +193,13 @@ def test_routing_recovers_latent_groups():
 def test_subject_summaries_spaces():
     corpus, _ = generate_synthetic(SyntheticCohortSpec(n_subjects=3, n_groups=1, seed=2))
     windows = windows_of(corpus, WindowConfig(50, 50))
-    ids, profiles = subject_summaries(*windows, ClusterSpace.MEAN_BPM_PROFILE)
+    ids, profiles = subject_summaries(subject_blocks(*windows), ClusterSpace.MEAN_BPM_PROFILE)
     assert ids == ["S000", "S001", "S002"]
     assert profiles.shape == (3, 5)
-    ids2, stats = subject_summaries(*windows, ClusterSpace.STATISTICAL_WINDOW)
+    ids2, stats = subject_summaries(subject_blocks(*windows), ClusterSpace.STATISTICAL_WINDOW)
     assert ids2 == ids
     assert stats.shape == (3, 12)
-    _, temporal = subject_summaries(*windows, ClusterSpace.TEMPORAL_WINDOW)
+    _, temporal = subject_summaries(subject_blocks(*windows), ClusterSpace.TEMPORAL_WINDOW)
     assert temporal.shape == (3, 10)
 
 
@@ -196,10 +207,10 @@ def test_fit_with_scaler_routes_consistently():
     corpus, _ = generate_synthetic(SyntheticCohortSpec(n_subjects=6, n_groups=2, seed=8))
     windows = windows_of(corpus, WindowConfig(50, 50))
     model, assignment = fit_cluster_model(
-        *windows, ClusterSpace.TEMPORAL_WINDOW, 2, seed=8, with_scaler=True
+        subject_blocks(*windows), ClusterSpace.TEMPORAL_WINDOW, 2, seed=8, with_scaler=True
     )
     assert model.scaler is not None
-    ids, summaries = subject_summaries(*windows, ClusterSpace.TEMPORAL_WINDOW)
+    ids, summaries = subject_summaries(subject_blocks(*windows), ClusterSpace.TEMPORAL_WINDOW)
     assert assign_many(model, summaries).tolist() == [assignment[s] for s in ids]
 
 
@@ -220,9 +231,11 @@ def test_summaries_from_sliced_vectors_match_recomputed(space):
     values, labels, subjects = windows_of(corpus, WindowConfig(50, 10))
     vectors = window_space_matrix(values, space)
     rows = np.flatnonzero(np.asarray(subjects) != "S001")
-    train = values[rows], labels[rows], [subjects[i] for i in rows]
-    ids, recomputed = subject_summaries(*train, space)
-    ids_sliced, sliced = subject_summaries(*train, space, vectors=vectors[rows])
+    train_labels, train_subjects = labels[rows], [subjects[i] for i in rows]
+    ids, recomputed = subject_summaries(
+        subject_blocks(values[rows], train_labels, train_subjects), space)
+    ids_sliced, sliced = subject_summaries(
+        subject_blocks(None, train_labels, train_subjects, vectors[rows]), space)
     assert ids == ids_sliced == ["S000", "S002", "S003", "S004"]
     assert sliced.tobytes() == recomputed.tobytes()
 
@@ -243,6 +256,27 @@ def test_build_profiles_matches_window_loop_reference():
         assert profile.tobytes() == expected[subject].tobytes()
 
 
+@pytest.mark.parametrize("space", list(ClusterSpace), ids=lambda s: s.value)
+def test_subject_blocks_match_the_full_matrix_reference(space):
+    # subjects interleaved and unsorted, as rows of a dataset may come
+    rng = np.random.default_rng(14)
+    n = 300
+    values = rng.normal(80.0, 15.0, (n, 20))
+    labels = rng.integers(0, 5, n)
+    subjects = [str(s) for s in rng.choice(["S2", "S0", "S1"], n)]
+    for s in ("S0", "S1", "S2"):  # every subject sees every activity
+        labels[[i for i, x in enumerate(subjects) if x == s][:5]] = np.arange(5)
+    expected_ids, expected = subject_summaries_reference(values, labels, subjects, space)
+    ids, got = subject_summaries(subject_blocks(values, labels, subjects), space)
+    assert ids == expected_ids
+    assert got.tobytes() == expected.tobytes()
+    if space is not ClusterSpace.MEAN_BPM_PROFILE:
+        vectors = window_space_matrix(values, space)
+        _, expected = subject_summaries_reference(values, labels, subjects, space, vectors)
+        _, got = subject_summaries(subject_blocks(None, labels, subjects, vectors), space)
+        assert got.tobytes() == expected.tobytes()
+
+
 def test_subject_summaries_compute_one_subject_at_a_time(monkeypatch):
     # a whole stride-1 cohort in one feature call doubles the cluster command's peak memory
     corpus, _ = generate_synthetic(SyntheticCohortSpec(n_subjects=4, n_groups=2, seed=9))
@@ -255,5 +289,5 @@ def test_subject_summaries_compute_one_subject_at_a_time(monkeypatch):
         return real(block, space)
 
     monkeypatch.setattr(clustering, "window_space_matrix", sized)
-    subject_summaries(values, labels, subjects, ClusterSpace.STATISTICAL_WINDOW)
+    subject_summaries(subject_blocks(values, labels, subjects), ClusterSpace.STATISTICAL_WINDOW)
     assert sizes == [subjects.count(s) for s in sorted(set(subjects))]

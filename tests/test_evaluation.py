@@ -1,5 +1,6 @@
 """Split contracts, routing rules, importance checks, timeline semantics."""
 
+import concurrent.futures
 from concurrent.futures import Future
 
 import numpy as np
@@ -169,7 +170,8 @@ def test_pool_never_has_more_workers_than_jobs(monkeypatch):
             future.set_result(fn(*args))
             return future
 
-    monkeypatch.setattr(evaluation, "ProcessPoolExecutor", InlinePool)
+    # _run_jobs imports the pool class from concurrent.futures when it needs one
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", InlinePool)
     ds = small_dataset()
     plan = SplitPlan(SplitKind.LEAVE_SUBJECT_OUT)
     spec = SvmSpec(inputs="features")
