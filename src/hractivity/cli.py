@@ -20,7 +20,7 @@ import numpy as np
 
 from . import config as cfgmod
 from .artifacts import write_json
-from .clustering import SubjectBlock, fit_cluster_model, subject_blocks, write_cluster_report
+from .clustering import fit_cluster_model, subject_summaries, write_cluster_report
 from .errors import ConfigError, DataError, HrActivityError, InternalError, TooFewVectors
 from .evaluation import (
     TRANSITION_HORIZON_S,
@@ -155,18 +155,23 @@ def _windowless(series, window) -> str:
         for sid, n in sorted(lengths.items()) if max(n) < w)
 
 
-def cmd_cluster(cfg, run_dir: Path) -> None:
-    series, _ = _load_series(cfg)
-    window = cfgmod.window_config(cfg)
+def _cluster_subjects(cfg, series):
+    """(model, assignment) of the configured clustering of the corpus's subjects."""
     # one subject's windows at a time, and no feature matrix: a subject's
     # summary is all that clustering keeps
-    blocks = (SubjectBlock(part.subject_id, part.values, part.labels)
-              for part in subject_segments(series, window, cfg.standardization))
+    window = cfgmod.window_config(cfg)
+    ids, summaries = subject_summaries(subject_segments(series, window, cfg.standardization),
+                                       cfg.space)
     try:
-        model, assignment = fit_cluster_model(blocks, cfg.space, cfg.k, cfg.require_seed(),
-                                              restarts=cfg.restarts)
+        return fit_cluster_model(ids, summaries, cfg.space, cfg.k, cfg.require_seed(),
+                                 restarts=cfg.restarts)
     except TooFewVectors as exc:
         raise TooFewVectors(f"{exc}{_windowless(series, window)}") from None
+
+
+def cmd_cluster(cfg, run_dir: Path) -> None:
+    series, _ = _load_series(cfg)
+    model, assignment = _cluster_subjects(cfg, series)
     write_cluster_report(model, assignment, run_dir / "cluster_report.json")
 
 
@@ -194,7 +199,7 @@ def cmd_train(cfg, run_dir: Path) -> None:
             "stride": ds.stride,
             "standardization": ds.standardization.value,
             "feature_kind": ds.feature_kind.value if ds.feature_kind else None,
-            "subjects": sorted(set(ds.subjects)),
+            "subjects": list(ds.subject_ids),
         },
         "feature_scaler": None if scaler is None else {
             "mean": [float(x) for x in scaler.mean],
@@ -214,8 +219,7 @@ def cmd_eval(cfg, run_dir: Path) -> None:
         report = routed_eval(ds, cfg.k, cfg.routing, cfg.space, spec, seed,
                              cfg.workers, cfg.restarts)
     elif cfg.split_kind in (SplitKind.WITHIN_CLUSTER_LOSO, SplitKind.CROSS_CLUSTER):
-        _, assignment = fit_cluster_model(subject_blocks(ds.windows, ds.labels, ds.subjects),
-                                          cfg.space, cfg.k, seed, restarts=cfg.restarts)
+        _, assignment = _cluster_subjects(cfg, series)
         if cfg.split_kind is SplitKind.CROSS_CLUSTER:
             report = cross_cluster_eval(ds, assignment, cfg.train_cluster,
                                         cfg.test_cluster, spec, seed)

@@ -4,7 +4,7 @@ Profiles are 5-point per-activity BPM means (label-dependent, used when
 cluster membership may see labels). Window-feature spaces cluster subjects
 by the mean of their per-window statistical or temporal vectors and allow
 label-free routing of unseen windows. Summaries read one subject's windows
-at a time (``SubjectBlock``), so a whole cohort's windows need never be in
+at a time (``Segments``), so a whole cohort's windows need never be in
 memory together.
 """
 
@@ -13,7 +13,7 @@ from __future__ import annotations
 import enum
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Iterable, Iterator, NamedTuple
+from typing import Iterable
 
 import numpy as np
 
@@ -27,7 +27,7 @@ from .errors import (
     TooFewVectors,
 )
 from .features import statistical_matrix, temporal_matrix
-from .preprocess import Scaler, apply_scaler, fit_scaler
+from .preprocess import Scaler, Segments, apply_scaler, fit_scaler
 from .series import ActivityLabel, N_CLASSES
 
 
@@ -60,50 +60,16 @@ class ClusterModel:
         object.__setattr__(self, "centroids", centroids)
 
 
-class SubjectBlock(NamedTuple):
-    """One subject's windows, the unit a cluster summary reads.
-
-    ``values`` is the subject's (n, W) window matrix and ``labels`` each
-    window's label, in window order. ``vectors``, when given, holds the
-    windows' ``window_space_matrix`` rows already computed; a window-space
-    summary then reads them, and ``values`` may be None.
-    """
-
-    subject_id: str
-    values: np.ndarray | None
-    labels: np.ndarray
-    vectors: np.ndarray | None = None
-
-
-def subject_blocks(values: np.ndarray | None, labels: np.ndarray, subjects,
-                   vectors: np.ndarray | None = None) -> Iterator[SubjectBlock]:
-    """One ``SubjectBlock`` per distinct subject of row-aligned arrays.
-
-    Subjects come in sorted id order and each block keeps its rows in row
-    order. ``subjects`` gives each row's subject id; ``values`` or ``vectors``
-    may be None as ``SubjectBlock`` allows.
-    """
-    ids = sorted(set(subjects))
-    code = {subject: i for i, subject in enumerate(ids)}
-    codes = np.fromiter(map(code.__getitem__, subjects), np.int64, len(subjects))
-    order = np.argsort(codes, kind="stable")
-    bounds = np.cumsum(np.bincount(codes, minlength=len(ids)))[:-1]
-    labels = np.asarray(labels)
-    for subject, rows in zip(ids, np.split(order, bounds)):
-        yield SubjectBlock(subject, None if values is None else values[rows], labels[rows],
-                           None if vectors is None else vectors[rows])
-
-
-def _activity_profile(block: SubjectBlock) -> np.ndarray:
+def _activity_profile(part: Segments) -> np.ndarray:
     """Per activity in ``ActivityLabel`` order, the mean over the subject's
     windows of the window-mean BPM. Sums run in window order."""
-    means = np.ascontiguousarray(block.values, dtype=np.float64).mean(axis=1)
-    labels = np.asarray(block.labels, dtype=np.int64)
+    means = np.ascontiguousarray(part.values, dtype=np.float64).mean(axis=1)
+    labels = np.asarray(part.labels, dtype=np.int64)
     sums = np.bincount(labels, weights=means, minlength=N_CLASSES)
     counts = np.bincount(labels, minlength=N_CLASSES)
     missing = np.flatnonzero(counts == 0)
     if missing.size:
-        raise MissingActivity(block.subject_id, ActivityLabel(int(missing[0])).name)
+        raise MissingActivity(part.subject_id, ActivityLabel(int(missing[0])).name)
     return sums / counts
 
 
@@ -233,38 +199,36 @@ def window_space_matrix(values: np.ndarray, space: ClusterSpace) -> np.ndarray:
     raise DimensionMismatch("window vectors undefined for profile space")
 
 
-def _summary(block: SubjectBlock, space: ClusterSpace) -> np.ndarray:
+def _summary(part: Segments, space: ClusterSpace) -> np.ndarray:
     if space is ClusterSpace.MEAN_BPM_PROFILE:
-        return _activity_profile(block)
-    vectors = block.vectors
-    if vectors is None:
-        vectors = window_space_matrix(np.ascontiguousarray(block.values), space)
-    return vectors.mean(axis=0)
+        return _activity_profile(part)
+    return window_space_matrix(np.ascontiguousarray(part.values), space).mean(axis=0)
 
 
-def subject_summaries(blocks: Iterable[SubjectBlock], space: ClusterSpace):
-    """(subject ids, summary matrix) for cluster fitting, in block order.
+def subject_summaries(parts: Iterable[Segments], space: ClusterSpace):
+    """(subject ids, summary matrix) for cluster fitting, in input order.
 
-    ``blocks`` yields one ``SubjectBlock`` per subject, in subject-id order,
-    and is read one block at a time. A subject's summary is its 5-point
-    activity profile in ``mean_bpm_profile``, else the mean of its windows'
-    vectors. A block with no window is left out. The window matrix is copied
-    once, so a view and a copy of the same windows give the same bits.
+    ``parts`` yields one ``Segments`` per subject, in subject-id order, as
+    ``evaluation.subject_segments`` does, and is read one subject at a time.
+    A subject's summary is its 5-point activity profile in
+    ``mean_bpm_profile``, else the mean of its windows' vectors. A subject
+    with no window is left out. The window matrix is copied once, so a view
+    and a copy of the same windows give the same bits.
 
     The whole stream is read before a summary's error is raised: an error
     the stream raises for a later subject, such as ``NonUniformSeries``,
     wins over an earlier subject's ``MissingActivity``.
     """
     ids, rows, failure = [], [], None
-    for block in blocks:
-        if failure is not None or len(block.labels) == 0:
+    for part in parts:
+        if failure is not None or len(part) == 0:
             continue
         try:
-            rows.append(_summary(block, space))
+            rows.append(_summary(part, space))
         except DataError as exc:
             failure = exc
             continue
-        ids.append(block.subject_id)
+        ids.append(part.subject_id)
     if failure is not None:
         raise failure
     if not ids:
@@ -273,18 +237,19 @@ def subject_summaries(blocks: Iterable[SubjectBlock], space: ClusterSpace):
 
 
 def fit_cluster_model(
-    blocks: Iterable[SubjectBlock],
+    ids: list[str],
+    summaries: np.ndarray,
     space: ClusterSpace,
     k: int,
     seed: int,
     restarts: int = 10,
     with_scaler: bool = False,
 ) -> tuple[ClusterModel, dict[str, int]]:
-    """Cluster subjects by their summary vectors in the chosen space.
+    """Cluster subjects by their summary rows (``subject_summaries``' output).
 
-    ``blocks`` is read as in ``subject_summaries``.
+    With ``with_scaler`` the rows are z-scored by a scaler fitted on them,
+    which the model keeps for routing.
     """
-    ids, summaries = subject_summaries(blocks, space)
     scaler = fit_scaler(summaries) if with_scaler else None
     return kmeans_fit(summaries, k, seed, restarts=restarts, space=space,
                       scaler=scaler, ids=ids)

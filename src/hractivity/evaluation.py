@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass
-from itertools import groupby, repeat
+from itertools import groupby
 from pathlib import Path
 from typing import Iterator, NamedTuple
 
@@ -22,7 +22,6 @@ from .clustering import (
     assign_many,
     fit_cluster_model,
     route_subject,
-    subject_blocks,
     window_space_matrix,
 )
 from .errors import (
@@ -102,12 +101,13 @@ class NetSpec:
 
 @dataclass(frozen=True)
 class WindowDataset:
-    """Windows plus aligned handcrafted features, labels, and subject ids."""
+    """Windows plus aligned handcrafted features, labels, and subjects."""
 
     windows: np.ndarray  # (n, W)
     hc: np.ndarray  # (n, F); F = 0 when no feature set was requested
     labels: np.ndarray  # (n,)
-    subjects: tuple[str, ...]
+    subject_ids: tuple[str, ...]  # the subjects that have a window, in id order
+    subject_index: np.ndarray  # (n,) int64: each row's position in subject_ids
     starts: np.ndarray  # (n,)
     hc_names: tuple[str, ...]
     window_size: int
@@ -117,9 +117,6 @@ class WindowDataset:
 
     def __len__(self) -> int:
         return self.windows.shape[0]
-
-    def subject_array(self) -> np.ndarray:
-        return np.asarray(self.subjects, dtype=object)
 
 
 def subject_segments(
@@ -156,13 +153,12 @@ def build_dataset(
     mfcc: MfccConfig = MfccConfig(),
 ) -> WindowDataset:
     """Segment every series (per-subject standardized first under DataStd)."""
-    parts = list(subject_segments(series_list, cfg, standardization))
-    n = sum(len(part) for part in parts)
-    if n == 0:
+    parts = [part for part in subject_segments(series_list, cfg, standardization) if len(part)]
+    if not parts:
         raise NoWindows("no series long enough for the window size")
     windows = np.concatenate([part.values for part in parts])
     if feature_kind is None:
-        hc = np.zeros((n, 0))
+        hc = np.zeros((len(windows), 0))
         names: tuple[str, ...] = ()
     else:
         hc = feature_matrix(windows, feature_kind, mfcc=mfcc)
@@ -171,7 +167,9 @@ def build_dataset(
         windows=windows,
         hc=hc,
         labels=np.concatenate([part.labels for part in parts]),
-        subjects=tuple(sid for part in parts for sid in repeat(part.subject_id, len(part))),
+        subject_ids=tuple(part.subject_id for part in parts),
+        subject_index=np.repeat(np.arange(len(parts), dtype=np.int64),
+                                [len(part) for part in parts]),
         starts=np.concatenate([part.starts for part in parts]),
         hc_names=names,
         window_size=cfg.window_size,
@@ -320,17 +318,23 @@ class FoldJob(NamedTuple):
     seed: int
 
 
-def _loso_jobs(subjects: np.ndarray, members: list[str], rows: np.ndarray,
+def _loso_jobs(ds: WindowDataset, members, rows: np.ndarray,
                seed: int, seed_base: int = 0) -> list[FoldJob]:
-    """Hold out each member subject in turn and train on the other ``rows``;
-    fold ``i`` is seeded with ``_fold_seed(seed, seed_base + i)``."""
-    in_rows = subjects[rows]
+    """Hold out each member subject (a position in ``ds.subject_ids``) in turn
+    and train on the other ``rows``; fold ``i`` is seeded with
+    ``_fold_seed(seed, seed_base + i)``."""
+    in_rows = ds.subject_index[rows]
     jobs = []
-    for fold_id, sid in enumerate(members):
-        held = in_rows == sid
-        jobs.append(FoldJob(fold_id, sid, rows[~held], rows[held],
+    for fold_id, member in enumerate(members):
+        held = in_rows == member
+        jobs.append(FoldJob(fold_id, ds.subject_ids[member], rows[~held], rows[held],
                             _fold_seed(seed, seed_base + fold_id)))
     return jobs
+
+
+def _cluster_of(ds: WindowDataset, assignment: dict[str, int]) -> np.ndarray:
+    """Each of ``ds.subject_ids``' cluster in ``assignment``; -1 where it has none."""
+    return np.array([assignment.get(sid, -1) for sid in ds.subject_ids], dtype=np.int64)
 
 
 def make_folds(ds: WindowDataset, plan: SplitPlan, seed: int) -> list[FoldJob]:
@@ -339,8 +343,7 @@ def make_folds(ds: WindowDataset, plan: SplitPlan, seed: int) -> list[FoldJob]:
     Random-window test rows are drawn from ``seed`` too.
     """
     if plan.kind is SplitKind.LEAVE_SUBJECT_OUT:
-        return _loso_jobs(ds.subject_array(), sorted(set(ds.subjects)),
-                          np.arange(len(ds)), seed)
+        return _loso_jobs(ds, range(len(ds.subject_ids)), np.arange(len(ds)), seed)
     if plan.kind is SplitKind.RANDOM_WINDOW:
         rng = np.random.default_rng(np.random.SeedSequence(entropy=(int(seed), 97)))
         test_parts = []
@@ -357,13 +360,15 @@ def make_folds(ds: WindowDataset, plan: SplitPlan, seed: int) -> list[FoldJob]:
 
 
 class _Routing(NamedTuple):
-    """Per-fold clustering settings plus every window's routing-space vector."""
+    """Per-fold clustering settings, every window's routing-space vector and
+    every subject's summary row (the mean of its windows' vectors)."""
 
     mode: RoutingMode
     space: ClusterSpace
     k: int
     restarts: int
     vectors: np.ndarray
+    summaries: np.ndarray
 
 
 def _fit_predict(ds: WindowDataset, spec, job: FoldJob,
@@ -379,18 +384,18 @@ def _fit_predict(ds: WindowDataset, spec, job: FoldJob,
         clf = fit_classifier(spec, ds, train_idx, job.seed)
         return clf.predict(ds.windows[test_idx], ds.hc[test_idx])
 
-    subjects = ds.subject_array()
-    blocks = subject_blocks(None, ds.labels[train_idx], subjects[train_idx],
-                            routing.vectors[train_idx])
-    model, assign = fit_cluster_model(blocks, routing.space, routing.k, job.seed,
-                                      restarts=routing.restarts, with_scaler=True)
+    train_subjects = np.unique(ds.subject_index[train_idx])
+    model, assign = fit_cluster_model([ds.subject_ids[i] for i in train_subjects],
+                                      routing.summaries[train_subjects], routing.space,
+                                      routing.k, job.seed, restarts=routing.restarts,
+                                      with_scaler=True)
     clusters = sorted(set(assign.values()))
     if len(clusters) < routing.k:
         raise EmptyCluster("clustering left an empty cluster on this fold")
+    train_clusters = _cluster_of(ds, assign)[ds.subject_index[train_idx]]
     classifiers = {}
     for cluster in clusters:
-        members = {s for s, c in assign.items() if c == cluster}
-        rows = train_idx[np.isin(subjects[train_idx], sorted(members))]
+        rows = train_idx[train_clusters == cluster]
         if rows.size == 0:
             raise EmptyCluster(f"cluster {cluster} has no training windows")
         classifiers[cluster] = fit_classifier(
@@ -506,9 +511,9 @@ def cross_cluster_eval(
     seed: int = 0,
 ) -> EvalReport:
     """Fit on one cluster's subjects, evaluate on another's."""
-    subjects = ds.subject_array()
-    in_train = np.array([assignment.get(s) == train_cluster for s in subjects])
-    in_test = np.array([assignment.get(s) == test_cluster for s in subjects])
+    row_clusters = _cluster_of(ds, assignment)[ds.subject_index]
+    in_train = row_clusters == train_cluster
+    in_test = row_clusters == test_cluster
     if not in_train.any():
         raise EmptyCluster(f"train cluster {train_cluster} has no windows")
     if not in_test.any():
@@ -540,21 +545,20 @@ def within_cluster_loso(
     Clusters with fewer than two subjects cannot form a fold; they are skipped
     with a warning record rather than failing the whole run.
     """
-    subjects = ds.subject_array()
-    present = set(ds.subjects)
+    cluster_of = _cluster_of(ds, assignment)
     warnings: list[dict] = []
     jobs_by_cluster: dict[int, list[FoldJob]] = {}
     for cluster in sorted(set(assignment.values())):
-        members = sorted(s for s, c in assignment.items() if c == cluster and s in present)
+        members = np.flatnonzero(cluster_of == cluster)
         if len(members) < 2:
             warnings.append({
                 "cluster": int(cluster),
                 "reason": f"cluster too small: {len(members)} subject(s)",
-                "members": members,
+                "members": [ds.subject_ids[i] for i in members],
             })
             continue
-        rows = np.nonzero(np.isin(subjects, members))[0]
-        jobs_by_cluster[cluster] = _loso_jobs(subjects, members, rows, seed, cluster * 1000)
+        rows = np.flatnonzero(np.isin(ds.subject_index, members))
+        jobs_by_cluster[cluster] = _loso_jobs(ds, members, rows, seed, cluster * 1000)
     all_jobs = [job for jobs in jobs_by_cluster.values() for job in jobs]
     preds = iter(_run_folds(ds, spec, all_jobs, workers))
     reports = {}
@@ -588,12 +592,16 @@ def routed_eval(
 
     Train subjects are clustered in the given window-feature space; each test
     window (or the whole test subject, by majority) is routed to the nearest
-    cluster's classifier. The windows' vectors in that space are computed
-    once and sliced per fold; a space without per-window vectors raises
+    cluster's classifier. The windows' vectors in that space, and each
+    subject's summary row, are computed once; each fold fits on its train
+    subjects' rows. A space without per-window vectors raises
     DimensionMismatch there, before any fold runs.
     """
     jobs = make_folds(ds, SplitPlan(SplitKind.LEAVE_SUBJECT_OUT), seed)
-    route = _Routing(routing, space, k, restarts, window_space_matrix(ds.windows, space))
+    vectors = window_space_matrix(ds.windows, space)
+    summaries = np.stack([vectors[ds.subject_index == i].mean(axis=0)
+                          for i in range(len(ds.subject_ids))])
+    route = _Routing(routing, space, k, restarts, vectors, summaries)
     echo = _base_echo(ds, spec, {"kind": SplitKind.LEAVE_SUBJECT_OUT.value, "seed": seed})
     echo["clustering"] = {"space": space.value, "k": int(k), "routing": routing.value}
     return _report(ds, jobs, _run_folds(ds, spec, jobs, workers, route), echo)

@@ -91,15 +91,12 @@ def _layer_sizes(arch: ArchitectureId, cfg: NetConfig) -> list[tuple[str, int, i
     """(name, out_dim, in_dim) for the dense layers, in initialization order."""
     flat = flatten_dim(arch, cfg)
     layers = [("fc1", cfg.fc1_out, flat)]
-    if arch is ArchitectureId.MODEL1:
-        layers.append(("mid", cfg.fc1_out, cfg.fc1_out + cfg.hc_dim))
-        layers.append(("out", cfg.n_classes, cfg.fc1_out))
-    elif arch is ArchitectureId.MODEL3:
+    if arch is ArchitectureId.MODEL3:
         layers.append(("hc", cfg.hc_fc_out, cfg.hc_dim))
-        layers.append(("mid", cfg.fc1_out, cfg.fc1_out + cfg.hc_fc_out))
-        layers.append(("out", cfg.n_classes, cfg.fc1_out))
-    else:
-        layers.append(("out", cfg.n_classes, cfg.fc1_out))
+    if arch in (ArchitectureId.MODEL1, ArchitectureId.MODEL3):
+        tail = cfg.hc_fc_out if arch is ArchitectureId.MODEL3 else cfg.hc_dim
+        layers.append(("mid", cfg.fc1_out, cfg.fc1_out + tail))
+    layers.append(("out", cfg.n_classes, cfg.fc1_out))
     return layers
 
 
@@ -202,20 +199,16 @@ def _forward(model: NetModel, cols, hc, rng=None):
     fc1_pre += p["fc1_b"]
     fc1_act = np.maximum(fc1_pre, 0.0)
 
-    if model.arch is ArchitectureId.MODEL1:
-        joined = np.concatenate([fc1_act, hc], axis=1)
+    if model.arch in (ArchitectureId.MODEL1, ArchitectureId.MODEL3):
+        tail = hc
+        if model.arch is ArchitectureId.MODEL3:
+            cache["hc_pre"] = hc @ p["hc_w"].T + p["hc_b"]
+            tail = np.maximum(cache["hc_pre"], 0.0)
+        joined = np.concatenate([fc1_act, tail], axis=1)
         mid_pre = joined @ p["mid_w"].T + p["mid_b"]
         mid_act = np.maximum(mid_pre, 0.0)
         scores = mid_act @ p["out_w"].T + p["out_b"]
         cache.update(joined=joined, mid_pre=mid_pre, mid_act=mid_act)
-    elif model.arch is ArchitectureId.MODEL3:
-        hc_pre = hc @ p["hc_w"].T + p["hc_b"]
-        hc_act = np.maximum(hc_pre, 0.0)
-        joined = np.concatenate([fc1_act, hc_act], axis=1)
-        mid_pre = joined @ p["mid_w"].T + p["mid_b"]
-        mid_act = np.maximum(mid_pre, 0.0)
-        scores = mid_act @ p["out_w"].T + p["out_b"]
-        cache.update(hc_pre=hc_pre, joined=joined, mid_pre=mid_pre, mid_act=mid_act)
     else:
         scores = fc1_act @ p["out_w"].T + p["out_b"]
 

@@ -17,7 +17,7 @@ import pytest
 from oracles import exhaustive_kmeans_inertia, solve_svm_dual_qp, svm_dual_objective
 
 from hractivity.cli import main as cli_main
-from hractivity.clustering import ClusterSpace, fit_cluster_model, kmeans_fit, subject_blocks
+from hractivity.clustering import ClusterSpace, fit_cluster_model, kmeans_fit, subject_summaries
 from hractivity.evaluation import (
     RoutingMode,
     SplitKind,
@@ -29,6 +29,7 @@ from hractivity.evaluation import (
     misclassification_timeline,
     routed_eval,
     run_sweep,
+    subject_segments,
     within_cluster_loso,
 )
 from hractivity.features import (
@@ -268,12 +269,12 @@ def _stride_trend_one_seed(seed):
         n_subjects=30, n_groups=2, seed=seed, noise_std=2.5, lag_tau_s=10.0,
         segment_durations_s=DUR7, group_offset_profiles=PROF7))
     probe = build_dataset(series, WindowConfig(80, 10), std)
-    probe_subjects = np.asarray(probe.subjects)
-    ids = sorted(set(probe.subjects))
+    probe_subjects = np.asarray(probe.subject_ids)[probe.subject_index]
+    ids = probe.subject_ids
     out = {}
     for stride in (10, 120):
         ds = probe if stride == 10 else build_dataset(series, WindowConfig(80, stride), std)
-        subjects = np.asarray(ds.subjects)
+        subjects = np.asarray(ds.subject_ids)[ds.subject_index]
         for arm in ("held_out", "pooled"):
             cm = np.zeros((5, 5), dtype=np.int64)
             for k, sid in enumerate(ids):
@@ -359,10 +360,10 @@ def test_criterion_09_within_cluster_gains(capsys):
     for seed in SEEDS:
         series, groups = generate_synthetic(SyntheticCohortSpec(
             n_subjects=24, n_groups=3, seed=seed, group_offset_profiles=PROF9))
-        ds = build_dataset(series, WindowConfig(50, 25), StandardizationMode.NONE)
+        cfg, space = WindowConfig(50, 25), ClusterSpace.MEAN_BPM_PROFILE
+        ds = build_dataset(series, cfg, StandardizationMode.NONE)
         _, assignment = fit_cluster_model(
-            subject_blocks(ds.windows, ds.labels, ds.subjects),
-            ClusterSpace.MEAN_BPM_PROFILE, 3, seed)
+            *subject_summaries(subject_segments(series, cfg), space), space, 3, seed)
         for c in range(3):
             members = [s for s, cc in assignment.items() if cc == c]
             all_aligned = all_aligned and len({groups[s] for s in members}) == 1
@@ -435,7 +436,7 @@ def test_criterion_11_post_transition_errors(capsys):
     for seed in SEEDS:
         series, _ = generate_synthetic(SyntheticCohortSpec(n_subjects=10, n_groups=2, seed=seed))
         ds = build_dataset(series, cfg, StandardizationMode.NONE)
-        subjects = np.asarray(ds.subjects)
+        subjects = np.asarray(ds.subject_ids)[ds.subject_index]
         post_err = steady_err = 0.0
         n_post = n_steady = 0
         for s in series:

@@ -1,6 +1,8 @@
 """The `cluster` command: one subject's windows at a time, the same report
-bytes as the full-matrix summaries, and the same errors."""
+bytes as the full-matrix summaries, and the same errors, which `eval`'s
+cluster splits share; and which subjects a run's dataset holds."""
 
+import json
 import shutil
 
 import numpy as np
@@ -10,6 +12,7 @@ from oracles import subject_summaries_reference
 from hractivity import cli, clustering, evaluation
 from hractivity.cli import main
 from hractivity.clustering import ClusterSpace, kmeans_fit, write_cluster_report
+from hractivity.evaluation import SplitKind, SplitPlan, build_dataset, make_folds
 from hractivity.ingest import parse_corpus, serialize_corpus
 from hractivity.preprocess import StandardizationMode, WindowConfig, segment, standardize_series
 from hractivity.series import SubjectSeries
@@ -61,7 +64,7 @@ def mixed_corpus(tmp_path_factory):
 
 
 def cluster_config(tmp_path, corpus, space="statistical_window", mode="none",
-                   window_size=WINDOW.window_size, k=K, device_filter=""):
+                   window_size=WINDOW.window_size, k=K, device_filter="", extra=""):
     ini = tmp_path / "cluster.ini"
     ini.write_text(f"""
 [corpus]
@@ -79,7 +82,7 @@ restarts = {RESTARTS}
 [run]
 seed = {SEED}
 out = {tmp_path / 'runs'}
-""", encoding="utf-8")
+{extra}""", encoding="utf-8")
     return ini
 
 
@@ -168,13 +171,46 @@ def test_a_later_subjects_windowing_error_wins(tmp_path, capsys, space, window_s
     assert err.startswith("data error: subject 'B': sample 50 ")
 
 
-def test_too_few_vectors_names_the_subjects_without_a_window(tmp_path, capsys):
+def abc_config(tmp_path, extra=""):
+    """k = 3 over A and B (100 samples each) and C, 10 samples: shorter than a window."""
     write_corpus([rest_series("A", 100, seed=1), rest_series("B", 100, seed=2),
                   rest_series("C", 10, seed=3)], tmp_path / "corpus")
-    ini = cluster_config(tmp_path, tmp_path / "corpus", window_size=20, k=3,
-                         device_filter="synthetic")
-    code, err = run_cluster(ini, capsys)
+    return cluster_config(tmp_path, tmp_path / "corpus", window_size=20, k=3,
+                          device_filter="synthetic", extra=extra)
+
+
+ABC_ERROR = ("data error: k=3 with 2 vectors; subject 'C' has 10 samples, "
+             "fewer than window_size 20\n")
+
+
+def test_too_few_vectors_names_the_subjects_without_a_window(tmp_path, capsys):
+    code, err = run_cluster(abc_config(tmp_path), capsys)
     assert code == 3
-    assert err == ("data error: k=3 with 2 vectors; subject 'C' has 10 samples, "
-                   "fewer than window_size 20\n")
+    assert err == ABC_ERROR
     assert not (tmp_path / "runs").exists() or not any((tmp_path / "runs").iterdir())
+
+
+@pytest.mark.parametrize("split", [SplitKind.WITHIN_CLUSTER_LOSO, SplitKind.CROSS_CLUSTER],
+                         ids=lambda s: s.value)
+def test_eval_cluster_splits_name_the_subjects_without_a_window(tmp_path, capsys, split):
+    ini = abc_config(tmp_path, extra=f"[split]\nkind = {split.value}\n")
+    code = main(["--config", str(ini), "eval"])
+    assert code == 3
+    assert capsys.readouterr().err == ABC_ERROR
+    assert not (tmp_path / "runs").exists() or not any((tmp_path / "runs").iterdir())
+
+
+def test_a_subject_without_a_window_is_in_no_fold_and_no_echo(tmp_path, mixed_corpus):
+    windowed = ["S000", "S001", "S002", "S003"]  # S004 is shorter than one window
+    ds = build_dataset(parse_corpus(mixed_corpus, None), WINDOW)
+    assert ds.subject_ids == tuple(windowed)
+    folds = make_folds(ds, SplitPlan(SplitKind.LEAVE_SUBJECT_OUT), SEED)
+    assert [fold.held_out for fold in folds] == windowed
+    ini = cluster_config(tmp_path, mixed_corpus, extra="[model]\nkind = svm\n")
+    for command in ("eval", "train"):
+        assert main(["--config", str(ini), command]) == 0
+    (folds_csv,) = (tmp_path / "runs").glob("*/eval_folds.csv")
+    rows = folds_csv.read_text(encoding="utf-8").splitlines()[1:]
+    assert [row.split(",")[1] for row in rows] == windowed
+    (echo,) = (tmp_path / "runs").glob("*/train_echo.json")
+    assert json.loads(echo.read_text(encoding="utf-8"))["dataset"]["subjects"] == windowed

@@ -10,7 +10,7 @@ from oracles import (
     subject_summaries_reference,
 )
 
-from hractivity import clustering
+from hractivity import clustering, evaluation
 from hractivity.clustering import (
     ClusterModel,
     ClusterSpace,
@@ -18,7 +18,6 @@ from hractivity.clustering import (
     fit_cluster_model,
     kmeans_fit,
     route_subject,
-    subject_blocks,
     subject_summaries,
     window_space_matrix,
     write_cluster_report,
@@ -29,7 +28,15 @@ from hractivity.errors import (
     NoWindows,
     TooFewVectors,
 )
-from hractivity.preprocess import WindowConfig, segment
+from hractivity.evaluation import (
+    ConstantPredictor,
+    RoutingMode,
+    SvmSpec,
+    build_dataset,
+    routed_eval,
+    subject_segments,
+)
+from hractivity.preprocess import Segments, WindowConfig, segment
 from hractivity.series import ActivityLabel
 from hractivity.synthetic import SyntheticCohortSpec, generate_synthetic
 
@@ -40,17 +47,18 @@ def five_activity_windows(subject, means):
     return values, np.arange(5), [subject] * 5
 
 
-def windows_of(corpus, cfg):
-    """(values, labels, subjects) of every series' windows, in corpus order."""
-    parts = [segment(s, cfg) for s in corpus]
-    return (np.concatenate([p.values for p in parts]),
-            np.concatenate([p.labels for p in parts]),
-            [p.subject_id for p in parts for _ in range(len(p))])
+def per_subject(values, labels, subjects):
+    """One ``Segments`` per subject of row-aligned windows, in id order; a
+    subject's windows keep their row order."""
+    subjects = np.asarray(subjects)
+    for subject in sorted(set(subjects.tolist())):
+        rows = np.flatnonzero(subjects == subject)
+        yield Segments(subject, values[rows], labels[rows], rows)
 
 
 def build_profiles(values, labels, subjects):
     """(sorted subject ids, (n_subjects, 5) profile matrix) of row-aligned windows."""
-    return subject_summaries(subject_blocks(values, labels, subjects),
+    return subject_summaries(per_subject(values, labels, subjects),
                              ClusterSpace.MEAN_BPM_PROFILE)
 
 
@@ -180,8 +188,9 @@ def test_routing_recovers_latent_groups():
                 n_subjects=12, n_groups=2, seed=seed, group_offset_profiles=profiles
             )
         )
-        model, _ = fit_cluster_model(subject_blocks(*windows_of(corpus, cfg)),
-                                     ClusterSpace.STATISTICAL_WINDOW, 2, seed)
+        space = ClusterSpace.STATISTICAL_WINDOW
+        model, _ = fit_cluster_model(*subject_summaries(subject_segments(corpus, cfg), space),
+                                     space, 2, seed)
         routed, latent = [], []
         for s in corpus:
             vecs = window_space_matrix(segment(s, cfg).values, ClusterSpace.STATISTICAL_WINDOW)
@@ -192,25 +201,23 @@ def test_routing_recovers_latent_groups():
 
 def test_subject_summaries_spaces():
     corpus, _ = generate_synthetic(SyntheticCohortSpec(n_subjects=3, n_groups=1, seed=2))
-    windows = windows_of(corpus, WindowConfig(50, 50))
-    ids, profiles = subject_summaries(subject_blocks(*windows), ClusterSpace.MEAN_BPM_PROFILE)
+    cfg = WindowConfig(50, 50)
+    ids, profiles = subject_summaries(subject_segments(corpus, cfg), ClusterSpace.MEAN_BPM_PROFILE)
     assert ids == ["S000", "S001", "S002"]
     assert profiles.shape == (3, 5)
-    ids2, stats = subject_summaries(subject_blocks(*windows), ClusterSpace.STATISTICAL_WINDOW)
+    ids2, stats = subject_summaries(subject_segments(corpus, cfg), ClusterSpace.STATISTICAL_WINDOW)
     assert ids2 == ids
     assert stats.shape == (3, 12)
-    _, temporal = subject_summaries(subject_blocks(*windows), ClusterSpace.TEMPORAL_WINDOW)
+    _, temporal = subject_summaries(subject_segments(corpus, cfg), ClusterSpace.TEMPORAL_WINDOW)
     assert temporal.shape == (3, 10)
 
 
 def test_fit_with_scaler_routes_consistently():
     corpus, _ = generate_synthetic(SyntheticCohortSpec(n_subjects=6, n_groups=2, seed=8))
-    windows = windows_of(corpus, WindowConfig(50, 50))
-    model, assignment = fit_cluster_model(
-        subject_blocks(*windows), ClusterSpace.TEMPORAL_WINDOW, 2, seed=8, with_scaler=True
-    )
+    space = ClusterSpace.TEMPORAL_WINDOW
+    ids, summaries = subject_summaries(subject_segments(corpus, WindowConfig(50, 50)), space)
+    model, assignment = fit_cluster_model(ids, summaries, space, 2, seed=8, with_scaler=True)
     assert model.scaler is not None
-    ids, summaries = subject_summaries(subject_blocks(*windows), ClusterSpace.TEMPORAL_WINDOW)
     assert assign_many(model, summaries).tolist() == [assignment[s] for s in ids]
 
 
@@ -226,16 +233,25 @@ def test_cluster_report_deterministic(tmp_path):
 
 
 @pytest.mark.parametrize("space", [ClusterSpace.STATISTICAL_WINDOW, ClusterSpace.TEMPORAL_WINDOW])
-def test_summaries_from_sliced_vectors_match_recomputed(space):
+def test_summaries_from_sliced_vectors_match_recomputed(space, monkeypatch):
+    # a routed fold fits on rows of the dataset's vector matrix; cut from
+    # the subject's own windows, the summaries have the same bits
     corpus, _ = generate_synthetic(SyntheticCohortSpec(n_subjects=5, n_groups=2, seed=3))
-    values, labels, subjects = windows_of(corpus, WindowConfig(50, 10))
-    vectors = window_space_matrix(values, space)
-    rows = np.flatnonzero(np.asarray(subjects) != "S001")
-    train_labels, train_subjects = labels[rows], [subjects[i] for i in rows]
+    cfg = WindowConfig(50, 10)
+    fits = []
+    real = evaluation.fit_cluster_model
+
+    def recording(ids, summaries, *args, **kwargs):
+        fits.append((ids, summaries))
+        return real(ids, summaries, *args, **kwargs)
+
+    monkeypatch.setattr(evaluation, "fit_cluster_model", recording)
+    monkeypatch.setattr(evaluation, "fit_classifier", lambda *args: ConstantPredictor(0))
+    routed_eval(build_dataset(corpus, cfg), 2, RoutingMode.PER_WINDOW, space,
+                SvmSpec(inputs="windows"), seed=0)
+    ids_sliced, sliced = fits[1]  # the fold that holds out S001
     ids, recomputed = subject_summaries(
-        subject_blocks(values[rows], train_labels, train_subjects), space)
-    ids_sliced, sliced = subject_summaries(
-        subject_blocks(None, train_labels, train_subjects, vectors[rows]), space)
+        (part for part in subject_segments(corpus, cfg) if part.subject_id != "S001"), space)
     assert ids == ids_sliced == ["S000", "S002", "S003", "S004"]
     assert sliced.tobytes() == recomputed.tobytes()
 
@@ -257,7 +273,7 @@ def test_build_profiles_matches_window_loop_reference():
 
 
 @pytest.mark.parametrize("space", list(ClusterSpace), ids=lambda s: s.value)
-def test_subject_blocks_match_the_full_matrix_reference(space):
+def test_subject_summaries_match_the_full_matrix_reference(space):
     # subjects interleaved and unsorted, as rows of a dataset may come
     rng = np.random.default_rng(14)
     n = 300
@@ -267,20 +283,15 @@ def test_subject_blocks_match_the_full_matrix_reference(space):
     for s in ("S0", "S1", "S2"):  # every subject sees every activity
         labels[[i for i, x in enumerate(subjects) if x == s][:5]] = np.arange(5)
     expected_ids, expected = subject_summaries_reference(values, labels, subjects, space)
-    ids, got = subject_summaries(subject_blocks(values, labels, subjects), space)
+    ids, got = subject_summaries(per_subject(values, labels, subjects), space)
     assert ids == expected_ids
     assert got.tobytes() == expected.tobytes()
-    if space is not ClusterSpace.MEAN_BPM_PROFILE:
-        vectors = window_space_matrix(values, space)
-        _, expected = subject_summaries_reference(values, labels, subjects, space, vectors)
-        _, got = subject_summaries(subject_blocks(None, labels, subjects, vectors), space)
-        assert got.tobytes() == expected.tobytes()
 
 
 def test_subject_summaries_compute_one_subject_at_a_time(monkeypatch):
     # a whole stride-1 cohort in one feature call doubles the cluster command's peak memory
     corpus, _ = generate_synthetic(SyntheticCohortSpec(n_subjects=4, n_groups=2, seed=9))
-    values, labels, subjects = windows_of(corpus, WindowConfig(50, 10))
+    cfg = WindowConfig(50, 10)
     sizes = []
     real = clustering.window_space_matrix
 
@@ -289,5 +300,5 @@ def test_subject_summaries_compute_one_subject_at_a_time(monkeypatch):
         return real(block, space)
 
     monkeypatch.setattr(clustering, "window_space_matrix", sized)
-    subject_summaries(subject_blocks(values, labels, subjects), ClusterSpace.STATISTICAL_WINDOW)
-    assert sizes == [subjects.count(s) for s in sorted(set(subjects))]
+    subject_summaries(subject_segments(corpus, cfg), ClusterSpace.STATISTICAL_WINDOW)
+    assert sizes == [len(segment(s, cfg)) for s in sorted(corpus, key=lambda s: s.subject_id)]

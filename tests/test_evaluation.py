@@ -5,10 +5,14 @@ from concurrent.futures import Future
 
 import numpy as np
 import pytest
-from oracles import nearest_window_reference, permutation_importance_reference
+from oracles import (
+    nearest_window_reference,
+    permutation_importance_reference,
+    subject_summaries_reference,
+)
 
 from hractivity import clustering, evaluation
-from hractivity.clustering import ClusterSpace, fit_cluster_model
+from hractivity.clustering import ClusterSpace, window_space_matrix
 from hractivity.errors import (
     DimensionMismatch,
     EmptyCluster,
@@ -59,13 +63,17 @@ def small_dataset(seed=1, w=50, s=25, std=StandardizationMode.DATA):
 
 
 def manual_dataset(rows):
-    """rows: (subject, values, label) triples -> WindowDataset without features."""
+    """rows: (subject, values, label) triples -> WindowDataset without features.
+
+    The rows keep their order, so subjects may interleave."""
     windows = np.array([vals for _, vals, _ in rows], dtype=float)
+    ids = tuple(sorted({sid for sid, _, _ in rows}))
     return WindowDataset(
         windows=windows,
         hc=np.zeros((len(rows), 0)),
         labels=np.array([int(ActivityLabel(label)) for _, _, label in rows]),
-        subjects=tuple(sid for sid, _, _ in rows),
+        subject_ids=ids,
+        subject_index=np.array([ids.index(sid) for sid, _, _ in rows], dtype=np.int64),
         starts=np.arange(len(rows)),
         hc_names=(),
         window_size=windows.shape[1],
@@ -87,7 +95,7 @@ def test_loso_folds_partition_subjects():
     folds = make_folds(ds, SplitPlan(SplitKind.LEAVE_SUBJECT_OUT), seed=0)
     assert len(folds) == 8
     seen = np.zeros(len(ds), dtype=int)
-    subjects = ds.subject_array()
+    subjects = np.asarray(ds.subject_ids)[ds.subject_index]
     for fold in folds:
         assert not set(fold.train_idx) & set(fold.test_idx)
         assert set(subjects[fold.test_idx]) == {fold.held_out}
@@ -176,13 +184,13 @@ def test_pool_never_has_more_workers_than_jobs(monkeypatch):
     plan = SplitPlan(SplitKind.LEAVE_SUBJECT_OUT)
     spec = SvmSpec(inputs="features")
     many = run_split(ds, plan, spec, seed=2, workers=100_000)
-    assert sizes == [len(set(ds.subjects))]
+    assert sizes == [len(ds.subject_ids)]
     one = run_split(ds, plan, spec, seed=2, workers=1)
     assert np.array_equal(many.confusion, one.confusion)
     assert many.folds == one.folds
     assert evaluation._run_jobs(abs, [(-3,)], workers=4) == [3]
     assert evaluation._run_jobs(abs, [], workers=4) == []
-    assert sizes == [len(set(ds.subjects))]
+    assert sizes == [len(ds.subject_ids)]
 
 
 def test_sweep_grid_shape_and_window_arithmetic():
@@ -278,7 +286,7 @@ def test_importance_constant_dimension_is_zero():
     ds_like_names = ("0_Signal", "0_Constant")
     clf = fit_classifier(
         SvmSpec(inputs="features"),
-        WindowDataset(windows, hc, labels, tuple("S" for _ in range(n)),
+        WindowDataset(windows, hc, labels, ("S",), np.zeros(n, dtype=np.int64),
                       np.arange(n), ds_like_names, 6, 1,
                       StandardizationMode.NONE, None),
         np.arange(n), seed=1,
@@ -303,7 +311,7 @@ def test_importance_noise_feature_near_zero(seed):
     ])
     windows = np.zeros((n, 4))
     names = ("0_A", "0_B", "0_Noise")
-    ds = WindowDataset(windows, hc, labels, tuple("S" for _ in range(n)),
+    ds = WindowDataset(windows, hc, labels, ("S",), np.zeros(n, dtype=np.int64),
                        np.arange(n), names, 4, 1, StandardizationMode.NONE, None)
     clf = fit_classifier(SvmSpec(inputs="features"), ds, np.arange(n), seed=seed)
     rep = permutation_importance(clf, windows, hc, labels, names, seed=seed)
@@ -317,7 +325,7 @@ def test_importance_cheat_feature_ranks_first(tmp_path):
     hc = np.column_stack([rng.normal(size=n), labels.astype(float)])
     windows = rng.normal(size=(n, 5))
     names = ("0_Noise", "0_Cheat")
-    ds = WindowDataset(windows, hc, labels, tuple("S" for _ in range(n)),
+    ds = WindowDataset(windows, hc, labels, ("S",), np.zeros(n, dtype=np.int64),
                        np.arange(n), names, 5, 1, StandardizationMode.NONE, None)
     clf = fit_classifier(SvmSpec(inputs="features"), ds, np.arange(n), seed=2)
     rep = permutation_importance(clf, windows, hc, labels, names, seed=2)
@@ -474,6 +482,48 @@ def test_net_classifier_adapter_runs():
     assert rep.config["model"]["kind"] == "net"
 
 
+def interleaved_dataset():
+    """Four subjects whose windows interleave in row order, every activity each."""
+    rng = np.random.default_rng(14)
+    sids = [str(s) for s in rng.choice(["S2", "S0", "S3", "S1"], 160)]
+    labels = rng.integers(0, 5, len(sids))
+    for s in set(sids):
+        labels[[i for i, x in enumerate(sids) if x == s][:5]] = np.arange(5)
+    return manual_dataset([(sid, rng.normal(80.0, 15.0, 12), ActivityLabel(int(label)))
+                           for sid, label in zip(sids, labels)])
+
+
+@pytest.mark.parametrize("space", [ClusterSpace.STATISTICAL_WINDOW,
+                                   ClusterSpace.TEMPORAL_WINDOW], ids=lambda s: s.value)
+@pytest.mark.parametrize("make", [interleaved_dataset, small_dataset],
+                         ids=["interleaved", "cohort"])
+def test_routed_fold_summaries_match_the_full_matrix_reference(monkeypatch, make, space):
+    ds = make()
+    fits = []
+    real_fit, real_fold = evaluation.fit_cluster_model, evaluation._fit_predict
+
+    def fit(ids, summaries, *args, **kwargs):
+        fits[-1] += (ids, summaries)
+        return real_fit(ids, summaries, *args, **kwargs)
+
+    def fold(ds, spec, job, routing=None):
+        fits.append((job.train_idx,))
+        return real_fold(ds, spec, job, routing)
+
+    monkeypatch.setattr(evaluation, "fit_cluster_model", fit)
+    monkeypatch.setattr(evaluation, "_fit_predict", fold)
+    monkeypatch.setattr(evaluation, "fit_classifier", lambda *args: ConstantPredictor(0))
+    routed_eval(ds, 2, RoutingMode.PER_WINDOW, space, SvmSpec(inputs="windows"), seed=0)
+    assert len(fits) == len(ds.subject_ids)
+    subjects = np.asarray(ds.subject_ids)[ds.subject_index]
+    vectors = window_space_matrix(ds.windows, space)
+    for train_idx, ids, summaries in fits:
+        rows = (ds.windows[train_idx], ds.labels[train_idx], subjects[train_idx])
+        expected_ids, expected = subject_summaries_reference(*rows, space, vectors[train_idx])
+        assert ids == expected_ids
+        assert summaries.tobytes() == expected.tobytes()
+
+
 @pytest.mark.parametrize("routing", list(RoutingMode))
 def test_routed_eval_computes_window_vectors_once(monkeypatch, routing):
     ds = small_dataset(std=StandardizationMode.FEATURE)
@@ -497,7 +547,7 @@ def fold_seed(seed, fold_id):
 
 def test_fold_jobs_carry_each_protocols_seed(monkeypatch):
     ds = small_dataset()
-    sids = sorted(set(ds.subjects))
+    sids = list(ds.subject_ids)
     assign = {sid: int(i >= 3) for i, sid in enumerate(sids)}
     seen = []
 

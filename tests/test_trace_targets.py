@@ -1,0 +1,60 @@
+"""The benchmark's tracer finds its targets where hractivity looks them up.
+
+``perfbench/tracing.py`` patches each traced name in the module whose code
+calls it, so a call that stops going through that lookup (or a renamed
+target) silently drops its spans from the per-layer metrics. The tracer is
+installed in a subprocess, because its patches would outlive the test.
+"""
+
+import json
+import subprocess
+import sys
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parents[1]
+
+SCRIPT = """
+import contextlib, io, json, sys
+perfbench, src, out = sys.argv[1:]
+sys.path[:0] = [perfbench, src]
+import tracing
+from hractivity.cli import main
+
+tracer = tracing.Tracer()
+tracing.install(tracer)  # raises if a target no longer resolves
+
+
+def run(*argv):
+    with contextlib.redirect_stdout(io.StringIO()) as printed:
+        assert main([str(a) for a in argv]) == 0, argv
+    return printed.getvalue().strip().splitlines()[-1]
+
+
+corpus = run("--seed", 5, "--out", out + "/gen", "generate", "--subjects", 6, "--groups", 2)
+spans = {}
+for command, extra in (("cluster", ""), ("eval", "routing = per_window")):
+    ini = f"{out}/{command}.ini"
+    with open(ini, "w", encoding="utf-8") as fh:
+        fh.write(f"[corpus]\\nsource = {corpus}/corpus\\ndevice_filter = synthetic\\n"
+                 f"[windows]\\nwindow_size = 50\\nstride = 10\\n"
+                 f"[clustering]\\nk = 2\\n{extra}\\n[run]\\nout = {out}/runs\\n")
+    first = len(tracer.spans)
+    run("--config", ini, "--seed", 5, command)
+    spans[command] = sorted({span[0] for span in tracer.spans[first:]})
+print(json.dumps(spans))
+"""
+
+
+def test_cluster_and_routed_eval_reach_the_traced_names(tmp_path):
+    done = subprocess.run(
+        [sys.executable, "-c", SCRIPT, str(ROOT / "perfbench"), str(ROOT / "src"),
+         str(tmp_path)],
+        capture_output=True, text=True, timeout=300,
+    )
+    assert done.returncode == 0, done.stderr
+    spans = json.loads(done.stdout)
+    clustering = {"clustering.fit_cluster_model", "clustering.kmeans_fit",
+                  "clustering.window_space_matrix"}
+    assert clustering <= set(spans["cluster"])
+    assert "evaluation.build_dataset" not in spans["cluster"]
+    assert clustering | {"evaluation.build_dataset", "clustering.assign_many"} <= set(spans["eval"])
