@@ -114,6 +114,10 @@ class NonFiniteFeature(DataError):
     pass
 
 
+class GramTooLarge(DataError):
+    """An SVM machine has too many training rows for its dense Gram matrix."""
+
+
 # -- neuralnet ---------------------------------------------------------------
 
 class InvalidConfig(ConfigError):

@@ -27,6 +27,7 @@ from .clustering import (
 from .errors import (
     EmptyCluster,
     EmptyDataset,
+    GramTooLarge,
     InvalidConfig,
     NoWindows,
     SeriesTooShort,
@@ -265,7 +266,11 @@ def fit_classifier(spec, ds: WindowDataset, train_idx: np.ndarray, seed: int):
         if ds.standardization is StandardizationMode.FEATURE:
             scaler = fit_scaler(x)
             x = apply_scaler(scaler, x)
-        model = train_ovo(x, labels, kernel=spec.kernel, c=spec.c, tol=spec.tol)
+        try:
+            model = train_ovo(x, labels, kernel=spec.kernel, c=spec.c, tol=spec.tol)
+        except GramTooLarge as exc:
+            raise GramTooLarge(f"{exc}; windows are cut at stride {ds.stride}, "
+                               f"and a larger windows.stride gives fewer rows") from None
         return FittedSvm(model, spec.inputs, scaler)
 
     if isinstance(spec, NetSpec):
@@ -359,60 +364,68 @@ def make_folds(ds: WindowDataset, plan: SplitPlan, seed: int) -> list[FoldJob]:
     raise InvalidConfig(f"{plan.kind.value} folds are built by their own operation")
 
 
-class _Routing(NamedTuple):
-    """Per-fold clustering settings, every window's routing-space vector and
-    every subject's summary row (the mean of its windows' vectors)."""
-
-    mode: RoutingMode
-    space: ClusterSpace
-    k: int
-    restarts: int
-    vectors: np.ndarray
-    summaries: np.ndarray
+def _fit_predict(ds: WindowDataset, spec, job: FoldJob) -> np.ndarray:
+    """Fit on the job's train rows and predict its test rows."""
+    clf = fit_classifier(spec, ds, job.train_idx, job.seed)
+    return clf.predict(ds.windows[job.test_idx], ds.hc[job.test_idx])
 
 
-def _fit_predict(ds: WindowDataset, spec, job: FoldJob,
-                 routing: _Routing | None = None) -> np.ndarray:
-    """Fit on the job's train rows and predict its test rows.
+class _ClusterFit(NamedTuple):
+    """One cluster classifier of a routed run and the test rows it predicts:
+    ``parts`` holds (fold position, positions in that fold's test rows)."""
 
-    With routing, the fold's train subjects are clustered first and one
-    classifier is fitted per cluster; each test window (or the whole test
-    subject, by majority) goes to its cluster's classifier.
+    train_idx: np.ndarray
+    seed: int
+    parts: list
+
+
+def _plan_routed_fits(ds: WindowDataset, spec, jobs: list[FoldJob], mode: RoutingMode,
+                      space: ClusterSpace, k: int, restarts: int, vectors: np.ndarray,
+                      summaries: np.ndarray) -> list[_ClusterFit]:
+    """Cluster each fold's train subjects, in fold order, and route its test
+    windows (or the whole test subject, by majority) to the nearest cluster.
+
+    A cluster's train rows are all the windows of its member subjects, so
+    equal member sets fit the same SVM (an SVM fit reads no seed) and share
+    one ``_ClusterFit``. A net also reads its seed,
+    ``_fold_seed(job.seed, 10 + c)``, so every (fold, cluster) fits its own.
+    Fits come in first-use order, each cluster of a fold in id order. A fit
+    that no test window reaches is planned too, so an error it raises still
+    ends the run.
     """
-    train_idx, test_idx = job.train_idx, job.test_idx
-    if routing is None:
-        clf = fit_classifier(spec, ds, train_idx, job.seed)
-        return clf.predict(ds.windows[test_idx], ds.hc[test_idx])
+    fits: dict = {}
+    for position, job in enumerate(jobs):
+        train_subjects = np.unique(ds.subject_index[job.train_idx])
+        model, assign = fit_cluster_model([ds.subject_ids[i] for i in train_subjects],
+                                          summaries[train_subjects], space, k, job.seed,
+                                          restarts=restarts, with_scaler=True)
+        clusters = sorted(set(assign.values()))
+        if len(clusters) < k:
+            raise EmptyCluster("clustering left an empty cluster on this fold")
+        test_vectors = vectors[job.test_idx]
+        if mode is RoutingMode.PER_SUBJECT:
+            assigned = np.full(job.test_idx.size, route_subject(model, test_vectors))
+        else:
+            assigned = assign_many(model, test_vectors)
+        cluster_of = _cluster_of(ds, assign)
+        for cluster in clusters:
+            members = np.flatnonzero(cluster_of == cluster)
+            seed = _fold_seed(job.seed, 10 + cluster)
+            key = (members.tobytes(), None if isinstance(spec, SvmSpec) else seed)
+            if key not in fits:
+                rows = np.flatnonzero(np.isin(ds.subject_index, members))
+                fits[key] = _ClusterFit(rows, seed, [])
+            routed = np.flatnonzero(assigned == cluster)
+            if routed.size:
+                fits[key].parts.append((position, routed))
+    return list(fits.values())
 
-    train_subjects = np.unique(ds.subject_index[train_idx])
-    model, assign = fit_cluster_model([ds.subject_ids[i] for i in train_subjects],
-                                      routing.summaries[train_subjects], routing.space,
-                                      routing.k, job.seed, restarts=routing.restarts,
-                                      with_scaler=True)
-    clusters = sorted(set(assign.values()))
-    if len(clusters) < routing.k:
-        raise EmptyCluster("clustering left an empty cluster on this fold")
-    train_clusters = _cluster_of(ds, assign)[ds.subject_index[train_idx]]
-    classifiers = {}
-    for cluster in clusters:
-        rows = train_idx[train_clusters == cluster]
-        if rows.size == 0:
-            raise EmptyCluster(f"cluster {cluster} has no training windows")
-        classifiers[cluster] = fit_classifier(
-            spec, ds, rows, _fold_seed(job.seed, 10 + cluster)
-        )
 
-    test_vectors = routing.vectors[test_idx]
-    if routing.mode is RoutingMode.PER_SUBJECT:
-        assigned = np.full(test_idx.size, route_subject(model, test_vectors))
-    else:
-        assigned = assign_many(model, test_vectors)
-    preds = np.empty(test_idx.size, dtype=np.int64)
-    for cluster in np.unique(assigned):
-        rows = np.nonzero(assigned == cluster)[0]
-        sel = test_idx[rows]
-        preds[rows] = classifiers[int(cluster)].predict(ds.windows[sel], ds.hc[sel])
-    return preds
+def _fit_predict_parts(ds: WindowDataset, spec, train_idx: np.ndarray, seed: int,
+                       test_rows: list[np.ndarray]) -> list[np.ndarray]:
+    """Fit one classifier and predict each of ``test_rows`` in turn."""
+    clf = fit_classifier(spec, ds, train_idx, seed)
+    return [clf.predict(ds.windows[rows], ds.hc[rows]) for rows in test_rows]
 
 
 def _run_jobs(fn, arg_tuples: list, workers: int):
@@ -428,9 +441,8 @@ def _run_jobs(fn, arg_tuples: list, workers: int):
         return [f.result() for f in futures]  # submission order, not finish order
 
 
-def _run_folds(ds: WindowDataset, spec, jobs: list[FoldJob], workers: int,
-               routing: _Routing | None = None) -> list[np.ndarray]:
-    return _run_jobs(_fit_predict, [(ds, spec, job, routing) for job in jobs], workers)
+def _run_folds(ds: WindowDataset, spec, jobs: list[FoldJob], workers: int) -> list[np.ndarray]:
+    return _run_jobs(_fit_predict, [(ds, spec, job) for job in jobs], workers)
 
 
 def _report(ds: WindowDataset, jobs: list[FoldJob], preds: list[np.ndarray],
@@ -593,18 +605,33 @@ def routed_eval(
     Train subjects are clustered in the given window-feature space; each test
     window (or the whole test subject, by majority) is routed to the nearest
     cluster's classifier. The windows' vectors in that space, and each
-    subject's summary row, are computed once; each fold fits on its train
+    subject's summary row, are computed once; each fold clusters its train
     subjects' rows. A space without per-window vectors raises
     DimensionMismatch there, before any fold runs.
+
+    Every fold is clustered before any classifier is fitted; then each
+    distinct cluster training set is fitted once, one job per fit (see
+    ``_plan_routed_fits``), and predicts the test windows of every fold
+    routed to it.
     """
     jobs = make_folds(ds, SplitPlan(SplitKind.LEAVE_SUBJECT_OUT), seed)
     vectors = window_space_matrix(ds.windows, space)
     summaries = np.stack([vectors[ds.subject_index == i].mean(axis=0)
                           for i in range(len(ds.subject_ids))])
-    route = _Routing(routing, space, k, restarts, vectors, summaries)
+    fits = _plan_routed_fits(ds, spec, jobs, routing, space, k, restarts, vectors, summaries)
+    part_preds = _run_jobs(
+        _fit_predict_parts,
+        [(ds, spec, fit.train_idx, fit.seed,
+          [jobs[f].test_idx[routed] for f, routed in fit.parts]) for fit in fits],
+        workers,
+    )
+    preds = [np.empty(job.test_idx.size, dtype=np.int64) for job in jobs]
+    for fit, fit_preds in zip(fits, part_preds):
+        for (f, routed), part in zip(fit.parts, fit_preds):
+            preds[f][routed] = part
     echo = _base_echo(ds, spec, {"kind": SplitKind.LEAVE_SUBJECT_OUT.value, "seed": seed})
     echo["clustering"] = {"space": space.value, "k": int(k), "routing": routing.value}
-    return _report(ds, jobs, _run_folds(ds, spec, jobs, workers, route), echo)
+    return _report(ds, jobs, preds, echo)
 
 
 # ---------------------------------------------------------------- importance

@@ -22,13 +22,22 @@ from pathlib import Path
 import numpy as np
 
 from .artifacts import write_json
-from .errors import DimensionMismatch, InvalidConfig, NonFiniteFeature, SingleClassInput
+from .errors import (
+    DimensionMismatch,
+    GramTooLarge,
+    InvalidConfig,
+    NonFiniteFeature,
+    SingleClassInput,
+)
 
 ALPHA_KEEP = 1e-12  # multipliers at or below this are dropped from the model
 TAU = 1e-12  # curvature used for pairs with a non-positive a_ij (LIBSVM's TAU)
 # Step cap.  LIBSVM uses max(10^7, 100 n); 100 n only binds past 10^5 rows,
 # where the dense Gram matrix this trainer holds would not fit in memory.
 MAX_ITER = 10_000_000
+# Entries of the dense n x n Gram matrix a machine may hold: 10^4 rows, 0.8 GB
+# of float64, plus an equal temporary while it is built.
+MAX_GRAM_ENTRIES = 10**8
 
 
 class KernelKind(enum.Enum):
@@ -101,6 +110,8 @@ def train_binary(
 
     Stops when the maximal-violating-pair gap m(alpha) - M(alpha) is at most
     tol, or after MAX_ITER steps, which the model reports as converged=False.
+    More than ``MAX_GRAM_ENTRIES`` Gram entries (n^2) raises GramTooLarge
+    before anything n x n is allocated.
     """
     x = np.ascontiguousarray(x, dtype=np.float64)
     y = np.asarray(y, dtype=np.float64)
@@ -115,6 +126,10 @@ def train_binary(
         raise SingleClassInput("need both classes to train")
     if c <= 0:
         raise InvalidConfig("C must be positive")
+    n = x.shape[0]
+    if n * n > MAX_GRAM_ENTRIES:
+        raise GramTooLarge(f"an SVM machine on {n} rows needs a {n} x {n} Gram matrix, "
+                           f"more than MAX_GRAM_ENTRIES = {MAX_GRAM_ENTRIES} entries")
 
     kernel = kernel.resolve(x)
     gram = kernel.matrix(x, x)
@@ -124,7 +139,6 @@ def train_binary(
     # many times and builds from a third to a twentieth of the n rows, so the
     # full n x n matrix up front would cost more than the steps themselves.
     curv = {}
-    n = x.shape[0]
     c = float(c)
     max_iter = MAX_ITER
     alpha = [0.0] * n

@@ -4,7 +4,9 @@ Everything here is written for clarity over speed and deliberately avoids
 the library's own code paths. The SVM reference solver takes the library's
 kernel and returns its model class, so that fits compare field by field, and
 the model file readers at the end build the library's model classes, since
-they check that saved models round-trip.
+they check that saved models round-trip. The routed-evaluation reference
+calls the library's clustering and classifiers: what it writes out is the
+per-fold loop that the library's shared cluster fits replace.
 """
 
 import csv
@@ -15,8 +17,16 @@ from pathlib import Path
 
 import numpy as np
 
-from hractivity.clustering import ClusterSpace, window_space_matrix
+from hractivity.clustering import (
+    ClusterSpace,
+    assign_many,
+    fit_cluster_model,
+    route_subject,
+    window_space_matrix,
+)
 from hractivity.errors import EmptyDataset, MissingActivity, ShapeMismatch, UnknownLabel
+from hractivity.evaluation import RoutingMode, fit_classifier
+from hractivity.metrics import FoldRecord, accuracy, balanced_accuracy, confusion_matrix
 from hractivity.neuralnet import (
     CONV_CHANNELS,
     CONV_KERNEL,
@@ -598,6 +608,51 @@ def permutation_importance_reference(clf, windows, hc, labels, repeats=5, seed=0
             drops.append(base - balanced(clf.predict(shuffled[:, :w_dim], shuffled[:, w_dim:])))
         out[dim] = np.mean(drops)
     return out
+
+
+# -- routed evaluation: every cluster of every fold fitted on its own --------
+
+def routed_eval_reference(ds, k, routing, space, spec, seed=0, restarts=10):
+    """(summed confusion, fold records) of a routed leave-subject-out run in
+    which each fold clusters its train subjects, fits a classifier for each
+    of its clusters and routes its test windows, before the next fold starts.
+
+    Nothing is shared between folds. The clustering, the classifiers and the
+    metrics are the library's; only the fold loop is written out here.
+    """
+    def seed_of(base, i):
+        return int(np.random.SeedSequence(entropy=(int(base), int(i))).generate_state(1)[0])
+
+    vectors = window_space_matrix(ds.windows, space)
+    subjects = np.asarray(ds.subject_ids)[ds.subject_index]
+    total = np.zeros((N_CLASSES, N_CLASSES), dtype=np.int64)
+    folds = []
+    for fold_id, held_out in enumerate(ds.subject_ids):
+        fold_seed = seed_of(seed, fold_id)
+        train_ids = [s for s in ds.subject_ids if s != held_out]
+        summaries = np.stack([vectors[subjects == s].mean(axis=0) for s in train_ids])
+        model, assign = fit_cluster_model(train_ids, summaries, space, k, fold_seed,
+                                          restarts=restarts, with_scaler=True)
+        classifiers = {}
+        for cluster in sorted(set(assign.values())):
+            rows = np.flatnonzero(np.isin(subjects, [s for s in train_ids
+                                                     if assign[s] == cluster]))
+            classifiers[cluster] = fit_classifier(spec, ds, rows, seed_of(fold_seed, 10 + cluster))
+        test = np.flatnonzero(subjects == held_out)
+        if routing is RoutingMode.PER_SUBJECT:
+            routed = np.full(test.size, route_subject(model, vectors[test]))
+        else:
+            routed = assign_many(model, vectors[test])
+        preds = np.zeros(test.size, dtype=np.int64)
+        for cluster in np.unique(routed):
+            here = routed == cluster
+            sel = test[here]
+            preds[here] = classifiers[int(cluster)].predict(ds.windows[sel], ds.hc[sel])
+        cm = confusion_matrix(ds.labels[test], preds)
+        total += cm
+        folds.append(FoldRecord(fold_id, held_out, int(test.size), accuracy(cm),
+                                balanced_accuracy(cm)))
+    return total, tuple(folds)
 
 
 # -- MFCC: a loop-based DFT, the triangle formula and a loop-based DCT-II -----

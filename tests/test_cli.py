@@ -6,13 +6,14 @@ import hashlib
 import io
 import json
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
 
 import pytest
 
-from hractivity import cli, evaluation
+from hractivity import cli, evaluation, svm
 from hractivity.cli import main
 from hractivity.ingest import serialize_corpus
 from hractivity.synthetic import SyntheticCohortSpec, generate_synthetic
@@ -387,6 +388,22 @@ def test_mel_band_ceiling_runs(tiny_corpus, capsys):
     assert run_cli("--config", ok, "eval") == 0, capsys.readouterr().err
     manifest = json.loads((only_run_dir(runs) / "manifest.json").read_text())
     assert manifest["config"]["features.n_mel_bands"] == "256"
+
+
+def test_oversized_svm_gram_matrix_is_a_data_error(tiny_corpus, capsys, monkeypatch):
+    # at stride 1 every machine of the first fold has more rows than the
+    # lowered bound admits; the fit is refused before its Gram matrix exists
+    ini, _, runs = tiny_corpus
+    dense = write_ini(ini.with_name("dense.ini"),
+                      ini.read_text().replace("stride = 30", "stride = 1"))
+    monkeypatch.setattr(svm, "MAX_GRAM_ENTRIES", 10**5)
+    rc = run_cli("--config", dense, "eval")
+    err = capsys.readouterr().err
+    assert rc == 3
+    assert re.fullmatch(r"data error: an SVM machine on (\d+) rows needs a \1 x \1 Gram "
+                        r"matrix, more than MAX_GRAM_ENTRIES = 100000 entries; windows are "
+                        r"cut at stride 1, and a larger windows\.stride gives fewer rows\n", err)
+    assert not runs.exists() or not any(runs.iterdir())
 
 
 def test_eval_writes_the_same_bytes_under_any_locale(tmp_path):

@@ -8,6 +8,7 @@ import pytest
 from oracles import (
     nearest_window_reference,
     permutation_importance_reference,
+    routed_eval_reference,
     subject_summaries_reference,
 )
 
@@ -265,11 +266,11 @@ def test_per_window_routing_splits_subject():
 def test_routed_eval_rejects_profile_space_and_big_k(monkeypatch):
     ds = routing_toy()
 
-    def no_fold(*args):
+    def no_fold(*args, **kwargs):
         raise AssertionError("a fold ran before the space was refused")
 
     with monkeypatch.context() as patch, pytest.raises(DimensionMismatch):
-        patch.setattr(evaluation, "_fit_predict", no_fold)
+        patch.setattr(evaluation, "fit_cluster_model", no_fold)
         routed_eval(ds, 2, RoutingMode.PER_WINDOW, ClusterSpace.MEAN_BPM_PROFILE,
                     SvmSpec(inputs="windows"), seed=0)
     with pytest.raises(TooFewVectors):
@@ -500,24 +501,21 @@ def interleaved_dataset():
 def test_routed_fold_summaries_match_the_full_matrix_reference(monkeypatch, make, space):
     ds = make()
     fits = []
-    real_fit, real_fold = evaluation.fit_cluster_model, evaluation._fit_predict
+    real_fit = evaluation.fit_cluster_model
 
     def fit(ids, summaries, *args, **kwargs):
-        fits[-1] += (ids, summaries)
+        fits.append((ids, summaries))
         return real_fit(ids, summaries, *args, **kwargs)
 
-    def fold(ds, spec, job, routing=None):
-        fits.append((job.train_idx,))
-        return real_fold(ds, spec, job, routing)
-
     monkeypatch.setattr(evaluation, "fit_cluster_model", fit)
-    monkeypatch.setattr(evaluation, "_fit_predict", fold)
     monkeypatch.setattr(evaluation, "fit_classifier", lambda *args: ConstantPredictor(0))
     routed_eval(ds, 2, RoutingMode.PER_WINDOW, space, SvmSpec(inputs="windows"), seed=0)
     assert len(fits) == len(ds.subject_ids)
+    # folds are clustered in fold order, so the i-th clustering is fold i's
+    folds = make_folds(ds, SplitPlan(SplitKind.LEAVE_SUBJECT_OUT), seed=0)
     subjects = np.asarray(ds.subject_ids)[ds.subject_index]
     vectors = window_space_matrix(ds.windows, space)
-    for train_idx, ids, summaries in fits:
+    for (ids, summaries), train_idx in zip(fits, [job.train_idx for job in folds]):
         rows = (ds.windows[train_idx], ds.labels[train_idx], subjects[train_idx])
         expected_ids, expected = subject_summaries_reference(*rows, space, vectors[train_idx])
         assert ids == expected_ids
@@ -575,12 +573,25 @@ def test_fold_jobs_carry_each_protocols_seed(monkeypatch):
     assert jobs_of(lambda: within_cluster_loso(ds, assign, spec, seed=4)) == within + loso
     assert jobs_of(lambda: cross_cluster_eval(ds, assign, 0, 1, spec, seed=4)) == [
         (0, "cluster:1", fold_seed(4, 0))]
+    # a routed run clusters each fold with the fold's seed; its fits are
+    # shared between folds, so the folds are seen through the clustering
+    real_cluster = evaluation.fit_cluster_model
+
+    def record_clustering(ids, summaries, space, k, seed, **kwargs):
+        held_out = [sid for sid in sids if sid not in ids]
+        assert len(held_out) == 1 and len(ids) == len(sids) - 1  # train and test disjoint
+        seen.append((len(seen), held_out[0], seed))
+        return real_cluster(ids, summaries, space, k, seed, **kwargs)
+
+    monkeypatch.setattr(evaluation, "fit_cluster_model", record_clustering)
+    monkeypatch.setattr(evaluation, "fit_classifier", lambda *args: ConstantPredictor(0))
     for routing in RoutingMode:
         assert jobs_of(lambda: routed_eval(ds, 2, routing, ClusterSpace.STATISTICAL_WINDOW,
                                            spec, seed=4)) == loso
 
 
 def test_routed_cluster_classifiers_are_seeded_from_the_fold_seed(monkeypatch):
+    # a net reads its seed, so no two (fold, cluster) pairs share a fit
     ds = small_dataset(std=StandardizationMode.FEATURE)
     seeds = []
     real = evaluation.fit_classifier
@@ -590,6 +601,77 @@ def test_routed_cluster_classifiers_are_seeded_from_the_fold_seed(monkeypatch):
         return real(spec, ds, train_idx, seed)
 
     monkeypatch.setattr(evaluation, "fit_classifier", record)
-    routed_eval(ds, 2, RoutingMode.PER_WINDOW, ClusterSpace.STATISTICAL_WINDOW, SvmSpec(),
-                seed=4)
+    routed_eval(ds, 2, RoutingMode.PER_WINDOW, ClusterSpace.STATISTICAL_WINDOW,
+                NetSpec(epochs=1), seed=4)
     assert seeds == [fold_seed(fold_seed(4, f), 10 + c) for f in range(8) for c in range(2)]
+
+
+def record_routed_fits(monkeypatch):
+    """Patch the clustering and the classifier fits of ``evaluation``.
+
+    Returns (each fold's cluster member sets, in cluster order; each fit's
+    train rows and seed, in call order).
+    """
+    clusterings, fits = [], []
+    real_cluster, real_fit = evaluation.fit_cluster_model, evaluation.fit_classifier
+
+    def cluster(*args, **kwargs):
+        model, assign = real_cluster(*args, **kwargs)
+        clusterings.append([tuple(sorted(sid for sid in assign if assign[sid] == c))
+                            for c in sorted(set(assign.values()))])
+        return model, assign
+
+    def fit(spec, ds, train_idx, seed):
+        fits.append((np.asarray(train_idx), seed))
+        return real_fit(spec, ds, train_idx, seed)
+
+    monkeypatch.setattr(evaluation, "fit_cluster_model", cluster)
+    monkeypatch.setattr(evaluation, "fit_classifier", fit)
+    return clusterings, fits
+
+
+@pytest.mark.parametrize("routing", list(RoutingMode))
+def test_routed_svm_fits_each_distinct_member_set_once(monkeypatch, routing):
+    ds = small_dataset(std=StandardizationMode.FEATURE)
+    clusterings, fits = record_routed_fits(monkeypatch)
+    routed_eval(ds, 2, routing, ClusterSpace.STATISTICAL_WINDOW, SvmSpec(), seed=4)
+    assert len(clusterings) == 8
+    used = [members for fold in clusterings for members in fold]
+    distinct = list(dict.fromkeys(used))  # first-use order
+    assert len(distinct) < len(used)  # member sets recur in this cohort
+    subjects = np.asarray(ds.subject_ids)[ds.subject_index]
+    assert len(fits) == len(distinct)
+    for members, (train_idx, seed) in zip(distinct, fits):
+        # all the member subjects' windows, in row order
+        assert np.array_equal(train_idx, np.flatnonzero(np.isin(subjects, members)))
+        f = used.index(members)
+        assert seed == fold_seed(fold_seed(4, f // 2), 10 + f % 2)  # the first user's
+
+
+def recurring_cohort():
+    """Nine subjects in three groups: at k = 3, 13 of the 27 (fold, cluster)
+    member sets are distinct."""
+    series, _ = cohort(n=9, groups=3, seed=5)
+    return build_dataset(series, WindowConfig(50, 25), StandardizationMode.FEATURE,
+                         FeatureSetKind.STAT_TEMPORAL)
+
+
+@pytest.mark.parametrize("routing", list(RoutingMode))
+@pytest.mark.parametrize("make,k,spec", [
+    (routing_toy, 2, SvmSpec(inputs="windows")),
+    (recurring_cohort, 3, SvmSpec()),
+], ids=["routing_toy", "recurring_cohort"])
+def test_routed_eval_matches_the_per_fold_reference(monkeypatch, make, k, spec, routing):
+    ds = make()
+    want_confusion, want_folds = routed_eval_reference(
+        ds, k, routing, ClusterSpace.STATISTICAL_WINDOW, spec, seed=2)
+    clusterings, fits = record_routed_fits(monkeypatch)
+    rep = routed_eval(ds, k, routing, ClusterSpace.STATISTICAL_WINDOW, spec, seed=2)
+    assert rep.confusion.tobytes() == want_confusion.tobytes()
+    assert rep.folds == want_folds
+    if make is recurring_cohort:  # the reference refitted at least one shared set
+        assert len(fits) < k * len(clusterings)
+    monkeypatch.undo()
+    two = routed_eval(ds, k, routing, ClusterSpace.STATISTICAL_WINDOW, spec, seed=2, workers=2)
+    assert two.confusion.tobytes() == rep.confusion.tobytes()
+    assert two.folds == rep.folds

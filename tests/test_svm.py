@@ -1,6 +1,7 @@
 """WSS2 SMO solver vs analytic cases, a dense QP oracle, the step-by-step
 reference solver, convergence reports, and the OvO vote rules."""
 
+import tracemalloc
 from itertools import combinations
 
 import numpy as np
@@ -17,6 +18,7 @@ from oracles import (
 from hractivity import svm
 from hractivity.errors import (
     DimensionMismatch,
+    GramTooLarge,
     InvalidConfig,
     NonFiniteFeature,
     SingleClassInput,
@@ -495,3 +497,36 @@ def test_train_binary_refusals(x, y, c, error, message):
         train_binary(x, y, c=c)
     assert type(caught.value) is error
     assert str(caught.value) == message
+
+
+def test_train_binary_refuses_a_gram_matrix_over_the_bound(monkeypatch):
+    # 10,001 rows need 100,020,001 Gram entries: one row past 10^8
+    n = 10_001
+    x = np.arange(n, dtype=np.float64)[:, None]
+    y = np.where(np.arange(n) % 2 == 0, 1.0, -1.0)
+
+    def no_matrix(self, a, b):
+        raise AssertionError("a kernel matrix was built")
+
+    monkeypatch.setattr(KernelSpec, "matrix", no_matrix)
+    tracemalloc.start()
+    try:
+        with pytest.raises(GramTooLarge) as caught:
+            train_binary(x, y)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 2**20, peak  # a few n-row buffers, nothing n x n
+    assert str(caught.value) == (
+        "an SVM machine on 10001 rows needs a 10001 x 10001 Gram matrix, "
+        "more than MAX_GRAM_ENTRIES = 100000000 entries")
+
+
+def test_gram_bound_admits_exactly_its_entries(monkeypatch):
+    x = np.array([[0.0], [1.0], [2.0]])
+    y = np.array([1.0, -1.0, 1.0])
+    monkeypatch.setattr(svm, "MAX_GRAM_ENTRIES", 9)
+    assert train_binary(x, y).converged is True
+    monkeypatch.setattr(svm, "MAX_GRAM_ENTRIES", 8)
+    with pytest.raises(GramTooLarge):
+        train_binary(x, y)

@@ -58,3 +58,5 @@ def test_cluster_and_routed_eval_reach_the_traced_names(tmp_path):
     assert clustering <= set(spans["cluster"])
     assert "evaluation.build_dataset" not in spans["cluster"]
     assert clustering | {"evaluation.build_dataset", "clustering.assign_many"} <= set(spans["eval"])
+    # a routed fit that bypassed the patched lookup would read as fewer fits
+    assert "evaluation.fit_classifier" in spans["eval"]
