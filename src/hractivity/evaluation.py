@@ -364,34 +364,32 @@ def make_folds(ds: WindowDataset, plan: SplitPlan, seed: int) -> list[FoldJob]:
     raise InvalidConfig(f"{plan.kind.value} folds are built by their own operation")
 
 
-def _fit_predict(ds: WindowDataset, spec, job: FoldJob) -> np.ndarray:
-    """Fit on the job's train rows and predict its test rows."""
-    clf = fit_classifier(spec, ds, job.train_idx, job.seed)
-    return clf.predict(ds.windows[job.test_idx], ds.hc[job.test_idx])
-
-
-class _ClusterFit(NamedTuple):
-    """One cluster classifier of a routed run and the test rows it predicts:
-    ``parts`` holds (fold position, positions in that fold's test rows)."""
+class _Fit(NamedTuple):
+    """One classifier fit and the test rows it predicts: ``parts`` holds
+    (fold position, positions in that fold's test rows)."""
 
     train_idx: np.ndarray
     seed: int
     parts: list
 
 
+def _fold_fits(jobs: list[FoldJob]) -> list[_Fit]:
+    """One fit per fold, on its train rows, predicting all its test rows."""
+    return [_Fit(job.train_idx, job.seed, [(f, slice(None))]) for f, job in enumerate(jobs)]
+
+
 def _plan_routed_fits(ds: WindowDataset, spec, jobs: list[FoldJob], mode: RoutingMode,
                       space: ClusterSpace, k: int, restarts: int, vectors: np.ndarray,
-                      summaries: np.ndarray) -> list[_ClusterFit]:
+                      summaries: np.ndarray) -> list[_Fit]:
     """Cluster each fold's train subjects, in fold order, and route its test
     windows (or the whole test subject, by majority) to the nearest cluster.
 
     A cluster's train rows are all the windows of its member subjects, so
     equal member sets fit the same SVM (an SVM fit reads no seed) and share
-    one ``_ClusterFit``. A net also reads its seed,
-    ``_fold_seed(job.seed, 10 + c)``, so every (fold, cluster) fits its own.
-    Fits come in first-use order, each cluster of a fold in id order. A fit
-    that no test window reaches is planned too, so an error it raises still
-    ends the run.
+    one ``_Fit``. A net also reads its seed, ``_fold_seed(job.seed, 10 + c)``,
+    so every (fold, cluster) fits its own. A cluster is fitted only when
+    some fold's test windows reach it. Fits come in first-use order, each
+    fold's clusters in id order.
     """
     fits: dict = {}
     for position, job in enumerate(jobs):
@@ -399,8 +397,7 @@ def _plan_routed_fits(ds: WindowDataset, spec, jobs: list[FoldJob], mode: Routin
         model, assign = fit_cluster_model([ds.subject_ids[i] for i in train_subjects],
                                           summaries[train_subjects], space, k, job.seed,
                                           restarts=restarts, with_scaler=True)
-        clusters = sorted(set(assign.values()))
-        if len(clusters) < k:
+        if len(set(assign.values())) < k:
             raise EmptyCluster("clustering left an empty cluster on this fold")
         test_vectors = vectors[job.test_idx]
         if mode is RoutingMode.PER_SUBJECT:
@@ -408,16 +405,14 @@ def _plan_routed_fits(ds: WindowDataset, spec, jobs: list[FoldJob], mode: Routin
         else:
             assigned = assign_many(model, test_vectors)
         cluster_of = _cluster_of(ds, assign)
-        for cluster in clusters:
+        for cluster in np.unique(assigned):
             members = np.flatnonzero(cluster_of == cluster)
             seed = _fold_seed(job.seed, 10 + cluster)
             key = (members.tobytes(), None if isinstance(spec, SvmSpec) else seed)
             if key not in fits:
                 rows = np.flatnonzero(np.isin(ds.subject_index, members))
-                fits[key] = _ClusterFit(rows, seed, [])
-            routed = np.flatnonzero(assigned == cluster)
-            if routed.size:
-                fits[key].parts.append((position, routed))
+                fits[key] = _Fit(rows, seed, [])
+            fits[key].parts.append((position, np.flatnonzero(assigned == cluster)))
     return list(fits.values())
 
 
@@ -441,8 +436,21 @@ def _run_jobs(fn, arg_tuples: list, workers: int):
         return [f.result() for f in futures]  # submission order, not finish order
 
 
-def _run_folds(ds: WindowDataset, spec, jobs: list[FoldJob], workers: int) -> list[np.ndarray]:
-    return _run_jobs(_fit_predict, [(ds, spec, job) for job in jobs], workers)
+def _run_fits(ds: WindowDataset, spec, jobs: list[FoldJob], fits: list[_Fit],
+              workers: int) -> list[np.ndarray]:
+    """Each fold's test predictions: one job per fit, each part scattered
+    into its fold."""
+    fit_preds = _run_jobs(
+        _fit_predict_parts,
+        [(ds, spec, fit.train_idx, fit.seed, [jobs[f].test_idx[pos] for f, pos in fit.parts])
+         for fit in fits],
+        workers,
+    )
+    preds = [np.empty(job.test_idx.size, dtype=np.int64) for job in jobs]
+    for fit, parts in zip(fits, fit_preds):
+        for (f, pos), part in zip(fit.parts, parts):
+            preds[f][pos] = part
+    return preds
 
 
 def _report(ds: WindowDataset, jobs: list[FoldJob], preds: list[np.ndarray],
@@ -475,7 +483,7 @@ def run_split(ds: WindowDataset, plan: SplitPlan, spec, seed: int,
     jobs = make_folds(ds, plan, seed)
     echo = _base_echo(ds, spec, {"kind": plan.kind.value, "seed": seed,
                                  "test_fraction": plan.test_fraction})
-    return _report(ds, jobs, _run_folds(ds, spec, jobs, workers), echo)
+    return _report(ds, jobs, _run_fits(ds, spec, jobs, _fold_fits(jobs), workers), echo)
 
 
 # --------------------------------------------------------------------- sweep
@@ -535,7 +543,7 @@ def cross_cluster_eval(
     echo = _base_echo(ds, spec, {"kind": SplitKind.CROSS_CLUSTER.value,
                                  "train_cluster": int(train_cluster),
                                  "test_cluster": int(test_cluster)})
-    return _report(ds, jobs, _run_folds(ds, spec, jobs, 1), echo)
+    return _report(ds, jobs, _run_fits(ds, spec, jobs, _fold_fits(jobs), 1), echo)
 
 
 @dataclass(frozen=True)
@@ -572,7 +580,7 @@ def within_cluster_loso(
         rows = np.flatnonzero(np.isin(ds.subject_index, members))
         jobs_by_cluster[cluster] = _loso_jobs(ds, members, rows, seed, cluster * 1000)
     all_jobs = [job for jobs in jobs_by_cluster.values() for job in jobs]
-    preds = iter(_run_folds(ds, spec, all_jobs, workers))
+    preds = iter(_run_fits(ds, spec, all_jobs, _fold_fits(all_jobs), workers))
     reports = {}
     for cluster, jobs in jobs_by_cluster.items():
         echo = _base_echo(ds, spec, {"kind": SplitKind.WITHIN_CLUSTER_LOSO.value,
@@ -619,16 +627,7 @@ def routed_eval(
     summaries = np.stack([vectors[ds.subject_index == i].mean(axis=0)
                           for i in range(len(ds.subject_ids))])
     fits = _plan_routed_fits(ds, spec, jobs, routing, space, k, restarts, vectors, summaries)
-    part_preds = _run_jobs(
-        _fit_predict_parts,
-        [(ds, spec, fit.train_idx, fit.seed,
-          [jobs[f].test_idx[routed] for f, routed in fit.parts]) for fit in fits],
-        workers,
-    )
-    preds = [np.empty(job.test_idx.size, dtype=np.int64) for job in jobs]
-    for fit, fit_preds in zip(fits, part_preds):
-        for (f, routed), part in zip(fit.parts, fit_preds):
-            preds[f][routed] = part
+    preds = _run_fits(ds, spec, jobs, fits, workers)
     echo = _base_echo(ds, spec, {"kind": SplitKind.LEAVE_SUBJECT_OUT.value, "seed": seed})
     echo["clustering"] = {"space": space.value, "k": int(k), "routing": routing.value}
     return _report(ds, jobs, preds, echo)

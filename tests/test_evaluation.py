@@ -546,21 +546,30 @@ def fold_seed(seed, fold_id):
 def test_fold_jobs_carry_each_protocols_seed(monkeypatch):
     ds = small_dataset()
     sids = list(ds.subject_ids)
+    subjects = np.asarray(sids)[ds.subject_index]
     assign = {sid: int(i >= 3) for i, sid in enumerate(sids)}
-    seen = []
+    seen, fits = [], []
 
-    def record(ds, spec, job, routing=None):
-        assert np.intersect1d(job.train_idx, job.test_idx).size == 0
-        seen.append((job.fold_id, job.held_out, job.seed))
-        return ds.labels[job.test_idx]
+    def record(spec, ds, train_idx, seed):
+        fits.append((np.asarray(train_idx), seed))
+        return ConstantPredictor(0)
 
-    monkeypatch.setattr(evaluation, "_fit_predict", record)
+    monkeypatch.setattr(evaluation, "fit_classifier", record)
     spec = SvmSpec()
 
     def jobs_of(run):
-        seen.clear()
-        run()
-        return list(seen)
+        fits.clear()
+        result = run()
+        reports = (list(result.clusters.values()) + [result.baseline]
+                   if isinstance(result, evaluation.WithinClusterResult) else [result])
+        folds = [fold for report in reports for fold in report.folds]
+        assert len(folds) == len(fits)  # one fit per fold, in fold order
+        for fold, (train_idx, _) in zip(folds, fits):
+            if fold.held_out in sids:  # train and test disjoint
+                assert fold.held_out not in subjects[train_idx]
+            else:
+                assert train_idx.size + fold.n_test == len(ds)
+        return [(fold.fold_id, fold.held_out, seed) for fold, (_, seed) in zip(folds, fits)]
 
     # every fold seed comes from the seed argument
     loso = [(i, sid, fold_seed(4, i)) for i, sid in enumerate(sids)]
@@ -584,10 +593,10 @@ def test_fold_jobs_carry_each_protocols_seed(monkeypatch):
         return real_cluster(ids, summaries, space, k, seed, **kwargs)
 
     monkeypatch.setattr(evaluation, "fit_cluster_model", record_clustering)
-    monkeypatch.setattr(evaluation, "fit_classifier", lambda *args: ConstantPredictor(0))
     for routing in RoutingMode:
-        assert jobs_of(lambda: routed_eval(ds, 2, routing, ClusterSpace.STATISTICAL_WINDOW,
-                                           spec, seed=4)) == loso
+        seen.clear()
+        routed_eval(ds, 2, routing, ClusterSpace.STATISTICAL_WINDOW, spec, seed=4)
+        assert seen == loso
 
 
 def test_routed_cluster_classifiers_are_seeded_from_the_fold_seed(monkeypatch):
@@ -607,13 +616,14 @@ def test_routed_cluster_classifiers_are_seeded_from_the_fold_seed(monkeypatch):
 
 
 def record_routed_fits(monkeypatch):
-    """Patch the clustering and the classifier fits of ``evaluation``.
+    """Patch the clustering, the routing and the classifier fits of ``evaluation``.
 
-    Returns (each fold's cluster member sets, in cluster order; each fit's
-    train rows and seed, in call order).
+    Returns (each fold's cluster member sets, in cluster order; each fold's
+    routed clusters; each fit's train rows and seed, in call order).
     """
-    clusterings, fits = [], []
+    clusterings, routes, fits = [], [], []
     real_cluster, real_fit = evaluation.fit_cluster_model, evaluation.fit_classifier
+    real_assign, real_route = evaluation.assign_many, evaluation.route_subject
 
     def cluster(*args, **kwargs):
         model, assign = real_cluster(*args, **kwargs)
@@ -621,31 +631,45 @@ def record_routed_fits(monkeypatch):
                             for c in sorted(set(assign.values()))])
         return model, assign
 
+    def assign(model, vectors):
+        routes.append(real_assign(model, vectors))
+        return routes[-1]
+
+    def route(model, vectors):
+        routes.append(np.full(len(vectors), real_route(model, vectors)))
+        return int(routes[-1][0])
+
     def fit(spec, ds, train_idx, seed):
         fits.append((np.asarray(train_idx), seed))
         return real_fit(spec, ds, train_idx, seed)
 
     monkeypatch.setattr(evaluation, "fit_cluster_model", cluster)
+    monkeypatch.setattr(evaluation, "assign_many", assign)
+    monkeypatch.setattr(evaluation, "route_subject", route)
     monkeypatch.setattr(evaluation, "fit_classifier", fit)
-    return clusterings, fits
+    return clusterings, routes, fits
 
 
 @pytest.mark.parametrize("routing", list(RoutingMode))
 def test_routed_svm_fits_each_distinct_member_set_once(monkeypatch, routing):
     ds = small_dataset(std=StandardizationMode.FEATURE)
-    clusterings, fits = record_routed_fits(monkeypatch)
+    clusterings, routes, fits = record_routed_fits(monkeypatch)
     routed_eval(ds, 2, routing, ClusterSpace.STATISTICAL_WINDOW, SvmSpec(), seed=4)
-    assert len(clusterings) == 8
+    assert len(clusterings) == len(routes) == 8
     used = [members for fold in clusterings for members in fold]
-    distinct = list(dict.fromkeys(used))  # first-use order
-    assert len(distinct) < len(used)  # member sets recur in this cohort
+    # (fold, cluster) pairs whose cluster some test window of the fold reaches
+    read = [(f, int(c)) for f, routed in enumerate(routes) for c in np.unique(routed)]
+    distinct = list(dict.fromkeys(clusterings[f][c] for f, c in read))  # first-use order
+    assert len(distinct) < len(read)  # member sets recur in this cohort
+    if routing is RoutingMode.PER_SUBJECT:  # a fold reads one of its two clusters
+        assert len(read) == 8 and len(distinct) < len(set(used))
     subjects = np.asarray(ds.subject_ids)[ds.subject_index]
     assert len(fits) == len(distinct)
     for members, (train_idx, seed) in zip(distinct, fits):
         # all the member subjects' windows, in row order
         assert np.array_equal(train_idx, np.flatnonzero(np.isin(subjects, members)))
-        f = used.index(members)
-        assert seed == fold_seed(fold_seed(4, f // 2), 10 + f % 2)  # the first user's
+        f, c = next((f, c) for f, c in read if clusterings[f][c] == members)
+        assert seed == fold_seed(fold_seed(4, f), 10 + c)  # the first reader's
 
 
 def recurring_cohort():
@@ -665,7 +689,7 @@ def test_routed_eval_matches_the_per_fold_reference(monkeypatch, make, k, spec, 
     ds = make()
     want_confusion, want_folds = routed_eval_reference(
         ds, k, routing, ClusterSpace.STATISTICAL_WINDOW, spec, seed=2)
-    clusterings, fits = record_routed_fits(monkeypatch)
+    clusterings, _, fits = record_routed_fits(monkeypatch)
     rep = routed_eval(ds, k, routing, ClusterSpace.STATISTICAL_WINDOW, spec, seed=2)
     assert rep.confusion.tobytes() == want_confusion.tobytes()
     assert rep.folds == want_folds
