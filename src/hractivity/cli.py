@@ -19,7 +19,7 @@ from pathlib import Path
 import numpy as np
 
 from . import config as cfgmod
-from .artifacts import write_json
+from .artifacts import write_csv, write_json
 from .clustering import fit_cluster_model, subject_summaries, write_cluster_report
 from .errors import ConfigError, DataError, HrActivityError, InternalError, TooFewVectors
 from .evaluation import (
@@ -135,11 +135,9 @@ def cmd_sweep(cfg, run_dir: Path) -> None:
     rows = []
     for (w, s), report in sorted(reports.items()):
         write_report_json(report, run_dir / f"report_w{w}_s{s}.json")
-        rows.append((w, s, report.accuracy, report.balanced_accuracy))
-    with open(run_dir / "sweep_summary.csv", "w", encoding="utf-8", newline="") as handle:
-        handle.write("window_size,stride,accuracy,balanced_accuracy\n")
-        for w, s, acc, bal in rows:
-            handle.write(f"{w},{s},{acc!r},{bal!r}\n")
+        rows.append((w, s, repr(report.accuracy), repr(report.balanced_accuracy)))
+    write_csv(run_dir / "sweep_summary.csv",
+              ["window_size", "stride", "accuracy", "balanced_accuracy"], rows)
 
 
 def _windowless(series, window) -> str:
@@ -264,16 +262,22 @@ def cmd_importance(cfg, run_dir: Path) -> None:
 def cmd_timeline(cfg, run_dir: Path) -> None:
     series, _ = _load_series(cfg)
     seed = cfg.require_seed()
-    by_id = {s.subject_id: s for s in series}
+    by_id: dict[str, list] = {}
+    for s in series:
+        by_id.setdefault(s.subject_id, []).append(s)
     target_id = cfg.timeline_subject or sorted(by_id)[0]
     if target_id not in by_id:
         raise ConfigError(f"timeline.subject {target_id!r} not in the corpus")
+    if len(by_id[target_id]) > 1:
+        devices = " and ".join(repr(s.device_id) for s in by_id[target_id])
+        raise DataError(f"timeline subject {target_id!r} was recorded by devices {devices}; "
+                        f"a timeline follows one series, so set corpus.device_filter to one device")
     others = [s for s in series if s.subject_id != target_id]
     if not others:
         raise DataError("timeline needs at least two subjects (one to hold out)")
     ds = _build_dataset(cfg, others)
     clf = _fit_on_all(cfg, ds, seed)
-    record = misclassification_timeline(clf, by_id[target_id],
+    record = misclassification_timeline(clf, by_id[target_id][0],
                                         cfgmod.window_config(cfg),
                                         cfg.standardization, cfg.feature_kind,
                                         cfgmod.mfcc_config(cfg))

@@ -180,15 +180,6 @@ def assign_many(model: ClusterModel, vectors) -> np.ndarray:
     return _squared_distances(mat, model.centroids).argmin(axis=1)
 
 
-def route_subject(model: ClusterModel, vectors) -> int:
-    """Majority cluster over the subject's window vectors; ties to lowest index."""
-    mat = np.asarray(vectors, dtype=np.float64)
-    if mat.ndim != 2 or mat.shape[0] == 0:
-        raise NoWindows("subject has no windows to route")
-    counts = np.bincount(assign_many(model, mat), minlength=model.k)
-    return int(counts.argmax())
-
-
 def window_space_matrix(values: np.ndarray, space: ClusterSpace) -> np.ndarray:
     """Per-window vectors of an (n, W) window matrix in a label-free routing space."""
     mat = np.asarray(values, dtype=np.float64)

@@ -21,7 +21,6 @@ from .clustering import (
     ClusterSpace,
     assign_many,
     fit_cluster_model,
-    route_subject,
     window_space_matrix,
 )
 from .errors import (
@@ -381,8 +380,10 @@ def _fold_fits(jobs: list[FoldJob]) -> list[_Fit]:
 def _plan_routed_fits(ds: WindowDataset, spec, jobs: list[FoldJob], mode: RoutingMode,
                       space: ClusterSpace, k: int, restarts: int, vectors: np.ndarray,
                       summaries: np.ndarray) -> list[_Fit]:
-    """Cluster each fold's train subjects, in fold order, and route its test
-    windows (or the whole test subject, by majority) to the nearest cluster.
+    """Cluster each fold's train subjects, in fold order, and route each test
+    window to the nearest cluster by its own vector (``per_window``) or by
+    its subject's summary row (``per_subject``), the row the train subjects
+    were clustered on.
 
     A cluster's train rows are all the windows of its member subjects, so
     equal member sets fit the same SVM (an SVM fit reads no seed) and share
@@ -391,6 +392,7 @@ def _plan_routed_fits(ds: WindowDataset, spec, jobs: list[FoldJob], mode: Routin
     some fold's test windows reach it. Fits come in first-use order, each
     fold's clusters in id order.
     """
+    routed_by = summaries[ds.subject_index] if mode is RoutingMode.PER_SUBJECT else vectors
     fits: dict = {}
     for position, job in enumerate(jobs):
         train_subjects = np.unique(ds.subject_index[job.train_idx])
@@ -399,11 +401,7 @@ def _plan_routed_fits(ds: WindowDataset, spec, jobs: list[FoldJob], mode: Routin
                                           restarts=restarts, with_scaler=True)
         if len(set(assign.values())) < k:
             raise EmptyCluster("clustering left an empty cluster on this fold")
-        test_vectors = vectors[job.test_idx]
-        if mode is RoutingMode.PER_SUBJECT:
-            assigned = np.full(job.test_idx.size, route_subject(model, test_vectors))
-        else:
-            assigned = assign_many(model, test_vectors)
+        assigned = assign_many(model, routed_by[job.test_idx])
         cluster_of = _cluster_of(ds, assign)
         for cluster in np.unique(assigned):
             members = np.flatnonzero(cluster_of == cluster)
@@ -611,15 +609,15 @@ def routed_eval(
     """Leave-subject-out with per-fold clustering and cluster-local classifiers.
 
     Train subjects are clustered in the given window-feature space; each test
-    window (or the whole test subject, by majority) is routed to the nearest
-    cluster's classifier. The windows' vectors in that space, and each
-    subject's summary row, are computed once; each fold clusters its train
-    subjects' rows. A space without per-window vectors raises
+    window (or the whole test subject, by its summary row) is routed to the
+    nearest cluster's classifier. The windows' vectors in that space, and
+    each subject's summary row, are computed once; each fold clusters its
+    train subjects' rows. A space without per-window vectors raises
     DimensionMismatch there, before any fold runs.
 
     Every fold is clustered before any classifier is fitted; then each
-    distinct cluster training set is fitted once, one job per fit (see
-    ``_plan_routed_fits``), and predicts the test windows of every fold
+    distinct cluster training set that some fold reads is fitted once (see
+    ``_plan_routed_fits``) and predicts the test windows of every fold
     routed to it.
     """
     jobs = make_folds(ds, SplitPlan(SplitKind.LEAVE_SUBJECT_OUT), seed)

@@ -21,7 +21,6 @@ from hractivity.clustering import (
     ClusterSpace,
     assign_many,
     fit_cluster_model,
-    route_subject,
     window_space_matrix,
 )
 from hractivity.errors import EmptyDataset, MissingActivity, ShapeMismatch, UnknownLabel
@@ -639,8 +638,8 @@ def routed_eval_reference(ds, k, routing, space, spec, seed=0, restarts=10):
                                                      if assign[s] == cluster]))
             classifiers[cluster] = fit_classifier(spec, ds, rows, seed_of(fold_seed, 10 + cluster))
         test = np.flatnonzero(subjects == held_out)
-        if routing is RoutingMode.PER_SUBJECT:
-            routed = np.full(test.size, route_subject(model, vectors[test]))
+        if routing is RoutingMode.PER_SUBJECT:  # by the held-out subject's mean vector
+            routed = np.full(test.size, assign_many(model, vectors[test].mean(axis=0)[None])[0])
         else:
             routed = assign_many(model, vectors[test])
         preds = np.zeros(test.size, dtype=np.int64)

@@ -2,8 +2,8 @@
 
 Each test prints a single PASS/FAIL line (visible under pytest's capture) and
 enforces its wall-clock budget. Numeric expectations follow the module test
-suites; the trend criteria (7-11) rerun the frozen synthetic cohorts across
-seeds 1-5 and require the stated majority.
+suites; the trend criteria (7-11 and 14) rerun the frozen synthetic cohorts
+across seeds 1-5 and require the stated majority.
 """
 
 import hashlib
@@ -28,6 +28,7 @@ from hractivity.evaluation import (
     mean_fold_balanced,
     misclassification_timeline,
     routed_eval,
+    run_split,
     run_sweep,
     subject_segments,
     within_cluster_loso,
@@ -527,4 +528,23 @@ def test_criterion_13_real_corpus_trends(capsys):
         f"{by_window.balanced_accuracy:.3f}; stride 10 {sweep[(80, 10)].balanced_accuracy:.3f} "
         f"vs 120 {sweep[(80, 120)].balanced_accuracy:.3f}",
         t0, 1800.0,
+    )
+
+
+def test_criterion_14_normalization_lever(capsys):
+    t0 = time.perf_counter()
+    spec, plan = SvmSpec(inputs="features"), SplitPlan(SplitKind.LEAVE_SUBJECT_OUT)
+    modes = (StandardizationMode.DATA, StandardizationMode.FEATURE, StandardizationMode.NONE)
+    scores, ordered = [], 0
+    for seed in SEEDS:
+        series, _ = generate_synthetic(SyntheticCohortSpec(n_subjects=12, n_groups=2, seed=seed))
+        bal = [run_split(build_dataset(series, WindowConfig(50, 25), mode,
+                                       FeatureSetKind.STAT_TEMPORAL),
+                         plan, spec, seed).balanced_accuracy for mode in modes]
+        scores.append("/".join(f"{b:.3f}" for b in bal))
+        ordered += bal[0] > bal[1] > bal[2]
+    _verdict(
+        capsys, 14, "normalization lever", ordered >= 4,
+        f"data > feature > none in {ordered}/5 (data/feature/none: {', '.join(scores)})",
+        t0, 120.0,
     )

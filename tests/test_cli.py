@@ -152,9 +152,14 @@ def test_sweep_grid_emits_all_cell_reports(tiny_corpus):
     run_dir = only_run_dir(runs)
     reports = sorted(p.name for p in run_dir.glob("report_w*_s*.json"))
     assert len(reports) == 28  # 4 window sizes x 7 strides
-    summary = (run_dir / "sweep_summary.csv").read_text().strip().splitlines()
-    assert summary[0] == "window_size,stride,accuracy,balanced_accuracy"
-    assert len(summary) == 29
+    # CRLF line ends, like every CSV artifact, and each cell's floats in repr
+    lines = (run_dir / "sweep_summary.csv").read_bytes().split(b"\r\n")
+    assert lines[0] == b"window_size,stride,accuracy,balanced_accuracy"
+    assert len(lines) == 30 and lines[-1] == b""
+    for line in lines[1:-1]:
+        w, s, acc, bal = line.decode("utf-8").split(",")
+        report = json.loads((run_dir / f"report_w{w}_s{s}.json").read_text(encoding="utf-8"))
+        assert (acc, bal) == (repr(report["accuracy"]), repr(report["balanced_accuracy"]))
 
 
 EVAL_PROTOCOLS = {
@@ -204,6 +209,34 @@ def test_timeline_artifacts(tiny_corpus):
     lines = (run_dir / "timeline.csv").read_text().splitlines()
     assert lines[0] == "t,bpm,true,pred,correct,transition"
     assert len(lines) == 781
+
+
+def test_timeline_refuses_a_subject_recorded_by_two_devices(tmp_path, capsys):
+    # one timeline follows one series: device B's samples must not replace A's unseen
+    series, _ = generate_synthetic(SyntheticCohortSpec(n_subjects=4, n_groups=2, seed=7))
+    corpus = tmp_path / "corpus"
+    serialize_corpus([dataclasses.replace(s, device_id="A") for s in series], corpus)
+    [b_file] = serialize_corpus([dataclasses.replace(series[0], device_id="B",
+                                                     bpm=series[0].bpm + 30.0)], tmp_path / "b")
+    b_file.rename(corpus / "S000_B.csv")
+    runs = tmp_path / "runs"
+    ini = write_ini(tmp_path / "exp.ini", f"""
+[corpus]
+source = {corpus}
+device_filter =
+[windows]
+window_size = 50
+stride = 30
+[run]
+seed = 7
+out = {runs}
+""")
+    rc = run_cli("--config", ini, "timeline")
+    err = capsys.readouterr().err
+    assert rc == 3
+    assert err == ("data error: timeline subject 'S000' was recorded by devices 'A' and 'B'; "
+                   "a timeline follows one series, so set corpus.device_filter to one device\n")
+    assert not runs.exists() or not any(runs.iterdir())
 
 
 def test_missing_corpus_is_a_data_error(tmp_path, capsys):

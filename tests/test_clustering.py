@@ -17,7 +17,6 @@ from hractivity.clustering import (
     assign_many,
     fit_cluster_model,
     kmeans_fit,
-    route_subject,
     subject_summaries,
     window_space_matrix,
     write_cluster_report,
@@ -165,20 +164,6 @@ def test_assign_matches_linear_scan():
         assert g == expect
 
 
-def test_route_subject_majority_and_ties():
-    model = ClusterModel(
-        k=3,
-        centroids=np.array([[0.0], [10.0], [20.0]]),
-        space=ClusterSpace.MEAN_BPM_PROFILE,
-        seed=0,
-        inertia=0.0,
-    )
-    assert route_subject(model, [[10.0], [10.0], [20.0]]) == 1
-    assert route_subject(model, [[0.0], [10.0]]) == 0  # tie: lowest cluster
-    with pytest.raises(NoWindows):
-        route_subject(model, np.zeros((0, 1)))
-
-
 def test_routing_recovers_latent_groups():
     profiles = ((0.0, 5.0, 30.0, 12.0, 3.0), (40.0, 45.0, 70.0, 52.0, 43.0))
     cfg = WindowConfig(50, 50)
@@ -194,7 +179,7 @@ def test_routing_recovers_latent_groups():
         routed, latent = [], []
         for s in corpus:
             vecs = window_space_matrix(segment(s, cfg).values, ClusterSpace.STATISTICAL_WINDOW)
-            routed.append(route_subject(model, vecs))
+            routed.append(int(assign_many(model, vecs.mean(axis=0, keepdims=True))[0]))
             latent.append(groups[s.subject_id])
         assert adjusted_rand_index(routed, latent) >= 0.9
 

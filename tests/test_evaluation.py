@@ -1,6 +1,7 @@
 """Split contracts, routing rules, importance checks, timeline semantics."""
 
 import concurrent.futures
+from dataclasses import replace
 from concurrent.futures import Future
 
 import numpy as np
@@ -247,12 +248,53 @@ def routing_toy():
     return manual_dataset(rows)
 
 
-def test_per_subject_routing_uses_majority_cluster():
+def test_per_subject_routing_uses_the_subject_mean_cluster():
     ds = routing_toy()
     rep = routed_eval(ds, 2, RoutingMode.PER_SUBJECT, ClusterSpace.STATISTICAL_WINDOW,
                       SvmSpec(inputs="windows"), seed=0)
     fold_c = [f for f in rep.folds if f.held_out == "C"][0]
-    assert fold_c.accuracy == 1.0  # every window goes to the majority cluster's model
+    assert fold_c.accuracy == 1.0  # C's mean vector lies nearer A: all its windows go there
+
+
+def shape_groups_cohort(seed, n=6):
+    """Two one-group cohorts whose groups differ in shape (offsets and lag),
+    not in level, merged with their subjects renamed: S000-S005 are group 0."""
+    series = []
+    for g, (offsets, tau) in enumerate((((0.0, 5.0, 30.0, 12.0, 3.0), 5.0),
+                                        ((0.0, 18.0, 8.0, 30.0, 3.0), 60.0))):
+        part, _ = generate_synthetic(SyntheticCohortSpec(
+            n, 1, 10 * seed + g, group_offset_profiles=(offsets,), lag_tau_s=tau))
+        series += [replace(s, subject_id=f"S{g * n + i:03d}") for i, s in enumerate(part)]
+    return series
+
+
+@pytest.mark.parametrize("space", [ClusterSpace.STATISTICAL_WINDOW,
+                                   ClusterSpace.TEMPORAL_WINDOW], ids=lambda s: s.value)
+@pytest.mark.parametrize("seed", [1, 2, 3])
+def test_per_subject_routing_sends_each_subject_to_its_group_mates(monkeypatch, space, seed):
+    # each fold clusters its train subjects by their mean vectors, so a
+    # held-out subject is routed by its own mean vector too
+    ds = build_dataset(shape_groups_cohort(seed), WindowConfig(50, 25), StandardizationMode.DATA)
+    group_of = (ds.subject_index >= 6).astype(np.int64)
+    ds = replace(ds, labels=group_of)  # a window's label is its subject's group
+    groups = {sid: int(i >= 6) for i, sid in enumerate(ds.subject_ids)}
+    clusterings = []
+    real_cluster = evaluation.fit_cluster_model
+
+    def cluster(*args, **kwargs):
+        model, assign = real_cluster(*args, **kwargs)
+        clusterings.append(assign)
+        return model, assign
+
+    def majority(spec, ds, train_idx, seed):  # predicts the group of its cluster
+        return ConstantPredictor(np.bincount(ds.labels[train_idx]).argmax())
+
+    monkeypatch.setattr(evaluation, "fit_cluster_model", cluster)
+    monkeypatch.setattr(evaluation, "fit_classifier", majority)
+    rep = routed_eval(ds, 2, RoutingMode.PER_SUBJECT, space, SvmSpec(inputs="windows"), seed=seed)
+    for assign in clusterings:  # every fold's clusters are the two groups
+        assert len({(groups[sid], c) for sid, c in assign.items()}) == 2
+    assert [f.accuracy for f in rep.folds] == [1.0] * 12
 
 
 def test_per_window_routing_splits_subject():
@@ -623,7 +665,7 @@ def record_routed_fits(monkeypatch):
     """
     clusterings, routes, fits = [], [], []
     real_cluster, real_fit = evaluation.fit_cluster_model, evaluation.fit_classifier
-    real_assign, real_route = evaluation.assign_many, evaluation.route_subject
+    real_assign = evaluation.assign_many
 
     def cluster(*args, **kwargs):
         model, assign = real_cluster(*args, **kwargs)
@@ -635,17 +677,12 @@ def record_routed_fits(monkeypatch):
         routes.append(real_assign(model, vectors))
         return routes[-1]
 
-    def route(model, vectors):
-        routes.append(np.full(len(vectors), real_route(model, vectors)))
-        return int(routes[-1][0])
-
     def fit(spec, ds, train_idx, seed):
         fits.append((np.asarray(train_idx), seed))
         return real_fit(spec, ds, train_idx, seed)
 
     monkeypatch.setattr(evaluation, "fit_cluster_model", cluster)
     monkeypatch.setattr(evaluation, "assign_many", assign)
-    monkeypatch.setattr(evaluation, "route_subject", route)
     monkeypatch.setattr(evaluation, "fit_classifier", fit)
     return clusterings, routes, fits
 
@@ -660,9 +697,10 @@ def test_routed_svm_fits_each_distinct_member_set_once(monkeypatch, routing):
     # (fold, cluster) pairs whose cluster some test window of the fold reaches
     read = [(f, int(c)) for f, routed in enumerate(routes) for c in np.unique(routed)]
     distinct = list(dict.fromkeys(clusterings[f][c] for f, c in read))  # first-use order
-    assert len(distinct) < len(read)  # member sets recur in this cohort
     if routing is RoutingMode.PER_SUBJECT:  # a fold reads one of its two clusters
         assert len(read) == 8 and len(distinct) < len(set(used))
+    else:
+        assert len(distinct) < len(read)  # member sets recur in this cohort
     subjects = np.asarray(ds.subject_ids)[ds.subject_index]
     assert len(fits) == len(distinct)
     for members, (train_idx, seed) in zip(distinct, fits):
