@@ -262,14 +262,12 @@ def cmd_importance(cfg, run_dir: Path) -> None:
 def cmd_timeline(cfg, run_dir: Path) -> None:
     series, _ = _load_series(cfg)
     seed = cfg.require_seed()
-    by_id: dict[str, list] = {}
-    for s in series:
-        by_id.setdefault(s.subject_id, []).append(s)
-    target_id = cfg.timeline_subject or sorted(by_id)[0]
-    if target_id not in by_id:
+    target_id = cfg.timeline_subject or min(s.subject_id for s in series)
+    target = [s for s in series if s.subject_id == target_id]
+    if not target:
         raise ConfigError(f"timeline.subject {target_id!r} not in the corpus")
-    if len(by_id[target_id]) > 1:
-        devices = " and ".join(repr(s.device_id) for s in by_id[target_id])
+    if len(target) > 1:
+        devices = " and ".join(repr(s.device_id) for s in target)
         raise DataError(f"timeline subject {target_id!r} was recorded by devices {devices}; "
                         f"a timeline follows one series, so set corpus.device_filter to one device")
     others = [s for s in series if s.subject_id != target_id]
@@ -277,7 +275,7 @@ def cmd_timeline(cfg, run_dir: Path) -> None:
         raise DataError("timeline needs at least two subjects (one to hold out)")
     ds = _build_dataset(cfg, others)
     clf = _fit_on_all(cfg, ds, seed)
-    record = misclassification_timeline(clf, by_id[target_id][0],
+    record = misclassification_timeline(clf, target[0],
                                         cfgmod.window_config(cfg),
                                         cfg.standardization, cfg.feature_kind,
                                         cfgmod.mfcc_config(cfg))

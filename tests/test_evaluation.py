@@ -1,8 +1,8 @@
 """Split contracts, routing rules, importance checks, timeline semantics."""
 
 import concurrent.futures
-from dataclasses import replace
 from concurrent.futures import Future
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -275,8 +275,7 @@ def test_per_subject_routing_sends_each_subject_to_its_group_mates(monkeypatch, 
     # each fold clusters its train subjects by their mean vectors, so a
     # held-out subject is routed by its own mean vector too
     ds = build_dataset(shape_groups_cohort(seed), WindowConfig(50, 25), StandardizationMode.DATA)
-    group_of = (ds.subject_index >= 6).astype(np.int64)
-    ds = replace(ds, labels=group_of)  # a window's label is its subject's group
+    ds = replace(ds, labels=(ds.subject_index >= 6).astype(np.int64))  # label: subject's group
     groups = {sid: int(i >= 6) for i, sid in enumerate(ds.subject_ids)}
     clusterings = []
     real_cluster = evaluation.fit_cluster_model
