@@ -21,15 +21,11 @@ import numpy as np
 from . import config as cfgmod
 from .artifacts import write_csv, write_json
 from .clustering import fit_cluster_model, subject_summaries, write_cluster_report
-from .errors import ConfigError, DataError, HrActivityError, InternalError, TooFewVectors
+from .errors import ConfigError, DataError, HrActivityError, InternalError, NoWindows, TooFewVectors
 from .evaluation import (
     TRANSITION_HORIZON_S,
-    ConstantPredictor,
-    FittedNet,
-    FittedSvm,
     SplitKind,
     build_dataset,
-    classifier_echo,
     cross_cluster_eval,
     fit_classifier,
     mean_fold_balanced,
@@ -46,9 +42,7 @@ from .evaluation import (
 )
 from .ingest import parse_corpus, resample_uniform, serialize_corpus, write_gap_report
 from .metrics import write_confusion_csv, write_fold_csv, write_report_json
-from .neuralnet import save_net
 from .series import LABEL_NAMES
-from .svm import save_ovo
 from .synthetic import generate_synthetic
 
 EXIT_OK = 0
@@ -158,13 +152,13 @@ def _cluster_subjects(cfg, series):
     # one subject's windows at a time, and no feature matrix: a subject's
     # summary is all that clustering keeps
     window = cfgmod.window_config(cfg)
-    ids, summaries = subject_summaries(subject_segments(series, window, cfg.standardization),
-                                       cfg.space)
     try:
+        ids, summaries = subject_summaries(
+            subject_segments(series, window, cfg.standardization), cfg.space)
         return fit_cluster_model(ids, summaries, cfg.space, cfg.k, cfg.require_seed(),
                                  restarts=cfg.restarts)
-    except TooFewVectors as exc:
-        raise TooFewVectors(f"{exc}{_windowless(series, window)}") from None
+    except (TooFewVectors, NoWindows) as exc:
+        raise type(exc)(f"{exc}{_windowless(series, window)}") from None
 
 
 def cmd_cluster(cfg, run_dir: Path) -> None:
@@ -178,19 +172,10 @@ def cmd_train(cfg, run_dir: Path) -> None:
     ds = _build_dataset(cfg, series)
     seed = cfg.require_seed()
     clf = _fit_on_all(cfg, ds, seed)
-    if isinstance(clf, FittedSvm):
-        save_ovo(clf.model, run_dir / "model.json")
-    elif isinstance(clf, FittedNet):
-        save_net(clf.model, run_dir / "model.json")
-    elif isinstance(clf, ConstantPredictor):
-        write_json({"schema": "constant_model.v1", "label": clf.label},
-                   run_dir / "model.json")
-    else:  # pragma: no cover - the adapters above are exhaustive
-        raise InternalError(f"unknown classifier type {type(clf).__name__}")
-    scaler = getattr(clf, "scaler", None)
+    clf.save(run_dir / "model.json")
     echo = {
         "schema": "train_echo.v1",
-        "classifier": classifier_echo(cfgmod.model_spec(cfg)),
+        "classifier": cfgmod.model_spec(cfg).echo(),
         "dataset": {
             "n_windows": len(ds),
             "window_size": ds.window_size,
@@ -199,9 +184,9 @@ def cmd_train(cfg, run_dir: Path) -> None:
             "feature_kind": ds.feature_kind.value if ds.feature_kind else None,
             "subjects": list(ds.subject_ids),
         },
-        "feature_scaler": None if scaler is None else {
-            "mean": [float(x) for x in scaler.mean],
-            "std": [float(x) for x in scaler.std],
+        "feature_scaler": None if clf.scaler is None else {
+            "mean": [float(x) for x in clf.scaler.mean],
+            "std": [float(x) for x in clf.scaler.std],
         },
     }
     write_json(echo, run_dir / "train_echo.json")

@@ -136,7 +136,3 @@ class EmptyDataset(DataError):
 
 class EmptyCluster(DataError):
     pass
-
-
-class SeriesTooShort(DataError):
-    pass

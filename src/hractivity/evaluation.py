@@ -16,21 +16,14 @@ from typing import Iterator, NamedTuple
 
 import numpy as np
 
-from .artifacts import write_csv
+from .artifacts import write_csv, write_json
 from .clustering import (
     ClusterSpace,
     assign_many,
     fit_cluster_model,
     window_space_matrix,
 )
-from .errors import (
-    EmptyCluster,
-    EmptyDataset,
-    GramTooLarge,
-    InvalidConfig,
-    NoWindows,
-    SeriesTooShort,
-)
+from .errors import DataError, EmptyCluster, EmptyDataset, GramTooLarge, InvalidConfig, NoWindows
 from .features import FeatureSetKind, MfccConfig, feature_matrix, feature_names
 from .metrics import (
     EvalReport,
@@ -40,7 +33,7 @@ from .metrics import (
     confusion_matrix,
     report_from_folds,
 )
-from .neuralnet import ArchitectureId, NetConfig, build, predict as net_predict, train
+from .neuralnet import ArchitectureId, NetConfig, build, predict as net_predict, save_net, train
 from .preprocess import (
     Segments,
     StandardizationMode,
@@ -51,7 +44,7 @@ from .preprocess import (
     standardize_series,
 )
 from .series import N_CLASSES, SubjectSeries
-from .svm import KernelSpec, predict_ovo, train_ovo
+from .svm import KernelSpec, predict_ovo, save_ovo, train_ovo
 
 
 class SplitKind(enum.Enum):
@@ -76,6 +69,9 @@ class SplitPlan:
             raise InvalidConfig("test_fraction must be in (0, 1)")
 
 
+# A spec is one classifier kind and its settings: ``fit`` trains it on rows
+# of a dataset, ``echo`` is its entry in reports, and ``reads_seed`` says
+# whether fits on the same rows with different seeds may differ.
 @dataclass(frozen=True)
 class SvmSpec:
     """OvO SVM over a chosen input representation."""
@@ -85,9 +81,29 @@ class SvmSpec:
     c: float = 1.0
     tol: float = 1e-3
 
+    reads_seed = False
+
     def __post_init__(self):
         if self.inputs not in ("windows", "features", "both"):
             raise InvalidConfig(f"unknown svm input selection {self.inputs!r}")
+
+    def fit(self, ds: WindowDataset, train_idx: np.ndarray, labels: np.ndarray,
+            seed: int) -> FittedSvm:
+        x = _svm_matrix(self.inputs, ds.windows, ds.hc, train_idx)
+        scaler = None
+        if ds.standardization is StandardizationMode.FEATURE:
+            scaler = fit_scaler(x)
+            x = apply_scaler(scaler, x)
+        try:
+            model = train_ovo(x, labels, kernel=self.kernel, c=self.c, tol=self.tol)
+        except GramTooLarge as exc:
+            raise GramTooLarge(f"{exc}; windows are cut at stride {ds.stride}, "
+                               f"and a larger windows.stride gives fewer rows") from None
+        return FittedSvm(model, self.inputs, scaler)
+
+    def echo(self) -> dict:
+        return {"kind": "svm", "inputs": self.inputs, "kernel": self.kernel.kind.value,
+                "gamma": self.kernel.gamma, "c": self.c, "tol": self.tol}
 
 
 @dataclass(frozen=True)
@@ -97,6 +113,35 @@ class NetSpec:
     batch_size: int = 32
     learning_rate: float = 1e-3
     dropout_p: float = 0.3
+
+    reads_seed = True
+
+    def fit(self, ds: WindowDataset, train_idx: np.ndarray, labels: np.ndarray,
+            seed: int) -> FittedNet:
+        hc_dim = 0 if self.arch is ArchitectureId.BASELINE else ds.hc.shape[1]
+        if self.arch is not ArchitectureId.BASELINE and hc_dim == 0:
+            raise InvalidConfig(f"{self.arch.value} requires a feature set")
+        cfg = NetConfig(
+            window_size=ds.window_size,
+            hc_dim=hc_dim,
+            seed=seed,
+            epochs=self.epochs,
+            batch_size=self.batch_size,
+            learning_rate=self.learning_rate,
+            dropout_p=self.dropout_p,
+        )
+        scaler = None
+        hc = ds.hc[train_idx] if hc_dim else None
+        if hc_dim and ds.standardization is StandardizationMode.FEATURE:
+            scaler = fit_scaler(hc)
+            hc = apply_scaler(scaler, hc)
+        model = train(build(self.arch, cfg), ds.windows[train_idx], hc, labels)
+        return FittedNet(model, scaler)
+
+    def echo(self) -> dict:
+        return {"kind": "net", "arch": self.arch.value, "epochs": self.epochs,
+                "batch_size": self.batch_size, "learning_rate": self.learning_rate,
+                "dropout_p": self.dropout_p}
 
 
 @dataclass(frozen=True)
@@ -155,7 +200,9 @@ def build_dataset(
     """Segment every series (per-subject standardized first under DataStd)."""
     parts = [part for part in subject_segments(series_list, cfg, standardization) if len(part)]
     if not parts:
-        raise NoWindows("no series long enough for the window size")
+        longest = max((len(s) for s in series_list), default=0)
+        raise NoWindows(f"no series long enough for window_size {cfg.window_size}: "
+                        f"the longest has {longest} samples")
     windows = np.concatenate([part.values for part in parts])
     if feature_kind is None:
         hc = np.zeros((len(windows), 0))
@@ -184,7 +231,8 @@ def build_dataset(
 
 # Each fitted classifier says which inputs its predictions read:
 # ``reads_windows`` for the window timesteps, ``reads_hc`` for the
-# handcrafted features.
+# handcrafted features. ``scaler`` is the feature scaler it applies to its
+# inputs, or None; ``save`` writes the model file of the ``train`` command.
 
 
 class ConstantPredictor:
@@ -192,12 +240,16 @@ class ConstantPredictor:
 
     reads_windows = False
     reads_hc = False
+    scaler = None
 
     def __init__(self, label: int):
         self.label = int(label)
 
     def predict(self, windows, hc):
         return np.full(np.atleast_2d(windows).shape[0], self.label, dtype=np.int64)
+
+    def save(self, path: str | Path) -> None:
+        write_json({"schema": "constant_model.v1", "label": self.label}, path)
 
 
 class FittedSvm:
@@ -220,24 +272,28 @@ class FittedSvm:
             x = apply_scaler(self.scaler, x)
         return predict_ovo(self.model, x)
 
+    def save(self, path: str | Path) -> None:
+        save_ovo(self.model, path)
+
 
 class FittedNet:
     reads_windows = True
 
     def __init__(self, model, scaler):
         self.model = model
-        self.scaler = scaler
+        self.scaler = scaler  # None at hc_dim 0, where predict passes hc on unread
 
     @property
     def reads_hc(self) -> bool:
         return self.model.config.hc_dim > 0
 
     def predict(self, windows, hc):
-        if self.model.config.hc_dim == 0:
-            return net_predict(self.model, windows, None)
         if self.scaler is not None:
             hc = apply_scaler(self.scaler, hc)
         return net_predict(self.model, windows, hc)
+
+    def save(self, path: str | Path) -> None:
+        save_net(self.model, path)
 
 
 def _svm_matrix(inputs: str, windows, hc, rows=slice(None)) -> np.ndarray:
@@ -258,51 +314,7 @@ def fit_classifier(spec, ds: WindowDataset, train_idx: np.ndarray, seed: int):
     labels = ds.labels[train_idx]
     if np.unique(labels).size == 1:
         return ConstantPredictor(labels[0])
-
-    if isinstance(spec, SvmSpec):
-        x = _svm_matrix(spec.inputs, ds.windows, ds.hc, train_idx)
-        scaler = None
-        if ds.standardization is StandardizationMode.FEATURE:
-            scaler = fit_scaler(x)
-            x = apply_scaler(scaler, x)
-        try:
-            model = train_ovo(x, labels, kernel=spec.kernel, c=spec.c, tol=spec.tol)
-        except GramTooLarge as exc:
-            raise GramTooLarge(f"{exc}; windows are cut at stride {ds.stride}, "
-                               f"and a larger windows.stride gives fewer rows") from None
-        return FittedSvm(model, spec.inputs, scaler)
-
-    if isinstance(spec, NetSpec):
-        hc_dim = 0 if spec.arch is ArchitectureId.BASELINE else ds.hc.shape[1]
-        if spec.arch is not ArchitectureId.BASELINE and hc_dim == 0:
-            raise InvalidConfig(f"{spec.arch.value} requires a feature set")
-        cfg = NetConfig(
-            window_size=ds.window_size,
-            hc_dim=hc_dim,
-            seed=seed,
-            epochs=spec.epochs,
-            batch_size=spec.batch_size,
-            learning_rate=spec.learning_rate,
-            dropout_p=spec.dropout_p,
-        )
-        scaler = None
-        hc = ds.hc[train_idx] if hc_dim else None
-        if hc_dim and ds.standardization is StandardizationMode.FEATURE:
-            scaler = fit_scaler(hc)
-            hc = apply_scaler(scaler, hc)
-        model = train(build(spec.arch, cfg), ds.windows[train_idx], hc, labels)
-        return FittedNet(model, scaler)
-
-    raise InvalidConfig(f"unknown classifier spec {type(spec).__name__}")
-
-
-def classifier_echo(spec) -> dict:
-    if isinstance(spec, SvmSpec):
-        return {"kind": "svm", "inputs": spec.inputs, "kernel": spec.kernel.kind.value,
-                "gamma": spec.kernel.gamma, "c": spec.c, "tol": spec.tol}
-    return {"kind": "net", "arch": spec.arch.value, "epochs": spec.epochs,
-            "batch_size": spec.batch_size, "learning_rate": spec.learning_rate,
-            "dropout_p": spec.dropout_p}
+    return spec.fit(ds, train_idx, labels, seed)
 
 
 # -------------------------------------------------------------------- splits
@@ -344,9 +356,14 @@ def _cluster_of(ds: WindowDataset, assignment: dict[str, int]) -> np.ndarray:
 def make_folds(ds: WindowDataset, plan: SplitPlan, seed: int) -> list[FoldJob]:
     """The plan's folds; fold ``i`` is seeded with ``_fold_seed(seed, i)``.
 
-    Random-window test rows are drawn from ``seed`` too.
+    Random-window test rows are drawn from ``seed`` too. Leave-subject-out
+    needs at least two subjects with windows: one to hold out, one to train on.
     """
     if plan.kind is SplitKind.LEAVE_SUBJECT_OUT:
+        if len(ds.subject_ids) < 2:
+            ids = ", ".join(map(repr, ds.subject_ids))
+            raise DataError(f"leave-subject-out needs at least two subjects with windows, "
+                            f"found {len(ds.subject_ids)}: {ids}")
         return _loso_jobs(ds, range(len(ds.subject_ids)), np.arange(len(ds)), seed)
     if plan.kind is SplitKind.RANDOM_WINDOW:
         rng = np.random.default_rng(np.random.SeedSequence(entropy=(int(seed), 97)))
@@ -386,9 +403,9 @@ def _plan_routed_fits(ds: WindowDataset, spec, jobs: list[FoldJob], mode: Routin
     were clustered on.
 
     A cluster's train rows are all the windows of its member subjects, so
-    equal member sets fit the same SVM (an SVM fit reads no seed) and share
-    one ``_Fit``. A net also reads its seed, ``_fold_seed(job.seed, 10 + c)``,
-    so every (fold, cluster) fits its own. A cluster is fitted only when
+    equal member sets fit the same SVM and share one ``_Fit``. A spec that
+    ``reads_seed`` (a net) also reads ``_fold_seed(job.seed, 10 + c)``, so
+    every (fold, cluster) fits its own. A cluster is fitted only when
     some fold's test windows reach it. Fits come in first-use order, each
     fold's clusters in id order.
     """
@@ -406,7 +423,7 @@ def _plan_routed_fits(ds: WindowDataset, spec, jobs: list[FoldJob], mode: Routin
         for cluster in np.unique(assigned):
             members = np.flatnonzero(cluster_of == cluster)
             seed = _fold_seed(job.seed, 10 + cluster)
-            key = (members.tobytes(), None if isinstance(spec, SvmSpec) else seed)
+            key = (members.tobytes(), seed if spec.reads_seed else None)
             if key not in fits:
                 rows = np.flatnonzero(np.isin(ds.subject_index, members))
                 fits[key] = _Fit(rows, seed, [])
@@ -470,7 +487,7 @@ def _base_echo(ds: WindowDataset, spec, split: dict) -> dict:
         "stride": ds.stride,
         "standardization": ds.standardization.value,
         "features": ds.feature_kind.value if ds.feature_kind else None,
-        "model": classifier_echo(spec),
+        "model": spec.echo(),
         "split": split,
     }
 
@@ -734,10 +751,6 @@ def misclassification_timeline(
     Center ties go to the earlier window.  The transition flags mark every
     timestep whose label differs from its predecessor.
     """
-    if len(series) < cfg.window_size:
-        raise SeriesTooShort(
-            f"{len(series)} samples cannot fill a {cfg.window_size}-sample window"
-        )
     ds = build_dataset([series], cfg, standardization, feature_kind, mfcc)
     window_preds = np.asarray(clf.predict(ds.windows, ds.hc), dtype=np.int64)
 
@@ -751,12 +764,12 @@ def misclassification_timeline(
     nearest = np.where(steps - centers[before] <= centers[after] - steps, before, after)
     per_step_pred = window_preds[nearest]
 
-    true_labels = np.array([int(v) for v in series.labels], dtype=np.int64)
+    true_labels = series.labels
     transition = np.zeros(n, dtype=bool)
     transition[1:] = true_labels[1:] != true_labels[:-1]
     return TimelineRecord(
-        timestamps=series.timestamps.copy(),
-        bpm=series.bpm.copy(),
+        timestamps=series.timestamps,
+        bpm=series.bpm,
         true_labels=true_labels,
         predicted=per_step_pred,
         correct=per_step_pred == true_labels,

@@ -308,16 +308,13 @@ def resample_uniform(
     grid = t[0] + np.arange(n, dtype=np.float64) * period_s
     values = np.interp(grid, t, series.bpm)
 
-    # nearest original sample for labels; ties resolved to the earlier sample
+    # nearest original sample for labels; ties resolved to the earlier sample.
+    # A grid point on a sample picks it: distance 0, the other side's positive.
     right = np.searchsorted(t, grid, side="left")
     right = np.clip(right, 1, len(t) - 1)
     left = right - 1
     pick_right = (t[right] - grid) < (grid - t[left])
     nearest = np.where(pick_right, right, left)
-    exact = np.searchsorted(t, grid, side="left")
-    exact = np.clip(exact, 0, len(t) - 1)
-    on_grid = t[exact] == grid
-    nearest = np.where(on_grid, exact, nearest)
     labels = series.labels[nearest]
 
     gaps = []

@@ -25,10 +25,16 @@ import numpy as np
 
 from .artifacts import write_json
 from .errors import EmptyDataset, InvalidConfig, InternalError, ShapeMismatch, UnknownLabel
+from .series import N_CLASSES
 
 CONV_CHANNELS = 16
 CONV_KERNEL = 5
 POOL_STRIDE = 2  # max pool over non-overlapping (left, right) pairs
+FC1_OUT = 64
+HC_FC_OUT = 32  # Model3's handcrafted branch
+ADAM_BETA1 = 0.9
+ADAM_BETA2 = 0.999
+ADAM_EPSILON = 1e-8
 
 
 class ArchitectureId(Enum):
@@ -43,14 +49,8 @@ class NetConfig:
     window_size: int
     hc_dim: int = 0
     dropout_p: float = 0.3
-    fc1_out: int = 64
-    hc_fc_out: int = 32
-    n_classes: int = 5
     seed: int = 0
     learning_rate: float = 1e-3
-    beta1: float = 0.9
-    beta2: float = 0.999
-    adam_epsilon: float = 1e-8
     epochs: int = 50
     batch_size: int = 32
 
@@ -59,7 +59,7 @@ class NetConfig:
             raise InvalidConfig("window_size must be >= conv kernel size")
         if self.hc_dim < 0:
             raise InvalidConfig("hc_dim must be >= 0")
-        for name in ("fc1_out", "hc_fc_out", "n_classes", "epochs", "batch_size"):
+        for name in ("epochs", "batch_size"):
             if getattr(self, name) < 1:
                 raise InvalidConfig(f"{name} must be positive")
         if not 0.0 <= self.dropout_p < 1.0:
@@ -68,14 +68,10 @@ class NetConfig:
             raise InvalidConfig("learning_rate must be positive")
 
 
-def conv_input_length(arch: ArchitectureId, cfg: NetConfig) -> int:
-    if arch is ArchitectureId.MODEL2:
-        return cfg.window_size + cfg.hc_dim
-    return cfg.window_size
-
-
 def flatten_dim(arch: ArchitectureId, cfg: NetConfig) -> int:
-    conv_len = conv_input_length(arch, cfg) - (CONV_KERNEL - 1)
+    # Model2 convolves the window with the handcrafted vector appended
+    conv_in = cfg.window_size + (cfg.hc_dim if arch is ArchitectureId.MODEL2 else 0)
+    conv_len = conv_in - (CONV_KERNEL - 1)
     return CONV_CHANNELS * (conv_len // POOL_STRIDE)
 
 
@@ -90,13 +86,13 @@ class NetModel:
 def _layer_sizes(arch: ArchitectureId, cfg: NetConfig) -> list[tuple[str, int, int]]:
     """(name, out_dim, in_dim) for the dense layers, in initialization order."""
     flat = flatten_dim(arch, cfg)
-    layers = [("fc1", cfg.fc1_out, flat)]
+    layers = [("fc1", FC1_OUT, flat)]
     if arch is ArchitectureId.MODEL3:
-        layers.append(("hc", cfg.hc_fc_out, cfg.hc_dim))
+        layers.append(("hc", HC_FC_OUT, cfg.hc_dim))
     if arch in (ArchitectureId.MODEL1, ArchitectureId.MODEL3):
-        tail = cfg.hc_fc_out if arch is ArchitectureId.MODEL3 else cfg.hc_dim
-        layers.append(("mid", cfg.fc1_out, cfg.fc1_out + tail))
-    layers.append(("out", cfg.n_classes, cfg.fc1_out))
+        tail = HC_FC_OUT if arch is ArchitectureId.MODEL3 else cfg.hc_dim
+        layers.append(("mid", FC1_OUT, FC1_OUT + tail))
+    layers.append(("out", N_CLASSES, FC1_OUT))
     return layers
 
 
@@ -272,8 +268,8 @@ def _backward(model: NetModel, cache, probs, labels, grads=None):
         np.matmul(dmid.T, cache["joined"], out=grads["mid_w"])
         np.sum(dmid, axis=0, out=grads["mid_b"])
         djoined = dmid @ p["mid_w"]
-        dfc1_act = djoined[:, : model.config.fc1_out]
-        dtail = djoined[:, model.config.fc1_out:]
+        dfc1_act = djoined[:, :FC1_OUT]
+        dtail = djoined[:, FC1_OUT:]
         if model.arch is ArchitectureId.MODEL3:
             dhc_act = dtail * (cache["hc_pre"] > 0.0)
             np.matmul(dhc_act.T, cache["hc"], out=grads["hc_w"])
@@ -330,8 +326,8 @@ def train(model: NetModel, windows, hc, labels) -> NetModel:
         raise EmptyDataset("no training samples")
     if labels.shape != (n,):
         raise ShapeMismatch("labels must be one per sample")
-    if labels.min() < 0 or labels.max() >= cfg.n_classes:
-        raise UnknownLabel("label outside [0, n_classes)")
+    if labels.min() < 0 or labels.max() >= N_CLASSES:
+        raise UnknownLabel("label outside [0, N_CLASSES)")
 
     cols = _im2col(model, windows, hc)
     theta = np.concatenate([arr.reshape(-1) for arr in model.params.values()])
@@ -361,14 +357,14 @@ def train(model: NetModel, windows, hc, labels) -> NetModel:
             epoch_loss += _mean_nll(shifted, z, labels[batch]) * batch.size
             _backward(model, cache, e / z, labels[batch], grads)
             step += 1
-            bias1 = 1.0 - cfg.beta1**step
-            bias2 = 1.0 - cfg.beta2**step
+            bias1 = 1.0 - ADAM_BETA1**step
+            bias2 = 1.0 - ADAM_BETA2**step
             # m = b1 m + (1 - b1) g;  v = b2 v + (1 - b2) g g
-            m *= cfg.beta1
-            np.multiply(grad, 1.0 - cfg.beta1, out=scratch)
+            m *= ADAM_BETA1
+            np.multiply(grad, 1.0 - ADAM_BETA1, out=scratch)
             m += scratch
-            v *= cfg.beta2
-            np.multiply(grad, 1.0 - cfg.beta2, out=scratch)
+            v *= ADAM_BETA2
+            np.multiply(grad, 1.0 - ADAM_BETA2, out=scratch)
             scratch *= grad
             v += scratch
             # theta -= lr (m / bias1) / (sqrt(v / bias2) + eps)
@@ -376,7 +372,7 @@ def train(model: NetModel, windows, hc, labels) -> NetModel:
             scratch *= cfg.learning_rate
             np.divide(v, bias2, out=denom)
             np.sqrt(denom, out=denom)
-            denom += cfg.adam_epsilon
+            denom += ADAM_EPSILON
             scratch /= denom
             theta -= scratch
         model.training_log.append(epoch_loss / n)
@@ -434,7 +430,7 @@ def save_net(model: NetModel, path: str | Path) -> None:
     """Versioned JSON; reloaded forward passes are bit-exact."""
     cfg = model.config
     payload = {
-        "schema": "net_model.v1",
+        "schema": "net_model.v2",
         "arch": model.arch.value,
         "config": {f: getattr(cfg, f) for f in cfg.__dataclass_fields__},
         "training_log": model.training_log,

@@ -27,8 +27,12 @@ from hractivity.errors import EmptyDataset, MissingActivity, ShapeMismatch, Unkn
 from hractivity.evaluation import RoutingMode, fit_classifier
 from hractivity.metrics import FoldRecord, accuracy, balanced_accuracy, confusion_matrix
 from hractivity.neuralnet import (
+    ADAM_BETA1,
+    ADAM_BETA2,
+    ADAM_EPSILON,
     CONV_CHANNELS,
     CONV_KERNEL,
+    FC1_OUT,
     POOL_STRIDE,
     ArchitectureId,
     NetConfig,
@@ -315,7 +319,6 @@ def net_forward_reference(model, windows, hc, rng=None):
 def net_backward_reference(model, cache, scores, labels):
     """Mean cross-entropy gradient of every parameter tensor, by name."""
     p = model.params
-    fc1_out = model.config.fc1_out
     n = scores.shape[0]
     grads = {}
     dscores = _softmax(scores)
@@ -328,9 +331,9 @@ def net_backward_reference(model, cache, scores, labels):
         grads["mid_w"] = dmid.T @ cache["joined"]
         grads["mid_b"] = dmid.sum(axis=0)
         djoined = dmid @ p["mid_w"]
-        dfc1_act = djoined[:, :fc1_out]
+        dfc1_act = djoined[:, :FC1_OUT]
         if model.arch.value == "model3":
-            dhc_act = djoined[:, fc1_out:] * (cache["hc_pre"] > 0.0)
+            dhc_act = djoined[:, FC1_OUT:] * (cache["hc_pre"] > 0.0)
             grads["hc_w"] = dhc_act.T @ cache["hc"]
             grads["hc_b"] = dhc_act.sum(axis=0)
     else:
@@ -380,13 +383,13 @@ def net_train_reference(model, windows, hc, labels):
             epoch_loss += _cross_entropy(scores, labels[batch]) * batch.size
             grads = net_backward_reference(model, cache, scores, labels[batch])
             step += 1
-            bias1 = 1.0 - cfg.beta1**step
-            bias2 = 1.0 - cfg.beta2**step
+            bias1 = 1.0 - ADAM_BETA1**step
+            bias2 = 1.0 - ADAM_BETA2**step
             for key, grad in grads.items():
-                m[key] = cfg.beta1 * m[key] + (1.0 - cfg.beta1) * grad
-                v[key] = cfg.beta2 * v[key] + (1.0 - cfg.beta2) * grad * grad
+                m[key] = ADAM_BETA1 * m[key] + (1.0 - ADAM_BETA1) * grad
+                v[key] = ADAM_BETA2 * v[key] + (1.0 - ADAM_BETA2) * grad * grad
                 model.params[key] -= cfg.learning_rate * (m[key] / bias1) / (
-                    np.sqrt(v[key] / bias2) + cfg.adam_epsilon
+                    np.sqrt(v[key] / bias2) + ADAM_EPSILON
                 )
         model.training_log.append(epoch_loss / n)
     return model
@@ -478,8 +481,8 @@ def net_backward_blas_reference(model: NetModel, cache, probs, labels):
         grads["mid_w"] = dmid.T @ cache["joined"]
         grads["mid_b"] = dmid.sum(axis=0)
         djoined = dmid @ p["mid_w"]
-        dfc1_act = djoined[:, : model.config.fc1_out]
-        dtail = djoined[:, model.config.fc1_out:]
+        dfc1_act = djoined[:, :FC1_OUT]
+        dtail = djoined[:, FC1_OUT:]
         if model.arch is ArchitectureId.MODEL3:
             dhc_act = dtail * (cache["hc_pre"] > 0.0)
             grads["hc_w"] = dhc_act.T @ cache["hc"]
@@ -523,8 +526,8 @@ def net_train_blas_reference(model: NetModel, windows, hc, labels) -> NetModel:
         raise EmptyDataset("no training samples")
     if labels.shape != (n,):
         raise ShapeMismatch("labels must be one per sample")
-    if labels.min() < 0 or labels.max() >= cfg.n_classes:
-        raise UnknownLabel("label outside [0, n_classes)")
+    if labels.min() < 0 or labels.max() >= N_CLASSES:
+        raise UnknownLabel("label outside [0, N_CLASSES)")
 
     cols = _im2col(model, windows, hc)
     names = list(model.params)
@@ -555,14 +558,14 @@ def net_train_blas_reference(model: NetModel, windows, hc, labels) -> NetModel:
             grads = net_backward_blas_reference(model, cache, e / z, labels[batch])
             np.concatenate([grads[k].reshape(-1) for k in names], out=grad)
             step += 1
-            bias1 = 1.0 - cfg.beta1**step
-            bias2 = 1.0 - cfg.beta2**step
+            bias1 = 1.0 - ADAM_BETA1**step
+            bias2 = 1.0 - ADAM_BETA2**step
             # m = b1 m + (1 - b1) g;  v = b2 v + (1 - b2) g g
-            m *= cfg.beta1
-            np.multiply(grad, 1.0 - cfg.beta1, out=scratch)
+            m *= ADAM_BETA1
+            np.multiply(grad, 1.0 - ADAM_BETA1, out=scratch)
             m += scratch
-            v *= cfg.beta2
-            np.multiply(grad, 1.0 - cfg.beta2, out=scratch)
+            v *= ADAM_BETA2
+            np.multiply(grad, 1.0 - ADAM_BETA2, out=scratch)
             scratch *= grad
             v += scratch
             # theta -= lr (m / bias1) / (sqrt(v / bias2) + eps)
@@ -570,7 +573,7 @@ def net_train_blas_reference(model: NetModel, windows, hc, labels) -> NetModel:
             scratch *= cfg.learning_rate
             np.divide(v, bias2, out=denom)
             np.sqrt(denom, out=denom)
-            denom += cfg.adam_epsilon
+            denom += ADAM_EPSILON
             scratch /= denom
             theta -= scratch
         model.training_log.append(epoch_loss / n)
@@ -993,10 +996,10 @@ def load_ovo(path):
 
 
 def load_net(path):
-    """NetModel from a net_model.v1 file written by save_net."""
+    """NetModel from a net_model.v2 file written by save_net."""
     payload = json.loads(Path(path).read_text())
-    if payload.get("schema") != "net_model.v1":
-        raise ValueError("not a net_model.v1 file")
+    if payload.get("schema") != "net_model.v2":
+        raise ValueError("not a net_model.v2 file")
     params = {
         name: np.asarray(entry["data"], dtype=np.float64).reshape(entry["shape"])
         for name, entry in payload["params"].items()

@@ -11,11 +11,14 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
+from oracles import load_net
 
 from hractivity import cli, evaluation, svm
 from hractivity.cli import main
 from hractivity.ingest import serialize_corpus
+from hractivity.neuralnet import forward
 from hractivity.synthetic import SyntheticCohortSpec, generate_synthetic
 
 
@@ -42,11 +45,11 @@ def only_run_dir(out_root: Path) -> Path:
     return dirs[0]
 
 
-@pytest.fixture()
-def tiny_corpus(tmp_path):
-    """A generated 6-subject corpus plus a config file pointing at it."""
+def generated_corpus(tmp_path, subjects=6, groups=2):
+    """A generated corpus plus a config file pointing at it."""
     gen_out = tmp_path / "gen"
-    rc = run_cli("--seed", 7, "--out", gen_out, "generate", "--subjects", 6, "--groups", 2)
+    rc = run_cli("--seed", 7, "--out", gen_out, "generate", "--subjects", subjects,
+                 "--groups", groups)
     assert rc == 0
     corpus = only_run_dir(gen_out) / "corpus"
     ini = write_ini(tmp_path / "exp.ini", f"""
@@ -64,6 +67,12 @@ seed = 7
 out = {tmp_path / 'runs'}
 """)
     return ini, corpus, tmp_path / "runs"
+
+
+@pytest.fixture()
+def tiny_corpus(tmp_path):
+    """A generated 6-subject corpus plus a config file pointing at it."""
+    return generated_corpus(tmp_path)
 
 
 def test_generate_writes_corpus_and_group_map(tmp_path):
@@ -162,6 +171,31 @@ def test_sweep_grid_emits_all_cell_reports(tiny_corpus):
         assert (acc, bal) == (repr(report["accuracy"]), repr(report["balanced_accuracy"]))
 
 
+def test_sweep_names_the_window_size_that_no_series_fills(tiny_corpus, capsys):
+    ini, _, runs = tiny_corpus
+    ini.write_text(ini.read_text(encoding="utf-8").replace(
+        "stride = 30\n", "stride = 30\nwindow_sizes = 50 1000\nstrides = 30\n"), encoding="utf-8")
+    assert run_cli("--config", ini, "sweep") == 3
+    assert capsys.readouterr().err == ("data error: no series long enough for window_size "
+                                       "1000: the longest has 780 samples\n")
+    assert not runs.exists() or not any(runs.iterdir())
+
+
+@pytest.mark.parametrize("command, extra", [
+    ("eval", ""),
+    ("sweep", ""),
+    ("eval", "[clustering]\nk = 2\nrouting = per_window\n"),
+], ids=["eval", "sweep", "routed"])
+def test_leave_subject_out_refuses_a_single_subject(tmp_path, capsys, command, extra):
+    ini, _, runs = generated_corpus(tmp_path, subjects=1, groups=1)
+    with open(ini, "a", encoding="utf-8") as fh:
+        fh.write(extra)
+    assert run_cli("--config", ini, command) == 3
+    assert capsys.readouterr().err == ("data error: leave-subject-out needs at least two "
+                                       "subjects with windows, found 1: 'S000'\n")
+    assert not runs.exists() or not any(runs.iterdir())
+
+
 EVAL_PROTOCOLS = {
     "leave_subject_out": "",
     "random_window": "[split]\nkind = random_window\n",
@@ -197,6 +231,32 @@ def test_eval_routed_emits_confusion_csv(tiny_corpus):
     assert len(confusion) == 6
     report = json.loads((run_dir / "eval_report.json").read_text())
     assert report["schema"] == "eval_report.v1"
+
+
+def test_train_saves_a_net_that_reloads_bit_for_bit(tiny_corpus, monkeypatch):
+    ini, _, runs = tiny_corpus
+    net = write_ini(ini.with_name("net.ini"), ini.read_text(encoding="utf-8").replace(
+        "kind = svm\ninputs = features\n", "kind = net\narch = model1\nepochs = 2\n"))
+    fitted = []
+    fit = cli.fit_classifier
+
+    def recording_fit(spec, ds, train_idx, seed):
+        clf = fit(spec, ds, train_idx, seed)
+        fitted.append((ds, clf))
+        return clf
+
+    monkeypatch.setattr(cli, "fit_classifier", recording_fit)
+    assert run_cli("--config", net, "train") == 0
+    path = only_run_dir(runs) / "model.json"
+    payload = json.loads(path.read_text(encoding="utf-8"))
+    assert payload["schema"] == "net_model.v2"
+    assert sorted(payload["config"]) == ["batch_size", "dropout_p", "epochs", "hc_dim",
+                                         "learning_rate", "seed", "window_size"]
+    [(ds, clf)] = fitted
+    loaded = load_net(path)
+    assert loaded.training_log == clf.model.training_log
+    want = forward(clf.model, ds.windows, ds.hc)
+    assert np.array_equal(forward(loaded, ds.windows, ds.hc), want)
 
 
 def test_timeline_artifacts(tiny_corpus):

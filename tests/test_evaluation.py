@@ -1,6 +1,7 @@
 """Split contracts, routing rules, importance checks, timeline semantics."""
 
 import concurrent.futures
+import json
 from concurrent.futures import Future
 from dataclasses import replace
 
@@ -15,13 +16,7 @@ from oracles import (
 
 from hractivity import clustering, evaluation
 from hractivity.clustering import ClusterSpace, window_space_matrix
-from hractivity.errors import (
-    DimensionMismatch,
-    EmptyCluster,
-    NoWindows,
-    SeriesTooShort,
-    TooFewVectors,
-)
+from hractivity.errors import DimensionMismatch, EmptyCluster, NoWindows, TooFewVectors
 from hractivity.evaluation import (
     ConstantPredictor,
     NetSpec,
@@ -420,6 +415,12 @@ def test_importance_skips_only_unread_inputs(spec, reads):
     assert np.all(rep.importances[unread] == 0.0)
 
 
+def test_constant_predictor_saves_its_label(tmp_path):
+    ConstantPredictor(2).save(tmp_path / "model.json")
+    saved = json.loads((tmp_path / "model.json").read_text(encoding="utf-8"))
+    assert saved == {"label": 2, "schema": "constant_model.v1"}
+
+
 class FixedAnswers:
     """Predicts a pre-computed label sequence, one per window row."""
 
@@ -489,7 +490,7 @@ def test_timeline_memory_is_linear_in_series_length():
 
 
 def test_timeline_too_short():
-    with pytest.raises(SeriesTooShort):
+    with pytest.raises(NoWindows, match=r"window_size 50: the longest has 30 samples"):
         misclassification_timeline(FixedAnswers([0]), constant_series(n=30),
                                    WindowConfig(50, 10))
 

@@ -215,6 +215,11 @@ def test_resample_label_nearest_ties_to_earlier():
     out, _ = resample_uniform(s, 1.0)
     # t=15 is equidistant from both samples: earlier sample wins
     assert out.labels[14] == 0 and out.labels[15] == 0 and out.labels[16] == 2
+    # a grid point on a sample, the first and last included, takes its label
+    s = make_series([5.0, 6.0, 6.5, 8.0], [60.0] * 4, labels=[1, 3, 4, 2])
+    out, _ = resample_uniform(s, 1.0)
+    assert np.array_equal(out.timestamps, [5.0, 6.0, 7.0, 8.0])
+    assert np.array_equal(out.labels, [1, 3, 4, 2])
 
 
 def test_resample_grid_is_uniform_and_idempotent():
