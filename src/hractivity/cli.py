@@ -21,11 +21,12 @@ import numpy as np
 from . import config as cfgmod
 from .artifacts import write_csv, write_json
 from .clustering import fit_cluster_model, subject_summaries, write_cluster_report
-from .errors import ConfigError, DataError, HrActivityError, InternalError, NoWindows, TooFewVectors
+from .errors import ConfigError, DataError, HrActivityError, TooFewVectors
 from .evaluation import (
     TRANSITION_HORIZON_S,
     SplitKind,
     build_dataset,
+    check_window_size,
     cross_cluster_eval,
     fit_classifier,
     mean_fold_balanced,
@@ -152,13 +153,14 @@ def _cluster_subjects(cfg, series):
     # one subject's windows at a time, and no feature matrix: a subject's
     # summary is all that clustering keeps
     window = cfgmod.window_config(cfg)
+    check_window_size(series, window.window_size)
     try:
         ids, summaries = subject_summaries(
             subject_segments(series, window, cfg.standardization), cfg.space)
         return fit_cluster_model(ids, summaries, cfg.space, cfg.k, cfg.require_seed(),
                                  restarts=cfg.restarts)
-    except (TooFewVectors, NoWindows) as exc:
-        raise type(exc)(f"{exc}{_windowless(series, window)}") from None
+    except TooFewVectors as exc:
+        raise TooFewVectors(f"{exc}{_windowless(series, window)}") from None
 
 
 def cmd_cluster(cfg, run_dir: Path) -> None:
@@ -276,14 +278,14 @@ def cmd_timeline(cfg, run_dir: Path) -> None:
 
 
 _COMMANDS = {
-    "generate": cmd_generate,
-    "ingest": cmd_ingest,
-    "sweep": cmd_sweep,
-    "cluster": cmd_cluster,
-    "train": cmd_train,
-    "eval": cmd_eval,
-    "importance": cmd_importance,
-    "timeline": cmd_timeline,
+    "generate": (cmd_generate, "write a synthetic corpus as CSV files plus a group map"),
+    "ingest": (cmd_ingest, "parse and summarize a corpus, optionally resampling it"),
+    "sweep": (cmd_sweep, "evaluate every (window size, stride) grid cell"),
+    "cluster": (cmd_cluster, "fit subject clusters and write the cluster report"),
+    "train": (cmd_train, "fit one classifier on the whole corpus and save it"),
+    "eval": (cmd_eval, "run the configured split and write evaluation reports"),
+    "importance": (cmd_importance, "rank input dimensions by permutation importance"),
+    "timeline": (cmd_timeline, "per-second predictions for one held-out subject"),
 }
 
 
@@ -299,7 +301,7 @@ def _run_command(command: str, cfg) -> Path:
         shutil.rmtree(tmp_dir)
     tmp_dir.mkdir()
     try:
-        _COMMANDS[command](cfg, tmp_dir)
+        _COMMANDS[command][0](cfg, tmp_dir)
         artifacts = {}
         for path in sorted(tmp_dir.rglob("*")):
             if path.is_file():
@@ -331,48 +333,28 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--out", help="output directory for run folders")
     parser.add_argument("--workers", type=int, help="parallel fold workers")
     sub = parser.add_subparsers(dest="command", required=True)
-
-    descriptions = {
-        "generate": "write a synthetic corpus as CSV files plus a group map",
-        "ingest": "parse and summarize a corpus, optionally resampling it",
-        "sweep": "evaluate every (window size, stride) grid cell",
-        "cluster": "fit subject clusters and write the cluster report",
-        "train": "fit one classifier on the whole corpus and save it",
-        "eval": "run the configured split and write evaluation reports",
-        "importance": "rank input dimensions by permutation importance",
-        "timeline": "per-second predictions for one held-out subject",
-    }
-    for name, desc in descriptions.items():
+    for name, (_, desc) in _COMMANDS.items():
         p = sub.add_parser(name, help=desc, description=desc)
         if name == "generate":
             p.add_argument("--subjects", type=int, help="number of synthetic subjects")
             p.add_argument("--groups", type=int, help="number of latent groups")
-
     return parser
 
 
 def main(argv: list[str] | None = None) -> int:
-    args = build_parser().parse_args(argv)
-    overrides = {
-        "seed": args.seed,
-        "out": args.out,
-        "workers": args.workers,
-        "subjects": getattr(args, "subjects", None),
-        "groups": getattr(args, "groups", None),
-    }
+    # every flag's dest is the config field it overrides
+    overrides = vars(build_parser().parse_args(argv))
+    path, command = overrides.pop("config"), overrides.pop("command")
     try:
-        cfg = cfgmod.load_config(args.config, overrides)
-        run_dir = _run_command(args.command, cfg)
+        cfg = cfgmod.load_config(path, overrides)
+        run_dir = _run_command(command, cfg)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
-    except DataError as exc:
+    except (DataError, OSError) as exc:
         print(f"data error: {exc}", file=sys.stderr)
         return EXIT_DATA
-    except OSError as exc:
-        print(f"data error: {exc}", file=sys.stderr)
-        return EXIT_DATA
-    except (InternalError, HrActivityError) as exc:
+    except HrActivityError as exc:
         print(f"internal error: {exc}", file=sys.stderr)
         return EXIT_INTERNAL
     print(run_dir)

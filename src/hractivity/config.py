@@ -12,7 +12,7 @@ from __future__ import annotations
 import configparser
 import hashlib
 import math
-from dataclasses import dataclass, fields
+from dataclasses import dataclass, field, fields
 from pathlib import Path
 
 from .clustering import ClusterSpace
@@ -23,76 +23,6 @@ from .neuralnet import ArchitectureId
 from .preprocess import StandardizationMode, WindowConfig
 from .svm import KernelKind, KernelSpec
 from .synthetic import SyntheticCohortSpec
-
-
-@dataclass(frozen=True)
-class ExperimentConfig:
-    # [corpus]
-    source: str = "synthetic"          # "synthetic" or a CSV file/directory path
-    device_filter: str = "Apple Watch"  # empty string disables the filter
-    resample_period_s: float = 0.0      # 0 disables resampling
-
-    # [synthetic]
-    subjects: int = 30
-    groups: int = 2
-    noise_std: float = 1.5
-    lag_tau_s: float = 20.0
-    sample_period_s: float = 1.0
-
-    # [windows]
-    window_size: int = 50
-    stride: int = 10
-    window_sizes: tuple[int, ...] = (50, 80, 120, 240)
-    strides: tuple[int, ...] = (10, 20, 40, 60, 80, 100, 120)
-
-    # [standardization]
-    standardization: StandardizationMode = StandardizationMode.DATA
-
-    # [features]
-    feature_kind: FeatureSetKind | None = FeatureSetKind.STAT_TEMPORAL
-    n_mel_bands: int = 10
-
-    # [model]
-    model_kind: str = "svm"            # "svm" | "net"
-    svm_inputs: str = "features"       # "windows" | "features" | "both"
-    kernel: KernelKind = KernelKind.RBF
-    c: float = 1.0
-    gamma: float | None = None         # None: resolved from data at fit time
-    tol: float = 1e-3
-    arch: ArchitectureId = ArchitectureId.BASELINE
-    epochs: int = 50
-    batch_size: int = 32
-    learning_rate: float = 1e-3
-    dropout_p: float = 0.3
-
-    # [clustering]
-    space: ClusterSpace = ClusterSpace.STATISTICAL_WINDOW
-    k: int = 3
-    routing: RoutingMode | None = None
-    restarts: int = 10
-
-    # [split]
-    split_kind: SplitKind = SplitKind.LEAVE_SUBJECT_OUT
-    test_fraction: float = 0.3
-    train_cluster: int = 0
-    test_cluster: int = 1
-
-    # [importance]
-    repeats: int = 5
-    top: int = 0                       # 0 keeps every input dimension
-
-    # [timeline]
-    timeline_subject: str = ""         # empty: first subject in id order
-
-    # [run]
-    seed: int = -1                     # -1 marks "not provided"
-    out: str = "runs"
-    workers: int = 1
-
-    def require_seed(self) -> int:
-        if self.seed < 0:
-            raise ConfigError("run.seed is mandatory (set it in [run] or pass --seed)")
-        return self.seed
 
 
 def _parse_int_tuple(text: str) -> tuple[int, ...]:
@@ -157,55 +87,97 @@ def _finite(low: float, high: float = math.inf, *, strict: bool = False):
     return check
 
 
-# (section, key) -> (field name, parser, rule).  The table is the single source
-# of truth for what a config file may contain and which values each key takes,
-# in the ranges of the code that consumes them.  A rule returns None for a good
-# value, else the message; load_config applies every rule after the overrides.
-_KEYS: dict[tuple[str, str], tuple[str, object, object]] = {
-    ("corpus", "source"): ("source", str.strip, None),
-    ("corpus", "device_filter"): ("device_filter", lambda s: s.strip(), None),
-    ("corpus", "resample_period_s"): ("resample_period_s", float, _finite(0.0)),
-    ("synthetic", "subjects"): ("subjects", int, _at_least(1)),
-    ("synthetic", "groups"): ("groups", int, _at_least(1)),
-    ("synthetic", "noise_std"): ("noise_std", float, _finite(0.0)),
-    ("synthetic", "lag_tau_s"): ("lag_tau_s", float, _finite(0.0)),
-    ("synthetic", "sample_period_s"): ("sample_period_s", float, _finite(0.0, strict=True)),
-    ("windows", "window_size"): ("window_size", int, _at_least(2)),
-    ("windows", "stride"): ("stride", int, _at_least(1)),
-    ("windows", "window_sizes"): ("window_sizes", _parse_int_tuple, _at_least(2)),
-    ("windows", "strides"): ("strides", _parse_int_tuple, _at_least(1)),
-    ("standardization", "mode"): ("standardization", _enum_parser(StandardizationMode), None),
-    ("features", "kind"): ("feature_kind", _optional(_enum_parser(FeatureSetKind)), None),
-    ("features", "n_mel_bands"): ("n_mel_bands", int, _mel_band_count),
-    ("model", "kind"): ("model_kind", _choice("svm", "net"), None),
-    ("model", "inputs"): ("svm_inputs", _choice("windows", "features", "both"), None),
-    ("model", "kernel"): ("kernel", _enum_parser(KernelKind), None),
-    ("model", "c"): ("c", float, _finite(0.0, strict=True)),
-    ("model", "gamma"): ("gamma", _optional(float, ("auto", "none", "")),
-                         _finite(0.0, strict=True)),
-    ("model", "tol"): ("tol", float, _finite(0.0, strict=True)),
-    ("model", "arch"): ("arch", _enum_parser(ArchitectureId), None),
-    ("model", "epochs"): ("epochs", int, _at_least(1)),
-    ("model", "batch_size"): ("batch_size", int, _at_least(1)),
-    ("model", "learning_rate"): ("learning_rate", float, _finite(0.0, strict=True)),
-    ("model", "dropout_p"): ("dropout_p", float, _finite(0.0, 1.0)),
-    ("clustering", "space"): ("space", _enum_parser(ClusterSpace), None),
-    ("clustering", "k"): ("k", int, _at_least(1)),
-    ("clustering", "routing"): ("routing", _optional(_enum_parser(RoutingMode)), None),
-    ("clustering", "restarts"): ("restarts", int, _at_least(1)),
-    ("split", "kind"): ("split_kind", _enum_parser(SplitKind), None),
-    ("split", "test_fraction"): ("test_fraction", float, _finite(0.0, 1.0, strict=True)),
-    ("split", "train_cluster"): ("train_cluster", int, _at_least(0)),
-    ("split", "test_cluster"): ("test_cluster", int, _at_least(0)),
-    ("importance", "repeats"): ("repeats", int, _at_least(5)),
-    ("importance", "top"): ("top", int, _at_least(0)),
-    ("timeline", "subject"): ("timeline_subject", lambda s: s.strip(), None),
-    ("run", "seed"): ("seed", int, None),
-    ("run", "out"): ("out", str.strip, None),
-    ("run", "workers"): ("workers", int, _at_least(1)),
-}
+def _key(default, name: str, parse, rule=None):
+    """A field declared with its config key ``section.key``, the parser of the
+    key's text and its range rule (None, or a check returning a message)."""
+    section, key = name.split(".")
+    return field(default=default,
+                 metadata={"key": (section, key), "parse": parse, "rule": rule})
 
-_FIELD_TO_KEY = {field: key for key, (field, _, _) in _KEYS.items()}
+
+def _not_empty(value):
+    """Rule for corpus.source: an empty source would read the working directory."""
+    if not value:
+        return "is empty: set it to synthetic or to a CSV file or directory"
+
+
+@dataclass(frozen=True)
+class ExperimentConfig:
+    source: str = _key("synthetic", "corpus.source", str.strip, _not_empty)  # or a CSV path
+    device_filter: str = _key("Apple Watch", "corpus.device_filter", str.strip)  # "": off
+    resample_period_s: float = _key(0.0, "corpus.resample_period_s", float,
+                                    _finite(0.0))  # 0 disables resampling
+
+    subjects: int = _key(30, "synthetic.subjects", int, _at_least(1))
+    groups: int = _key(2, "synthetic.groups", int, _at_least(1))
+    noise_std: float = _key(1.5, "synthetic.noise_std", float, _finite(0.0))
+    lag_tau_s: float = _key(20.0, "synthetic.lag_tau_s", float, _finite(0.0))
+    sample_period_s: float = _key(1.0, "synthetic.sample_period_s", float,
+                                  _finite(0.0, strict=True))
+
+    window_size: int = _key(50, "windows.window_size", int, _at_least(2))
+    stride: int = _key(10, "windows.stride", int, _at_least(1))
+    window_sizes: tuple[int, ...] = _key((50, 80, 120, 240), "windows.window_sizes",
+                                         _parse_int_tuple, _at_least(2))
+    strides: tuple[int, ...] = _key((10, 20, 40, 60, 80, 100, 120), "windows.strides",
+                                    _parse_int_tuple, _at_least(1))
+
+    standardization: StandardizationMode = _key(StandardizationMode.DATA, "standardization.mode",
+                                                _enum_parser(StandardizationMode))
+
+    feature_kind: FeatureSetKind | None = _key(FeatureSetKind.STAT_TEMPORAL, "features.kind",
+                                               _optional(_enum_parser(FeatureSetKind)))
+    n_mel_bands: int = _key(10, "features.n_mel_bands", int, _mel_band_count)
+
+    model_kind: str = _key("svm", "model.kind", _choice("svm", "net"))
+    svm_inputs: str = _key("features", "model.inputs", _choice("windows", "features", "both"))
+    kernel: KernelKind = _key(KernelKind.RBF, "model.kernel", _enum_parser(KernelKind))
+    c: float = _key(1.0, "model.c", float, _finite(0.0, strict=True))
+    gamma: float | None = _key(None, "model.gamma", _optional(float, ("auto", "none", "")),
+                               _finite(0.0, strict=True))  # None: resolved at fit time
+    tol: float = _key(1e-3, "model.tol", float, _finite(0.0, strict=True))
+    arch: ArchitectureId = _key(ArchitectureId.BASELINE, "model.arch",
+                                _enum_parser(ArchitectureId))
+    epochs: int = _key(50, "model.epochs", int, _at_least(1))
+    batch_size: int = _key(32, "model.batch_size", int, _at_least(1))
+    learning_rate: float = _key(1e-3, "model.learning_rate", float, _finite(0.0, strict=True))
+    dropout_p: float = _key(0.3, "model.dropout_p", float, _finite(0.0, 1.0))
+
+    space: ClusterSpace = _key(ClusterSpace.STATISTICAL_WINDOW, "clustering.space",
+                               _enum_parser(ClusterSpace))
+    k: int = _key(3, "clustering.k", int, _at_least(1))
+    routing: RoutingMode | None = _key(None, "clustering.routing",
+                                       _optional(_enum_parser(RoutingMode)))
+    restarts: int = _key(10, "clustering.restarts", int, _at_least(1))
+
+    split_kind: SplitKind = _key(SplitKind.LEAVE_SUBJECT_OUT, "split.kind",
+                                 _enum_parser(SplitKind))
+    test_fraction: float = _key(0.3, "split.test_fraction", float,
+                                _finite(0.0, 1.0, strict=True))
+    train_cluster: int = _key(0, "split.train_cluster", int, _at_least(0))
+    test_cluster: int = _key(1, "split.test_cluster", int, _at_least(0))
+
+    repeats: int = _key(5, "importance.repeats", int, _at_least(5))
+    top: int = _key(0, "importance.top", int, _at_least(0))  # 0 keeps every input dimension
+
+    timeline_subject: str = _key("", "timeline.subject", str.strip)  # "": first subject id
+
+    seed: int = _key(-1, "run.seed", int)  # -1 marks "not provided"
+    out: str = _key("runs", "run.out", str.strip)
+    workers: int = _key(1, "run.workers", int, _at_least(1))
+
+    def require_seed(self) -> int:
+        if self.seed < 0:
+            raise ConfigError("run.seed is mandatory (set it in [run] or pass --seed)")
+        return self.seed
+
+
+# (section, key) -> (field name, parser, rule), in field order: what a config
+# file may contain and which values each key takes, in the ranges of the code
+# that consumes them.  load_config applies every rule after the overrides.
+_KEYS: dict[tuple[str, str], tuple[str, object, object]] = {
+    f.metadata["key"]: (f.name, f.metadata["parse"], f.metadata["rule"])
+    for f in fields(ExperimentConfig)}
 
 
 def load_config(path: str | Path | None, overrides: dict[str, object] | None = None) -> ExperimentConfig:
@@ -294,13 +266,8 @@ _PLUMBING_FIELDS = ("out", "workers")
 
 def config_items(cfg: ExperimentConfig) -> list[tuple[str, str]]:
     """Every experiment key as ("section.key", rendered value), sorted by key."""
-    items = []
-    for f in fields(cfg):
-        if f.name in _PLUMBING_FIELDS:
-            continue
-        section, key = _FIELD_TO_KEY[f.name]
-        items.append((f"{section}.{key}", _render(getattr(cfg, f.name))))
-    return sorted(items)
+    return sorted((".".join(f.metadata["key"]), _render(getattr(cfg, f.name)))
+                  for f in fields(cfg) if f.name not in _PLUMBING_FIELDS)
 
 
 def canonical_config_text(cfg: ExperimentConfig) -> str:

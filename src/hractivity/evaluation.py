@@ -190,6 +190,14 @@ def subject_segments(
                            np.concatenate([p.starts for p in parts]))
 
 
+def check_window_size(series_list: list[SubjectSeries], window_size: int) -> None:
+    """Raise NoWindows unless some series fills a window of ``window_size``."""
+    longest = max((len(s) for s in series_list), default=0)
+    if longest < window_size:
+        raise NoWindows(f"no series long enough for window_size {window_size}: "
+                        f"the longest has {longest} samples")
+
+
 def build_dataset(
     series_list: list[SubjectSeries],
     cfg: WindowConfig,
@@ -198,11 +206,8 @@ def build_dataset(
     mfcc: MfccConfig = MfccConfig(),
 ) -> WindowDataset:
     """Segment every series (per-subject standardized first under DataStd)."""
+    check_window_size(series_list, cfg.window_size)
     parts = [part for part in subject_segments(series_list, cfg, standardization) if len(part)]
-    if not parts:
-        longest = max((len(s) for s in series_list), default=0)
-        raise NoWindows(f"no series long enough for window_size {cfg.window_size}: "
-                        f"the longest has {longest} samples")
     windows = np.concatenate([part.values for part in parts])
     if feature_kind is None:
         hc = np.zeros((len(windows), 0))
@@ -523,7 +528,12 @@ def run_sweep(
     workers: int = 1,
     mfcc: MfccConfig = MfccConfig(),
 ) -> dict:
-    """One EvalReport per (window, stride) cell; fold structure shared by seed."""
+    """One EvalReport per (window, stride) cell; fold structure shared by seed.
+
+    Every window size is checked before any cell is fitted.
+    """
+    for w in window_sizes:
+        check_window_size(series_list, w)
     cells = [(w, s) for w in window_sizes for s in stride_sizes]
     reports = _run_jobs(
         _sweep_cell,

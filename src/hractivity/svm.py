@@ -236,26 +236,6 @@ def train_binary(
     )
 
 
-def kkt_violation(model: BinarySvm, x, y, tol_bound: float = 1e-9) -> float:
-    """Largest stationarity violation over the training set the model saw.
-
-    Uses the full multiplier vector stashed at training time; a violation of
-    v means some margin condition is off by v (0 for a perfect KKT point).
-    """
-    if model.alpha is None:
-        raise InvalidConfig("model carries no training multipliers")
-    x = np.asarray(x, dtype=np.float64)
-    y = np.asarray(y, dtype=np.float64)
-    margins = y * model.decision(x)
-    a = model.alpha
-    violation = np.where(
-        a <= tol_bound,
-        1.0 - margins,
-        np.where(a >= model.c - tol_bound, margins - 1.0, np.abs(margins - 1.0)),
-    )
-    return float(np.max(violation, initial=0.0))
-
-
 @dataclass(frozen=True)
 class OvoSvm:
     classes: tuple[int, ...]

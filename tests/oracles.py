@@ -23,7 +23,13 @@ from hractivity.clustering import (
     fit_cluster_model,
     window_space_matrix,
 )
-from hractivity.errors import EmptyDataset, MissingActivity, ShapeMismatch, UnknownLabel
+from hractivity.errors import (
+    EmptyDataset,
+    InvalidConfig,
+    MissingActivity,
+    ShapeMismatch,
+    UnknownLabel,
+)
 from hractivity.evaluation import RoutingMode, fit_classifier
 from hractivity.metrics import FoldRecord, accuracy, balanced_accuracy, confusion_matrix
 from hractivity.neuralnet import (
@@ -147,6 +153,26 @@ def solve_svm_dual_qp(gram, y, c, iterations=200_000):
             break
         alpha = new
     return alpha
+
+
+def kkt_violation(model: BinarySvm, x, y, tol_bound: float = 1e-9) -> float:
+    """Largest stationarity violation over the training set the model saw.
+
+    Uses the full multiplier vector stashed at training time; a violation of
+    v means some margin condition is off by v (0 for a perfect KKT point).
+    """
+    if model.alpha is None:
+        raise InvalidConfig("model carries no training multipliers")
+    x = np.asarray(x, dtype=np.float64)
+    y = np.asarray(y, dtype=np.float64)
+    margins = y * model.decision(x)
+    a = model.alpha
+    violation = np.where(
+        a <= tol_bound,
+        1.0 - margins,
+        np.where(a >= model.c - tol_bound, margins - 1.0, np.abs(margins - 1.0)),
+    )
+    return float(np.max(violation, initial=0.0))
 
 
 def kernel_matrix_reference(kernel, a, b):

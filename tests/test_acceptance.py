@@ -2,7 +2,7 @@
 
 Each test prints a single PASS/FAIL line (visible under pytest's capture) and
 enforces its wall-clock budget. Numeric expectations follow the module test
-suites; the trend criteria (7-11 and 14) rerun the frozen synthetic cohorts
+suites; the trend criteria (7-11, 14 and 15) rerun the frozen synthetic cohorts
 across seeds 1-5 and require the stated majority.
 """
 
@@ -14,7 +14,13 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from oracles import exhaustive_kmeans_inertia, solve_svm_dual_qp, svm_dual_objective
+from cohorts import shape_groups_cohort
+from oracles import (
+    exhaustive_kmeans_inertia,
+    kkt_violation,
+    solve_svm_dual_qp,
+    svm_dual_objective,
+)
 
 from hractivity.cli import main as cli_main
 from hractivity.clustering import ClusterSpace, fit_cluster_model, kmeans_fit, subject_summaries
@@ -61,7 +67,7 @@ from hractivity.preprocess import (
     standardize_series,
     window_count,
 )
-from hractivity.svm import KernelKind, KernelSpec, kkt_violation, train_binary
+from hractivity.svm import KernelKind, KernelSpec, train_binary
 from hractivity.synthetic import SyntheticCohortSpec, generate_synthetic
 
 LINEAR = KernelSpec(KernelKind.LINEAR)
@@ -546,5 +552,30 @@ def test_criterion_14_normalization_lever(capsys):
     _verdict(
         capsys, 14, "normalization lever", ordered >= 4,
         f"data > feature > none in {ordered}/5 (data/feature/none: {', '.join(scores)})",
+        t0, 120.0,
+    )
+
+
+def test_criterion_15_grouping_lever(capsys):
+    # the 15 + 15 cohort's groups differ in shape, not level, so grouping
+    # still pays after `data` removes each subject's level
+    t0 = time.perf_counter()
+    spec, plan = SvmSpec(inputs="features"), SplitPlan(SplitKind.LEAVE_SUBJECT_OUT)
+    spaces = (ClusterSpace.STATISTICAL_WINDOW, ClusterSpace.TEMPORAL_WINDOW)
+    wins = dict.fromkeys(spaces, 0)
+    scores = []
+    for seed in SEEDS:
+        ds = build_dataset(shape_groups_cohort(seed, n=15), WindowConfig(50, 25),
+                           StandardizationMode.DATA, FeatureSetKind.STAT_TEMPORAL)
+        plain = run_split(ds, plan, spec, seed).balanced_accuracy
+        routed = [routed_eval(ds, 2, RoutingMode.PER_SUBJECT, space, spec,
+                              seed=seed).balanced_accuracy for space in spaces]
+        for space, bal in zip(spaces, routed):
+            wins[space] += bal > plain
+        scores.append("/".join(f"{b:.3f}" for b in (*routed, plain)))
+    _verdict(
+        capsys, 15, "grouping lever", min(wins.values()) >= 4,
+        f"per-subject routed > plain LOSO in {wins[spaces[0]]}/5 (statistical), "
+        f"{wins[spaces[1]]}/5 (temporal) (statistical/temporal/plain: {', '.join(scores)})",
         t0, 120.0,
     )

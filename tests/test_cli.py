@@ -171,10 +171,15 @@ def test_sweep_grid_emits_all_cell_reports(tiny_corpus):
         assert (acc, bal) == (repr(report["accuracy"]), repr(report["balanced_accuracy"]))
 
 
-def test_sweep_names_the_window_size_that_no_series_fills(tiny_corpus, capsys):
+def test_sweep_names_the_window_size_that_no_series_fills(tiny_corpus, capsys, monkeypatch):
     ini, _, runs = tiny_corpus
     ini.write_text(ini.read_text(encoding="utf-8").replace(
         "stride = 30\n", "stride = 30\nwindow_sizes = 50 1000\nstrides = 30\n"), encoding="utf-8")
+
+    def no_fit(*args, **kwargs):
+        raise AssertionError("a cell was fitted before every window size was checked")
+
+    monkeypatch.setattr(evaluation, "fit_classifier", no_fit)
     assert run_cli("--config", ini, "sweep") == 3
     assert capsys.readouterr().err == ("data error: no series long enough for window_size "
                                        "1000: the longest has 780 samples\n")
@@ -562,6 +567,7 @@ seed = 9
     ("eval", "[features]\nn_mel_bands = 4\n", ("features.n_mel_bands", "at least")),
     ("eval", "[features]\nkind = base_mfcc\nn_mel_bands = 257\n",
      ("features.n_mel_bands = 257", "MAX_MEL_BANDS = 256")),
+    ("ingest", "[corpus]\nsource =\n", ("corpus.source is empty",)),
 ], ids=["eval-routing-random_window", "sweep-routing", "sweep-within_cluster_loso",
         "sweep-cross_cluster", "eval-test_cluster-ge-k", "eval-train_cluster-ge-k",
         "eval-on_standardized_input", "cluster-on_standardized_input",
@@ -569,7 +575,7 @@ seed = 9
         "importance-repeats-lt-5", "eval-unknown-key", "eval-c-inf", "eval-tol-inf",
         "eval-gamma-inf", "eval-learning_rate-inf", "eval-noise_std-nan",
         "eval-lag_tau_s-negative", "eval-sample_period_s-nan", "eval-window_size-1",
-        "eval-n_mel_bands-4", "eval-n_mel_bands-257"])
+        "eval-n_mel_bands-4", "eval-n_mel_bands-257", "ingest-empty-source"])
 def test_ignored_settings_are_refused(tiny_corpus, capsys, monkeypatch, command, extra, keys):
     ini, _, runs = tiny_corpus
     # merge section by section: the base file already has a [model] section

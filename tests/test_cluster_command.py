@@ -179,6 +179,14 @@ def abc_config(tmp_path, extra=""):
                           device_filter="synthetic", extra=extra)
 
 
+def test_a_window_size_no_series_fills_is_named_once(tmp_path, capsys, mixed_corpus):
+    longest = max(len(s) for s in parse_corpus(mixed_corpus, None))
+    code, err = run_cluster(cluster_config(tmp_path, mixed_corpus, window_size=1000), capsys)
+    assert code == 3
+    assert err == (f"data error: no series long enough for window_size 1000: "
+                   f"the longest has {longest} samples\n")
+
+
 ABC_ERROR = ("data error: k=3 with 2 vectors; subject 'C' has 10 samples, "
              "fewer than window_size 20\n")
 

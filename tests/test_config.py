@@ -1,4 +1,5 @@
-"""The config table: every numeric key is parsed and range-checked by its entry.
+"""The config table: each field declares its key, and every numeric key is
+parsed and range-checked by its entry.
 
 Examples are derandomized and no example database is kept, so every run
 tries the same inputs. Only ``load_config`` runs: no corpus, no run.
@@ -10,7 +11,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from hractivity.config import _KEYS, ExperimentConfig, load_config
+from hractivity.config import _KEYS, ExperimentConfig, _render, load_config
 from hractivity.errors import ConfigError
 
 # chosen by the field's declared type, not by whether the table gives it a rule
@@ -20,6 +21,39 @@ NUMERIC_KEYS = sorted(key for key, (field_name, _, _) in _KEYS.items()
                       if field_name in NUMBER_TYPES)
 NON_FINITE = ("nan", "inf", "-inf")
 VALUES = NON_FINITE + ("-1", "0", "1e-300", "1e300", str(2**70))
+
+# every key a config file may hold, in the order load_config checks their rules
+KEY_ORDER = """
+corpus.source corpus.device_filter corpus.resample_period_s
+synthetic.subjects synthetic.groups synthetic.noise_std synthetic.lag_tau_s
+synthetic.sample_period_s
+windows.window_size windows.stride windows.window_sizes windows.strides
+standardization.mode features.kind features.n_mel_bands
+model.kind model.inputs model.kernel model.c model.gamma model.tol model.arch model.epochs
+model.batch_size model.learning_rate model.dropout_p
+clustering.space clustering.k clustering.routing clustering.restarts
+split.kind split.test_fraction split.train_cluster split.test_cluster
+importance.repeats importance.top timeline.subject run.seed run.out run.workers
+""".split()
+
+
+def test_each_field_declares_one_key_of_its_own():
+    declared = [f.metadata["key"] for f in fields(ExperimentConfig)]
+    assert all(len(key) == 2 and all(isinstance(part, str) for part in key)
+               for key in declared)
+    assert len(set(declared)) == len(declared) == 40
+    assert [".".join(key) for key in declared] == KEY_ORDER
+    assert list(_KEYS) == declared
+    assert [name for name, _, _ in _KEYS.values()] == [f.name for f in fields(ExperimentConfig)]
+
+
+@pytest.mark.parametrize("section,key", list(_KEYS), ids=[f"{s}.{k}" for s, k in _KEYS])
+def test_default_reads_back_through_its_key(section, key):
+    # a parser or rule declared on the wrong field would misread the default
+    field_name, parse, rule = _KEYS[section, key]
+    default = getattr(ExperimentConfig(), field_name)
+    assert parse(_render(default)) == default
+    assert rule is None or rule(default) is None
 
 
 @pytest.mark.parametrize("section,key", NUMERIC_KEYS, ids=[f"{s}.{k}" for s, k in NUMERIC_KEYS])

@@ -7,6 +7,7 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from cohorts import shape_groups_cohort
 from oracles import (
     nearest_window_reference,
     permutation_importance_reference,
@@ -249,18 +250,6 @@ def test_per_subject_routing_uses_the_subject_mean_cluster():
                       SvmSpec(inputs="windows"), seed=0)
     fold_c = [f for f in rep.folds if f.held_out == "C"][0]
     assert fold_c.accuracy == 1.0  # C's mean vector lies nearer A: all its windows go there
-
-
-def shape_groups_cohort(seed, n=6):
-    """Two one-group cohorts whose groups differ in shape (offsets and lag),
-    not in level, merged with their subjects renamed: S000-S005 are group 0."""
-    series = []
-    for g, (offsets, tau) in enumerate((((0.0, 5.0, 30.0, 12.0, 3.0), 5.0),
-                                        ((0.0, 18.0, 8.0, 30.0, 3.0), 60.0))):
-        part, _ = generate_synthetic(SyntheticCohortSpec(
-            n, 1, 10 * seed + g, group_offset_profiles=(offsets,), lag_tau_s=tau))
-        series += [replace(s, subject_id=f"S{g * n + i:03d}") for i, s in enumerate(part)]
-    return series
 
 
 @pytest.mark.parametrize("space", [ClusterSpace.STATISTICAL_WINDOW,

@@ -9,6 +9,7 @@ import pytest
 
 from oracles import (
     kernel_matrix_reference,
+    kkt_violation,
     load_ovo,
     solve_svm_dual_qp,
     svm_dual_objective,
@@ -31,7 +32,6 @@ from hractivity.svm import (
     KernelKind,
     KernelSpec,
     OvoSvm,
-    kkt_violation,
     predict_ovo,
     save_ovo,
     train_binary,
