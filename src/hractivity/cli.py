@@ -120,7 +120,6 @@ def cmd_ingest(cfg, run_dir: Path) -> None:
 
 
 def cmd_sweep(cfg, run_dir: Path) -> None:
-    cfgmod.check_protocol(cfg, "sweep")
     series, _ = _load_series(cfg)
     seed = cfg.require_seed()
     reports = run_sweep(series, list(cfg.window_sizes), list(cfg.strides),
@@ -195,7 +194,6 @@ def cmd_train(cfg, run_dir: Path) -> None:
 
 
 def cmd_eval(cfg, run_dir: Path) -> None:
-    cfgmod.check_protocol(cfg, "eval")
     series, _ = _load_series(cfg)
     ds = _build_dataset(cfg, series)
     seed = cfg.require_seed()
@@ -292,6 +290,7 @@ _COMMANDS = {
 def _run_command(command: str, cfg) -> Path:
     """Execute one command inside a temp dir, then rename it into place."""
     cfg.require_seed()
+    cfgmod.check_protocol(cfg, command)
     run_id = cfgmod.run_id_for(cfg, command)
     out_root = Path(cfg.out)
     out_root.mkdir(parents=True, exist_ok=True)

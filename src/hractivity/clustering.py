@@ -18,14 +18,7 @@ from typing import Iterable
 import numpy as np
 
 from .artifacts import write_json
-from .errors import (
-    DataError,
-    DimensionMismatch,
-    InternalError,
-    MissingActivity,
-    NoWindows,
-    TooFewVectors,
-)
+from .errors import DataError, InternalError, TooFewVectors
 from .features import statistical_matrix, temporal_matrix
 from .preprocess import Scaler, Segments, apply_scaler, fit_scaler
 from .series import ActivityLabel, N_CLASSES
@@ -53,7 +46,7 @@ class ClusterModel:
     def __post_init__(self):
         centroids = np.ascontiguousarray(self.centroids, dtype=np.float64)
         if centroids.ndim != 2 or centroids.shape[0] != self.k:
-            raise DimensionMismatch("centroids must be a (k, d) matrix")
+            raise DataError("centroids must be a (k, d) matrix")
         if not np.isfinite(centroids).all():
             raise InternalError("non-finite centroid")
         centroids.flags.writeable = False
@@ -69,7 +62,8 @@ def _activity_profile(part: Segments) -> np.ndarray:
     counts = np.bincount(labels, minlength=N_CLASSES)
     missing = np.flatnonzero(counts == 0)
     if missing.size:
-        raise MissingActivity(part.subject_id, ActivityLabel(int(missing[0])).name)
+        activity = ActivityLabel(int(missing[0])).name
+        raise DataError(f"subject {part.subject_id!r} has no {activity} windows")
     return sums / counts
 
 
@@ -147,7 +141,7 @@ def kmeans_fit(
     """Best-of-restarts k-means; the winner is (inertia, restart index) minimal."""
     mat = np.asarray(vectors, dtype=np.float64)
     if mat.ndim != 2:
-        raise DimensionMismatch("expected an (n, d) vector matrix")
+        raise DataError("expected an (n, d) vector matrix")
     if k < 1 or k > mat.shape[0]:
         raise TooFewVectors(f"k={k} with {mat.shape[0]} vectors")
     if scaler is not None:
@@ -166,7 +160,7 @@ def kmeans_fit(
                          inertia=inertia, scaler=scaler)
     keys = ids if ids is not None else list(range(mat.shape[0]))
     if len(keys) != mat.shape[0]:
-        raise DimensionMismatch("ids must match the vector count")
+        raise DataError("ids must match the vector count")
     return model, {key: int(c) for key, c in zip(keys, labels)}
 
 
@@ -176,7 +170,7 @@ def assign_many(model: ClusterModel, vectors) -> np.ndarray:
     if model.scaler is not None:
         mat = apply_scaler(model.scaler, mat)
     if mat.ndim != 2 or mat.shape[1] != model.centroids.shape[1]:
-        raise DimensionMismatch("vector dimension does not match centroids")
+        raise DataError("vector dimension does not match centroids")
     return _squared_distances(mat, model.centroids).argmin(axis=1)
 
 
@@ -187,7 +181,7 @@ def window_space_matrix(values: np.ndarray, space: ClusterSpace) -> np.ndarray:
         return statistical_matrix(mat)
     if space is ClusterSpace.TEMPORAL_WINDOW:
         return temporal_matrix(mat)
-    raise DimensionMismatch("window vectors undefined for profile space")
+    raise DataError("window vectors undefined for profile space")
 
 
 def _summary(part: Segments, space: ClusterSpace) -> np.ndarray:
@@ -207,8 +201,8 @@ def subject_summaries(parts: Iterable[Segments], space: ClusterSpace):
     and a copy of the same windows give the same bits.
 
     The whole stream is read before a summary's error is raised: an error
-    the stream raises for a later subject, such as ``NonUniformSeries``,
-    wins over an earlier subject's ``MissingActivity``.
+    the stream raises for a later subject, such as a non-uniform series,
+    wins over an earlier subject's missing activity.
     """
     ids, rows, failure = [], [], None
     for part in parts:
@@ -223,7 +217,7 @@ def subject_summaries(parts: Iterable[Segments], space: ClusterSpace):
     if failure is not None:
         raise failure
     if not ids:
-        raise NoWindows("no series long enough for the window size")
+        raise DataError("no series long enough for the window size")
     return ids, np.stack(rows)
 
 

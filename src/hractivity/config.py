@@ -218,8 +218,24 @@ def load_config(path: str | Path | None, overrides: dict[str, object] | None = N
 
 
 def check_protocol(cfg: ExperimentConfig, command: str) -> None:
-    """Refuse [split]/[clustering] settings that ``command`` would ignore."""
+    """Refuse settings that ``command`` would ignore or that its classifier
+    could not read, before any corpus is read."""
     kind = f"split.kind = {cfg.split_kind.value}"
+    if command in ("train", "importance", "timeline"):
+        if cfg.routing is not None:
+            raise ConfigError(f"{command} fits one classifier and routes no windows: "
+                              f"unset clustering.routing")
+        if cfg.split_kind is not SplitKind.LEAVE_SUBJECT_OUT:
+            raise ConfigError(f"{command} fits one classifier and runs no split: "
+                              f"split.kind must be leave_subject_out, not {kind}")
+    fits = command in ("eval", "sweep", "train", "importance", "timeline")
+    if fits and cfg.feature_kind is None:
+        if cfg.model_kind == "svm" and cfg.svm_inputs != "windows":
+            raise ConfigError(f"model.inputs = {cfg.svm_inputs} reads features, "
+                              f"but features.kind = none")
+        if cfg.model_kind == "net" and cfg.arch is not ArchitectureId.BASELINE:
+            raise ConfigError(f"model.arch = {cfg.arch.value} reads features, "
+                              f"but features.kind = none")
     if command == "sweep":
         if cfg.routing is not None:
             raise ConfigError("sweep does not route windows to clusters: "

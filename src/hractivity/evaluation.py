@@ -23,7 +23,7 @@ from .clustering import (
     fit_cluster_model,
     window_space_matrix,
 )
-from .errors import DataError, EmptyCluster, EmptyDataset, GramTooLarge, InvalidConfig, NoWindows
+from .errors import ConfigError, DataError, GramTooLarge
 from .features import FeatureSetKind, MfccConfig, feature_matrix, feature_names
 from .metrics import (
     EvalReport,
@@ -66,7 +66,7 @@ class SplitPlan:
 
     def __post_init__(self):
         if not 0.0 < self.test_fraction < 1.0:
-            raise InvalidConfig("test_fraction must be in (0, 1)")
+            raise ConfigError("test_fraction must be in (0, 1)")
 
 
 # A spec is one classifier kind and its settings: ``fit`` trains it on rows
@@ -85,7 +85,7 @@ class SvmSpec:
 
     def __post_init__(self):
         if self.inputs not in ("windows", "features", "both"):
-            raise InvalidConfig(f"unknown svm input selection {self.inputs!r}")
+            raise ConfigError(f"unknown svm input selection {self.inputs!r}")
 
     def fit(self, ds: WindowDataset, train_idx: np.ndarray, labels: np.ndarray,
             seed: int) -> FittedSvm:
@@ -120,7 +120,7 @@ class NetSpec:
             seed: int) -> FittedNet:
         hc_dim = 0 if self.arch is ArchitectureId.BASELINE else ds.hc.shape[1]
         if self.arch is not ArchitectureId.BASELINE and hc_dim == 0:
-            raise InvalidConfig(f"{self.arch.value} requires a feature set")
+            raise ConfigError(f"{self.arch.value} requires a feature set")
         cfg = NetConfig(
             window_size=ds.window_size,
             hc_dim=hc_dim,
@@ -191,10 +191,10 @@ def subject_segments(
 
 
 def check_window_size(series_list: list[SubjectSeries], window_size: int) -> None:
-    """Raise NoWindows unless some series fills a window of ``window_size``."""
+    """Raise a DataError unless some series fills a window of ``window_size``."""
     longest = max((len(s) for s in series_list), default=0)
     if longest < window_size:
-        raise NoWindows(f"no series long enough for window_size {window_size}: "
+        raise DataError(f"no series long enough for window_size {window_size}: "
                         f"the longest has {longest} samples")
 
 
@@ -306,9 +306,9 @@ def _svm_matrix(inputs: str, windows, hc, rows=slice(None)) -> np.ndarray:
     if inputs == "windows":
         return np.atleast_2d(windows)[rows]
     hc = np.atleast_2d(hc)
+    if hc.shape[1] == 0:
+        raise ConfigError(f"svm on {inputs} requires a feature set")
     if inputs == "features":
-        if hc.shape[1] == 0:
-            raise InvalidConfig("svm on features requires a feature set")
         return hc[rows]
     return np.column_stack([np.atleast_2d(windows)[rows], hc[rows]])
 
@@ -382,7 +382,7 @@ def make_folds(ds: WindowDataset, plan: SplitPlan, seed: int) -> list[FoldJob]:
         train_rows = np.setdiff1d(np.arange(len(ds)), test)
         return [FoldJob(0, f"random:{plan.test_fraction}", train_rows, test,
                         _fold_seed(seed, 0))]
-    raise InvalidConfig(f"{plan.kind.value} folds are built by their own operation")
+    raise ConfigError(f"{plan.kind.value} folds are built by their own operation")
 
 
 class _Fit(NamedTuple):
@@ -422,7 +422,7 @@ def _plan_routed_fits(ds: WindowDataset, spec, jobs: list[FoldJob], mode: Routin
                                           summaries[train_subjects], space, k, job.seed,
                                           restarts=restarts, with_scaler=True)
         if len(set(assign.values())) < k:
-            raise EmptyCluster("clustering left an empty cluster on this fold")
+            raise DataError("clustering left an empty cluster on this fold")
         assigned = assign_many(model, routed_by[job.test_idx])
         cluster_of = _cluster_of(ds, assign)
         for cluster in np.unique(assigned):
@@ -560,9 +560,9 @@ def cross_cluster_eval(
     in_train = row_clusters == train_cluster
     in_test = row_clusters == test_cluster
     if not in_train.any():
-        raise EmptyCluster(f"train cluster {train_cluster} has no windows")
+        raise DataError(f"train cluster {train_cluster} has no windows")
     if not in_test.any():
-        raise EmptyCluster(f"test cluster {test_cluster} has no windows")
+        raise DataError(f"test cluster {test_cluster} has no windows")
     jobs = [FoldJob(0, f"cluster:{test_cluster}", np.nonzero(in_train)[0],
                     np.nonzero(in_test)[0], _fold_seed(seed, 0))]
     echo = _base_echo(ds, spec, {"kind": SplitKind.CROSS_CLUSTER.value,
@@ -639,8 +639,8 @@ def routed_eval(
     window (or the whole test subject, by its summary row) is routed to the
     nearest cluster's classifier. The windows' vectors in that space, and
     each subject's summary row, are computed once; each fold clusters its
-    train subjects' rows. A space without per-window vectors raises
-    DimensionMismatch there, before any fold runs.
+    train subjects' rows. A space without per-window vectors raises a
+    DataError there, before any fold runs.
 
     Every fold is clustered before any classifier is fitted; then each
     distinct cluster training set that some fold reads is fitted once (see
@@ -685,16 +685,16 @@ def permutation_importance(
     a prediction.
     """
     if repeats < 5:
-        raise InvalidConfig("importance needs at least 5 repeats")
+        raise ConfigError("importance needs at least 5 repeats")
     windows = np.asarray(windows, dtype=np.float64)
     hc = np.asarray(hc, dtype=np.float64)
     labels = np.asarray(labels, dtype=np.int64)
     if windows.shape[0] == 0:
-        raise EmptyDataset("importance needs a non-empty evaluation set")
+        raise DataError("importance needs a non-empty evaluation set")
     w_dim = windows.shape[1]
     names = tuple(str(i) for i in range(w_dim)) + tuple(hc_names)
     if len(names) != w_dim + hc.shape[1]:
-        raise InvalidConfig("hc_names must match the feature count")
+        raise ConfigError("hc_names must match the feature count")
 
     base = balanced_accuracy(confusion_matrix(labels, clf.predict(windows, hc)))
     importances = np.zeros(len(names))

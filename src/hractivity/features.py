@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import InvalidConfig, NonFiniteFeature, WindowTooShort
+from .errors import ConfigError, DataError
 
 BASE_NAMES = (
     "0_Max",
@@ -78,12 +78,12 @@ class MfccConfig:
 
     def __post_init__(self):
         if self.n_mel_bands < N_MFCC:
-            raise InvalidConfig(f"n_mel_bands must be at least {N_MFCC}")
+            raise ConfigError(f"n_mel_bands must be at least {N_MFCC}")
 
 
 def _require_width(mat: np.ndarray, minimum: int) -> None:
     if mat.shape[1] < minimum:
-        raise WindowTooShort(minimum, mat.shape[1])
+        raise DataError(f"window of {mat.shape[1]} samples, need at least {minimum}")
 
 
 def base_matrix(mat: np.ndarray) -> np.ndarray:
@@ -248,11 +248,11 @@ def mel_filterbank(cfg: MfccConfig, n_fft: int) -> np.ndarray:
     mel-spaced between 0 and the Nyquist frequency 0.5; band b rises over
     [edge_b, edge_{b+1}] and falls over [edge_{b+1}, edge_{b+2}], so the bin
     at 0 always gets weight 0. A bank of more than ``MAX_FILTERBANK_WEIGHTS``
-    weights raises InvalidConfig.
+    weights raises a ConfigError.
     """
     n_bins = n_fft // 2 + 1
     if cfg.n_mel_bands * n_bins > MAX_FILTERBANK_WEIGHTS:
-        raise InvalidConfig(
+        raise ConfigError(
             f"features.n_mel_bands = {cfg.n_mel_bands} on a {n_fft}-point FFT needs "
             f"{cfg.n_mel_bands} x {n_bins} filter weights, more than "
             f"MAX_FILTERBANK_WEIGHTS = {MAX_FILTERBANK_WEIGHTS}")
@@ -300,7 +300,7 @@ def feature_names(kind: FeatureSetKind) -> tuple[str, ...]:
         return TEMPORAL_NAMES
     if kind is FeatureSetKind.STAT_TEMPORAL:
         return STATISTICAL_NAMES + TEMPORAL_NAMES
-    raise InvalidConfig(f"unknown feature set {kind!r}")
+    raise ConfigError(f"unknown feature set {kind!r}")
 
 
 def feature_matrix(
@@ -323,7 +323,7 @@ def feature_matrix(
     elif kind is FeatureSetKind.STAT_TEMPORAL:
         out = np.column_stack([statistical_matrix(mat), temporal_matrix(mat)])
     else:
-        raise InvalidConfig(f"unknown feature set {kind!r}")
+        raise ConfigError(f"unknown feature set {kind!r}")
     if not np.isfinite(out).all():
-        raise NonFiniteFeature("non-finite feature value produced")
+        raise DataError("non-finite feature value produced")
     return out

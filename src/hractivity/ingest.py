@@ -5,7 +5,7 @@ targets: one header row that names the fixed columns in ``COLUMNS``
 (subject_id, device, timestamp, bpm, label) in any order, UTF-8, comma
 separated. Timestamps may be ISO-8601 or plain epoch/relative seconds; the
 format is auto-detected per file and must be uniform within a file. A file
-that is not UTF-8 or that csv cannot split raises MalformedRow with the
+that is not UTF-8 or that csv cannot split raises a DataError that names the
 file and line, like a row with a bad cell.
 
 ``serialize_corpus`` writes the bytes of csv's excel dialect: only the
@@ -26,17 +26,7 @@ from pathlib import Path
 import numpy as np
 
 from .artifacts import write_csv
-from .errors import (
-    DataError,
-    EmptySeries,
-    InternalError,
-    InvalidResamplePeriod,
-    MalformedRow,
-    MissingColumn,
-    NonMonotonicTimestamps,
-    OutOfRangeBpm,
-    TimestampFormatError,
-)
+from .errors import DataError, InternalError
 from .series import (
     BPM_MAX,
     BPM_MIN,
@@ -66,7 +56,7 @@ def _iso_seconds(text: str) -> float:
     try:
         dt = _dt.datetime.fromisoformat(text.replace("Z", "+00:00"))
     except ValueError:
-        raise TimestampFormatError(f"cannot parse timestamp {text!r}") from None
+        raise DataError(f"cannot parse timestamp {text!r}") from None
     if dt.tzinfo is None:
         dt = dt.replace(tzinfo=_dt.timezone.utc)
     return dt.timestamp()
@@ -79,10 +69,10 @@ def _parse_timestamp(text: str, mode: str) -> tuple[float, str]:
             t = float(text)
         except ValueError:
             if mode == "epoch":
-                raise TimestampFormatError(f"mixed timestamp formats near {text!r}") from None
+                raise DataError(f"mixed timestamp formats near {text!r}") from None
         else:
             if not math.isfinite(t):
-                raise TimestampFormatError(f"non-finite timestamp {text!r}")
+                raise DataError(f"non-finite timestamp {text!r}")
             return t, "epoch"
     return _iso_seconds(text), "iso"
 
@@ -91,9 +81,9 @@ def _parse_bpm(text: str) -> float:
     try:
         bpm = float(text)
     except ValueError:
-        raise MalformedRow(f"bpm {text!r} is not a number") from None
+        raise DataError(f"bpm {text!r} is not a number") from None
     if not bpm_in_range(bpm):
-        raise OutOfRangeBpm(bpm)
+        raise DataError(f"bpm {bpm} outside the accepted (20, 250) range")
     return bpm
 
 
@@ -120,7 +110,7 @@ def _header_index(reader, path: Path) -> tuple[int, list[int]]:
     index = {name: i for i, name in enumerate(header)}  # a repeated name: the last wins
     for col in COLUMNS:
         if col not in index:
-            raise MissingColumn(col, str(path))
+            raise DataError(f"missing column {col!r} in {path}")
     return len(header), [index[col] for col in COLUMNS]
 
 
@@ -139,7 +129,7 @@ def _raise_first_bad_row(path: Path) -> None:
                 continue
             try:
                 if len(row) < width:
-                    raise MalformedRow(f"row has fewer than {width} cells")
+                    raise DataError(f"row has fewer than {width} cells")
                 _, ts_mode = _parse_timestamp(row[ti], ts_mode)
                 _parse_bpm(row[bi])
                 parse_label(row[li])
@@ -148,7 +138,7 @@ def _raise_first_bad_row(path: Path) -> None:
                 raise
 
 
-def _not_utf8(path: Path) -> MalformedRow:
+def _not_utf8(path: Path) -> DataError:
     """The error for a file that is not UTF-8, naming the line of its first bad byte."""
     raw = path.read_bytes()
     try:
@@ -156,8 +146,8 @@ def _not_utf8(path: Path) -> MalformedRow:
     except UnicodeDecodeError as exc:
         head = raw[: exc.start]
         line = 1 + head.count(b"\n") + head.count(b"\r") - head.count(b"\r\n")
-        return MalformedRow(f"{path}, line {line}: byte {raw[exc.start]:#04x} is not UTF-8")
-    return MalformedRow(f"{path}: not UTF-8")
+        return DataError(f"{path}, line {line}: byte {raw[exc.start]:#04x} is not UTF-8")
+    return DataError(f"{path}: not UTF-8")
 
 
 def _read_file(path: Path):
@@ -173,7 +163,7 @@ def _read_file(path: Path):
             width, (si, di, ti, bi, li) = _header_index(reader, path)
             rows = [row for row in reader if row]
         except csv.Error as exc:  # e.g. a field over csv's size limit
-            raise MalformedRow(f"{path}, line {reader.line_num}: {exc}") from None
+            raise DataError(f"{path}, line {reader.line_num}: {exc}") from None
         except UnicodeDecodeError:
             raise _not_utf8(path) from None
     n = len(rows)
@@ -200,9 +190,7 @@ def _collapse_duplicates(subject: str, t, bpm, labels, starts) -> np.ndarray:
     for j in np.flatnonzero(ends - starts > 1):
         a, b = int(starts[j]), int(ends[j])
         if (labels[a:b] != labels[a]).any():
-            raise NonMonotonicTimestamps(
-                f"subject {subject!r}: conflicting labels at t={float(t[a])}"
-            )
+            raise DataError(f"subject {subject!r}: conflicting labels at t={float(t[a])}")
         out[j] = sum(values[a:b]) / (b - a)
     return out
 
@@ -215,13 +203,13 @@ def parse_corpus(path: str | Path,
     unless it is None, sorted by timestamp (stable, so equal timestamps keep
     file and row order) and shifted so each series starts at t=0. Rows sharing a
     timestamp are collapsed to their mean bpm; conflicting labels at an
-    equal timestamp raise NonMonotonicTimestamps. Every row is checked,
+    equal timestamp raise a DataError. Every row is checked,
     including rows of filtered-out devices.
     """
     path = Path(path)
     files = sorted(path.glob("*.csv")) if path.is_dir() else [path]
     if not files:
-        raise EmptySeries(f"no CSV files under {path}")
+        raise DataError(f"no CSV files under {path}")
 
     keys: dict[tuple[str, str], int] = {}
     codes, ts, bpms, labels = [], [], [], []
@@ -286,12 +274,10 @@ def resample_uniform(
     label of the nearest original sample (ties go to the earlier one). Raw
     gaps longer than ``GAP_PERIOD_FACTOR * period_s`` are forward-filled instead of
     interpolated and reported as GapRecords. A grid of more than
-    ``MAX_GRID_POINTS`` points raises InvalidResamplePeriod.
+    ``MAX_GRID_POINTS`` points raises a DataError.
     """
-    if len(series) == 0:
-        raise EmptySeries(series.subject_id)
     if not (period_s > 0 and math.isfinite(period_s)):
-        raise InvalidResamplePeriod(
+        raise DataError(
             f"resample period must be a finite positive number of seconds, got {period_s!r}"
         )
     t = series.timestamps
@@ -301,7 +287,7 @@ def resample_uniform(
     span = float(t[-1] - t[0])
     count = np.floor(span / period_s + 1e-9) + 1.0  # a float, so no int is ever too large
     if not count <= MAX_GRID_POINTS:
-        raise InvalidResamplePeriod(
+        raise DataError(
             f"subject {series.subject_id!r}: resampling a span of {span!r} s at a period of "
             f"{period_s!r} s needs {count:.4g} grid points, more than {MAX_GRID_POINTS}")
     n = int(count)

@@ -8,7 +8,7 @@ from pathlib import Path
 import numpy as np
 
 from .artifacts import write_csv, write_json
-from .errors import DimensionMismatch, EmptyDataset
+from .errors import DataError
 from .series import LABEL_NAMES, N_CLASSES
 
 
@@ -17,9 +17,9 @@ def confusion_matrix(true_labels, predicted, n_classes: int = N_CLASSES) -> np.n
     t = np.asarray(true_labels, dtype=np.int64)
     p = np.asarray(predicted, dtype=np.int64)
     if t.shape != p.shape:
-        raise DimensionMismatch("true and predicted labels differ in length")
+        raise DataError("true and predicted labels differ in length")
     if t.size and (t.min() < 0 or t.max() >= n_classes or p.min() < 0 or p.max() >= n_classes):
-        raise DimensionMismatch("label outside [0, n_classes)")
+        raise DataError("label outside [0, n_classes)")
     cm = np.zeros((n_classes, n_classes), dtype=np.int64)
     np.add.at(cm, (t, p), 1)
     return cm
@@ -28,7 +28,7 @@ def confusion_matrix(true_labels, predicted, n_classes: int = N_CLASSES) -> np.n
 def accuracy(cm: np.ndarray) -> float:
     total = int(cm.sum())
     if total == 0:
-        raise EmptyDataset("empty confusion matrix")
+        raise DataError("empty confusion matrix")
     return float(np.trace(cm) / total)
 
 
@@ -37,7 +37,7 @@ def balanced_accuracy(cm: np.ndarray) -> float:
     support = cm.sum(axis=1)
     present = support > 0
     if not present.any():
-        raise EmptyDataset("empty confusion matrix")
+        raise DataError("empty confusion matrix")
     recalls = np.diag(cm)[present] / support[present]
     return float(recalls.mean())
 

@@ -24,7 +24,7 @@ from pathlib import Path
 import numpy as np
 
 from .artifacts import write_json
-from .errors import EmptyDataset, InvalidConfig, InternalError, ShapeMismatch, UnknownLabel
+from .errors import ConfigError, DataError, InternalError
 from .series import N_CLASSES
 
 CONV_CHANNELS = 16
@@ -56,16 +56,16 @@ class NetConfig:
 
     def __post_init__(self):
         if self.window_size < CONV_KERNEL:
-            raise InvalidConfig("window_size must be >= conv kernel size")
+            raise ConfigError("window_size must be >= conv kernel size")
         if self.hc_dim < 0:
-            raise InvalidConfig("hc_dim must be >= 0")
+            raise ConfigError("hc_dim must be >= 0")
         for name in ("epochs", "batch_size"):
             if getattr(self, name) < 1:
-                raise InvalidConfig(f"{name} must be positive")
+                raise ConfigError(f"{name} must be positive")
         if not 0.0 <= self.dropout_p < 1.0:
-            raise InvalidConfig("dropout_p must be in [0, 1)")
+            raise ConfigError("dropout_p must be in [0, 1)")
         if self.learning_rate <= 0:
-            raise InvalidConfig("learning_rate must be positive")
+            raise ConfigError("learning_rate must be positive")
 
 
 def flatten_dim(arch: ArchitectureId, cfg: NetConfig) -> int:
@@ -108,9 +108,9 @@ def build(arch: ArchitectureId, cfg: NetConfig) -> NetModel:
     # Model2 with hc_dim 0 degenerates to Baseline, which is a documented
     # equivalence; the branching models need a non-empty vector to fuse.
     if arch in (ArchitectureId.MODEL1, ArchitectureId.MODEL3) and cfg.hc_dim == 0:
-        raise InvalidConfig(f"{arch.value} needs hc_dim > 0")
+        raise ConfigError(f"{arch.value} needs hc_dim > 0")
     if flatten_dim(arch, cfg) <= 0:
-        raise InvalidConfig("conv output too short to pool and flatten")
+        raise ConfigError("conv output too short to pool and flatten")
 
     rng = np.random.default_rng(np.random.SeedSequence(entropy=(int(cfg.seed), 0)))
     params: dict[str, np.ndarray] = {}
@@ -133,18 +133,14 @@ def _check_batch(model: NetModel, windows, hc):
     windows = np.atleast_2d(np.asarray(windows, dtype=np.float64))
     cfg = model.config
     if windows.ndim != 2 or windows.shape[1] != cfg.window_size:
-        raise ShapeMismatch(
-            f"window batch must be (n, {cfg.window_size}), got {windows.shape}"
-        )
+        raise DataError(f"window batch must be (n, {cfg.window_size}), got {windows.shape}")
     if cfg.hc_dim == 0:
         hc = np.zeros((windows.shape[0], 0))
     else:
         hc = np.atleast_2d(np.asarray(hc, dtype=np.float64))
         if hc.shape != (windows.shape[0], cfg.hc_dim):
-            raise ShapeMismatch(
-                f"handcrafted batch must be ({windows.shape[0]}, {cfg.hc_dim}), "
-                f"got {hc.shape}"
-            )
+            raise DataError(f"handcrafted batch must be ({windows.shape[0]}, {cfg.hc_dim}), "
+                            f"got {hc.shape}")
     return windows, hc
 
 
@@ -323,11 +319,11 @@ def train(model: NetModel, windows, hc, labels) -> NetModel:
     labels = np.asarray(labels, dtype=np.int64)
     n = windows.shape[0]
     if n == 0:
-        raise EmptyDataset("no training samples")
+        raise DataError("no training samples")
     if labels.shape != (n,):
-        raise ShapeMismatch("labels must be one per sample")
+        raise DataError("labels must be one per sample")
     if labels.min() < 0 or labels.max() >= N_CLASSES:
-        raise UnknownLabel("label outside [0, N_CLASSES)")
+        raise DataError("labels must lie in [0, N_CLASSES)")
 
     cols = _im2col(model, windows, hc)
     theta = np.concatenate([arr.reshape(-1) for arr in model.params.values()])

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
-from .errors import DegenerateSeries, DimensionMismatch, InvalidConfig, NonUniformSeries
+from .errors import ConfigError, DataError
 from .series import N_CLASSES, SubjectSeries
 
 EPSILON = 1e-12
@@ -31,9 +31,9 @@ class WindowConfig:
 
     def __post_init__(self):
         if self.window_size < 2:
-            raise InvalidConfig("window_size must be >= 2")
+            raise ConfigError("window_size must be >= 2")
         if self.stride < 1:
-            raise InvalidConfig("stride must be >= 1")
+            raise ConfigError("stride must be >= 1")
 
 
 class StandardizationMode(enum.Enum):
@@ -78,7 +78,7 @@ def _check_uniform(series: SubjectSeries) -> None:
     off = np.flatnonzero(np.abs(steps - median) > UNIFORM_TOLERANCE * median)
     if off.size:
         i = int(off[0]) + 1
-        raise NonUniformSeries(
+        raise DataError(
             f"subject {series.subject_id!r}: sample {i} (t={float(series.timestamps[i])}) "
             f"comes {float(steps[i - 1])} s after the one before it, against a median "
             f"step of {float(median)} s; set corpus.resample_period_s to resample"
@@ -106,7 +106,7 @@ def segment(series: SubjectSeries, cfg: WindowConfig) -> Segments:
     yields no windows. The window label is the majority of its per-sample
     labels, ties broken by the label of the window's last sample (or, when
     that label is not among the tied ones, by the lowest tied label). A
-    non-uniform series raises NonUniformSeries.
+    non-uniform series raises a DataError.
     """
     _check_uniform(series)
     w, s = cfg.window_size, cfg.stride
@@ -131,10 +131,10 @@ def standardize_series(series: SubjectSeries) -> SubjectSeries:
     timestamps are unchanged.
     """
     if len(series) < 2:
-        raise DegenerateSeries(f"{series.subject_id}: need at least 2 samples")
+        raise DataError(f"{series.subject_id}: need at least 2 samples")
     mean, std = subject_stats(series)
     if std < EPSILON:
-        raise DegenerateSeries(f"{series.subject_id}: constant series")
+        raise DataError(f"{series.subject_id}: constant series")
     return series.with_bpm((series.bpm - mean) / std)
 
 
@@ -150,7 +150,7 @@ class Scaler:
         mean = np.ascontiguousarray(self.mean, dtype=np.float64)
         std = np.ascontiguousarray(self.std, dtype=np.float64)
         if mean.shape != std.shape or mean.ndim != 1:
-            raise DimensionMismatch("scaler mean/std must be equal-length vectors")
+            raise DataError("scaler mean/std must be equal-length vectors")
         std = np.where(std < EPSILON, 1.0, std)  # constant dims pass through
         for name, arr in (("mean", mean), ("std", std)):
             arr.flags.writeable = False
@@ -161,7 +161,7 @@ def fit_scaler(train_vectors: np.ndarray | list) -> Scaler:
     """Fit per-dimension mean/std from training vectors only."""
     mat = np.asarray(train_vectors, dtype=np.float64)
     if mat.ndim != 2 or mat.shape[0] == 0:
-        raise DimensionMismatch("expected a non-empty (n, d) training matrix")
+        raise DataError("expected a non-empty (n, d) training matrix")
     mean = mat.mean(axis=0)
     std = mat.std(axis=0, ddof=1) if mat.shape[0] > 1 else np.zeros(mat.shape[1])
     return Scaler(mean=mean, std=std)
@@ -171,7 +171,5 @@ def apply_scaler(scaler: Scaler, vectors: np.ndarray | list) -> np.ndarray:
     """Standardize an (n, d) matrix with a fitted scaler."""
     arr = np.asarray(vectors, dtype=np.float64)
     if arr.ndim != 2 or arr.shape[1] != scaler.mean.shape[0]:
-        raise DimensionMismatch(
-            f"expected an (n, {scaler.mean.shape[0]}) matrix, got shape {arr.shape}"
-        )
+        raise DataError(f"expected an (n, {scaler.mean.shape[0]}) matrix, got shape {arr.shape}")
     return (arr - scaler.mean) / scaler.std

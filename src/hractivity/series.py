@@ -87,6 +87,4 @@ def parse_label(text: str) -> ActivityLabel:
     try:
         return ActivityLabel[text]
     except KeyError:
-        from .errors import UnknownLabel
-
-        raise UnknownLabel(text) from None
+        raise DataError(f"unknown activity label {text!r}") from None

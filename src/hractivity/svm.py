@@ -22,13 +22,7 @@ from pathlib import Path
 import numpy as np
 
 from .artifacts import write_json
-from .errors import (
-    DimensionMismatch,
-    GramTooLarge,
-    InvalidConfig,
-    NonFiniteFeature,
-    SingleClassInput,
-)
+from .errors import ConfigError, DataError, GramTooLarge
 
 ALPHA_KEEP = 1e-12  # multipliers at or below this are dropped from the model
 TAU = 1e-12  # curvature used for pairs with a non-positive a_ij (LIBSVM's TAU)
@@ -63,7 +57,7 @@ class KernelSpec:
         if self.kind is KernelKind.LINEAR:
             return a @ b.T
         if self.gamma is None or not np.isfinite(self.gamma) or self.gamma <= 0:
-            raise InvalidConfig("rbf kernel requires a positive resolved gamma")
+            raise ConfigError("rbf kernel requires a positive resolved gamma")
         # exp(-gamma * max(|a|^2 + |b|^2 - 2 a.b, 0)) in two n x m buffers, each
         # step the same IEEE operation on the same operands as the expression
         # written out: doubling is exact and -gamma * m equals m * -gamma.
@@ -91,9 +85,8 @@ class BinarySvm:
     def decision(self, x) -> np.ndarray:
         mat = np.atleast_2d(np.asarray(x, dtype=np.float64))
         if mat.shape[1] != self.support_vectors.shape[1]:
-            raise DimensionMismatch(
-                f"expected dimension {self.support_vectors.shape[1]}, got {mat.shape[1]}"
-            )
+            raise DataError(f"expected dimension {self.support_vectors.shape[1]}, "
+                            f"got {mat.shape[1]}")
         if self.support_vectors.shape[0] == 0:
             return np.full(mat.shape[0], self.bias)
         return self.kernel.matrix(mat, self.support_vectors) @ self.coef + self.bias
@@ -116,16 +109,16 @@ def train_binary(
     x = np.ascontiguousarray(x, dtype=np.float64)
     y = np.asarray(y, dtype=np.float64)
     if x.ndim != 2 or x.shape[0] != y.shape[0]:
-        raise DimensionMismatch("x must be (n, d) with matching labels")
+        raise DataError("x must be (n, d) with matching labels")
     if not np.isfinite(x).all():
-        raise NonFiniteFeature("non-finite training feature")
+        raise DataError("non-finite training feature")
     pos = y == 1.0
     if not (pos | (y == -1.0)).all():
-        raise SingleClassInput("labels must be -1/+1")
+        raise DataError("labels must be -1/+1")
     if pos.all() or not pos.any():
-        raise SingleClassInput("need both classes to train")
+        raise DataError("need both classes to train")
     if c <= 0:
-        raise InvalidConfig("C must be positive")
+        raise ConfigError("C must be positive")
     n = x.shape[0]
     if n * n > MAX_GRAM_ENTRIES:
         raise GramTooLarge(f"an SVM machine on {n} rows needs a {n} x {n} Gram matrix, "
@@ -201,21 +194,17 @@ def train_binary(
 
     # Threshold from the final multipliers: the mean over free ones, or the
     # middle of the feasible interval when every multiplier sits at a bound.
-    g = (alpha * y) @ gram
+    r = y - (alpha * y) @ gram
     bias = 0.0
     eps_b = 1e-10 * max(1.0, c)
     free = (alpha > eps_b) & (alpha < c - eps_b)
     if np.any(free):
-        bias = float(np.mean(y[free] - g[free]))
+        bias = float(np.mean(r[free]))
     else:
         at_zero = alpha <= eps_b
         at_c = alpha >= c - eps_b
-        lows = np.concatenate(
-            [(1.0 - g)[at_zero & (y > 0)], (-1.0 - g)[at_c & (y < 0)]]
-        )
-        highs = np.concatenate(
-            [(1.0 - g)[at_c & (y > 0)], (-1.0 - g)[at_zero & (y < 0)]]
-        )
+        lows = r[np.where(y > 0, at_zero, at_c)]
+        highs = r[np.where(y > 0, at_c, at_zero)]
         if lows.size and highs.size:
             bias = float((lows.max() + highs.min()) / 2.0)
         elif lows.size:
@@ -257,7 +246,7 @@ def train_ovo(
     y = np.asarray(y, dtype=np.int64)
     classes = tuple(int(v) for v in np.unique(y))
     if len(classes) < 2:
-        raise SingleClassInput("need at least two classes")
+        raise DataError("need at least two classes")
     kernel = kernel.resolve(x)  # shared gamma across all machines
     machines = {}
     for a, b in combinations(classes, 2):

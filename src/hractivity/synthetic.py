@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import InvalidSpec
+from .errors import ConfigError
 from .series import N_CLASSES, SubjectSeries
 
 #: Protocol segment durations in seconds: Rest, Breathe, Activity, RestAC, Type.
@@ -59,33 +59,33 @@ class SyntheticCohortSpec:
 
     def validate(self) -> None:
         if self.n_subjects < 1 or self.n_groups < 1:
-            raise InvalidSpec("n_subjects and n_groups must be positive")
+            raise ConfigError("n_subjects and n_groups must be positive")
         if self.n_groups > self.n_subjects:
-            raise InvalidSpec("n_groups must not exceed n_subjects")
+            raise ConfigError("n_groups must not exceed n_subjects")
         if self.seed < 0 or self.seed > 2**64 - 1:
-            raise InvalidSpec("seed must fit in 64 unsigned bits")
+            raise ConfigError("seed must fit in 64 unsigned bits")
         if not self.period_s > 0:
-            raise InvalidSpec("period_s must be positive")
+            raise ConfigError("period_s must be positive")
         if len(self.segment_durations_s) != N_CLASSES:
-            raise InvalidSpec("exactly five segment durations required")
+            raise ConfigError("exactly five segment durations required")
         if not all(0 < d < math.inf for d in self.segment_durations_s):
-            raise InvalidSpec("segment durations must be finite and positive")
+            raise ConfigError("segment durations must be finite and positive")
         per_subject = sum(self.segment_durations_s) / self.period_s
         if per_subject < 1:
-            raise InvalidSpec("period longer than the whole protocol")
+            raise ConfigError("period longer than the whole protocol")
         if not (self.n_subjects <= MAX_SAMPLES and self.n_subjects * per_subject <= MAX_SAMPLES):
-            raise InvalidSpec(f"{self.n_subjects} subjects x {per_subject:.6g} samples exceed "
+            raise ConfigError(f"{self.n_subjects} subjects x {per_subject:.6g} samples exceed "
                               f"MAX_SAMPLES = {MAX_SAMPLES}")
         if not 0 <= self.noise_ar_coeff < 1:
-            raise InvalidSpec("noise_ar_coeff must lie in [0, 1)")
+            raise ConfigError("noise_ar_coeff must lie in [0, 1)")
         for name in ("noise_std", "lag_tau_s"):
             if not 0 <= getattr(self, name) < math.inf:
-                raise InvalidSpec(f"{name} must be finite and non-negative")
+                raise ConfigError(f"{name} must be finite and non-negative")
         if self.group_offset_profiles is not None:
             if len(self.group_offset_profiles) != self.n_groups:
-                raise InvalidSpec("one offset profile per group required")
+                raise ConfigError("one offset profile per group required")
             if any(len(p) != N_CLASSES for p in self.group_offset_profiles):
-                raise InvalidSpec("offset profiles must have five entries")
+                raise ConfigError("offset profiles must have five entries")
 
     def profiles(self) -> tuple[tuple[float, ...], ...]:
         if self.group_offset_profiles is not None:

@@ -23,13 +23,7 @@ from hractivity.clustering import (
     fit_cluster_model,
     window_space_matrix,
 )
-from hractivity.errors import (
-    EmptyDataset,
-    InvalidConfig,
-    MissingActivity,
-    ShapeMismatch,
-    UnknownLabel,
-)
+from hractivity.errors import ConfigError, DataError
 from hractivity.evaluation import RoutingMode, fit_classifier
 from hractivity.metrics import FoldRecord, accuracy, balanced_accuracy, confusion_matrix
 from hractivity.neuralnet import (
@@ -162,7 +156,7 @@ def kkt_violation(model: BinarySvm, x, y, tol_bound: float = 1e-9) -> float:
     v means some margin condition is off by v (0 for a perfect KKT point).
     """
     if model.alpha is None:
-        raise InvalidConfig("model carries no training multipliers")
+        raise ConfigError("model carries no training multipliers")
     x = np.asarray(x, dtype=np.float64)
     y = np.asarray(y, dtype=np.float64)
     margins = y * model.decision(x)
@@ -549,11 +543,11 @@ def net_train_blas_reference(model: NetModel, windows, hc, labels) -> NetModel:
     labels = np.asarray(labels, dtype=np.int64)
     n = windows.shape[0]
     if n == 0:
-        raise EmptyDataset("no training samples")
+        raise DataError("no training samples")
     if labels.shape != (n,):
-        raise ShapeMismatch("labels must be one per sample")
+        raise DataError("labels must be one per sample")
     if labels.min() < 0 or labels.max() >= N_CLASSES:
-        raise UnknownLabel("label outside [0, N_CLASSES)")
+        raise DataError("labels must lie in [0, N_CLASSES)")
 
     cols = _im2col(model, windows, hc)
     names = list(model.params)
@@ -847,15 +841,15 @@ def _reference_timestamp(text, mode):
         except ValueError:
             if mode == "epoch":
                 raise ReferenceRowError(
-                    "TimestampFormatError", f"mixed timestamp formats near {text!r}") from None
+                    "DataError", f"mixed timestamp formats near {text!r}") from None
         else:
             if not math.isfinite(t):
-                raise ReferenceRowError("TimestampFormatError", f"non-finite timestamp {text!r}")
+                raise ReferenceRowError("DataError", f"non-finite timestamp {text!r}")
             return t, "epoch"
     try:
         stamp = dt.datetime.fromisoformat(text.replace("Z", "+00:00"))
     except ValueError:
-        raise ReferenceRowError("TimestampFormatError", f"cannot parse timestamp {text!r}") from None
+        raise ReferenceRowError("DataError", f"cannot parse timestamp {text!r}") from None
     if stamp.tzinfo is None:
         stamp = stamp.replace(tzinfo=dt.timezone.utc)
     return stamp.timestamp(), "iso"
@@ -878,25 +872,25 @@ def parse_corpus_reference(path, columns=("subject_id", "device", "timestamp", "
             header = reader.fieldnames or []
             for col in columns:
                 if col not in header:
-                    raise ReferenceRowError("MissingColumn", f"missing column {col!r} in {f}")
+                    raise ReferenceRowError("DataError", f"missing column {col!r} in {f}")
             mode = ""
             for row in reader:
                 try:
                     if None in row.values():
                         raise ReferenceRowError(
-                            "MalformedRow", f"row has fewer than {len(header)} cells")
+                            "DataError", f"row has fewer than {len(header)} cells")
                     t, mode = _reference_timestamp(row[ts_col], mode)
                     try:
                         bpm = float(row[bpm_col])
                     except ValueError:
                         raise ReferenceRowError(
-                            "MalformedRow", f"bpm {row[bpm_col]!r} is not a number") from None
+                            "DataError", f"bpm {row[bpm_col]!r} is not a number") from None
                     if not 20.0 < bpm < 250.0:
                         raise ReferenceRowError(
-                            "OutOfRangeBpm", f"bpm {bpm} outside the accepted (20, 250) range")
+                            "DataError", f"bpm {bpm} outside the accepted (20, 250) range")
                     if row[label_col] not in _LABELS:
                         raise ReferenceRowError(
-                            "UnknownLabel", f"unknown activity label {row[label_col]!r}")
+                            "DataError", f"unknown activity label {row[label_col]!r}")
                 except ReferenceRowError as exc:
                     kind, message = exc.args
                     raise ReferenceRowError(kind, f"{f}, line {reader.line_num}: {message}") from None
@@ -916,7 +910,7 @@ def parse_corpus_reference(path, columns=("subject_id", "device", "timestamp", "
                 j += 1
             run = rows[i : j + 1]
             if len({r[2] for r in run}) > 1:
-                raise ReferenceRowError("NonMonotonicTimestamps",
+                raise ReferenceRowError("DataError",
                                         f"subject {subject!r}: conflicting labels at t={rows[i][0]}")
             ts.append(rows[i][0])
             bpms.append(sum(r[1] for r in run) / len(run))
@@ -976,7 +970,7 @@ def subject_summaries_reference(values, labels, subjects, space, vectors=None):
         for i, subject in enumerate(ids):
             for a in range(N_CLASSES):
                 if counts[i, a] == 0:
-                    raise MissingActivity(subject, ActivityLabel(a).name)
+                    raise DataError(f"subject {subject!r} has no {ActivityLabel(a).name} windows")
         return ids, sums / counts
     order = np.argsort(codes, kind="stable")
     per_subject = np.split(order, np.cumsum(np.bincount(codes, minlength=len(ids)))[:-1])

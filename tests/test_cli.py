@@ -568,6 +568,15 @@ seed = 9
     ("eval", "[features]\nkind = base_mfcc\nn_mel_bands = 257\n",
      ("features.n_mel_bands = 257", "MAX_MEL_BANDS = 256")),
     ("ingest", "[corpus]\nsource =\n", ("corpus.source is empty",)),
+    ("eval", "[features]\nkind = none\n[model]\ninputs = both\n",
+     ("model.inputs = both", "features.kind = none")),
+    ("eval", "[features]\nkind = none\n[model]\ninputs = features\n",
+     ("model.inputs = features", "features.kind = none")),
+    ("eval", "[features]\nkind = none\n[model]\nkind = net\narch = model1\n",
+     ("model.arch = model1", "features.kind = none")),
+    ("train", "[clustering]\nrouting = per_window\n", ("clustering.routing",)),
+    ("importance", "[split]\nkind = cross_cluster\n", ("split.kind = cross_cluster",)),
+    ("timeline", "[split]\nkind = cross_cluster\n", ("split.kind = cross_cluster",)),
 ], ids=["eval-routing-random_window", "sweep-routing", "sweep-within_cluster_loso",
         "sweep-cross_cluster", "eval-test_cluster-ge-k", "eval-train_cluster-ge-k",
         "eval-on_standardized_input", "cluster-on_standardized_input",
@@ -575,7 +584,10 @@ seed = 9
         "importance-repeats-lt-5", "eval-unknown-key", "eval-c-inf", "eval-tol-inf",
         "eval-gamma-inf", "eval-learning_rate-inf", "eval-noise_std-nan",
         "eval-lag_tau_s-negative", "eval-sample_period_s-nan", "eval-window_size-1",
-        "eval-n_mel_bands-4", "eval-n_mel_bands-257", "ingest-empty-source"])
+        "eval-n_mel_bands-4", "eval-n_mel_bands-257", "ingest-empty-source",
+        "eval-both-without-features", "eval-features-without-features",
+        "eval-model1-without-features", "train-routing", "importance-cross_cluster",
+        "timeline-cross_cluster"])
 def test_ignored_settings_are_refused(tiny_corpus, capsys, monkeypatch, command, extra, keys):
     ini, _, runs = tiny_corpus
     # merge section by section: the base file already has a [model] section

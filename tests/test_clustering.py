@@ -21,12 +21,7 @@ from hractivity.clustering import (
     window_space_matrix,
     write_cluster_report,
 )
-from hractivity.errors import (
-    DimensionMismatch,
-    MissingActivity,
-    NoWindows,
-    TooFewVectors,
-)
+from hractivity.errors import DataError, TooFewVectors
 from hractivity.evaluation import (
     ConstantPredictor,
     RoutingMode,
@@ -70,7 +65,7 @@ def test_build_profiles_constant_windows():
 
 def test_build_profiles_missing_activity():
     values, labels, subjects = five_activity_windows("A", [70.0] * 5)
-    with pytest.raises(MissingActivity):  # no Type window
+    with pytest.raises(DataError, match="^subject 'A' has no Type windows$"):
         build_profiles(values[:4], labels[:4], subjects[:4])
 
 
@@ -148,7 +143,7 @@ def test_assign_many_centroid_identity_and_ties():
     )
     assert assign_many(model, model.centroids).tolist() == [0, 1, 2]
     assert assign_many(model, [[2.0, 0.0]])[0] == 0  # equidistant 0/1: lowest wins
-    with pytest.raises(DimensionMismatch):
+    with pytest.raises(DataError, match="^vector dimension does not match centroids$"):
         assign_many(model, [[1.0, 2.0, 3.0]])
 
 

@@ -17,7 +17,7 @@ from oracles import (
 
 from hractivity import clustering, evaluation
 from hractivity.clustering import ClusterSpace, window_space_matrix
-from hractivity.errors import DimensionMismatch, EmptyCluster, NoWindows, TooFewVectors
+from hractivity.errors import ConfigError, DataError, TooFewVectors
 from hractivity.evaluation import (
     ConstantPredictor,
     NetSpec,
@@ -214,8 +214,16 @@ def test_cross_cluster_memorization_and_empty():
     assign = {"A": 0, "B": 0}
     rep = cross_cluster_eval(ds, assign, 0, 0, SvmSpec(inputs="windows"), seed=0)
     assert rep.balanced_accuracy == 1.0
-    with pytest.raises(EmptyCluster):
+    with pytest.raises(DataError, match="^test cluster 1 has no windows$"):
         cross_cluster_eval(ds, assign, 0, 1, SvmSpec(inputs="windows"), seed=0)
+
+
+def test_svm_reading_features_refuses_a_dataset_without_them():
+    ds = manual_dataset([(sid, np.linspace(0, 1, 12) + i, 2 * (i % 2))
+                         for i, sid in enumerate("ABAB")])
+    for inputs in ("features", "both"):
+        with pytest.raises(ConfigError, match=f"^svm on {inputs} requires a feature set$"):
+            SvmSpec(inputs=inputs).fit(ds, np.arange(len(ds)), ds.labels, seed=0)
 
 
 def test_within_cluster_loso_folds_and_singleton_warning():
@@ -294,7 +302,8 @@ def test_routed_eval_rejects_profile_space_and_big_k(monkeypatch):
     def no_fold(*args, **kwargs):
         raise AssertionError("a fold ran before the space was refused")
 
-    with monkeypatch.context() as patch, pytest.raises(DimensionMismatch):
+    refused = "^window vectors undefined for profile space$"
+    with monkeypatch.context() as patch, pytest.raises(DataError, match=refused):
         patch.setattr(evaluation, "fit_cluster_model", no_fold)
         routed_eval(ds, 2, RoutingMode.PER_WINDOW, ClusterSpace.MEAN_BPM_PROFILE,
                     SvmSpec(inputs="windows"), seed=0)
@@ -479,7 +488,7 @@ def test_timeline_memory_is_linear_in_series_length():
 
 
 def test_timeline_too_short():
-    with pytest.raises(NoWindows, match=r"window_size 50: the longest has 30 samples"):
+    with pytest.raises(DataError, match=r"window_size 50: the longest has 30 samples"):
         misclassification_timeline(FixedAnswers([0]), constant_series(n=30),
                                    WindowConfig(50, 10))
 
@@ -502,7 +511,8 @@ def test_transition_error_rates_windowing():
 
 
 def test_build_dataset_no_windows():
-    with pytest.raises(NoWindows):
+    with pytest.raises(DataError, match=r"^no series long enough for window_size 50: "
+                                        r"the longest has 30 samples$"):
         build_dataset([constant_series(n=30)], WindowConfig(50, 10))
 
 

@@ -13,7 +13,7 @@ from oracles import (
 )
 
 from hractivity import neuralnet
-from hractivity.errors import EmptyDataset, InvalidConfig, ShapeMismatch, UnknownLabel
+from hractivity.errors import ConfigError, DataError
 from hractivity.neuralnet import (
     ArchitectureId,
     _backward,
@@ -187,22 +187,22 @@ def test_save_load_bit_exact(tmp_path):
 
 
 def test_config_and_shape_errors():
-    with pytest.raises(InvalidConfig):
+    with pytest.raises(ConfigError, match="^window_size must be >= conv kernel size$"):
         NetConfig(window_size=4)
-    with pytest.raises(InvalidConfig):
+    with pytest.raises(ConfigError, match=r"^dropout_p must be in \[0, 1\)$"):
         NetConfig(window_size=50, dropout_p=1.0)
-    with pytest.raises(InvalidConfig):
+    with pytest.raises(ConfigError, match="^model1 needs hc_dim > 0$"):
         build(ArchitectureId.MODEL1, NetConfig(window_size=50, hc_dim=0))
-    with pytest.raises(InvalidConfig):
+    with pytest.raises(ConfigError, match="^model3 needs hc_dim > 0$"):
         build(ArchitectureId.MODEL3, NetConfig(window_size=50, hc_dim=0))
     model = build(ArchitectureId.MODEL1, NetConfig(window_size=50, hc_dim=3))
-    with pytest.raises(ShapeMismatch):
+    with pytest.raises(DataError, match=r"^window batch must be \(n, 50\), got \(2, 49\)$"):
         forward(model, np.zeros((2, 49)), np.zeros((2, 3)))
-    with pytest.raises(ShapeMismatch):
+    with pytest.raises(DataError, match=r"^handcrafted batch must be \(2, 3\), got \(2, 4\)$"):
         forward(model, np.zeros((2, 50)), np.zeros((2, 4)))
-    with pytest.raises(EmptyDataset):
+    with pytest.raises(DataError, match="^no training samples$"):
         train(model, np.zeros((0, 50)), np.zeros((0, 3)), np.zeros(0, dtype=int))
-    with pytest.raises(UnknownLabel):
+    with pytest.raises(DataError, match=r"^labels must lie in \[0, N_CLASSES\)$"):
         train(model, np.zeros((2, 50)), np.zeros((2, 3)), np.array([0, 5]))
 
 

@@ -17,13 +17,7 @@ from oracles import (
 )
 
 from hractivity import svm
-from hractivity.errors import (
-    DimensionMismatch,
-    GramTooLarge,
-    InvalidConfig,
-    NonFiniteFeature,
-    SingleClassInput,
-)
+from hractivity.errors import ConfigError, DataError, GramTooLarge
 from hractivity.evaluation import build_dataset
 from hractivity.features import FeatureSetKind
 from hractivity.preprocess import StandardizationMode, WindowConfig, apply_scaler, fit_scaler
@@ -175,14 +169,14 @@ def test_gamma_default_resolution():
 
 
 def test_input_validation():
-    with pytest.raises(SingleClassInput):
+    with pytest.raises(DataError, match="^need both classes to train$"):
         train_binary(np.zeros((3, 1)), np.ones(3), LINEAR)
-    with pytest.raises(SingleClassInput):
+    with pytest.raises(DataError, match="^labels must be -1/[+]1$"):
         train_binary(np.zeros((3, 1)), np.array([1.0, 2.0, -1.0]), LINEAR)
-    with pytest.raises(NonFiniteFeature):
+    with pytest.raises(DataError, match="^non-finite training feature$"):
         train_binary(np.array([[np.nan], [1.0]]), np.array([1.0, -1.0]), LINEAR)
     model = train_binary(np.array([[-1.0], [1.0]]), np.array([-1.0, 1.0]), LINEAR)
-    with pytest.raises(DimensionMismatch):
+    with pytest.raises(DataError, match="^expected dimension 1, got 3$"):
         model.decision(np.zeros((2, 3)))
 
 
@@ -390,6 +384,26 @@ def test_matches_reference_solver_one_vs_many():
                                 train_binary_reference(x, labels, c=c))
 
 
+@pytest.mark.parametrize("c", [0.01, 1e-12])
+def test_bias_from_bounded_multipliers_matches_reference(c):
+    # No free multiplier, some at 0 and some at c: the bias is the middle of
+    # the bounds' interval. At c = 1e-12 every multiplier counts as both.
+    rng = np.random.default_rng(59)
+    reached = 0
+    for trial in range(10):
+        n = int(rng.integers(6, 31))
+        x = rng.normal(size=(n, int(rng.integers(1, 4))))
+        y = random_labels(rng, n)
+        model, ref = train_binary(x, y, LINEAR, c), train_binary_reference(x, y, LINEAR, c)
+        assert_same_fit(model, ref)
+        assert np.float64(model.bias).tobytes() == np.float64(ref.bias).tobytes()
+        eps_b = 1e-10 * max(1.0, c)
+        a = model.alpha
+        reached += bool(not ((a > eps_b) & (a < c - eps_b)).any()
+                        and (a <= eps_b).any() and (a >= c - eps_b).any())
+    assert reached >= 3, reached
+
+
 @pytest.mark.parametrize("cap", [1, 3])
 def test_matches_reference_solver_under_iteration_cap(monkeypatch, cap):
     rng = np.random.default_rng(53)
@@ -475,21 +489,21 @@ def test_ovo_looks_up_train_binary_and_kernel_matrix_per_call(monkeypatch):
 
 @pytest.mark.parametrize("x,y,c,error,message", [
     (np.zeros((3, 2)), np.array([0.0, 1.0, 1.0]), 1.0,
-     SingleClassInput, "labels must be -1/+1"),
-    (np.zeros((2, 2)), np.array([2.0, 2.0]), 1.0, SingleClassInput, "labels must be -1/+1"),
+     DataError, "labels must be -1/+1"),
+    (np.zeros((2, 2)), np.array([2.0, 2.0]), 1.0, DataError, "labels must be -1/+1"),
     (np.zeros((3, 2)), np.array([-2.0, 1.0, 1.0]), 1.0,
-     SingleClassInput, "labels must be -1/+1"),
+     DataError, "labels must be -1/+1"),
     (np.zeros((3, 2)), np.array([1.0, np.nan, -1.0]), 1.0,
-     SingleClassInput, "labels must be -1/+1"),
-    (np.zeros((3, 2)), np.ones(3), 1.0, SingleClassInput, "need both classes to train"),
-    (np.zeros((3, 2)), -np.ones(3), 1.0, SingleClassInput, "need both classes to train"),
-    (np.zeros((0, 2)), np.zeros(0), 1.0, SingleClassInput, "need both classes to train"),
-    (np.eye(2), np.array([1.0, -1.0]), 0.0, InvalidConfig, "C must be positive"),
-    (np.eye(2), np.array([1.0, -1.0]), -1.0, InvalidConfig, "C must be positive"),
+     DataError, "labels must be -1/+1"),
+    (np.zeros((3, 2)), np.ones(3), 1.0, DataError, "need both classes to train"),
+    (np.zeros((3, 2)), -np.ones(3), 1.0, DataError, "need both classes to train"),
+    (np.zeros((0, 2)), np.zeros(0), 1.0, DataError, "need both classes to train"),
+    (np.eye(2), np.array([1.0, -1.0]), 0.0, ConfigError, "C must be positive"),
+    (np.eye(2), np.array([1.0, -1.0]), -1.0, ConfigError, "C must be positive"),
     (np.array([[1.0, np.inf], [0.0, 1.0]]), np.array([1.0, -1.0]), 1.0,
-     NonFiniteFeature, "non-finite training feature"),
+     DataError, "non-finite training feature"),
     (np.array([[1.0, 0.0], [np.nan, 1.0]]), np.array([1.0, -1.0]), 1.0,
-     NonFiniteFeature, "non-finite training feature"),
+     DataError, "non-finite training feature"),
 ], ids=["labels-0-1", "labels-2-2", "labels-minus2-1", "label-nan", "all-positive",
         "all-negative", "empty", "c-zero", "c-negative", "x-inf", "x-nan"])
 def test_train_binary_refusals(x, y, c, error, message):

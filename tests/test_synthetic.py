@@ -1,10 +1,12 @@
 """Synthetic cohort generator: determinism, degenerate cases, separation."""
 
+import re
+
 import numpy as np
 import pytest
 
 from hractivity import synthetic
-from hractivity.errors import InvalidSpec
+from hractivity.errors import ConfigError
 from hractivity.synthetic import (
     DEFAULT_SEGMENT_DURATIONS,
     SyntheticCohortSpec,
@@ -77,27 +79,36 @@ def test_default_profiles_shape():
     assert profiles[3][2] - profiles[3][0] > profiles[0][2] - profiles[0][0]
 
 
-@pytest.mark.parametrize(
-    "kwargs",
-    [
-        dict(n_subjects=0, n_groups=1),
-        dict(n_subjects=2, n_groups=3),
-        dict(n_subjects=2, n_groups=1, period_s=0.0),
-        dict(n_subjects=2, n_groups=1, segment_durations_s=(240.0, 60.0)),
-        dict(n_subjects=2, n_groups=1, segment_durations_s=(240.0, 60.0, -1.0, 120.0, 60.0)),
-        dict(n_subjects=2, n_groups=1, segment_durations_s=(240.0, 60.0, float("nan"), 120.0, 60.0)),
-        dict(n_subjects=2, n_groups=1, noise_ar_coeff=1.0),
-        dict(n_subjects=2, n_groups=1, noise_std=-0.5),
-        dict(n_subjects=2, n_groups=1, noise_std=float("nan")),
-        dict(n_subjects=2, n_groups=1, period_s=float("nan")),
-        dict(n_subjects=2, n_groups=1, lag_tau_s=-5.0),
-        dict(n_subjects=2, n_groups=1, lag_tau_s=float("nan")),
-        dict(n_subjects=2, n_groups=2, group_offset_profiles=((0.0,) * 5,)),
-        dict(n_subjects=2, n_groups=1, group_offset_profiles=((0.0,) * 4,)),
-    ],
-)
-def test_invalid_specs_rejected(kwargs):
-    with pytest.raises(InvalidSpec):
+INVALID_SPECS = [
+    (dict(n_subjects=0, n_groups=1), "n_subjects and n_groups must be positive"),
+    (dict(n_subjects=2, n_groups=3), "n_groups must not exceed n_subjects"),
+    (dict(n_subjects=2, n_groups=1, period_s=0.0), "period_s must be positive"),
+    (dict(n_subjects=2, n_groups=1, segment_durations_s=(240.0, 60.0)),
+     "exactly five segment durations required"),
+    (dict(n_subjects=2, n_groups=1, segment_durations_s=(240.0, 60.0, -1.0, 120.0, 60.0)),
+     "segment durations must be finite and positive"),
+    (dict(n_subjects=2, n_groups=1,
+          segment_durations_s=(240.0, 60.0, float("nan"), 120.0, 60.0)),
+     "segment durations must be finite and positive"),
+    (dict(n_subjects=2, n_groups=1, noise_ar_coeff=1.0), "noise_ar_coeff must lie in [0, 1)"),
+    (dict(n_subjects=2, n_groups=1, noise_std=-0.5), "noise_std must be finite and non-negative"),
+    (dict(n_subjects=2, n_groups=1, noise_std=float("nan")),
+     "noise_std must be finite and non-negative"),
+    (dict(n_subjects=2, n_groups=1, period_s=float("nan")), "period_s must be positive"),
+    (dict(n_subjects=2, n_groups=1, lag_tau_s=-5.0), "lag_tau_s must be finite and non-negative"),
+    (dict(n_subjects=2, n_groups=1, lag_tau_s=float("nan")),
+     "lag_tau_s must be finite and non-negative"),
+    (dict(n_subjects=2, n_groups=2, group_offset_profiles=((0.0,) * 5,)),
+     "one offset profile per group required"),
+    (dict(n_subjects=2, n_groups=1, group_offset_profiles=((0.0,) * 4,)),
+     "offset profiles must have five entries"),
+]
+
+
+@pytest.mark.parametrize("kwargs,message", INVALID_SPECS,
+                         ids=[f"kwargs{i}" for i in range(len(INVALID_SPECS))])
+def test_invalid_specs_rejected(kwargs, message):
+    with pytest.raises(ConfigError, match=f"^{re.escape(message)}$"):
         generate_synthetic(SyntheticCohortSpec(seed=1, **kwargs))
 
 
@@ -111,7 +122,7 @@ def test_cohort_over_the_sample_bound_is_refused_before_any_array(monkeypatch, k
         raise AssertionError("an array was allocated before the bound was checked")
 
     monkeypatch.setattr(synthetic.np, "arange", no_arrays)
-    with pytest.raises(InvalidSpec, match="MAX_SAMPLES"):
+    with pytest.raises(ConfigError, match="MAX_SAMPLES"):
         generate_synthetic(SyntheticCohortSpec(seed=1, **kwargs))
 
 
@@ -120,7 +131,7 @@ def test_sample_bound_is_inclusive(monkeypatch):
     monkeypatch.setattr(synthetic, "MAX_SAMPLES", 3 * per_subject)
     corpus, _ = generate_synthetic(SyntheticCohortSpec(n_subjects=3, n_groups=1, seed=1))
     assert sum(len(s.bpm) for s in corpus) == synthetic.MAX_SAMPLES
-    with pytest.raises(InvalidSpec, match=f"4 subjects x {per_subject} samples"):
+    with pytest.raises(ConfigError, match=f"4 subjects x {per_subject} samples"):
         generate_synthetic(SyntheticCohortSpec(n_subjects=4, n_groups=1, seed=1))
 
 
