@@ -80,8 +80,8 @@ def _build_dataset(cfg, series):
                          cfg.feature_kind, cfgmod.mfcc_config(cfg))
 
 
-def _fit_on_all(cfg, ds, seed):
-    return fit_classifier(cfgmod.model_spec(cfg), ds, np.arange(len(ds)), seed)
+def _fit_on_all(cfg, ds):
+    return fit_classifier(cfgmod.model_spec(cfg), ds, np.arange(len(ds)), cfg.seed)
 
 
 def _report_artifacts(report, run_dir: Path, stem: str = "eval_report") -> None:
@@ -100,8 +100,6 @@ def cmd_generate(cfg, run_dir: Path) -> None:
 
 
 def cmd_ingest(cfg, run_dir: Path) -> None:
-    if cfg.source == "synthetic":
-        raise ConfigError("ingest needs corpus.source to point at CSV files")
     series, gaps = _load_series(cfg)
     if cfg.resample_period_s > 0:
         write_gap_report(gaps, run_dir / "gap_report.csv")
@@ -121,10 +119,9 @@ def cmd_ingest(cfg, run_dir: Path) -> None:
 
 def cmd_sweep(cfg, run_dir: Path) -> None:
     series, _ = _load_series(cfg)
-    seed = cfg.require_seed()
     reports = run_sweep(series, list(cfg.window_sizes), list(cfg.strides),
                         cfgmod.split_plan(cfg), cfgmod.model_spec(cfg),
-                        cfg.standardization, cfg.feature_kind, seed,
+                        cfg.standardization, cfg.feature_kind, cfg.seed,
                         cfg.workers, cfgmod.mfcc_config(cfg))
     rows = []
     for (w, s), report in sorted(reports.items()):
@@ -156,7 +153,7 @@ def _cluster_subjects(cfg, series):
     try:
         ids, summaries = subject_summaries(
             subject_segments(series, window, cfg.standardization), cfg.space)
-        return fit_cluster_model(ids, summaries, cfg.space, cfg.k, cfg.require_seed(),
+        return fit_cluster_model(ids, summaries, cfg.space, cfg.k, cfg.seed,
                                  restarts=cfg.restarts)
     except TooFewVectors as exc:
         raise TooFewVectors(f"{exc}{_windowless(series, window)}") from None
@@ -171,8 +168,7 @@ def cmd_cluster(cfg, run_dir: Path) -> None:
 def cmd_train(cfg, run_dir: Path) -> None:
     series, _ = _load_series(cfg)
     ds = _build_dataset(cfg, series)
-    seed = cfg.require_seed()
-    clf = _fit_on_all(cfg, ds, seed)
+    clf = _fit_on_all(cfg, ds)
     clf.save(run_dir / "model.json")
     echo = {
         "schema": "train_echo.v1",
@@ -196,18 +192,17 @@ def cmd_train(cfg, run_dir: Path) -> None:
 def cmd_eval(cfg, run_dir: Path) -> None:
     series, _ = _load_series(cfg)
     ds = _build_dataset(cfg, series)
-    seed = cfg.require_seed()
     spec = cfgmod.model_spec(cfg)
     if cfg.routing is not None:
-        report = routed_eval(ds, cfg.k, cfg.routing, cfg.space, spec, seed,
+        report = routed_eval(ds, cfg.k, cfg.routing, cfg.space, spec, cfg.seed,
                              cfg.workers, cfg.restarts)
     elif cfg.split_kind in (SplitKind.WITHIN_CLUSTER_LOSO, SplitKind.CROSS_CLUSTER):
         _, assignment = _cluster_subjects(cfg, series)
         if cfg.split_kind is SplitKind.CROSS_CLUSTER:
             report = cross_cluster_eval(ds, assignment, cfg.train_cluster,
-                                        cfg.test_cluster, spec, seed)
+                                        cfg.test_cluster, spec, cfg.seed)
         else:
-            result = within_cluster_loso(ds, assignment, spec, seed, cfg.workers)
+            result = within_cluster_loso(ds, assignment, spec, cfg.seed, cfg.workers)
             for cluster, report in sorted(result.clusters.items()):
                 _report_artifacts(report, run_dir, stem=f"cluster_{cluster}_report")
             _report_artifacts(result.baseline, run_dir, stem="baseline_report")
@@ -221,18 +216,17 @@ def cmd_eval(cfg, run_dir: Path) -> None:
             }, run_dir / "within_cluster_summary.json")
             return
     else:
-        report = run_split(ds, cfgmod.split_plan(cfg), spec, seed, cfg.workers)
+        report = run_split(ds, cfgmod.split_plan(cfg), spec, cfg.seed, cfg.workers)
     _report_artifacts(report, run_dir)
 
 
 def cmd_importance(cfg, run_dir: Path) -> None:
     series, _ = _load_series(cfg)
     ds = _build_dataset(cfg, series)
-    seed = cfg.require_seed()
-    clf = _fit_on_all(cfg, ds, seed)
+    clf = _fit_on_all(cfg, ds)
     report = permutation_importance(clf, ds.windows, ds.hc, ds.labels,
                                     hc_names=ds.hc_names, repeats=cfg.repeats,
-                                    seed=seed)
+                                    seed=cfg.seed)
     write_importance_csv(report, run_dir / "importance.csv",
                          top=cfg.top or None)
     write_json({
@@ -246,7 +240,6 @@ def cmd_importance(cfg, run_dir: Path) -> None:
 
 def cmd_timeline(cfg, run_dir: Path) -> None:
     series, _ = _load_series(cfg)
-    seed = cfg.require_seed()
     target_id = cfg.timeline_subject or min(s.subject_id for s in series)
     target = [s for s in series if s.subject_id == target_id]
     if not target:
@@ -259,7 +252,7 @@ def cmd_timeline(cfg, run_dir: Path) -> None:
     if not others:
         raise DataError("timeline needs at least two subjects (one to hold out)")
     ds = _build_dataset(cfg, others)
-    clf = _fit_on_all(cfg, ds, seed)
+    clf = _fit_on_all(cfg, ds)
     record = misclassification_timeline(clf, target[0],
                                         cfgmod.window_config(cfg),
                                         cfg.standardization, cfg.feature_kind,
@@ -289,7 +282,6 @@ _COMMANDS = {
 
 def _run_command(command: str, cfg) -> Path:
     """Execute one command inside a temp dir, then rename it into place."""
-    cfg.require_seed()
     cfgmod.check_protocol(cfg, command)
     run_id = cfgmod.run_id_for(cfg, command)
     out_root = Path(cfg.out)

@@ -18,8 +18,9 @@ from pathlib import Path
 from .clustering import ClusterSpace
 from .errors import ConfigError
 from .evaluation import NetSpec, RoutingMode, SplitKind, SplitPlan, SvmSpec
-from .features import MAX_FILTERBANK_WEIGHTS, MAX_MEL_BANDS, N_MFCC, FeatureSetKind, MfccConfig
-from .neuralnet import ArchitectureId
+from .features import (MAX_FILTERBANK_WEIGHTS, MAX_MEL_BANDS, N_MFCC, FeatureSetKind, MfccConfig,
+                       feature_names)
+from .neuralnet import CONV_KERNEL, ArchitectureId, NetConfig, flatten_dim
 from .preprocess import StandardizationMode, WindowConfig
 from .svm import KernelKind, KernelSpec
 from .synthetic import SyntheticCohortSpec
@@ -166,11 +167,6 @@ class ExperimentConfig:
     out: str = _key("runs", "run.out", str.strip)
     workers: int = _key(1, "run.workers", int, _at_least(1))
 
-    def require_seed(self) -> int:
-        if self.seed < 0:
-            raise ConfigError("run.seed is mandatory (set it in [run] or pass --seed)")
-        return self.seed
-
 
 # (section, key) -> (field name, parser, rule), in field order: what a config
 # file may contain and which values each key takes, in the ranges of the code
@@ -218,16 +214,27 @@ def load_config(path: str | Path | None, overrides: dict[str, object] | None = N
 
 
 def check_protocol(cfg: ExperimentConfig, command: str) -> None:
-    """Refuse settings that ``command`` would ignore or that its classifier
-    could not read, before any corpus is read."""
+    """Refuse, before any corpus is read, a setting that ``command`` cannot run
+    or would ignore; the only check between ``load_config`` and a command.
+
+    Only the settings below are refused.  Other keys a command does not read
+    (``clustering.k`` under ``ingest``, say) stay ignored, so one config file
+    can serve several commands."""
+    if cfg.seed < 0:
+        raise ConfigError("run.seed is mandatory (set it in [run] or pass --seed)")
+    if cfg.source == "synthetic" and command == "ingest":
+        raise ConfigError("ingest needs corpus.source to point at CSV files")
+    if cfg.source == "synthetic" and cfg.resample_period_s > 0:
+        raise ConfigError(f"corpus.resample_period_s = {cfg.resample_period_s!r} resamples CSV "
+                          f"series, and corpus.source = synthetic generates its own")
     kind = f"split.kind = {cfg.split_kind.value}"
-    if command in ("train", "importance", "timeline"):
-        if cfg.routing is not None:
-            raise ConfigError(f"{command} fits one classifier and routes no windows: "
-                              f"unset clustering.routing")
-        if cfg.split_kind is not SplitKind.LEAVE_SUBJECT_OUT:
-            raise ConfigError(f"{command} fits one classifier and runs no split: "
-                              f"split.kind must be leave_subject_out, not {kind}")
+    if cfg.routing is not None and command != "eval":
+        raise ConfigError(f"{command} routes no windows to clusters: unset clustering.routing")
+    if cfg.split_kind is not SplitKind.LEAVE_SUBJECT_OUT and command not in ("eval", "sweep"):
+        raise ConfigError(f"{command} runs no split: unset {kind}")
+    if command == "sweep" and cfg.split_kind not in (SplitKind.LEAVE_SUBJECT_OUT,
+                                                     SplitKind.RANDOM_WINDOW):
+        raise ConfigError(f"sweep runs leave_subject_out or random_window splits, not {kind}")
     fits = command in ("eval", "sweep", "train", "importance", "timeline")
     if fits and cfg.feature_kind is None:
         if cfg.model_kind == "svm" and cfg.svm_inputs != "windows":
@@ -236,13 +243,14 @@ def check_protocol(cfg: ExperimentConfig, command: str) -> None:
         if cfg.model_kind == "net" and cfg.arch is not ArchitectureId.BASELINE:
             raise ConfigError(f"model.arch = {cfg.arch.value} reads features, "
                               f"but features.kind = none")
-    if command == "sweep":
-        if cfg.routing is not None:
-            raise ConfigError("sweep does not route windows to clusters: "
-                              "unset clustering.routing")
-        if cfg.split_kind not in (SplitKind.LEAVE_SUBJECT_OUT, SplitKind.RANDOM_WINDOW):
-            raise ConfigError(f"sweep runs leave_subject_out or random_window splits, "
-                              f"not {kind}")
+    if fits and cfg.model_kind == "net":
+        hc_dim = len(feature_names(cfg.feature_kind)) if cfg.feature_kind else 0
+        key, sizes = (("windows.window_sizes", cfg.window_sizes) if command == "sweep"
+                      else ("windows.window_size", (cfg.window_size,)))
+        for w in sizes:
+            if w < CONV_KERNEL or flatten_dim(cfg.arch, NetConfig(w, hc_dim)) <= 0:
+                raise ConfigError(f"{key} = {w} is too short for the conv net of "
+                                  f"model.arch = {cfg.arch.value}")
     if command == "eval":
         if cfg.routing is not None and cfg.split_kind is not SplitKind.LEAVE_SUBJECT_OUT:
             raise ConfigError(f"clustering.routing = {cfg.routing.value} runs "
@@ -303,7 +311,7 @@ def cohort_spec(cfg: ExperimentConfig) -> SyntheticCohortSpec:
     return SyntheticCohortSpec(
         n_subjects=cfg.subjects,
         n_groups=cfg.groups,
-        seed=cfg.require_seed(),
+        seed=cfg.seed,
         period_s=cfg.sample_period_s,
         lag_tau_s=cfg.lag_tau_s,
         noise_std=cfg.noise_std,

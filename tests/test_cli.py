@@ -19,6 +19,7 @@ from hractivity import cli, evaluation, svm
 from hractivity.cli import main
 from hractivity.ingest import serialize_corpus
 from hractivity.neuralnet import forward
+from hractivity.preprocess import fit_scaler
 from hractivity.synthetic import SyntheticCohortSpec, generate_synthetic
 
 
@@ -262,6 +263,44 @@ def test_train_saves_a_net_that_reloads_bit_for_bit(tiny_corpus, monkeypatch):
     assert loaded.training_log == clf.model.training_log
     want = forward(clf.model, ds.windows, ds.hc)
     assert np.array_equal(forward(loaded, ds.windows, ds.hc), want)
+
+
+def test_train_echoes_the_feature_scaler_of_a_net(tiny_corpus, monkeypatch):
+    ini, _, runs = tiny_corpus
+    net = write_ini(ini.with_name("net.ini"), ini.read_text(encoding="utf-8").replace(
+        "kind = svm\ninputs = features\n", "kind = net\narch = model1\nepochs = 1\n")
+        + "[standardization]\nmode = feature\n")
+    datasets = []
+    fit = cli.fit_classifier
+
+    def recording_fit(spec, ds, train_idx, seed):
+        datasets.append(ds)
+        return fit(spec, ds, train_idx, seed)
+
+    monkeypatch.setattr(cli, "fit_classifier", recording_fit)
+    assert run_cli("--config", net, "train") == 0
+    echo = json.loads((only_run_dir(runs) / "train_echo.json").read_text(encoding="utf-8"))
+    [ds] = datasets
+    expected = fit_scaler(ds.hc)
+    assert echo["classifier"]["arch"] == "model1"
+    assert echo["feature_scaler"] == {"mean": expected.mean.tolist(), "std": expected.std.tolist()}
+
+
+def test_eval_on_a_synthetic_source_matches_eval_on_its_generated_csvs(tmp_path):
+    gen_out = tmp_path / "gen"
+    assert run_cli("--seed", 4, "--out", gen_out, "generate", "--subjects", 5, "--groups", 2) == 0
+    corpus = only_run_dir(gen_out) / "corpus"
+    rest = ("[synthetic]\nsubjects = 5\ngroups = 2\n[windows]\nwindow_size = 50\nstride = 30\n"
+            "[run]\nseed = 4\n")
+    outputs = []
+    for name, source in (("synthetic", "source = synthetic\n"),
+                         ("csv", f"source = {corpus}\ndevice_filter = synthetic\n")):
+        ini = write_ini(tmp_path / f"{name}.ini", f"[corpus]\n{source}{rest}")
+        assert run_cli("--config", ini, "--out", tmp_path / name, "eval") == 0
+        run_dir = only_run_dir(tmp_path / name)
+        outputs.append({artifact: (run_dir / artifact).read_bytes() for artifact in
+                        ("eval_report.json", "eval_folds.csv", "eval_confusion.csv")})
+    assert outputs[0] == outputs[1]
 
 
 def test_timeline_artifacts(tiny_corpus):
@@ -577,6 +616,16 @@ seed = 9
     ("train", "[clustering]\nrouting = per_window\n", ("clustering.routing",)),
     ("importance", "[split]\nkind = cross_cluster\n", ("split.kind = cross_cluster",)),
     ("timeline", "[split]\nkind = cross_cluster\n", ("split.kind = cross_cluster",)),
+    ("cluster", "[clustering]\nrouting = per_window\n", ("clustering.routing",)),
+    ("ingest", "[split]\nkind = cross_cluster\n", ("split.kind = cross_cluster",)),
+    ("cluster", "[split]\nkind = cross_cluster\n", ("split.kind = cross_cluster",)),
+    ("generate", "[clustering]\nrouting = per_subject\n", ("clustering.routing",)),
+    ("eval", "[corpus]\nsource = synthetic\nresample_period_s = 2.0\n",
+     ("corpus.resample_period_s = 2.0", "corpus.source = synthetic")),
+    ("eval", "[model]\nkind = net\n[windows]\nwindow_size = 5\n",
+     ("windows.window_size = 5", "model.arch = baseline")),
+    ("sweep", "[model]\nkind = net\n[windows]\nwindow_sizes = 50 5\n",
+     ("windows.window_sizes = 5", "model.arch = baseline")),
 ], ids=["eval-routing-random_window", "sweep-routing", "sweep-within_cluster_loso",
         "sweep-cross_cluster", "eval-test_cluster-ge-k", "eval-train_cluster-ge-k",
         "eval-on_standardized_input", "cluster-on_standardized_input",
@@ -587,7 +636,9 @@ seed = 9
         "eval-n_mel_bands-4", "eval-n_mel_bands-257", "ingest-empty-source",
         "eval-both-without-features", "eval-features-without-features",
         "eval-model1-without-features", "train-routing", "importance-cross_cluster",
-        "timeline-cross_cluster"])
+        "timeline-cross_cluster", "cluster-routing", "ingest-cross_cluster",
+        "cluster-cross_cluster", "generate-routing", "eval-synthetic-resample",
+        "eval-net-window_size-5", "sweep-net-window_sizes-5"])
 def test_ignored_settings_are_refused(tiny_corpus, capsys, monkeypatch, command, extra, keys):
     ini, _, runs = tiny_corpus
     # merge section by section: the base file already has a [model] section
@@ -602,6 +653,7 @@ def test_ignored_settings_are_refused(tiny_corpus, capsys, monkeypatch, command,
         raise AssertionError("the corpus was read before the config was checked")
 
     monkeypatch.setattr(cli, "parse_corpus", no_corpus)
+    monkeypatch.setattr(cli, "generate_synthetic", no_corpus)
     rc = run_cli("--config", bad, command)
     err = capsys.readouterr().err
     assert rc == 2

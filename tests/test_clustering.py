@@ -113,6 +113,16 @@ def test_kmeans_matches_exhaustive_oracle():
     assert hits >= 13
 
 
+def test_lloyd_repairs_an_empty_cluster():
+    # no point is nearest the third centre, so the first pass counts 2, 2, 0
+    # and re-seeds that cluster from the worst-fit point
+    vectors = np.array([[0.0], [1.0], [10.0], [11.0]])
+    _, labels, inertia = clustering._lloyd(vectors, np.array([[0.5], [10.5], [100.0]]))
+    assert np.bincount(labels, minlength=3).min() >= 1
+    assert labels.tolist() == [2, 0, 1, 1]
+    assert abs(inertia - exhaustive_kmeans_inertia(vectors, 3)) < 1e-12
+
+
 def test_kmeans_too_few_vectors():
     with pytest.raises(TooFewVectors):
         kmeans_fit(np.zeros((2, 3)), 3, seed=0)

@@ -2,7 +2,8 @@
 parsed and range-checked by its entry.
 
 Examples are derandomized and no example database is kept, so every run
-tries the same inputs. Only ``load_config`` runs: no corpus, no run.
+tries the same inputs. Only ``load_config`` and ``check_protocol`` run: no
+corpus, no run.
 """
 
 from dataclasses import fields
@@ -11,8 +12,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from hractivity.config import _KEYS, ExperimentConfig, _render, load_config
+from hractivity.config import _KEYS, ExperimentConfig, _render, check_protocol, load_config
 from hractivity.errors import ConfigError
+from hractivity.features import feature_names
+from hractivity.neuralnet import ArchitectureId, NetConfig, build
 
 # chosen by the field's declared type, not by whether the table gives it a rule
 NUMBER_TYPES = {f.name for f in fields(ExperimentConfig)
@@ -70,3 +73,24 @@ def test_numeric_key_is_parsed_and_checked_by_the_table(tmp_path_factory, sectio
     assert text not in NON_FINITE
     field_name, parse, _ = _KEYS[section, key]
     assert getattr(cfg, field_name) == parse(text)
+
+
+@pytest.mark.parametrize("arch", list(ArchitectureId), ids=[a.value for a in ArchitectureId])
+@pytest.mark.parametrize("window_size", [4, 5, 6])
+def test_net_window_check_agrees_with_the_net_build(arch, window_size):
+    # Model2 convolves the window with its features appended, so it alone runs at 5
+    cfg = load_config(None, {"seed": 1, "model_kind": "net", "arch": arch,
+                             "window_size": window_size})
+    hc_dim = 0 if arch is ArchitectureId.BASELINE else len(feature_names(cfg.feature_kind))
+    try:
+        build(arch, NetConfig(window_size, hc_dim))
+        builds = True
+    except ConfigError:
+        builds = False
+    try:
+        check_protocol(cfg, "eval")
+        refusal = None
+    except ConfigError as exc:
+        refusal = str(exc)
+    assert (refusal is None) == builds, refusal
+    assert refusal is None or refusal.startswith(f"windows.window_size = {window_size} "), refusal

@@ -43,7 +43,7 @@ from hractivity.evaluation import (
 from hractivity.features import FeatureSetKind
 from hractivity.metrics import balanced_accuracy, confusion_matrix
 from hractivity.neuralnet import ArchitectureId
-from hractivity.preprocess import StandardizationMode, WindowConfig, fit_scaler
+from hractivity.preprocess import StandardizationMode, WindowConfig, apply_scaler, fit_scaler
 from hractivity.series import ActivityLabel, SubjectSeries
 from hractivity.synthetic import SyntheticCohortSpec, generate_synthetic
 
@@ -134,17 +134,23 @@ def test_report_invariants():
     assert rep.config["window_size"] == 50 and rep.config["stride"] == 25
 
 
-def test_feature_standardization_fits_on_train_only():
+def test_feature_standardization_fits_on_train_only(monkeypatch):
     ds = small_dataset(std=StandardizationMode.FEATURE)
     folds = make_folds(ds, SplitPlan(SplitKind.LEAVE_SUBJECT_OUT), seed=0)
-    train_idx = folds[0].train_idx
-    spec = SvmSpec(inputs="features")
-    clf = fit_classifier(spec, ds, train_idx, seed=4)
+    train_idx, test_idx = folds[0].train_idx, folds[0].test_idx
     expected = fit_scaler(ds.hc[train_idx])
-    assert np.array_equal(clf.scaler.mean, expected.mean)
-    assert np.array_equal(clf.scaler.std, expected.std)
-    # scaler stats must not be influenced by any test row
-    assert not np.allclose(clf.scaler.mean, fit_scaler(ds.hc).mean)
+    for spec, predictor in ((SvmSpec(inputs="features"), "predict_ovo"),
+                            (NetSpec(arch=ArchitectureId.MODEL1, epochs=1), "net_predict")):
+        clf = fit_classifier(spec, ds, train_idx, seed=4)
+        assert np.array_equal(clf.scaler.mean, expected.mean)
+        assert np.array_equal(clf.scaler.std, expected.std)
+        # scaler stats must not be influenced by any test row
+        assert not np.allclose(clf.scaler.mean, fit_scaler(ds.hc).mean)
+        # and the fitted classifier predicts from features its own scaler scaled
+        seen = []
+        monkeypatch.setattr(evaluation, predictor, lambda *args: seen.append(args[-1]))
+        clf.predict(ds.windows[test_idx], ds.hc[test_idx])
+        assert np.array_equal(seen[0], apply_scaler(clf.scaler, ds.hc[test_idx])), predictor
 
 
 def test_worker_count_does_not_change_results():
