@@ -75,11 +75,6 @@ def _load_series(cfg) -> tuple[list, list]:
     return [r for r, _ in resampled], [g for _, gaps in resampled for g in gaps]
 
 
-def _build_dataset(cfg, series):
-    return build_dataset(series, cfgmod.window_config(cfg), cfg.standardization,
-                         cfg.feature_kind, cfgmod.mfcc_config(cfg))
-
-
 def _fit_on_all(cfg, ds):
     return fit_classifier(cfgmod.model_spec(cfg), ds, np.arange(len(ds)), cfg.seed)
 
@@ -119,10 +114,9 @@ def cmd_ingest(cfg, run_dir: Path) -> None:
 
 def cmd_sweep(cfg, run_dir: Path) -> None:
     series, _ = _load_series(cfg)
-    reports = run_sweep(series, list(cfg.window_sizes), list(cfg.strides),
-                        cfgmod.split_plan(cfg), cfgmod.model_spec(cfg),
-                        cfg.standardization, cfg.feature_kind, cfg.seed,
-                        cfg.workers, cfgmod.mfcc_config(cfg))
+    reports = run_sweep(series, cfgmod.dataset_spec(cfg), list(cfg.window_sizes),
+                        list(cfg.strides), cfgmod.split_plan(cfg), cfgmod.model_spec(cfg),
+                        cfg.seed, cfg.workers)
     rows = []
     for (w, s), report in sorted(reports.items()):
         write_report_json(report, run_dir / f"report_w{w}_s{s}.json")
@@ -148,15 +142,14 @@ def _cluster_subjects(cfg, series):
     """(model, assignment) of the configured clustering of the corpus's subjects."""
     # one subject's windows at a time, and no feature matrix: a subject's
     # summary is all that clustering keeps
-    window = cfgmod.window_config(cfg)
-    check_window_size(series, window.window_size)
+    data = cfgmod.dataset_spec(cfg)
+    check_window_size(series, data.window.window_size)
     try:
-        ids, summaries = subject_summaries(
-            subject_segments(series, window, cfg.standardization), cfg.space)
+        ids, summaries = subject_summaries(subject_segments(series, data), cfg.space)
         return fit_cluster_model(ids, summaries, cfg.space, cfg.k, cfg.seed,
                                  restarts=cfg.restarts)
     except TooFewVectors as exc:
-        raise TooFewVectors(f"{exc}{_windowless(series, window)}") from None
+        raise TooFewVectors(f"{exc}{_windowless(series, data.window)}") from None
 
 
 def cmd_cluster(cfg, run_dir: Path) -> None:
@@ -167,7 +160,7 @@ def cmd_cluster(cfg, run_dir: Path) -> None:
 
 def cmd_train(cfg, run_dir: Path) -> None:
     series, _ = _load_series(cfg)
-    ds = _build_dataset(cfg, series)
+    ds = build_dataset(series, cfgmod.dataset_spec(cfg))
     clf = _fit_on_all(cfg, ds)
     clf.save(run_dir / "model.json")
     echo = {
@@ -175,10 +168,10 @@ def cmd_train(cfg, run_dir: Path) -> None:
         "classifier": cfgmod.model_spec(cfg).echo(),
         "dataset": {
             "n_windows": len(ds),
-            "window_size": ds.window_size,
-            "stride": ds.stride,
-            "standardization": ds.standardization.value,
-            "feature_kind": ds.feature_kind.value if ds.feature_kind else None,
+            "window_size": ds.spec.window.window_size,
+            "stride": ds.spec.window.stride,
+            "standardization": ds.spec.standardization.value,
+            "feature_kind": ds.spec.features.value if ds.spec.features else None,
             "subjects": list(ds.subject_ids),
         },
         "feature_scaler": None if clf.scaler is None else {
@@ -191,7 +184,7 @@ def cmd_train(cfg, run_dir: Path) -> None:
 
 def cmd_eval(cfg, run_dir: Path) -> None:
     series, _ = _load_series(cfg)
-    ds = _build_dataset(cfg, series)
+    ds = build_dataset(series, cfgmod.dataset_spec(cfg))
     spec = cfgmod.model_spec(cfg)
     if cfg.routing is not None:
         report = routed_eval(ds, cfg.k, cfg.routing, cfg.space, spec, cfg.seed,
@@ -222,10 +215,10 @@ def cmd_eval(cfg, run_dir: Path) -> None:
 
 def cmd_importance(cfg, run_dir: Path) -> None:
     series, _ = _load_series(cfg)
-    ds = _build_dataset(cfg, series)
+    ds = build_dataset(series, cfgmod.dataset_spec(cfg))
     clf = _fit_on_all(cfg, ds)
     report = permutation_importance(clf, ds.windows, ds.hc, ds.labels,
-                                    hc_names=ds.hc_names, repeats=cfg.repeats,
+                                    hc_names=ds.spec.feature_names, repeats=cfg.repeats,
                                     seed=cfg.seed)
     write_importance_csv(report, run_dir / "importance.csv",
                          top=cfg.top or None)
@@ -251,12 +244,9 @@ def cmd_timeline(cfg, run_dir: Path) -> None:
     others = [s for s in series if s.subject_id != target_id]
     if not others:
         raise DataError("timeline needs at least two subjects (one to hold out)")
-    ds = _build_dataset(cfg, others)
+    ds = build_dataset(others, cfgmod.dataset_spec(cfg))
     clf = _fit_on_all(cfg, ds)
-    record = misclassification_timeline(clf, target[0],
-                                        cfgmod.window_config(cfg),
-                                        cfg.standardization, cfg.feature_kind,
-                                        cfgmod.mfcc_config(cfg))
+    record = misclassification_timeline(clf, target[0], ds.spec)
     write_timeline_csv(record, run_dir / "timeline.csv")
     post, steady = transition_error_rates(record)
     write_json({

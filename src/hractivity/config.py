@@ -17,9 +17,9 @@ from pathlib import Path
 
 from .clustering import ClusterSpace
 from .errors import ConfigError
-from .evaluation import NetSpec, RoutingMode, SplitKind, SplitPlan, SvmSpec
-from .features import (MAX_FILTERBANK_WEIGHTS, MAX_MEL_BANDS, N_MFCC, FeatureSetKind, MfccConfig,
-                       feature_names)
+from .evaluation import DatasetSpec, NetSpec, RoutingMode, SplitKind, SplitPlan, SvmSpec
+from .features import (MAX_FILTERBANK_WEIGHTS, MAX_MEL_BANDS, N_MEL_BANDS, N_MFCC,
+                       FeatureSetKind, feature_names)
 from .neuralnet import CONV_KERNEL, ArchitectureId, NetConfig, flatten_dim
 from .preprocess import StandardizationMode, WindowConfig
 from .svm import KernelKind, KernelSpec
@@ -128,7 +128,7 @@ class ExperimentConfig:
 
     feature_kind: FeatureSetKind | None = _key(FeatureSetKind.STAT_TEMPORAL, "features.kind",
                                                _optional(_enum_parser(FeatureSetKind)))
-    n_mel_bands: int = _key(10, "features.n_mel_bands", int, _mel_band_count)
+    n_mel_bands: int = _key(N_MEL_BANDS, "features.n_mel_bands", int, _mel_band_count)
 
     model_kind: str = _key("svm", "model.kind", _choice("svm", "net"))
     svm_inputs: str = _key("features", "model.inputs", _choice("windows", "features", "both"))
@@ -224,7 +224,7 @@ def check_protocol(cfg: ExperimentConfig, command: str) -> None:
         raise ConfigError("run.seed is mandatory (set it in [run] or pass --seed)")
     if cfg.source == "synthetic" and command == "ingest":
         raise ConfigError("ingest needs corpus.source to point at CSV files")
-    if cfg.source == "synthetic" and cfg.resample_period_s > 0:
+    if cfg.source == "synthetic" and cfg.resample_period_s > 0 and command != "generate":
         raise ConfigError(f"corpus.resample_period_s = {cfg.resample_period_s!r} resamples CSV "
                           f"series, and corpus.source = synthetic generates its own")
     kind = f"split.kind = {cfg.split_kind.value}"
@@ -318,8 +318,9 @@ def cohort_spec(cfg: ExperimentConfig) -> SyntheticCohortSpec:
     )
 
 
-def window_config(cfg: ExperimentConfig) -> WindowConfig:
-    return WindowConfig(window_size=cfg.window_size, stride=cfg.stride)
+def dataset_spec(cfg: ExperimentConfig) -> DatasetSpec:
+    return DatasetSpec(WindowConfig(cfg.window_size, cfg.stride), cfg.standardization,
+                       cfg.feature_kind, cfg.n_mel_bands)
 
 
 def model_spec(cfg: ExperimentConfig):
@@ -333,7 +334,3 @@ def model_spec(cfg: ExperimentConfig):
 
 def split_plan(cfg: ExperimentConfig) -> SplitPlan:
     return SplitPlan(kind=cfg.split_kind, test_fraction=cfg.test_fraction)
-
-
-def mfcc_config(cfg: ExperimentConfig) -> MfccConfig:
-    return MfccConfig(n_mel_bands=cfg.n_mel_bands)

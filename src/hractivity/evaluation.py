@@ -9,7 +9,7 @@ results in submission order, so reports are identical for any worker count.
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from itertools import groupby
 from pathlib import Path
 from typing import Iterator, NamedTuple
@@ -24,7 +24,7 @@ from .clustering import (
     window_space_matrix,
 )
 from .errors import ConfigError, DataError, GramTooLarge
-from .features import FeatureSetKind, MfccConfig, feature_matrix, feature_names
+from .features import N_MEL_BANDS, FeatureSetKind, feature_matrix, feature_names
 from .metrics import (
     EvalReport,
     FoldRecord,
@@ -91,13 +91,13 @@ class SvmSpec:
             seed: int) -> FittedSvm:
         x = _svm_matrix(self.inputs, ds.windows, ds.hc, train_idx)
         scaler = None
-        if ds.standardization is StandardizationMode.FEATURE:
+        if ds.spec.standardization is StandardizationMode.FEATURE:
             scaler = fit_scaler(x)
             x = apply_scaler(scaler, x)
         try:
             model = train_ovo(x, labels, kernel=self.kernel, c=self.c, tol=self.tol)
         except GramTooLarge as exc:
-            raise GramTooLarge(f"{exc}; windows are cut at stride {ds.stride}, "
+            raise GramTooLarge(f"{exc}; windows are cut at stride {ds.spec.window.stride}, "
                                f"and a larger windows.stride gives fewer rows") from None
         return FittedSvm(model, self.inputs, scaler)
 
@@ -119,10 +119,8 @@ class NetSpec:
     def fit(self, ds: WindowDataset, train_idx: np.ndarray, labels: np.ndarray,
             seed: int) -> FittedNet:
         hc_dim = 0 if self.arch is ArchitectureId.BASELINE else ds.hc.shape[1]
-        if self.arch is not ArchitectureId.BASELINE and hc_dim == 0:
-            raise ConfigError(f"{self.arch.value} requires a feature set")
         cfg = NetConfig(
-            window_size=ds.window_size,
+            window_size=ds.windows.shape[1],
             hc_dim=hc_dim,
             seed=seed,
             epochs=self.epochs,
@@ -132,7 +130,7 @@ class NetSpec:
         )
         scaler = None
         hc = ds.hc[train_idx] if hc_dim else None
-        if hc_dim and ds.standardization is StandardizationMode.FEATURE:
+        if hc_dim and ds.spec.standardization is StandardizationMode.FEATURE:
             scaler = fit_scaler(hc)
             hc = apply_scaler(scaler, hc)
         model = train(build(self.arch, cfg), ds.windows[train_idx], hc, labels)
@@ -145,6 +143,22 @@ class NetSpec:
 
 
 @dataclass(frozen=True)
+class DatasetSpec:
+    """How a dataset is cut from series: the window and stride, the
+    standardization, the feature set (None: windows only) and the mel band
+    count of its MFCC features."""
+
+    window: WindowConfig
+    standardization: StandardizationMode = StandardizationMode.NONE
+    features: FeatureSetKind | None = None
+    n_mel_bands: int = N_MEL_BANDS
+
+    @property
+    def feature_names(self) -> tuple[str, ...]:
+        return () if self.features is None else feature_names(self.features)
+
+
+@dataclass(frozen=True)
 class WindowDataset:
     """Windows plus aligned handcrafted features, labels, and subjects."""
 
@@ -154,21 +168,13 @@ class WindowDataset:
     subject_ids: tuple[str, ...]  # the subjects that have a window, in id order
     subject_index: np.ndarray  # (n,) int64: each row's position in subject_ids
     starts: np.ndarray  # (n,)
-    hc_names: tuple[str, ...]
-    window_size: int
-    stride: int
-    standardization: StandardizationMode
-    feature_kind: FeatureSetKind | None
+    spec: DatasetSpec  # how the windows and features were cut
 
     def __len__(self) -> int:
         return self.windows.shape[0]
 
 
-def subject_segments(
-    series_list: list[SubjectSeries],
-    cfg: WindowConfig,
-    standardization: StandardizationMode = StandardizationMode.NONE,
-) -> Iterator[Segments]:
+def subject_segments(series_list: list[SubjectSeries], spec: DatasetSpec) -> Iterator[Segments]:
     """Each subject's windows, one subject at a time in subject-id order.
 
     Under ``DATA`` each series is standardized before it is cut. A subject's
@@ -179,9 +185,9 @@ def subject_segments(
     for subject_id, group in groupby(ordered, key=lambda s: s.subject_id):
         parts = []
         for series in group:
-            if standardization is StandardizationMode.DATA:
+            if spec.standardization is StandardizationMode.DATA:
                 series = standardize_series(series)
-            parts.append(segment(series, cfg))
+            parts.append(segment(series, spec.window))
         if len(parts) == 1:
             yield parts[0]
         else:
@@ -198,23 +204,15 @@ def check_window_size(series_list: list[SubjectSeries], window_size: int) -> Non
                         f"the longest has {longest} samples")
 
 
-def build_dataset(
-    series_list: list[SubjectSeries],
-    cfg: WindowConfig,
-    standardization: StandardizationMode = StandardizationMode.NONE,
-    feature_kind: FeatureSetKind | None = None,
-    mfcc: MfccConfig = MfccConfig(),
-) -> WindowDataset:
+def build_dataset(series_list: list[SubjectSeries], spec: DatasetSpec) -> WindowDataset:
     """Segment every series (per-subject standardized first under DataStd)."""
-    check_window_size(series_list, cfg.window_size)
-    parts = [part for part in subject_segments(series_list, cfg, standardization) if len(part)]
+    check_window_size(series_list, spec.window.window_size)
+    parts = [part for part in subject_segments(series_list, spec) if len(part)]
     windows = np.concatenate([part.values for part in parts])
-    if feature_kind is None:
+    if spec.features is None:
         hc = np.zeros((len(windows), 0))
-        names: tuple[str, ...] = ()
     else:
-        hc = feature_matrix(windows, feature_kind, mfcc=mfcc)
-        names = feature_names(feature_kind)
+        hc = feature_matrix(windows, spec.features, spec.n_mel_bands)
     return WindowDataset(
         windows=windows,
         hc=hc,
@@ -223,11 +221,7 @@ def build_dataset(
         subject_index=np.repeat(np.arange(len(parts), dtype=np.int64),
                                 [len(part) for part in parts]),
         starts=np.concatenate([part.starts for part in parts]),
-        hc_names=names,
-        window_size=cfg.window_size,
-        stride=cfg.stride,
-        standardization=standardization,
-        feature_kind=feature_kind,
+        spec=spec,
     )
 
 
@@ -487,11 +481,12 @@ def _report(ds: WindowDataset, jobs: list[FoldJob], preds: list[np.ndarray],
 
 
 def _base_echo(ds: WindowDataset, spec, split: dict) -> dict:
+    data = ds.spec
     return {
-        "window_size": ds.window_size,
-        "stride": ds.stride,
-        "standardization": ds.standardization.value,
-        "features": ds.feature_kind.value if ds.feature_kind else None,
+        "window_size": data.window.window_size,
+        "stride": data.window.stride,
+        "standardization": data.standardization.value,
+        "features": data.features.value if data.features else None,
         "model": spec.echo(),
         "split": split,
     }
@@ -509,26 +504,22 @@ def run_split(ds: WindowDataset, plan: SplitPlan, spec, seed: int,
 # --------------------------------------------------------------------- sweep
 
 
-def _sweep_cell(series_list, w, s, plan, spec, standardization, feature_kind,
-                seed, mfcc):
-    ds = build_dataset(series_list, WindowConfig(window_size=w, stride=s),
-                       standardization, feature_kind, mfcc)
-    return run_split(ds, plan, spec, seed)
+def _sweep_cell(series_list, data: DatasetSpec, plan, spec, seed):
+    return run_split(build_dataset(series_list, data), plan, spec, seed)
 
 
 def run_sweep(
     series_list: list[SubjectSeries],
+    data: DatasetSpec,
     window_sizes: list[int],
     stride_sizes: list[int],
     plan: SplitPlan,
     spec,
-    standardization: StandardizationMode = StandardizationMode.NONE,
-    feature_kind: FeatureSetKind | None = None,
     seed: int = 0,
     workers: int = 1,
-    mfcc: MfccConfig = MfccConfig(),
 ) -> dict:
-    """One EvalReport per (window, stride) cell; fold structure shared by seed.
+    """One EvalReport per (window, stride) cell, each cut as ``data`` with that
+    window; fold structure shared by seed.
 
     Every window size is checked before any cell is fitted.
     """
@@ -537,7 +528,7 @@ def run_sweep(
     cells = [(w, s) for w in window_sizes for s in stride_sizes]
     reports = _run_jobs(
         _sweep_cell,
-        [(series_list, w, s, plan, spec, standardization, feature_kind, seed, mfcc)
+        [(series_list, replace(data, window=WindowConfig(w, s)), plan, spec, seed)
          for w, s in cells],
         workers,
     )
@@ -748,24 +739,18 @@ class TimelineRecord:
     transition: np.ndarray  # bool; marks timesteps where the label changes
 
 
-def misclassification_timeline(
-    clf,
-    series: SubjectSeries,
-    cfg: WindowConfig,
-    standardization: StandardizationMode = StandardizationMode.NONE,
-    feature_kind: FeatureSetKind | None = None,
-    mfcc: MfccConfig = MfccConfig(),
-) -> TimelineRecord:
-    """Per-timestep predictions from the window whose center is nearest.
+def misclassification_timeline(clf, series: SubjectSeries, data: DatasetSpec) -> TimelineRecord:
+    """Per-timestep predictions from the window whose center is nearest, the
+    series cut as ``data`` (the spec of the classifier's training set).
 
     Center ties go to the earlier window.  The transition flags mark every
     timestep whose label differs from its predecessor.
     """
-    ds = build_dataset([series], cfg, standardization, feature_kind, mfcc)
+    ds = build_dataset([series], data)
     window_preds = np.asarray(clf.predict(ds.windows, ds.hc), dtype=np.int64)
 
     n = len(series)
-    centers = ds.starts + (cfg.window_size - 1) / 2.0
+    centers = ds.starts + (data.window.window_size - 1) / 2.0
     steps = np.arange(n)
     # centers ascend: the nearest is the first center at or after the step or
     # the one before it, and distance ties resolve to the earlier window

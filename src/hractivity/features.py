@@ -8,7 +8,6 @@ the naming used elsewhere in the toolkit. Every family is computed over an
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -54,6 +53,7 @@ TEMPORAL_NAMES = (
     "0_AreaUnderCurve",
 )
 
+N_MEL_BANDS = 10  # the default features.n_mel_bands
 ENTROPY_BINS = 10
 LOG_FLOOR = 1e-10
 # Largest mel filterbank, in weights (bands x rfft bins), that mel_filterbank
@@ -70,15 +70,6 @@ class FeatureSetKind(enum.Enum):
     STATISTICAL = "statistical"
     TEMPORAL = "temporal"
     STAT_TEMPORAL = "stat_temporal"
-
-
-@dataclass(frozen=True)
-class MfccConfig:
-    n_mel_bands: int = 10
-
-    def __post_init__(self):
-        if self.n_mel_bands < N_MFCC:
-            raise ConfigError(f"n_mel_bands must be at least {N_MFCC}")
 
 
 def _require_width(mat: np.ndarray, minimum: int) -> None:
@@ -239,7 +230,7 @@ def mel_to_hz(m):
     return 700.0 * (10.0 ** (np.asarray(m, dtype=np.float64) / 2595.0) - 1.0)
 
 
-def mel_filterbank(cfg: MfccConfig, n_fft: int) -> np.ndarray:
+def mel_filterbank(n_mel_bands: int, n_fft: int) -> np.ndarray:
     """Triangular filters on the rfft bin grid, shape (n_mel_bands, n_fft//2+1).
 
     Frequencies are normalized, in cycles per sample, so the bank does not
@@ -247,16 +238,18 @@ def mel_filterbank(cfg: MfccConfig, n_fft: int) -> np.ndarray:
     and far below its 700 Hz knee it is close to linear. Band edges are
     mel-spaced between 0 and the Nyquist frequency 0.5; band b rises over
     [edge_b, edge_{b+1}] and falls over [edge_{b+1}, edge_{b+2}], so the bin
-    at 0 always gets weight 0. A bank of more than ``MAX_FILTERBANK_WEIGHTS``
-    weights raises a ConfigError.
+    at 0 always gets weight 0. Fewer than ``N_MFCC`` bands, or a bank of more
+    than ``MAX_FILTERBANK_WEIGHTS`` weights, raises a ConfigError.
     """
+    if n_mel_bands < N_MFCC:
+        raise ConfigError(f"n_mel_bands must be at least {N_MFCC}")
     n_bins = n_fft // 2 + 1
-    if cfg.n_mel_bands * n_bins > MAX_FILTERBANK_WEIGHTS:
+    if n_mel_bands * n_bins > MAX_FILTERBANK_WEIGHTS:
         raise ConfigError(
-            f"features.n_mel_bands = {cfg.n_mel_bands} on a {n_fft}-point FFT needs "
-            f"{cfg.n_mel_bands} x {n_bins} filter weights, more than "
+            f"features.n_mel_bands = {n_mel_bands} on a {n_fft}-point FFT needs "
+            f"{n_mel_bands} x {n_bins} filter weights, more than "
             f"MAX_FILTERBANK_WEIGHTS = {MAX_FILTERBANK_WEIGHTS}")
-    edges = mel_to_hz(np.linspace(0.0, hz_to_mel(0.5), cfg.n_mel_bands + 2))
+    edges = mel_to_hz(np.linspace(0.0, hz_to_mel(0.5), n_mel_bands + 2))
     freqs = np.fft.rfftfreq(n_fft)
     left, center, right = edges[:-2, None], edges[1:-1, None], edges[2:, None]
     rise = (freqs - left) / (center - left)
@@ -272,21 +265,21 @@ def _dct_basis(n: int) -> np.ndarray:
     return basis
 
 
-def mel_band_energies(mat: np.ndarray, cfg: MfccConfig = MfccConfig()) -> np.ndarray:
+def mel_band_energies(mat: np.ndarray, n_mel_bands: int = N_MEL_BANDS) -> np.ndarray:
     """Row-wise filterbank outputs of the single-frame pipeline, before the log."""
     _require_width(mat, 8)
     w = mat.shape[1]
     n_fft = _next_pow2(w)
-    bank = mel_filterbank(cfg, n_fft)  # first: it refuses an oversized bank
+    bank = mel_filterbank(n_mel_bands, n_fft)  # first: it refuses a bad band count
     frame = (mat - mat.mean(axis=1, keepdims=True)) * np.hanning(w)
     spectrum = np.abs(np.fft.rfft(frame, n=n_fft, axis=1))
     return spectrum @ bank.T
 
 
-def mfcc_matrix(mat: np.ndarray, cfg: MfccConfig = MfccConfig()) -> np.ndarray:
-    energies = mel_band_energies(mat, cfg)
+def mfcc_matrix(mat: np.ndarray, n_mel_bands: int = N_MEL_BANDS) -> np.ndarray:
+    energies = mel_band_energies(mat, n_mel_bands)
     log_e = np.log(np.maximum(energies, LOG_FLOOR))
-    return log_e @ _dct_basis(cfg.n_mel_bands).T
+    return log_e @ _dct_basis(n_mel_bands).T
 
 
 def feature_names(kind: FeatureSetKind) -> tuple[str, ...]:
@@ -303,11 +296,8 @@ def feature_names(kind: FeatureSetKind) -> tuple[str, ...]:
     raise ConfigError(f"unknown feature set {kind!r}")
 
 
-def feature_matrix(
-    values: np.ndarray,
-    kind: FeatureSetKind,
-    mfcc: MfccConfig = MfccConfig(),
-) -> np.ndarray:
+def feature_matrix(values: np.ndarray, kind: FeatureSetKind,
+                   n_mel_bands: int = N_MEL_BANDS) -> np.ndarray:
     """(n_windows, n_features) matrix for an (n_windows, W) value matrix, row order kept."""
     mat = np.asarray(values, dtype=np.float64)
     if mat.shape[0] == 0:
@@ -315,7 +305,7 @@ def feature_matrix(
     if kind is FeatureSetKind.BASE:
         out = base_matrix(mat)
     elif kind is FeatureSetKind.BASE_MFCC:
-        out = np.column_stack([base_matrix(mat), mfcc_matrix(mat, mfcc)])
+        out = np.column_stack([base_matrix(mat), mfcc_matrix(mat, n_mel_bands)])
     elif kind is FeatureSetKind.STATISTICAL:
         out = statistical_matrix(mat)
     elif kind is FeatureSetKind.TEMPORAL:

@@ -25,6 +25,7 @@ from oracles import (
 from hractivity.cli import main as cli_main
 from hractivity.clustering import ClusterSpace, fit_cluster_model, kmeans_fit, subject_summaries
 from hractivity.evaluation import (
+    DatasetSpec,
     RoutingMode,
     SplitKind,
     SplitPlan,
@@ -275,12 +276,13 @@ def _stride_trend_one_seed(seed):
     series, _ = generate_synthetic(SyntheticCohortSpec(
         n_subjects=30, n_groups=2, seed=seed, noise_std=2.5, lag_tau_s=10.0,
         segment_durations_s=DUR7, group_offset_profiles=PROF7))
-    probe = build_dataset(series, WindowConfig(80, 10), std)
+    probe = build_dataset(series, DatasetSpec(WindowConfig(80, 10), std))
     probe_subjects = np.asarray(probe.subject_ids)[probe.subject_index]
     ids = probe.subject_ids
     out = {}
     for stride in (10, 120):
-        ds = probe if stride == 10 else build_dataset(series, WindowConfig(80, stride), std)
+        ds = probe if stride == 10 else build_dataset(series,
+                                                      DatasetSpec(WindowConfig(80, stride), std))
         subjects = np.asarray(ds.subject_ids)[ds.subject_index]
         for arm in ("held_out", "pooled"):
             cm = np.zeros((5, 5), dtype=np.int64)
@@ -331,7 +333,7 @@ def test_criterion_08_routing_trends(capsys):
     for seed in SEEDS:
         series, _ = generate_synthetic(SyntheticCohortSpec(
             n_subjects=25, n_groups=2, seed=seed, group_offset_profiles=PROF8))
-        ds = build_dataset(series, WindowConfig(50, 25), StandardizationMode.NONE)
+        ds = build_dataset(series, DatasetSpec(WindowConfig(50, 25), StandardizationMode.NONE))
         rep = {}
         for k in (3, 4):
             for mode in (RoutingMode.PER_SUBJECT, RoutingMode.PER_WINDOW):
@@ -367,8 +369,9 @@ def test_criterion_09_within_cluster_gains(capsys):
     for seed in SEEDS:
         series, groups = generate_synthetic(SyntheticCohortSpec(
             n_subjects=24, n_groups=3, seed=seed, group_offset_profiles=PROF9))
-        cfg, space = WindowConfig(50, 25), ClusterSpace.MEAN_BPM_PROFILE
-        ds = build_dataset(series, cfg, StandardizationMode.NONE)
+        cfg = DatasetSpec(WindowConfig(50, 25), StandardizationMode.NONE)
+        space = ClusterSpace.MEAN_BPM_PROFILE
+        ds = build_dataset(series, cfg)
         _, assignment = fit_cluster_model(
             *subject_summaries(subject_segments(series, cfg), space), space, 3, seed)
         for c in range(3):
@@ -437,19 +440,19 @@ def test_criterion_10_feature_fusion_benefit(capsys):
 def test_criterion_11_post_transition_errors(capsys):
     t0 = time.perf_counter()
     spec = SvmSpec(inputs="windows")
-    cfg = WindowConfig(50, 10)
+    cfg = DatasetSpec(WindowConfig(50, 10), StandardizationMode.NONE)
     wins = 0
     rates = []
     for seed in SEEDS:
         series, _ = generate_synthetic(SyntheticCohortSpec(n_subjects=10, n_groups=2, seed=seed))
-        ds = build_dataset(series, cfg, StandardizationMode.NONE)
+        ds = build_dataset(series, cfg)
         subjects = np.asarray(ds.subject_ids)[ds.subject_index]
         post_err = steady_err = 0.0
         n_post = n_steady = 0
         for s in series:
             tr = np.flatnonzero(subjects != s.subject_id)
             clf = fit_classifier(spec, ds, tr, seed)
-            rec = misclassification_timeline(clf, s, cfg, StandardizationMode.NONE)
+            rec = misclassification_timeline(clf, s, cfg)
             t = rec.timestamps
             after = np.zeros(t.size, dtype=bool)
             for idx in np.nonzero(rec.transition)[0]:
@@ -515,15 +518,14 @@ def test_criterion_13_real_corpus_trends(capsys):
     # windows are cut by sample index, so the irregular watch series go on a 1 s grid first
     series = [resample_uniform(s, 1.0)[0] for s in parse_corpus(root)]
     spec = SvmSpec(inputs="features")
-    ds = build_dataset(series, WindowConfig(50, 25), StandardizationMode.DATA,
-                       FeatureSetKind.STAT_TEMPORAL)
+    ds = build_dataset(series, DatasetSpec(WindowConfig(50, 25), StandardizationMode.DATA,
+                                           FeatureSetKind.STAT_TEMPORAL))
     by_subject = routed_eval(ds, 4, RoutingMode.PER_SUBJECT, ClusterSpace.STATISTICAL_WINDOW,
                              spec, seed=1)
     by_window = routed_eval(ds, 4, RoutingMode.PER_WINDOW, ClusterSpace.STATISTICAL_WINDOW,
                             spec, seed=1)
     plan = SplitPlan(SplitKind.LEAVE_SUBJECT_OUT)
-    sweep = run_sweep(series, [80], [10, 120], plan, spec,
-                      StandardizationMode.DATA, FeatureSetKind.STAT_TEMPORAL, seed=1)
+    sweep = run_sweep(series, ds.spec, [80], [10, 120], plan, spec, seed=1)
     ok = (
         by_subject.balanced_accuracy > by_window.balanced_accuracy
         and sweep[(80, 10)].balanced_accuracy > sweep[(80, 120)].balanced_accuracy
@@ -544,8 +546,8 @@ def test_criterion_14_normalization_lever(capsys):
     scores, ordered = [], 0
     for seed in SEEDS:
         series, _ = generate_synthetic(SyntheticCohortSpec(n_subjects=12, n_groups=2, seed=seed))
-        bal = [run_split(build_dataset(series, WindowConfig(50, 25), mode,
-                                       FeatureSetKind.STAT_TEMPORAL),
+        bal = [run_split(build_dataset(series, DatasetSpec(WindowConfig(50, 25), mode,
+                                                           FeatureSetKind.STAT_TEMPORAL)),
                          plan, spec, seed).balanced_accuracy for mode in modes]
         scores.append("/".join(f"{b:.3f}" for b in bal))
         ordered += bal[0] > bal[1] > bal[2]
@@ -565,8 +567,8 @@ def test_criterion_15_grouping_lever(capsys):
     wins = dict.fromkeys(spaces, 0)
     scores = []
     for seed in SEEDS:
-        ds = build_dataset(shape_groups_cohort(seed, n=15), WindowConfig(50, 25),
-                           StandardizationMode.DATA, FeatureSetKind.STAT_TEMPORAL)
+        ds = build_dataset(shape_groups_cohort(seed, n=15), DatasetSpec(
+            WindowConfig(50, 25), StandardizationMode.DATA, FeatureSetKind.STAT_TEMPORAL))
         plain = run_split(ds, plan, spec, seed).balanced_accuracy
         routed = [routed_eval(ds, 2, RoutingMode.PER_SUBJECT, space, spec,
                               seed=seed).balanced_accuracy for space in spaces]

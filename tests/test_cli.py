@@ -17,6 +17,7 @@ from oracles import load_net
 
 from hractivity import cli, evaluation, svm
 from hractivity.cli import main
+from hractivity.errors import InternalError
 from hractivity.ingest import serialize_corpus
 from hractivity.neuralnet import forward
 from hractivity.preprocess import fit_scaler
@@ -98,6 +99,20 @@ def test_generate_rerun_is_byte_identical(tmp_path):
     first = dir_digest(only_run_dir(out))
     assert run_cli(*args) == 0
     assert dir_digest(only_run_dir(out)) == first
+
+
+def test_generate_ignores_the_corpus_keys(tmp_path):
+    # generate writes a corpus and reads none, so it has nothing to resample
+    corpora = []
+    for name, text in (("plain", ""), ("resampled", "[corpus]\nresample_period_s = 2.0\n")):
+        ini = write_ini(tmp_path / f"{name}.ini", text)
+        out = tmp_path / name
+        assert run_cli("--config", ini, "--out", out, "--seed", 11, "generate",
+                       "--subjects", 3, "--groups", 1) == 0
+        corpora.append({p.name: p.read_bytes()
+                        for p in sorted((only_run_dir(out) / "corpus").glob("*.csv"))})
+    assert len(corpora[0]) == 3
+    assert corpora[1] == corpora[0]
 
 
 def test_generate_rejects_more_groups_than_subjects(tmp_path, capsys):
@@ -199,6 +214,14 @@ def test_leave_subject_out_refuses_a_single_subject(tmp_path, capsys, command, e
     assert run_cli("--config", ini, command) == 3
     assert capsys.readouterr().err == ("data error: leave-subject-out needs at least two "
                                        "subjects with windows, found 1: 'S000'\n")
+    assert not runs.exists() or not any(runs.iterdir())
+
+
+def test_timeline_refuses_a_single_subject(tmp_path, capsys):
+    ini, _, runs = generated_corpus(tmp_path, subjects=1, groups=1)
+    assert run_cli("--config", ini, "timeline") == 3
+    assert capsys.readouterr().err == ("data error: timeline needs at least two subjects "
+                                       "(one to hold out)\n")
     assert not runs.exists() or not any(runs.iterdir())
 
 
@@ -349,6 +372,27 @@ def test_missing_corpus_is_a_data_error(tmp_path, capsys):
     rc = run_cli("--config", ini, "--out", tmp_path / "out", "ingest")
     assert rc == 3
     assert "data error" in capsys.readouterr().err
+
+
+def test_a_device_filter_that_keeps_no_series_is_a_data_error(tiny_corpus, capsys):
+    ini, corpus, runs = tiny_corpus
+    write_ini(ini, ini.read_text().replace("device_filter = synthetic", "device_filter = Fitbit"))
+    assert run_cli("--config", ini, "eval") == 3
+    assert capsys.readouterr().err == (f"data error: no series found under {corpus} "
+                                       f"(device filter: Fitbit)\n")
+    assert not runs.exists() or not any(runs.iterdir())
+
+
+def test_an_internal_error_exits_4(tiny_corpus, capsys, monkeypatch):
+    ini, _, runs = tiny_corpus
+
+    def broken(*args, **kwargs):
+        raise InternalError("fold bookkeeping broke")
+
+    monkeypatch.setattr(cli, "run_split", broken)
+    assert run_cli("--config", ini, "eval") == 4
+    assert capsys.readouterr().err == "internal error: fold bookkeeping broke\n"
+    assert not any(runs.iterdir())
 
 
 @pytest.mark.parametrize("command", ["ingest", "eval"])
@@ -626,6 +670,8 @@ seed = 9
      ("windows.window_size = 5", "model.arch = baseline")),
     ("sweep", "[model]\nkind = net\n[windows]\nwindow_sizes = 50 5\n",
      ("windows.window_sizes = 5", "model.arch = baseline")),
+    ("ingest", "[corpus]\nsource = synthetic\n",
+     ("ingest needs corpus.source to point at CSV files",)),
 ], ids=["eval-routing-random_window", "sweep-routing", "sweep-within_cluster_loso",
         "sweep-cross_cluster", "eval-test_cluster-ge-k", "eval-train_cluster-ge-k",
         "eval-on_standardized_input", "cluster-on_standardized_input",
@@ -638,7 +684,7 @@ seed = 9
         "eval-model1-without-features", "train-routing", "importance-cross_cluster",
         "timeline-cross_cluster", "cluster-routing", "ingest-cross_cluster",
         "cluster-cross_cluster", "generate-routing", "eval-synthetic-resample",
-        "eval-net-window_size-5", "sweep-net-window_sizes-5"])
+        "eval-net-window_size-5", "sweep-net-window_sizes-5", "ingest-synthetic-source"])
 def test_ignored_settings_are_refused(tiny_corpus, capsys, monkeypatch, command, extra, keys):
     ini, _, runs = tiny_corpus
     # merge section by section: the base file already has a [model] section

@@ -12,7 +12,7 @@ from oracles import subject_summaries_reference
 from hractivity import cli, clustering, evaluation
 from hractivity.cli import main
 from hractivity.clustering import ClusterSpace, kmeans_fit, write_cluster_report
-from hractivity.evaluation import SplitKind, SplitPlan, build_dataset, make_folds
+from hractivity.evaluation import DatasetSpec, SplitKind, SplitPlan, build_dataset, make_folds
 from hractivity.ingest import parse_corpus, serialize_corpus
 from hractivity.preprocess import StandardizationMode, WindowConfig, segment, standardize_series
 from hractivity.series import SubjectSeries
@@ -210,7 +210,7 @@ def test_eval_cluster_splits_name_the_subjects_without_a_window(tmp_path, capsys
 
 def test_a_subject_without_a_window_is_in_no_fold_and_no_echo(tmp_path, mixed_corpus):
     windowed = ["S000", "S001", "S002", "S003"]  # S004 is shorter than one window
-    ds = build_dataset(parse_corpus(mixed_corpus, None), WINDOW)
+    ds = build_dataset(parse_corpus(mixed_corpus, None), DatasetSpec(WINDOW))
     assert ds.subject_ids == tuple(windowed)
     folds = make_folds(ds, SplitPlan(SplitKind.LEAVE_SUBJECT_OUT), SEED)
     assert [fold.held_out for fold in folds] == windowed

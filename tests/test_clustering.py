@@ -24,6 +24,7 @@ from hractivity.clustering import (
 from hractivity.errors import DataError, TooFewVectors
 from hractivity.evaluation import (
     ConstantPredictor,
+    DatasetSpec,
     RoutingMode,
     SvmSpec,
     build_dataset,
@@ -179,8 +180,8 @@ def test_routing_recovers_latent_groups():
             )
         )
         space = ClusterSpace.STATISTICAL_WINDOW
-        model, _ = fit_cluster_model(*subject_summaries(subject_segments(corpus, cfg), space),
-                                     space, 2, seed)
+        model, _ = fit_cluster_model(
+            *subject_summaries(subject_segments(corpus, DatasetSpec(cfg)), space), space, 2, seed)
         routed, latent = [], []
         for s in corpus:
             vecs = window_space_matrix(segment(s, cfg).values, ClusterSpace.STATISTICAL_WINDOW)
@@ -192,20 +193,24 @@ def test_routing_recovers_latent_groups():
 def test_subject_summaries_spaces():
     corpus, _ = generate_synthetic(SyntheticCohortSpec(n_subjects=3, n_groups=1, seed=2))
     cfg = WindowConfig(50, 50)
-    ids, profiles = subject_summaries(subject_segments(corpus, cfg), ClusterSpace.MEAN_BPM_PROFILE)
+    ids, profiles = subject_summaries(subject_segments(corpus, DatasetSpec(cfg)),
+                                      ClusterSpace.MEAN_BPM_PROFILE)
     assert ids == ["S000", "S001", "S002"]
     assert profiles.shape == (3, 5)
-    ids2, stats = subject_summaries(subject_segments(corpus, cfg), ClusterSpace.STATISTICAL_WINDOW)
+    ids2, stats = subject_summaries(subject_segments(corpus, DatasetSpec(cfg)),
+                                    ClusterSpace.STATISTICAL_WINDOW)
     assert ids2 == ids
     assert stats.shape == (3, 12)
-    _, temporal = subject_summaries(subject_segments(corpus, cfg), ClusterSpace.TEMPORAL_WINDOW)
+    _, temporal = subject_summaries(subject_segments(corpus, DatasetSpec(cfg)),
+                                    ClusterSpace.TEMPORAL_WINDOW)
     assert temporal.shape == (3, 10)
 
 
 def test_fit_with_scaler_routes_consistently():
     corpus, _ = generate_synthetic(SyntheticCohortSpec(n_subjects=6, n_groups=2, seed=8))
     space = ClusterSpace.TEMPORAL_WINDOW
-    ids, summaries = subject_summaries(subject_segments(corpus, WindowConfig(50, 50)), space)
+    ids, summaries = subject_summaries(
+        subject_segments(corpus, DatasetSpec(WindowConfig(50, 50))), space)
     model, assignment = fit_cluster_model(ids, summaries, space, 2, seed=8, with_scaler=True)
     assert model.scaler is not None
     assert assign_many(model, summaries).tolist() == [assignment[s] for s in ids]
@@ -237,11 +242,12 @@ def test_summaries_from_sliced_vectors_match_recomputed(space, monkeypatch):
 
     monkeypatch.setattr(evaluation, "fit_cluster_model", recording)
     monkeypatch.setattr(evaluation, "fit_classifier", lambda *args: ConstantPredictor(0))
-    routed_eval(build_dataset(corpus, cfg), 2, RoutingMode.PER_WINDOW, space,
+    routed_eval(build_dataset(corpus, DatasetSpec(cfg)), 2, RoutingMode.PER_WINDOW, space,
                 SvmSpec(inputs="windows"), seed=0)
     ids_sliced, sliced = fits[1]  # the fold that holds out S001
     ids, recomputed = subject_summaries(
-        (part for part in subject_segments(corpus, cfg) if part.subject_id != "S001"), space)
+        (part for part in subject_segments(corpus, DatasetSpec(cfg))
+         if part.subject_id != "S001"), space)
     assert ids == ids_sliced == ["S000", "S002", "S003", "S004"]
     assert sliced.tobytes() == recomputed.tobytes()
 
@@ -290,5 +296,5 @@ def test_subject_summaries_compute_one_subject_at_a_time(monkeypatch):
         return real(block, space)
 
     monkeypatch.setattr(clustering, "window_space_matrix", sized)
-    subject_summaries(subject_segments(corpus, cfg), ClusterSpace.STATISTICAL_WINDOW)
+    subject_summaries(subject_segments(corpus, DatasetSpec(cfg)), ClusterSpace.STATISTICAL_WINDOW)
     assert sizes == [len(segment(s, cfg)) for s in sorted(corpus, key=lambda s: s.subject_id)]

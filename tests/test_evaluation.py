@@ -20,6 +20,7 @@ from hractivity.clustering import ClusterSpace, window_space_matrix
 from hractivity.errors import ConfigError, DataError, TooFewVectors
 from hractivity.evaluation import (
     ConstantPredictor,
+    DatasetSpec,
     NetSpec,
     RoutingMode,
     SplitKind,
@@ -57,7 +58,7 @@ def cohort(n=8, groups=2, seed=1):
 
 def small_dataset(seed=1, w=50, s=25, std=StandardizationMode.DATA):
     series, _ = cohort(seed=seed)
-    return build_dataset(series, WindowConfig(w, s), std, FeatureSetKind.STAT_TEMPORAL)
+    return build_dataset(series, DatasetSpec(WindowConfig(w, s), std, FeatureSetKind.STAT_TEMPORAL))
 
 
 def manual_dataset(rows):
@@ -73,11 +74,7 @@ def manual_dataset(rows):
         subject_ids=ids,
         subject_index=np.array([ids.index(sid) for sid, _, _ in rows], dtype=np.int64),
         starts=np.arange(len(rows)),
-        hc_names=(),
-        window_size=windows.shape[1],
-        stride=1,
-        standardization=StandardizationMode.NONE,
-        feature_kind=None,
+        spec=DatasetSpec(WindowConfig(windows.shape[1], 1)),
     )
 
 
@@ -199,14 +196,14 @@ def test_pool_never_has_more_workers_than_jobs(monkeypatch):
 
 def test_sweep_grid_shape_and_window_arithmetic():
     series, _ = cohort(n=3)
-    reports = run_sweep(series, [50, 80, 100, 120], [10, 25, 40, 50, 80, 100, 120],
+    data = DatasetSpec(WindowConfig(50, 10), StandardizationMode.DATA, FeatureSetKind.STATISTICAL)
+    reports = run_sweep(series, data, [50, 80, 100, 120], [10, 25, 40, 50, 80, 100, 120],
                         SplitPlan(SplitKind.RANDOM_WINDOW),
-                        SvmSpec(inputs="features"),
-                        StandardizationMode.DATA, FeatureSetKind.STATISTICAL, seed=1)
+                        SvmSpec(inputs="features"), seed=1)
     assert len(reports) == 28
     assert set(reports) == {(w, s) for w in (50, 80, 100, 120)
                             for s in (10, 25, 40, 50, 80, 100, 120)}
-    ds = build_dataset(series[:1], WindowConfig(120, 120))
+    ds = build_dataset(series[:1], DatasetSpec(WindowConfig(120, 120)))
     assert len(ds) == 6  # floor((780-120)/120)+1
 
 
@@ -272,7 +269,8 @@ def test_per_subject_routing_uses_the_subject_mean_cluster():
 def test_per_subject_routing_sends_each_subject_to_its_group_mates(monkeypatch, space, seed):
     # each fold clusters its train subjects by their mean vectors, so a
     # held-out subject is routed by its own mean vector too
-    ds = build_dataset(shape_groups_cohort(seed), WindowConfig(50, 25), StandardizationMode.DATA)
+    ds = build_dataset(shape_groups_cohort(seed),
+                       DatasetSpec(WindowConfig(50, 25), StandardizationMode.DATA))
     ds = replace(ds, labels=(ds.subject_index >= 6).astype(np.int64))  # label: subject's group
     groups = {sid: int(i >= 6) for i, sid in enumerate(ds.subject_ids)}
     clusterings = []
@@ -328,8 +326,7 @@ def test_importance_constant_dimension_is_zero():
     clf = fit_classifier(
         SvmSpec(inputs="features"),
         WindowDataset(windows, hc, labels, ("S",), np.zeros(n, dtype=np.int64),
-                      np.arange(n), ds_like_names, 6, 1,
-                      StandardizationMode.NONE, None),
+                      np.arange(n), DatasetSpec(WindowConfig(6, 1))),
         np.arange(n), seed=1,
     )
     rep = permutation_importance(clf, windows, hc, labels, ds_like_names, seed=3)
@@ -353,7 +350,7 @@ def test_importance_noise_feature_near_zero(seed):
     windows = np.zeros((n, 4))
     names = ("0_A", "0_B", "0_Noise")
     ds = WindowDataset(windows, hc, labels, ("S",), np.zeros(n, dtype=np.int64),
-                       np.arange(n), names, 4, 1, StandardizationMode.NONE, None)
+                       np.arange(n), DatasetSpec(WindowConfig(4, 1)))
     clf = fit_classifier(SvmSpec(inputs="features"), ds, np.arange(n), seed=seed)
     rep = permutation_importance(clf, windows, hc, labels, names, seed=seed)
     assert abs(rep.importances[6]) <= 0.02  # the noise column
@@ -367,7 +364,7 @@ def test_importance_cheat_feature_ranks_first(tmp_path):
     windows = rng.normal(size=(n, 5))
     names = ("0_Noise", "0_Cheat")
     ds = WindowDataset(windows, hc, labels, ("S",), np.zeros(n, dtype=np.int64),
-                       np.arange(n), names, 5, 1, StandardizationMode.NONE, None)
+                       np.arange(n), DatasetSpec(WindowConfig(5, 1)))
     clf = fit_classifier(SvmSpec(inputs="features"), ds, np.arange(n), seed=2)
     rep = permutation_importance(clf, windows, hc, labels, names, seed=2)
     assert rep.names[int(np.argmax(rep.importances))] == "0_Cheat"
@@ -410,12 +407,13 @@ def test_importance_skips_only_unread_inputs(spec, reads):
         clf = fit_classifier(spec, ds, rows, seed=3)
     assert (clf.reads_windows, clf.reads_hc) == reads
     counted = CountingPredicts(clf)
-    rep = permutation_importance(counted, ds.windows, ds.hc, ds.labels, ds.hc_names, seed=4)
-    read_dims = reads[0] * ds.window_size + reads[1] * ds.hc.shape[1]
+    rep = permutation_importance(counted, ds.windows, ds.hc, ds.labels, ds.spec.feature_names,
+                                 seed=4)
+    read_dims = reads[0] * ds.spec.window.window_size + reads[1] * ds.hc.shape[1]
     assert counted.calls == 1 + 5 * read_dims
     want = permutation_importance_reference(clf, ds.windows, ds.hc, ds.labels, seed=4)
     assert np.array_equal(rep.importances, want)
-    unread = np.array([not reads[0]] * ds.window_size + [not reads[1]] * ds.hc.shape[1])
+    unread = np.array([not reads[0]] * ds.spec.window.window_size + [not reads[1]] * ds.hc.shape[1])
     assert np.all(rep.importances[unread] == 0.0)
 
 
@@ -437,7 +435,7 @@ class FixedAnswers:
 
 def test_timeline_perfect_model_all_correct(tmp_path):
     series = constant_series()
-    cfg = WindowConfig(50, 10)
+    cfg = DatasetSpec(WindowConfig(50, 10))
     n_windows = (200 - 50) // 10 + 1
     clf = FixedAnswers(np.zeros(n_windows, dtype=int))
     rec = misclassification_timeline(clf, series, cfg)
@@ -452,7 +450,7 @@ def test_timeline_perfect_model_all_correct(tmp_path):
 def test_timeline_transition_marker_count():
     series, _ = cohort(n=1, groups=1)
     rec = misclassification_timeline(
-        FixedAnswers(np.zeros(4000, dtype=int)), series[0], WindowConfig(50, 10)
+        FixedAnswers(np.zeros(4000, dtype=int)), series[0], DatasetSpec(WindowConfig(50, 10))
     )
     labels = np.array([int(v) for v in series[0].labels])
     assert rec.transition.sum() == np.sum(labels[1:] != labels[:-1]) == 4
@@ -462,7 +460,7 @@ def test_timeline_nearest_center_tie_to_earlier():
     # W=4, S=2: centers at 1.5, 3.5, 5.5... timestep 0..3 nearest checks
     series = constant_series(n=10)
     clf = FixedAnswers(np.arange(4) % 2)  # alternating predictions expose routing
-    rec = misclassification_timeline(clf, series, WindowConfig(4, 2))
+    rec = misclassification_timeline(clf, series, DatasetSpec(WindowConfig(4, 2)))
     # t=2 is 0.5 from both centers 1.5 and 3.5 -> earlier window wins
     assert rec.predicted[2] == rec.predicted[1]
 
@@ -474,7 +472,7 @@ def test_timeline_nearest_center_matches_dense_reference():
             for stride in range(1, 25):
                 n_windows = (n - w) // stride + 1
                 rec = misclassification_timeline(FixedAnswers(np.arange(n_windows)), series,
-                                                 WindowConfig(w, stride))
+                                                 DatasetSpec(WindowConfig(w, stride)))
                 want = nearest_window_reference(n, w, stride)
                 assert np.array_equal(rec.predicted, want), (n, w, stride)
 
@@ -486,7 +484,7 @@ def test_timeline_memory_is_linear_in_series_length():
     clf = FixedAnswers(np.zeros(8000, dtype=int))
     tracemalloc.start()
     try:
-        misclassification_timeline(clf, series, WindowConfig(50, 10))
+        misclassification_timeline(clf, series, DatasetSpec(WindowConfig(50, 10)))
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
@@ -496,7 +494,7 @@ def test_timeline_memory_is_linear_in_series_length():
 def test_timeline_too_short():
     with pytest.raises(DataError, match=r"window_size 50: the longest has 30 samples"):
         misclassification_timeline(FixedAnswers([0]), constant_series(n=30),
-                                   WindowConfig(50, 10))
+                                   DatasetSpec(WindowConfig(50, 10)))
 
 
 def test_transition_error_rates_windowing():
@@ -519,7 +517,7 @@ def test_transition_error_rates_windowing():
 def test_build_dataset_no_windows():
     with pytest.raises(DataError, match=r"^no series long enough for window_size 50: "
                                         r"the longest has 30 samples$"):
-        build_dataset([constant_series(n=30)], WindowConfig(50, 10))
+        build_dataset([constant_series(n=30)], DatasetSpec(WindowConfig(50, 10)))
 
 
 def test_net_classifier_adapter_runs():
@@ -528,6 +526,19 @@ def test_net_classifier_adapter_runs():
     rep = run_split(ds, SplitPlan(SplitKind.RANDOM_WINDOW), spec, seed=1)
     assert rep.confusion.sum() == rep.folds[0].n_test
     assert rep.config["model"]["kind"] == "net"
+
+
+def test_the_net_build_decides_which_nets_need_features():
+    series, _ = cohort()
+    ds = build_dataset(series, DatasetSpec(WindowConfig(30, 60), StandardizationMode.DATA))
+    rows = np.arange(len(ds))
+    for arch in (ArchitectureId.MODEL1, ArchitectureId.MODEL3):
+        with pytest.raises(ConfigError, match=f"^{arch.value} needs hc_dim > 0$"):
+            fit_classifier(NetSpec(arch=arch, epochs=1), ds, rows, seed=1)
+    # Model2 without features is the Baseline net
+    clf = fit_classifier(NetSpec(arch=ArchitectureId.MODEL2, epochs=1), ds, rows, seed=1)
+    assert not clf.reads_hc
+    assert clf.predict(ds.windows, ds.hc).shape == (len(ds),)
 
 
 def interleaved_dataset():
@@ -719,8 +730,8 @@ def recurring_cohort():
     """Nine subjects in three groups: at k = 3, 13 of the 27 (fold, cluster)
     member sets are distinct."""
     series, _ = cohort(n=9, groups=3, seed=5)
-    return build_dataset(series, WindowConfig(50, 25), StandardizationMode.FEATURE,
-                         FeatureSetKind.STAT_TEMPORAL)
+    return build_dataset(series, DatasetSpec(WindowConfig(50, 25), StandardizationMode.FEATURE,
+                                             FeatureSetKind.STAT_TEMPORAL))
 
 
 @pytest.mark.parametrize("routing", list(RoutingMode))

@@ -13,10 +13,10 @@ from hractivity.errors import ConfigError, DataError
 from hractivity.features import (
     BASE_NAMES,
     MAX_FILTERBANK_WEIGHTS,
+    N_MEL_BANDS,
     STATISTICAL_NAMES,
     TEMPORAL_NAMES,
     FeatureSetKind,
-    MfccConfig,
     base_matrix,
     feature_matrix,
     feature_names,
@@ -52,8 +52,8 @@ def temp(values):
     return dict(zip(TEMPORAL_NAMES, temporal_matrix(one_row(values))[0]))
 
 
-def mfcc(values, cfg=MfccConfig()):
-    return mfcc_matrix(one_row(values), cfg)[0]
+def mfcc(values, n_mel_bands=N_MEL_BANDS):
+    return mfcc_matrix(one_row(values), n_mel_bands)[0]
 
 
 def test_base_features_60_70_80():
@@ -168,30 +168,29 @@ def test_slope_matches_lstsq():
 
 
 def test_mfcc_constant_window():
-    cfg = MfccConfig()
-    got = mfcc([70.0] * 16, cfg)
+    n_mel_bands = N_MEL_BANDS
+    got = mfcc([70.0] * 16, n_mel_bands)
     assert got.shape == (5,)
     # all band energies at the floor: DCT-II (orthonormal) of a constant vector
-    assert abs(got[0] - np.sqrt(cfg.n_mel_bands) * np.log(1e-10)) < TOL
+    assert abs(got[0] - np.sqrt(n_mel_bands) * np.log(1e-10)) < TOL
     assert np.all(np.abs(got[1:]) < TOL)
 
 
 def test_mfcc_shapes_and_validation():
     assert mfcc(np.random.default_rng(0).normal(size=32)).shape == (5,)
-    assert mfcc(np.zeros(9), MfccConfig(n_mel_bands=6)).shape == (5,)
+    assert mfcc(np.zeros(9), 6).shape == (5,)
     with pytest.raises(DataError, match="^window of 7 samples, need at least 8$"):
         mfcc(np.zeros(7))
     with pytest.raises(ConfigError, match="^n_mel_bands must be at least 5$"):
-        MfccConfig(n_mel_bands=4)
+        mfcc(np.zeros(9), 4)
 
 
 @pytest.mark.parametrize("w", [8, 9, 16, 50, 51, 80, 120])
 @pytest.mark.parametrize("n_mel_bands", [5, 10, 16])
 def test_mfcc_pipeline_matches_loop_references(w, n_mel_bands):
-    cfg = MfccConfig(n_mel_bands=n_mel_bands)
     mat = np.random.default_rng(w).normal(70.0, 8.0, size=(4, w))
-    energies = mel_band_energies(mat, cfg)
-    coefficients = mfcc_matrix(mat, cfg)
+    energies = mel_band_energies(mat, n_mel_bands)
+    coefficients = mfcc_matrix(mat, n_mel_bands)
     assert coefficients.shape == (4, 5)
     for row, x in enumerate(mat):
         want = mel_band_energies_reference(x, n_mel_bands)
@@ -201,15 +200,15 @@ def test_mfcc_pipeline_matches_loop_references(w, n_mel_bands):
 
 
 def test_mel_energy_concentrates_at_band_center():
-    cfg = MfccConfig()
+    n_mel_bands = N_MEL_BANDS
     w = 64
-    edges = mel_to_hz(np.linspace(0.0, hz_to_mel(0.5), cfg.n_mel_bands + 2))
+    edges = mel_to_hz(np.linspace(0.0, hz_to_mel(0.5), n_mel_bands + 2))
     for band in (3, 5, 7):
         f_center = edges[band + 1]
         t = np.arange(w)
         x = np.sin(2 * np.pi * f_center * t)
-        lib = mel_band_energies(one_row(x), cfg)[0]
-        oracle = mel_band_energies_reference(x, cfg.n_mel_bands)
+        lib = mel_band_energies(one_row(x), n_mel_bands)[0]
+        oracle = mel_band_energies_reference(x, n_mel_bands)
         assert np.max(np.abs(lib - oracle)) < 1e-9 * max(1.0, oracle.max())
         assert int(np.argmax(lib)) == band
         logs = np.log(np.maximum(lib, 1e-10))
@@ -217,7 +216,7 @@ def test_mel_energy_concentrates_at_band_center():
 
 
 def test_mel_filterbank_covers_positive_frequencies():
-    bank = mel_filterbank(MfccConfig(), 64)
+    bank = mel_filterbank(N_MEL_BANDS, 64)
     assert bank.shape == (10, 33)
     assert np.all(bank[:, 0] == 0.0)  # 0 Hz bin excluded
     assert np.all(bank >= 0.0)
@@ -230,10 +229,10 @@ def test_mel_filterbank_refuses_an_oversized_bank_before_allocating(n_fft):
     n_bins = n_fft // 2 + 1
     for n_mel_bands in (MAX_FILTERBANK_WEIGHTS // n_bins + 1, 10**13):
         with pytest.raises(ConfigError, match="features.n_mel_bands") as caught:
-            mel_filterbank(MfccConfig(n_mel_bands=n_mel_bands), n_fft)
+            mel_filterbank(n_mel_bands, n_fft)
         assert "MAX_FILTERBANK_WEIGHTS" in str(caught.value)
         with pytest.raises(ConfigError, match="features.n_mel_bands"):
-            mel_band_energies(np.zeros((3, n_fft)), MfccConfig(n_mel_bands=n_mel_bands))
+            mel_band_energies(np.zeros((3, n_fft)), n_mel_bands)
 
 
 def test_translation_invariance():
@@ -294,6 +293,16 @@ def test_feature_set_shapes_and_names():
     assert len(set(names)) == 22  # no collisions across the two families
     assert "0_Autocorrelation" in names
     assert all(n.startswith("0_") for n in names + feature_names(FeatureSetKind.BASE_MFCC))
+
+
+@pytest.mark.parametrize("n_mel_bands", [N_MEL_BANDS, 6])
+@pytest.mark.parametrize("kind", list(FeatureSetKind), ids=lambda k: k.value)
+def test_feature_names_match_the_matrix_width(kind, n_mel_bands):
+    # importance reports pair these names with these columns, with or without windows
+    windows = np.random.default_rng(5).normal(70.0, 8.0, size=(3, 16))
+    width = len(feature_names(kind))
+    assert feature_matrix(windows, kind, n_mel_bands).shape == (3, width)
+    assert feature_matrix(windows[:0], kind, n_mel_bands).shape == (0, width)
 
 
 def test_feature_matrix_standardized_grand_mean_small():

@@ -18,7 +18,7 @@ from oracles import (
 
 from hractivity import svm
 from hractivity.errors import ConfigError, DataError, GramTooLarge
-from hractivity.evaluation import build_dataset
+from hractivity.evaluation import DatasetSpec, build_dataset
 from hractivity.features import FeatureSetKind
 from hractivity.preprocess import StandardizationMode, WindowConfig, apply_scaler, fit_scaler
 from hractivity.svm import (
@@ -290,8 +290,8 @@ def test_ovo_serialization_bit_exact(tmp_path):
 
 def test_every_ovo_machine_converges_under_feature_standardization():
     series, _ = generate_synthetic(SyntheticCohortSpec(n_subjects=8, n_groups=2, seed=1))
-    ds = build_dataset(series, WindowConfig(50, 10), StandardizationMode.FEATURE,
-                       FeatureSetKind.STAT_TEMPORAL)
+    ds = build_dataset(series, DatasetSpec(WindowConfig(50, 10), StandardizationMode.FEATURE,
+                                           FeatureSetKind.STAT_TEMPORAL))
     x = apply_scaler(fit_scaler(ds.hc), ds.hc)
     model = train_ovo(x, ds.labels, tol=1e-3)
     assert len(model.machines) == 10
@@ -418,8 +418,8 @@ def test_matches_reference_solver_under_iteration_cap(monkeypatch, cap):
 
 def test_every_ovo_machine_matches_reference_under_feature_standardization():
     series, _ = generate_synthetic(SyntheticCohortSpec(n_subjects=7, n_groups=3, seed=2))
-    ds = build_dataset(series, WindowConfig(50, 10), StandardizationMode.FEATURE,
-                       FeatureSetKind.STAT_TEMPORAL)
+    ds = build_dataset(series, DatasetSpec(WindowConfig(50, 10), StandardizationMode.FEATURE,
+                                           FeatureSetKind.STAT_TEMPORAL))
     x = apply_scaler(fit_scaler(ds.hc), ds.hc)
     model = train_ovo(x, ds.labels)
     assert len(model.machines) == 10

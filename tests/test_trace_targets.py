@@ -61,7 +61,11 @@ def test_cluster_and_routed_eval_reach_the_traced_names(tmp_path):
     assert "evaluation.build_dataset" not in spans["cluster"]
     # a routing or a routed fit that bypassed the patched lookup would read
     # as fewer assignments or fits
+    # both runs cut windows under standardization.mode = data and compute
+    # features.kind = stat_temporal, the defaults
     routed = clustering | {"evaluation.build_dataset", "clustering.assign_many",
-                           "evaluation.fit_classifier"}
+                           "evaluation.fit_classifier", "preprocess.segment",
+                           "preprocess.standardize_series", "features.feature_matrix",
+                           "features.statistical_matrix", "features.temporal_matrix"}
     assert routed <= set(spans["per_window"])
     assert routed <= set(spans["per_subject"])
