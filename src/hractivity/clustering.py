@@ -36,21 +36,24 @@ class ClusterSpace(enum.Enum):
 
 @dataclass(frozen=True)
 class ClusterModel:
-    k: int
     centroids: np.ndarray  # (k, d)
     space: ClusterSpace
     seed: int
     inertia: float
-    scaler: Scaler | None = None
+    scaler: Scaler | None = None  # applied to every row before it is clustered or routed
 
     def __post_init__(self):
         centroids = np.ascontiguousarray(self.centroids, dtype=np.float64)
-        if centroids.ndim != 2 or centroids.shape[0] != self.k:
+        if centroids.ndim != 2:
             raise DataError("centroids must be a (k, d) matrix")
         if not np.isfinite(centroids).all():
             raise InternalError("non-finite centroid")
         centroids.flags.writeable = False
         object.__setattr__(self, "centroids", centroids)
+
+    @property
+    def k(self) -> int:
+        return len(self.centroids)
 
 
 def _activity_profile(part: Segments) -> np.ndarray:
@@ -129,23 +132,14 @@ def _lloyd(vectors: np.ndarray, centers: np.ndarray):
     return centers, labels, inertia
 
 
-def kmeans_fit(
-    vectors,
-    k: int,
-    seed: int,
-    restarts: int = 10,
-    space: ClusterSpace = ClusterSpace.MEAN_BPM_PROFILE,
-    scaler: Scaler | None = None,
-    ids: list[str] | None = None,
-) -> tuple[ClusterModel, dict]:
-    """Best-of-restarts k-means; the winner is (inertia, restart index) minimal."""
+def kmeans_fit(vectors, k: int, seed: int, restarts: int = 10):
+    """Best-of-restarts k-means++ and Lloyd on an (n, d) matrix; the winner is
+    (inertia, restart index) minimal. Returns (centroids, labels, inertia)."""
     mat = np.asarray(vectors, dtype=np.float64)
     if mat.ndim != 2:
         raise DataError("expected an (n, d) vector matrix")
     if k < 1 or k > mat.shape[0]:
         raise TooFewVectors(f"k={k} with {mat.shape[0]} vectors")
-    if scaler is not None:
-        mat = apply_scaler(scaler, mat)
 
     best = None
     for r in range(restarts):
@@ -156,12 +150,7 @@ def kmeans_fit(
             best = (inertia, r, centers, labels)
 
     inertia, _, centers, labels = best
-    model = ClusterModel(k=k, centroids=centers, space=space, seed=int(seed),
-                         inertia=inertia, scaler=scaler)
-    keys = ids if ids is not None else list(range(mat.shape[0]))
-    if len(keys) != mat.shape[0]:
-        raise DataError("ids must match the vector count")
-    return model, {key: int(c) for key, c in zip(keys, labels)}
+    return centers, labels, inertia
 
 
 def assign_many(model: ClusterModel, vectors) -> np.ndarray:
@@ -230,14 +219,19 @@ def fit_cluster_model(
     restarts: int = 10,
     with_scaler: bool = False,
 ) -> tuple[ClusterModel, dict[str, int]]:
-    """Cluster subjects by their summary rows (``subject_summaries``' output).
+    """Cluster subjects by their summary rows (``subject_summaries``' output);
+    returns the model and each subject's cluster.
 
     With ``with_scaler`` the rows are z-scored by a scaler fitted on them,
     which the model keeps for routing.
     """
+    if len(ids) != len(summaries):
+        raise DataError("ids must match the vector count")
     scaler = fit_scaler(summaries) if with_scaler else None
-    return kmeans_fit(summaries, k, seed, restarts=restarts, space=space,
-                      scaler=scaler, ids=ids)
+    rows = summaries if scaler is None else apply_scaler(scaler, summaries)
+    centroids, labels, inertia = kmeans_fit(rows, k, seed, restarts=restarts)
+    model = ClusterModel(centroids, space, int(seed), inertia, scaler)
+    return model, dict(zip(ids, labels.tolist()))
 
 
 def write_cluster_report(

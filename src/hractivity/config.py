@@ -20,10 +20,11 @@ from .errors import ConfigError
 from .evaluation import DatasetSpec, NetSpec, RoutingMode, SplitKind, SplitPlan, SvmSpec
 from .features import (MAX_FILTERBANK_WEIGHTS, MAX_MEL_BANDS, N_MEL_BANDS, N_MFCC,
                        FeatureSetKind, feature_names)
+from .ingest import DEFAULT_DEVICE
 from .neuralnet import CONV_KERNEL, ArchitectureId, NetConfig, flatten_dim
 from .preprocess import StandardizationMode, WindowConfig
 from .svm import KernelKind, KernelSpec
-from .synthetic import SyntheticCohortSpec
+from .synthetic import DEVICE as SYNTHETIC_DEVICE, SyntheticCohortSpec
 
 
 def _parse_int_tuple(text: str) -> tuple[int, ...]:
@@ -105,7 +106,7 @@ def _not_empty(value):
 @dataclass(frozen=True)
 class ExperimentConfig:
     source: str = _key("synthetic", "corpus.source", str.strip, _not_empty)  # or a CSV path
-    device_filter: str = _key("Apple Watch", "corpus.device_filter", str.strip)  # "": off
+    device_filter: str = _key(DEFAULT_DEVICE, "corpus.device_filter", str.strip)  # "": off
     resample_period_s: float = _key(0.0, "corpus.resample_period_s", float,
                                     _finite(0.0))  # 0 disables resampling
 
@@ -227,6 +228,11 @@ def check_protocol(cfg: ExperimentConfig, command: str) -> None:
     if cfg.source == "synthetic" and cfg.resample_period_s > 0 and command != "generate":
         raise ConfigError(f"corpus.resample_period_s = {cfg.resample_period_s!r} resamples CSV "
                           f"series, and corpus.source = synthetic generates its own")
+    if (cfg.source == "synthetic" and command != "generate"
+            and cfg.device_filter not in ("", DEFAULT_DEVICE, SYNTHETIC_DEVICE)):
+        raise ConfigError(f"corpus.device_filter = {cfg.device_filter} keeps one device's CSV "
+                          f"series, and corpus.source = synthetic generates series of device "
+                          f"{SYNTHETIC_DEVICE}")
     kind = f"split.kind = {cfg.split_kind.value}"
     if cfg.routing is not None and command != "eval":
         raise ConfigError(f"{command} routes no windows to clusters: unset clustering.routing")

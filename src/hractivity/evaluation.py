@@ -677,8 +677,9 @@ def permutation_importance(
     """
     if repeats < 5:
         raise ConfigError("importance needs at least 5 repeats")
-    windows = np.asarray(windows, dtype=np.float64)
-    hc = np.asarray(hc, dtype=np.float64)
+    # own copies: each dimension's column is shuffled in place, then restored
+    windows = np.array(windows, dtype=np.float64)
+    hc = np.array(hc, dtype=np.float64)
     labels = np.asarray(labels, dtype=np.int64)
     if windows.shape[0] == 0:
         raise DataError("importance needs a non-empty evaluation set")
@@ -693,24 +694,17 @@ def permutation_importance(
     for dim in range(len(names)):
         if not read[dim]:
             continue
+        matrix, column = (windows, dim) if dim < w_dim else (hc, dim - w_dim)
+        original = matrix[:, column].copy()
         drops = []
         for r in range(repeats):
             rng = np.random.default_rng(
                 np.random.SeedSequence(entropy=(int(seed), dim, r))
             )
-            order = rng.permutation(windows.shape[0])
-            if dim < w_dim:
-                shuffled_w = windows.copy()
-                shuffled_w[:, dim] = windows[order, dim]
-                shuffled_h = hc
-            else:
-                shuffled_w = windows
-                shuffled_h = hc.copy()
-                shuffled_h[:, dim - w_dim] = hc[order, dim - w_dim]
-            bal = balanced_accuracy(
-                confusion_matrix(labels, clf.predict(shuffled_w, shuffled_h))
-            )
+            matrix[:, column] = original[rng.permutation(windows.shape[0])]
+            bal = balanced_accuracy(confusion_matrix(labels, clf.predict(windows, hc)))
             drops.append(base - bal)
+        matrix[:, column] = original
         importances[dim] = np.mean(drops)
     return ImportanceReport(names=names, importances=importances,
                             repeats=repeats, baseline_balanced=base)

@@ -12,15 +12,15 @@ from .errors import DataError
 from .series import LABEL_NAMES, N_CLASSES
 
 
-def confusion_matrix(true_labels, predicted, n_classes: int = N_CLASSES) -> np.ndarray:
-    """(n_classes, n_classes) counts; rows are true labels, columns predictions."""
+def confusion_matrix(true_labels, predicted) -> np.ndarray:
+    """(N_CLASSES, N_CLASSES) counts; rows are true labels, columns predictions."""
     t = np.asarray(true_labels, dtype=np.int64)
     p = np.asarray(predicted, dtype=np.int64)
     if t.shape != p.shape:
         raise DataError("true and predicted labels differ in length")
-    if t.size and (t.min() < 0 or t.max() >= n_classes or p.min() < 0 or p.max() >= n_classes):
-        raise DataError("label outside [0, n_classes)")
-    cm = np.zeros((n_classes, n_classes), dtype=np.int64)
+    if t.size and (t.min() < 0 or t.max() >= N_CLASSES or p.min() < 0 or p.max() >= N_CLASSES):
+        raise DataError("label outside [0, N_CLASSES)")
+    cm = np.zeros((N_CLASSES, N_CLASSES), dtype=np.int64)
     np.add.at(cm, (t, p), 1)
     return cm
 

@@ -338,7 +338,6 @@ def train(model: NetModel, windows, hc, labels) -> NetModel:
     m = np.zeros_like(theta)
     v = np.zeros_like(theta)
     scratch = np.empty_like(theta)
-    denom = np.empty_like(theta)
     step = 0
     dropout_rng = np.random.default_rng(np.random.SeedSequence(entropy=(int(cfg.seed), 1)))
     shuffle_rng = np.random.default_rng(np.random.SeedSequence(entropy=(int(cfg.seed), 2)))
@@ -363,14 +362,15 @@ def train(model: NetModel, windows, hc, labels) -> NetModel:
             np.multiply(grad, 1.0 - ADAM_BETA2, out=scratch)
             scratch *= grad
             v += scratch
-            # theta -= lr (m / bias1) / (sqrt(v / bias2) + eps)
-            np.divide(m, bias1, out=scratch)
-            scratch *= cfg.learning_rate
-            np.divide(v, bias2, out=denom)
-            np.sqrt(denom, out=denom)
-            denom += ADAM_EPSILON
-            scratch /= denom
-            theta -= scratch
+            # theta -= lr (m / bias1) / (sqrt(v / bias2) + eps), the step formed
+            # in grad, which nothing reads until _backward overwrites it
+            np.divide(m, bias1, out=grad)
+            grad *= cfg.learning_rate
+            np.divide(v, bias2, out=scratch)
+            np.sqrt(scratch, out=scratch)
+            scratch += ADAM_EPSILON
+            grad /= scratch
+            theta -= grad
         model.training_log.append(epoch_loss / n)
     return model
 

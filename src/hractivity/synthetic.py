@@ -24,6 +24,9 @@ BASELINE_MEAN = 65.0
 BASELINE_VAR = 8.0
 BASELINE_CLIP = (45.0, 100.0)
 
+#: The device id of every generated series.
+DEVICE = "synthetic"
+
 #: Most samples (subjects x samples per subject) a cohort may hold; checked before allocating.
 MAX_SAMPLES = 10**7
 
@@ -137,18 +140,18 @@ def generate_synthetic(spec: SyntheticCohortSpec) -> tuple[list[SubjectSeries], 
         trace, boundaries = _segment_trace(spec, profiles[group], baseline, times)
         if spec.noise_std > 0:
             eps = spec.noise_std * rng.standard_normal(n)
-            noise = np.empty(n)
+            noise = []
             acc = 0.0
             phi = spec.noise_ar_coeff
-            for k in range(n):
-                acc = phi * acc + eps[k]
-                noise[k] = acc
-            trace = trace + noise
+            for e in eps.tolist():  # Python floats: the same IEEE steps as numpy scalars
+                acc = phi * acc + e
+                noise.append(acc)
+            trace = trace + np.array(noise)
         subject_id = f"S{i:03d}"
         corpus.append(
             SubjectSeries(
                 subject_id=subject_id,
-                device_id="synthetic",
+                device_id=DEVICE,
                 timestamps=times,
                 bpm=trace,
                 labels=_labels_for(times, boundaries),

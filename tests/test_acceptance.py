@@ -201,9 +201,9 @@ def test_criterion_04_kmeans_matches_exhaustive_optimum(capsys):
         centers = rng.uniform(-8.0, 8.0, size=(k, d))
         vectors = centers[rng.integers(0, k, size=n)] + 0.6 * rng.normal(size=(n, d))
         optimum = exhaustive_kmeans_inertia(vectors, k)
-        model, _ = kmeans_fit(vectors, k, seed=trial)
-        assert model.inertia >= optimum - 1e-9, trial
-        hits += abs(model.inertia - optimum) < 1e-9
+        _, _, inertia = kmeans_fit(vectors, k, seed=trial)
+        assert inertia >= optimum - 1e-9, trial
+        hits += abs(inertia - optimum) < 1e-9
     _verdict(capsys, 4, "k-means oracle", hits >= 48, f"{hits}/50 instances at the optimum", t0, 30.0)
 
 
@@ -299,7 +299,7 @@ def _stride_trend_one_seed(seed):
                     tr = np.sort(np.concatenate(parts))
                 clf = fit_classifier(spec, ds, tr, seed)
                 m = probe_subjects == sid
-                cm += confusion_matrix(probe.labels[m], clf.predict(probe.windows[m], probe.hc[m]), 5)
+                cm += confusion_matrix(probe.labels[m], clf.predict(probe.windows[m], probe.hc[m]))
             out[(arm, stride)] = (balanced_accuracy(cm), accuracy(cm))
     return out
 
@@ -426,11 +426,11 @@ def test_criterion_10_feature_fusion_benefit(capsys):
         htr_s, hte_s = apply_scaler(sc, htr), apply_scaler(sc, hte)
         base = build(ArchitectureId.BASELINE, NetConfig(window_size=width, seed=seed, epochs=50))
         train(base, xtr, None, ytr)
-        b_bal = balanced_accuracy(confusion_matrix(yte, predict(base, xte, None), 5))
+        b_bal = balanced_accuracy(confusion_matrix(yte, predict(base, xte, None)))
         fused = build(ArchitectureId.MODEL2, NetConfig(
             window_size=width, hc_dim=htr.shape[1], seed=seed, epochs=50))
         train(fused, xtr, htr_s, ytr)
-        f_bal = balanced_accuracy(confusion_matrix(yte, predict(fused, xte, hte_s), 5))
+        f_bal = balanced_accuracy(confusion_matrix(yte, predict(fused, xte, hte_s)))
         wins += f_bal >= b_bal
         scores.append((f_bal, b_bal))
     detail = ", ".join(f"{f:.3f}/{b:.3f}" for f, b in scores)

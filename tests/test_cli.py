@@ -672,6 +672,8 @@ seed = 9
      ("windows.window_sizes = 5", "model.arch = baseline")),
     ("ingest", "[corpus]\nsource = synthetic\n",
      ("ingest needs corpus.source to point at CSV files",)),
+    ("eval", "[corpus]\nsource = synthetic\ndevice_filter = Fitbit\n",
+     ("corpus.device_filter = Fitbit", "corpus.source = synthetic")),
 ], ids=["eval-routing-random_window", "sweep-routing", "sweep-within_cluster_loso",
         "sweep-cross_cluster", "eval-test_cluster-ge-k", "eval-train_cluster-ge-k",
         "eval-on_standardized_input", "cluster-on_standardized_input",
@@ -684,7 +686,8 @@ seed = 9
         "eval-model1-without-features", "train-routing", "importance-cross_cluster",
         "timeline-cross_cluster", "cluster-routing", "ingest-cross_cluster",
         "cluster-cross_cluster", "generate-routing", "eval-synthetic-resample",
-        "eval-net-window_size-5", "sweep-net-window_sizes-5", "ingest-synthetic-source"])
+        "eval-net-window_size-5", "sweep-net-window_sizes-5", "ingest-synthetic-source",
+        "eval-synthetic-device_filter"])
 def test_ignored_settings_are_refused(tiny_corpus, capsys, monkeypatch, command, extra, keys):
     ini, _, runs = tiny_corpus
     # merge section by section: the base file already has a [model] section

@@ -11,7 +11,7 @@ from oracles import subject_summaries_reference
 
 from hractivity import cli, clustering, evaluation
 from hractivity.cli import main
-from hractivity.clustering import ClusterSpace, kmeans_fit, write_cluster_report
+from hractivity.clustering import ClusterModel, ClusterSpace, kmeans_fit, write_cluster_report
 from hractivity.evaluation import DatasetSpec, SplitKind, SplitPlan, build_dataset, make_folds
 from hractivity.ingest import parse_corpus, serialize_corpus
 from hractivity.preprocess import StandardizationMode, WindowConfig, segment, standardize_series
@@ -103,9 +103,9 @@ def reference_report(corpus, mode, space, path):
     labels = np.concatenate([p.labels for p in parts])
     subjects = [p.subject_id for p in parts for _ in range(len(p))]
     ids, summaries = subject_summaries_reference(values, labels, subjects, space)
-    model, assignment = kmeans_fit(summaries, K, SEED, restarts=RESTARTS, space=space,
-                                   ids=ids)
-    write_cluster_report(model, assignment, path)
+    centroids, labels, inertia = kmeans_fit(summaries, K, SEED, restarts=RESTARTS)
+    write_cluster_report(ClusterModel(centroids, space, SEED, inertia),
+                         dict(zip(ids, labels.tolist())), path)
     return path.read_bytes()
 
 

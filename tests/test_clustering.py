@@ -31,7 +31,7 @@ from hractivity.evaluation import (
     routed_eval,
     subject_segments,
 )
-from hractivity.preprocess import Segments, WindowConfig, segment
+from hractivity.preprocess import Segments, WindowConfig, apply_scaler, fit_scaler, segment
 from hractivity.series import ActivityLabel
 from hractivity.synthetic import SyntheticCohortSpec, generate_synthetic
 
@@ -80,19 +80,19 @@ def test_build_profiles_averages_window_means():
 
 def test_kmeans_k1_is_mean():
     vectors = np.array([[0.0, 0.0], [2.0, 4.0], [4.0, 2.0]])
-    model, assignment = kmeans_fit(vectors, 1, seed=0)
-    assert np.allclose(model.centroids[0], [2.0, 2.0])
-    assert set(assignment.values()) == {0}
+    centroids, labels, _ = kmeans_fit(vectors, 1, seed=0)
+    assert np.allclose(centroids[0], [2.0, 2.0])
+    assert set(labels.tolist()) == {0}
 
 
 def test_kmeans_two_clear_clusters():
     vectors = np.array([[0.0], [0.0], [10.0], [10.0]])
-    model, assignment = kmeans_fit(vectors, 2, seed=0)
-    assert sorted(model.centroids.ravel().tolist()) == [0.0, 10.0]
-    assert model.inertia == 0.0
-    assert assignment[0] == assignment[1]
-    assert assignment[2] == assignment[3]
-    assert assignment[0] != assignment[2]
+    centroids, labels, inertia = kmeans_fit(vectors, 2, seed=0)
+    assert sorted(centroids.ravel().tolist()) == [0.0, 10.0]
+    assert inertia == 0.0
+    assert labels[0] == labels[1]
+    assert labels[2] == labels[3]
+    assert labels[0] != labels[2]
 
 
 def test_kmeans_matches_exhaustive_oracle():
@@ -106,11 +106,11 @@ def test_kmeans_matches_exhaustive_oracle():
         k = int(rng.integers(2, min(4, n + 1)))
         vectors = rng.uniform(-5, 5, size=(n, d))
         optimum = exhaustive_kmeans_inertia(vectors, k)
-        model, _ = kmeans_fit(vectors, k, seed=trial)
-        assert model.inertia >= optimum - 1e-9  # never "better" than optimal
-        hits += abs(model.inertia - optimum) < 1e-9
-        thorough, _ = kmeans_fit(vectors, k, seed=trial, restarts=100)
-        assert abs(thorough.inertia - optimum) < 1e-9
+        _, _, inertia = kmeans_fit(vectors, k, seed=trial)
+        assert inertia >= optimum - 1e-9  # never "better" than optimal
+        hits += abs(inertia - optimum) < 1e-9
+        _, _, thorough = kmeans_fit(vectors, k, seed=trial, restarts=100)
+        assert abs(thorough - optimum) < 1e-9
     assert hits >= 13
 
 
@@ -135,18 +135,16 @@ def test_kmeans_permutation_invariance_as_partition():
     rng = np.random.default_rng(21)
     centers = np.array([[0.0, 0.0], [8.0, 8.0], [-8.0, 8.0]])
     vectors = np.concatenate([c + 0.3 * rng.normal(size=(12, 2)) for c in centers])
-    model_a, assign_a = kmeans_fit(vectors, 3, seed=5)
+    _, labels_a, inertia_a = kmeans_fit(vectors, 3, seed=5)
     perm = rng.permutation(len(vectors))
-    model_b, assign_b = kmeans_fit(vectors[perm], 3, seed=5)
-    assert abs(model_a.inertia - model_b.inertia) < 1e-9 * max(1.0, model_a.inertia)
-    labels_a = [assign_a[i] for i in range(len(vectors))]
-    labels_b_in_orig_order = [assign_b[int(np.nonzero(perm == i)[0][0])] for i in range(len(vectors))]
+    _, labels_b, inertia_b = kmeans_fit(vectors[perm], 3, seed=5)
+    assert abs(inertia_a - inertia_b) < 1e-9 * max(1.0, inertia_a)
+    labels_b_in_orig_order = [labels_b[int(np.nonzero(perm == i)[0][0])] for i in range(len(vectors))]
     assert adjusted_rand_index(labels_a, labels_b_in_orig_order) == 1.0
 
 
 def test_assign_many_centroid_identity_and_ties():
     model = ClusterModel(
-        k=3,
         centroids=np.array([[0.0, 0.0], [4.0, 0.0], [0.0, 4.0]]),
         space=ClusterSpace.MEAN_BPM_PROFILE,
         seed=0,
@@ -161,7 +159,7 @@ def test_assign_many_centroid_identity_and_ties():
 def test_assign_matches_linear_scan():
     rng = np.random.default_rng(3)
     centroids = rng.normal(size=(5, 3))
-    model = ClusterModel(5, centroids, ClusterSpace.STATISTICAL_WINDOW, 0, 0.0)
+    model = ClusterModel(centroids, ClusterSpace.STATISTICAL_WINDOW, 0, 0.0)
     vectors = rng.normal(size=(1000, 3))
     got = assign_many(model, vectors)
     for v, g in zip(vectors, got):
@@ -216,9 +214,25 @@ def test_fit_with_scaler_routes_consistently():
     assert assign_many(model, summaries).tolist() == [assignment[s] for s in ids]
 
 
+def test_fit_cluster_model_solves_the_scaled_rows():
+    rng = np.random.default_rng(7)
+    summaries = np.concatenate([rng.normal(c, (1.0, 50.0, 0.1), size=(5, 3))
+                                for c in ((0.0, 0.0, 0.0), (4.0, 200.0, 0.5))])
+    ids = [f"S{i:03d}" for i in range(len(summaries))]
+    model, assignment = fit_cluster_model(ids, summaries, ClusterSpace.TEMPORAL_WINDOW, 2,
+                                          seed=3, restarts=4, with_scaler=True)
+    centroids, labels, inertia = kmeans_fit(apply_scaler(fit_scaler(summaries), summaries),
+                                            2, seed=3, restarts=4)
+    assert assignment == dict(zip(ids, labels.tolist()))
+    assert np.array_equal(model.centroids, centroids)
+    assert model.inertia == inertia
+    assert (model.k, model.space, model.seed) == (2, ClusterSpace.TEMPORAL_WINDOW, 3)
+
+
 def test_cluster_report_deterministic(tmp_path):
     vectors = np.array([[0.0], [0.1], [9.9], [10.0]])
-    model, assignment = kmeans_fit(vectors, 2, seed=1, ids=["a", "b", "c", "d"])
+    model, assignment = fit_cluster_model(["a", "b", "c", "d"], vectors,
+                                          ClusterSpace.MEAN_BPM_PROFILE, 2, seed=1)
     p1, p2 = tmp_path / "r1.json", tmp_path / "r2.json"
     write_cluster_report(model, assignment, p1)
     write_cluster_report(model, assignment, p2)

@@ -94,3 +94,14 @@ def test_net_window_check_agrees_with_the_net_build(arch, window_size):
         refusal = str(exc)
     assert (refusal is None) == builds, refusal
     assert refusal is None or refusal.startswith(f"windows.window_size = {window_size} "), refusal
+
+
+@pytest.mark.parametrize("device_filter", ["", "Apple Watch", "synthetic", "Fitbit"])
+@pytest.mark.parametrize("command", ["eval", "cluster", "generate"])
+def test_a_synthetic_source_takes_only_the_filters_that_keep_its_series(command, device_filter):
+    cfg = load_config(None, {"seed": 1, "device_filter": device_filter})
+    if device_filter == "Fitbit" and command != "generate":  # generate reads no [corpus] key
+        with pytest.raises(ConfigError, match="^corpus.device_filter = Fitbit "):
+            check_protocol(cfg, command)
+    else:
+        check_protocol(cfg, command)
