@@ -6,7 +6,9 @@ targets: one header row that names the fixed columns in ``COLUMNS``
 separated. Timestamps may be ISO-8601 or plain epoch/relative seconds; the
 format is auto-detected per file and must be uniform within a file. A file
 that is not UTF-8 or that csv cannot split raises a DataError that names the
-file and line, like a row with a bad cell.
+file and line, like a row with a bad cell. A file that csv would cut at
+every comma and line end (no quote, one kind of line end, rows of the
+header's width) is cut by one ``str.split`` instead, into the same cells.
 
 ``serialize_corpus`` writes the bytes of csv's excel dialect: only the
 subject and device cells can need quoting, so each series' prefix is
@@ -20,8 +22,10 @@ import csv
 import datetime as _dt
 import io
 import math
+from itertools import repeat
 from operator import itemgetter
 from pathlib import Path
+from typing import NoReturn
 
 import numpy as np
 
@@ -104,9 +108,8 @@ def _timestamp_column(cells: list[str]) -> np.ndarray:
     return t
 
 
-def _header_index(reader, path: Path) -> tuple[int, list[int]]:
+def _column_index(header: list[str], path: Path) -> tuple[int, list[int]]:
     """(header width, column index of each name in ``COLUMNS``)."""
-    header = next(reader, [])
     index = {name: i for i, name in enumerate(header)}  # a repeated name: the last wins
     for col in COLUMNS:
         if col not in index:
@@ -114,28 +117,33 @@ def _header_index(reader, path: Path) -> tuple[int, list[int]]:
     return len(header), [index[col] for col in COLUMNS]
 
 
-def _raise_first_bad_row(path: Path) -> None:
+def _raise_first_bad_row(path: Path) -> NoReturn:
     """Read a file row by row and raise the first row's error.
 
     The error keeps its DataError class and gains the file and the 1-based
-    line number in its message.
+    line number in its message. A row csv cannot split raises a DataError
+    worded the same way.
     """
     with open(path, newline="", encoding="utf-8") as fh:
         reader = csv.reader(fh)
-        width, (_, _, ti, bi, li) = _header_index(reader, path)
-        ts_mode = ""
-        for row in reader:
-            if not row:
-                continue
-            try:
-                if len(row) < width:
-                    raise DataError(f"row has fewer than {width} cells")
-                _, ts_mode = _parse_timestamp(row[ti], ts_mode)
-                _parse_bpm(row[bi])
-                parse_label(row[li])
-            except DataError as exc:
-                exc.args = (f"{path}, line {reader.line_num}: {exc}",)
-                raise
+        try:
+            width, (_, _, ti, bi, li) = _column_index(next(reader, []), path)
+            ts_mode = ""
+            for row in reader:
+                if not row:
+                    continue
+                try:
+                    if len(row) < width:
+                        raise DataError(f"row has fewer than {width} cells")
+                    _, ts_mode = _parse_timestamp(row[ti], ts_mode)
+                    _parse_bpm(row[bi])
+                    parse_label(row[li])
+                except DataError as exc:
+                    exc.args = (f"{path}, line {reader.line_num}: {exc}",)
+                    raise
+        except csv.Error as exc:  # e.g. a field over csv's size limit
+            raise DataError(f"{path}, line {reader.line_num}: {exc}") from None
+    raise InternalError(f"{path}: a column check failed but no row did")
 
 
 def _not_utf8(path: Path) -> DataError:
@@ -150,36 +158,75 @@ def _not_utf8(path: Path) -> DataError:
     return DataError(f"{path}: not UTF-8")
 
 
-def _read_file(path: Path):
-    """((subject, device) per row, t, bpm, labels) columns of one CSV file.
+def _split_plain(text: str) -> tuple[list[str], list[str]] | None:
+    """(header, body cells row after row) as csv.reader would cut ``text``, or None.
 
-    Whole columns are converted at once. When any cell fails a check, the
-    file is read again row by row, so the error names the first bad line.
-    Blank lines are skipped.
+    None unless csv.reader would cut the text at every comma and every line
+    end: the text has no quote and no NUL, its line ends are all LF or all
+    CRLF, no line is longer than csv's field limit, and every non-blank body
+    row has the header's width. Blank lines hold no cells.
     """
+    if '"' in text or "\0" in text:
+        return None
+    cr = text.count("\r")
+    lines = text.split("\r\n" if cr else "\n")
+    if cr and not cr == text.count("\n") == len(lines) - 1:
+        return None  # a lone CR or LF ends a row that a split on CRLF would join
+    limit = csv.field_size_limit()
+    if not lines[0] or (len(text) > limit and max(map(len, lines)) > limit):
+        return None
+    header = lines[0].split(",")
+    rows = list(filter(None, lines[1:]))
+    if rows and set(map(str.count, rows, repeat(","))) != {len(header) - 1}:
+        return None
+    return header, ",".join(rows).split(",") if rows else []
+
+
+def _csv_columns(path: Path) -> list[list[str]]:
+    """The ``COLUMNS`` cell lists of a file cut by csv.reader."""
     with open(path, newline="", encoding="utf-8") as fh:
         reader = csv.reader(fh)
         try:
-            width, (si, di, ti, bi, li) = _header_index(reader, path)
+            width, index = _column_index(next(reader, []), path)
             rows = [row for row in reader if row]
         except csv.Error as exc:  # e.g. a field over csv's size limit
             raise DataError(f"{path}, line {reader.line_num}: {exc}") from None
         except UnicodeDecodeError:
             raise _not_utf8(path) from None
-    n = len(rows)
+    if rows and min(map(len, rows)) < width:
+        _raise_first_bad_row(path)
+    return [list(map(itemgetter(i), rows)) for i in index]
+
+
+def _read_file(path: Path):
+    """(subjects, devices, t, bpm, labels) columns of one CSV file.
+
+    A file of plain cells is cut by ``_split_plain``, any other by
+    csv.reader. Whole columns are converted at once. When any cell fails a
+    check, the file is read again row by row, so the error names the first
+    bad line. Blank lines are skipped.
+    """
     try:
-        if n and min(map(len, rows)) < width:
-            raise ValueError("short row")
-        t = _timestamp_column(list(map(itemgetter(ti), rows)))
-        bpm = np.fromiter(map(float, map(itemgetter(bi), rows)), np.float64, n)
+        with open(path, newline="", encoding="utf-8") as fh:
+            plain = _split_plain(fh.read())
+    except UnicodeDecodeError:  # csv.reader meets this or an earlier error, and names it
+        plain = None
+    if plain is None:
+        subjects, devices, t, bpm, labels = _csv_columns(path)
+    else:
+        header, cells = plain
+        width, index = _column_index(header, path)
+        subjects, devices, t, bpm, labels = (cells[i::width] for i in index)
+    n = len(t)
+    try:
+        t = _timestamp_column(t)
+        bpm = np.fromiter(map(float, bpm), np.float64, n)
         if not ((bpm > BPM_MIN) & (bpm < BPM_MAX)).all():
             raise ValueError("bpm out of range")
-        labels = np.fromiter(map(_LABEL_CODES.__getitem__, map(itemgetter(li), rows)),
-                             np.int64, n)
+        labels = np.fromiter(map(_LABEL_CODES.__getitem__, labels), np.int64, n)
     except (ValueError, KeyError, DataError):  # the rescan says which row and why
         _raise_first_bad_row(path)
-        raise InternalError(f"{path}: a column check failed but no row did") from None
-    return list(map(itemgetter(si, di), rows)), t, bpm, labels
+    return subjects, devices, t, bpm, labels
 
 
 def _collapse_duplicates(subject: str, t, bpm, labels, starts) -> np.ndarray:
@@ -214,10 +261,16 @@ def parse_corpus(path: str | Path,
     keys: dict[tuple[str, str], int] = {}
     codes, ts, bpms, labels = [], [], [], []
     for f in files:
-        pairs, t, bpm, label = _read_file(f)
-        for key in dict.fromkeys(pairs):  # new keys, in first-seen order
-            keys.setdefault(key, len(keys))
-        codes.append(np.fromiter(map(keys.__getitem__, pairs), np.int64, len(pairs)))
+        subjects, devices, t, bpm, label = _read_file(f)
+        n = len(t)
+        if n and subjects.count(subjects[0]) == n and devices.count(devices[0]) == n:
+            code = keys.setdefault((subjects[0], devices[0]), len(keys))  # one series
+            codes.append(np.full(n, code, np.int64))
+        else:
+            pairs = list(zip(subjects, devices))
+            for key in dict.fromkeys(pairs):  # new keys, in first-seen order
+                keys.setdefault(key, len(keys))
+            codes.append(np.fromiter(map(keys.__getitem__, pairs), np.int64, n))
         ts.append(t)
         bpms.append(bpm)
         labels.append(label)
@@ -307,8 +360,8 @@ def resample_uniform(
     threshold = GAP_PERIOD_FACTOR * period_s
     raw_gaps = np.diff(t)
     for i in np.nonzero(raw_gaps > threshold)[0]:
-        lo, hi = t[i], t[i + 1]
-        inside = (grid > lo) & (grid < hi)
+        lo, hi = t[i], t[i + 1]  # the grid points strictly between, found in the sorted grid
+        inside = slice(np.searchsorted(grid, lo, "right"), np.searchsorted(grid, hi, "left"))
         values[inside] = series.bpm[i]
         gaps.append(GapRecord(series.subject_id, float(lo), float(hi)))
 

@@ -19,7 +19,10 @@ from hractivity.synthetic import SyntheticCohortSpec, generate_synthetic
 HEADER = "subject_id,device,timestamp,bpm,label\n"
 
 
-def write_csv(tmp_path, rows, name="corpus.csv", header=HEADER):
+def write_csv(tmp_path, rows, name="corpus.csv", header=None):
+    """A file of ``header`` and ``rows``; the default header ends its line as the first row does."""
+    if header is None:
+        header = HEADER.replace("\n", "\r\n") if rows and rows[0].endswith("\r\n") else HEADER
     p = tmp_path / name
     p.write_text(header + "".join(rows), encoding="utf-8")
     return p
@@ -202,6 +205,26 @@ def test_resample_gap_forward_fill_and_report(tmp_path):
     assert lines[1] == "A,0.0,30.0"
 
 
+def test_resample_gap_fill_matches_the_mask_formula():
+    # each forward-filled gap covers the grid points strictly inside it; integer gap
+    # ends on a period-0.5 or period-1 grid fall exactly on grid points
+    rng = np.random.default_rng(11)
+    for trial in range(60):
+        steps = np.where(rng.random(50) < 0.2, rng.integers(12, 40, 50), rng.integers(1, 3, 50))
+        t = np.concatenate([[0.0], np.cumsum(steps).astype(np.float64)])
+        if trial % 3 == 2:
+            t = t + rng.uniform(0.0, 0.4, t.size).cumsum()  # gap ends between grid points
+        series = make_series(t, rng.uniform(40.0, 200.0, t.size))
+        period = (0.5, 1.0, 0.7)[trial % 3]
+        resampled, gaps = resample_uniform(series, period)
+        grid = resampled.timestamps
+        expected = np.interp(grid, t, series.bpm)
+        for i in np.nonzero(np.diff(t) > ingest.GAP_PERIOD_FACTOR * period)[0]:
+            expected[(grid > t[i]) & (grid < t[i + 1])] = series.bpm[i]
+        assert len(gaps) == int((np.diff(t) > ingest.GAP_PERIOD_FACTOR * period).sum())
+        assert resampled.bpm.tobytes() == expected.tobytes()
+
+
 def test_resample_label_nearest_ties_to_earlier():
     s = make_series([0.0, 30.0], [60.0, 90.0], labels=[0, 2])
     out, _ = resample_uniform(s, 1.0)
@@ -315,6 +338,19 @@ PARSE_CASES = {
     "unknown-label": ["A,Apple Watch,0,60,rest\n"],
     # a long run: a sum in another order than the rows' would change the mean's last bits
     "long-duplicate-run": [f"A,Apple Watch,4,{60 + 7.31 * i % 90!r},Rest\n" for i in range(20)],
+    # CRLF rows around an LF-ended short row: a split on CRLF would join it to the
+    # next line into a row that parses, as float("1\n") is 1.0
+    "crlf-file-with-lf-short-row": ["S,d,0,60,Rest\r\n", "S,d,1\n", ",60,Rest\r\n",
+                                    "S,d,2,62,Rest\r\n"],
+    "lone-cr-line-end": ["A,Apple Watch,0,60,Rest\r", "A,Apple Watch,1,61,Rest\n"],
+    "whitespace-only-line": ["A,Apple Watch,0,60,Rest\n", " \n", "A,Apple Watch,1,61,Rest\n"],
+    "extra-cell": ["A,Apple Watch,0,60,Rest,x\n", "A,Apple Watch,1,61,Rest\n"],
+    # as many cells as two full rows, but the second row is short
+    "extra-cell-then-short-row": ["A,Apple Watch,0,60,Rest,A\n", "Apple Watch,1,61,Rest\n"],
+    "nul-in-cell": ["A\0B,Apple Watch,0,60,Rest\n", "A\0B,Apple Watch,1,61,Rest\n"],
+    "quoted-subject": ['"A,1",Apple Watch,0,60,Rest\n', '"A,1",Apple Watch,1,61,Rest\n'],
+    "same-rows-lf": ["A,Apple Watch,1,61,Rest\n", "A,Apple Watch,0,60,Type\n", "\n"],
+    "same-rows-crlf": ["A,Apple Watch,1,61,Rest\r\n", "A,Apple Watch,0,60,Type\r\n", "\r\n"],
 }
 
 
@@ -425,6 +461,8 @@ UNREADABLE = {
                      "byte 0xff is not UTF-8"),
     "oversized-quoted-field": (b'A,Apple Watch,0,60,Rest\n"' + b"x" * 200_000
                                + b'",Apple Watch,1,61,Rest\n', 3, "field larger than field limit"),
+    "oversized-plain-field": (b"A,Apple Watch,0,60,Rest\nA," + b"x" * 200_000
+                              + b",1,61,Rest\n", 3, "field larger than field limit"),
     "non-utf8-after-cr-lines": (b"A,Apple Watch,0,60,Rest\rA,Apple Watch,1,61,Rest\r\xfe", 4,
                                 "byte 0xfe is not UTF-8"),
 }
@@ -442,3 +480,62 @@ def test_unreadable_file_is_a_malformed_row(tmp_path, case, capsys):
                    encoding="utf-8")
     assert main(["--config", str(ini), "ingest"]) == 3
     assert f"{path}, line {line}: {reason}" in capsys.readouterr().err
+
+
+def test_rescan_names_the_line_of_a_field_csv_cannot_split(tmp_path):
+    body, line, reason = UNREADABLE["oversized-plain-field"]
+    path = tmp_path / "bad.csv"
+    path.write_bytes(HEADER.encode() + body)
+    with pytest.raises(DataError, match=rf"bad\.csv, line {line}: {reason}"):
+        ingest._raise_first_bad_row(path)
+
+
+# -- the split path: files csv.reader would cut at every comma and line end ----
+
+@pytest.fixture(scope="module")
+def generated_corpus_dir(tmp_path_factory):
+    out = tmp_path_factory.mktemp("generated")
+    assert main(["--seed", "7", "--out", str(out), "generate", "--subjects", "60",
+                 "--groups", "3"]) == 0
+    (run_dir,) = [p for p in out.iterdir() if p.is_dir() and not p.name.startswith(".")]
+    return run_dir / "corpus"
+
+
+def read_text(path):
+    with open(path, newline="", encoding="utf-8") as fh:
+        return fh.read()
+
+
+def test_generated_files_take_the_split_path_and_hold_one_series(generated_corpus_dir):
+    files = sorted(generated_corpus_dir.glob("*.csv"))
+    assert len(files) == 60
+    for path in files:
+        header, cells = ingest._split_plain(read_text(path))
+        width, (si, di, *_) = ingest._column_index(header, path)
+        assert len(set(cells[si::width])) == 1 and len(set(cells[di::width])) == 1, path.name
+
+
+def test_a_subject_id_that_needs_quoting_takes_csv_reader_and_round_trips(tmp_path):
+    rng = np.random.default_rng(4)
+    t = np.concatenate([[0.0], np.cumsum(rng.uniform(0.5, 2.0, 39))])  # parsed series start at 0
+    series = SubjectSeries("a,b", "Apple Watch", t, rng.uniform(40.0, 200.0, 40),
+                           rng.integers(0, 5, 40))
+    (path,) = serialize_corpus([series], tmp_path)
+    assert ingest._split_plain(read_text(path)) is None
+    (back,) = parse_corpus(path)
+    assert (back.subject_id, back.device_id) == ("a,b", "Apple Watch")
+    assert back.timestamps.tobytes() == series.timestamps.tobytes()
+    assert back.bpm.tobytes() == series.bpm.tobytes()
+    assert back.labels.tolist() == series.labels.tolist()
+
+
+def test_split_path_parses_a_generated_corpus_like_csv_reader(generated_corpus_dir, monkeypatch):
+    split = parse_corpus(generated_corpus_dir, device_filter=None)
+    monkeypatch.setattr(ingest, "_split_plain", lambda text: None)
+    read = parse_corpus(generated_corpus_dir, device_filter=None)
+    assert len(split) == len(read) == 60
+    for a, b in zip(split, read):
+        assert (a.subject_id, a.device_id) == (b.subject_id, b.device_id)
+        assert a.timestamps.tobytes() == b.timestamps.tobytes()
+        assert a.bpm.tobytes() == b.bpm.tobytes()
+        assert a.labels.tobytes() == b.labels.tobytes()

@@ -2,11 +2,14 @@
 
 A mutated corpus file must end in a clean exit code, never a traceback, and
 any finite series, resampled or not, must survive a serialize/parse round
-trip bit for bit.
+trip bit for bit. The reader's split path must cut every text it accepts
+into csv.reader's cells.
 Examples are derandomized and no example database is kept, so every run
 tries the same inputs.
 """
 
+import csv
+import io
 import tempfile
 from pathlib import Path
 
@@ -14,6 +17,7 @@ import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from hractivity import ingest
 from hractivity.cli import main
 from hractivity.ingest import parse_corpus, resample_uniform, serialize_corpus
 from hractivity.series import SubjectSeries
@@ -116,3 +120,42 @@ def test_resample_then_serialize_then_parse_is_bit_exact(subject, raw, period):
     assert back.timestamps.tobytes() == resampled.timestamps.tobytes()
     assert back.bpm.tobytes() == resampled.bpm.tobytes()
     assert back.labels.tolist() == resampled.labels.tolist()
+
+
+SPLIT_ALPHABET = 'a1,"\r\n\0 '
+line_ends = st.sampled_from(["\n", "\r\n", "\r"])
+
+
+def joined(rows, end, last):
+    return end.join(rows) + last
+
+
+#: any text over the alphabet; lines joined by one line end; and tables of one width, with
+#: blank rows, which the split path takes when their cells hold no quote, NUL, CR or LF
+split_texts = st.one_of(
+    st.text(alphabet=SPLIT_ALPHABET, max_size=30),
+    st.builds(joined, st.lists(st.text(alphabet='a1, "\0', max_size=8), min_size=1, max_size=6),
+              line_ends, st.sampled_from(["", "\n", "\r\n"])),
+    st.integers(min_value=1, max_value=4).flatmap(lambda width: st.builds(
+        joined,
+        st.lists(st.one_of(st.just(""), st.lists(st.text(alphabet="a1 ", max_size=3),
+                                                  min_size=width, max_size=width).map(",".join)),
+                 min_size=1, max_size=6),
+        line_ends, st.sampled_from(["", "\n", "\r\n"]))),
+)
+
+
+@settings(PROPERTY_SETTINGS, max_examples=400)
+@given(text=split_texts)
+def test_split_path_cuts_like_csv_reader(text):
+    split = ingest._split_plain(text)
+    try:
+        reader = csv.reader(io.StringIO(text, newline=""))
+        header = next(reader, [])
+        rows = [row for row in reader if row]
+    except csv.Error:
+        assert split is None
+        return
+    if split is not None:
+        assert split == (header, [cell for row in rows for cell in row])
+        assert all(len(row) == len(header) for row in rows)
