@@ -241,10 +241,14 @@ def cmd_timeline(cfg, run_dir: Path) -> None:
         devices = " and ".join(repr(s.device_id) for s in target)
         raise DataError(f"timeline subject {target_id!r} was recorded by devices {devices}; "
                         f"a timeline follows one series, so set corpus.device_filter to one device")
+    data = cfgmod.dataset_spec(cfg)
+    if len(target[0]) < data.window.window_size:
+        raise DataError(f"timeline subject {target_id!r} has {len(target[0])} samples, "
+                        f"fewer than windows.window_size {data.window.window_size}")
     others = [s for s in series if s.subject_id != target_id]
     if not others:
         raise DataError("timeline needs at least two subjects (one to hold out)")
-    ds = build_dataset(others, cfgmod.dataset_spec(cfg))
+    ds = build_dataset(others, data)
     clf = _fit_on_all(cfg, ds)
     record = misclassification_timeline(clf, target[0], ds.spec)
     write_timeline_csv(record, run_dir / "timeline.csv")

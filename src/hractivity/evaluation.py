@@ -23,7 +23,7 @@ from .clustering import (
     fit_cluster_model,
     window_space_matrix,
 )
-from .errors import ConfigError, DataError, GramTooLarge
+from .errors import ConfigError, DataError, GramTooLarge, TooFewVectors
 from .features import N_MEL_BANDS, FeatureSetKind, feature_matrix, feature_names
 from .metrics import (
     EvalReport,
@@ -31,7 +31,6 @@ from .metrics import (
     accuracy,
     balanced_accuracy,
     confusion_matrix,
-    report_from_folds,
 )
 from .neuralnet import ArchitectureId, NetConfig, build, predict as net_predict, save_net, train
 from .preprocess import (
@@ -412,9 +411,14 @@ def _plan_routed_fits(ds: WindowDataset, spec, jobs: list[FoldJob], mode: Routin
     fits: dict = {}
     for position, job in enumerate(jobs):
         train_subjects = np.unique(ds.subject_index[job.train_idx])
-        model, assign = fit_cluster_model([ds.subject_ids[i] for i in train_subjects],
-                                          summaries[train_subjects], space, k, job.seed,
-                                          restarts=restarts, with_scaler=True)
+        try:
+            model, assign = fit_cluster_model([ds.subject_ids[i] for i in train_subjects],
+                                              summaries[train_subjects], space, k, job.seed,
+                                              restarts=restarts, with_scaler=True)
+        except TooFewVectors as exc:
+            raise TooFewVectors(
+                f"{exc}: clustering.k = {k} but the fold holding out subject "
+                f"{job.held_out!r} trains on {train_subjects.size} subjects") from None
         if len(set(assign.values())) < k:
             raise DataError("clustering left an empty cluster on this fold")
         assigned = assign_many(model, routed_by[job.test_idx])
@@ -477,7 +481,8 @@ def _report(ds: WindowDataset, jobs: list[FoldJob], preds: list[np.ndarray],
         cm_total += cm
         records.append(FoldRecord(job.fold_id, str(job.held_out), int(job.test_idx.size),
                                   accuracy(cm), balanced_accuracy(cm)))
-    return report_from_folds(cm_total, records, echo)
+    return EvalReport(accuracy(cm_total), balanced_accuracy(cm_total), cm_total,
+                      tuple(records), dict(echo))
 
 
 def _base_echo(ds: WindowDataset, spec, split: dict) -> dict:

@@ -4,11 +4,13 @@ The on-disk schema follows the annotated heart-rate corpora this toolkit
 targets: one header row that names the fixed columns in ``COLUMNS``
 (subject_id, device, timestamp, bpm, label) in any order, UTF-8, comma
 separated. Timestamps may be ISO-8601 or plain epoch/relative seconds; the
-format is auto-detected per file and must be uniform within a file. A file
-that is not UTF-8 or that csv cannot split raises a DataError that names the
-file and line, like a row with a bad cell. A file that csv would cut at
-every comma and line end (no quote, one kind of line end, rows of the
-header's width) is cut by one ``str.split`` instead, into the same cells.
+format is auto-detected per file and must be uniform within a file. Each file
+is read once; a byte that is not UTF-8 raises a DataError that names the file
+and line. A text that csv would cut at every comma and line end (no quote, one
+kind of line end, rows of the header's width) is cut by one ``str.split`` and
+converted a column at a time. Any other text, or a plain one with a bad cell,
+is read row by row by csv.reader, and its first bad row raises a DataError
+that names the file and line.
 
 ``serialize_corpus`` writes the bytes of csv's excel dialect: only the
 subject and device cells can need quoting, so each series' prefix is
@@ -23,9 +25,7 @@ import datetime as _dt
 import io
 import math
 from itertools import repeat
-from operator import itemgetter
 from pathlib import Path
-from typing import NoReturn
 
 import numpy as np
 
@@ -117,45 +117,37 @@ def _column_index(header: list[str], path: Path) -> tuple[int, list[int]]:
     return len(header), [index[col] for col in COLUMNS]
 
 
-def _raise_first_bad_row(path: Path) -> NoReturn:
-    """Read a file row by row and raise the first row's error.
+def _read_rows(path: Path, text: str):
+    """(subjects, devices, t, bpm, labels) columns of ``text`` read row by row.
 
-    The error keeps its DataError class and gains the file and the 1-based
-    line number in its message. A row csv cannot split raises a DataError
-    worded the same way.
+    Each row is checked as it is converted, so the first bad row raises: its
+    DataError gains the file and the 1-based line number in its message. A
+    row csv cannot split raises a DataError worded the same way.
     """
-    with open(path, newline="", encoding="utf-8") as fh:
-        reader = csv.reader(fh)
-        try:
-            width, (_, _, ti, bi, li) = _column_index(next(reader, []), path)
-            ts_mode = ""
-            for row in reader:
-                if not row:
-                    continue
-                try:
-                    if len(row) < width:
-                        raise DataError(f"row has fewer than {width} cells")
-                    _, ts_mode = _parse_timestamp(row[ti], ts_mode)
-                    _parse_bpm(row[bi])
-                    parse_label(row[li])
-                except DataError as exc:
-                    exc.args = (f"{path}, line {reader.line_num}: {exc}",)
-                    raise
-        except csv.Error as exc:  # e.g. a field over csv's size limit
-            raise DataError(f"{path}, line {reader.line_num}: {exc}") from None
-    raise InternalError(f"{path}: a column check failed but no row did")
-
-
-def _not_utf8(path: Path) -> DataError:
-    """The error for a file that is not UTF-8, naming the line of its first bad byte."""
-    raw = path.read_bytes()
+    reader = csv.reader(io.StringIO(text, newline=""))
+    subjects, devices, ts, bpms, labels = [], [], [], [], []
     try:
-        raw.decode("utf-8")
-    except UnicodeDecodeError as exc:
-        head = raw[: exc.start]
-        line = 1 + head.count(b"\n") + head.count(b"\r") - head.count(b"\r\n")
-        return DataError(f"{path}, line {line}: byte {raw[exc.start]:#04x} is not UTF-8")
-    return DataError(f"{path}: not UTF-8")
+        width, (si, di, ti, bi, li) = _column_index(next(reader, []), path)
+        ts_mode = ""
+        for row in reader:
+            if not row:
+                continue
+            try:
+                if len(row) < width:
+                    raise DataError(f"row has fewer than {width} cells")
+                t, ts_mode = _parse_timestamp(row[ti], ts_mode)
+                bpms.append(_parse_bpm(row[bi]))
+                labels.append(parse_label(row[li]))
+            except DataError as exc:
+                exc.args = (f"{path}, line {reader.line_num}: {exc}",)
+                raise
+            ts.append(t)
+            subjects.append(row[si])
+            devices.append(row[di])
+    except csv.Error as exc:  # e.g. a field over csv's size limit
+        raise DataError(f"{path}, line {reader.line_num}: {exc}") from None
+    return (subjects, devices, np.array(ts, np.float64), np.array(bpms, np.float64),
+            np.array(labels, np.int64))
 
 
 def _split_plain(text: str) -> tuple[list[str], list[str]] | None:
@@ -182,41 +174,27 @@ def _split_plain(text: str) -> tuple[list[str], list[str]] | None:
     return header, ",".join(rows).split(",") if rows else []
 
 
-def _csv_columns(path: Path) -> list[list[str]]:
-    """The ``COLUMNS`` cell lists of a file cut by csv.reader."""
-    with open(path, newline="", encoding="utf-8") as fh:
-        reader = csv.reader(fh)
-        try:
-            width, index = _column_index(next(reader, []), path)
-            rows = [row for row in reader if row]
-        except csv.Error as exc:  # e.g. a field over csv's size limit
-            raise DataError(f"{path}, line {reader.line_num}: {exc}") from None
-        except UnicodeDecodeError:
-            raise _not_utf8(path) from None
-    if rows and min(map(len, rows)) < width:
-        _raise_first_bad_row(path)
-    return [list(map(itemgetter(i), rows)) for i in index]
-
-
 def _read_file(path: Path):
     """(subjects, devices, t, bpm, labels) columns of one CSV file.
 
-    A file of plain cells is cut by ``_split_plain``, any other by
-    csv.reader. Whole columns are converted at once. When any cell fails a
-    check, the file is read again row by row, so the error names the first
-    bad line. Blank lines are skipped.
+    The file is read once. A text of plain cells is cut by ``_split_plain``
+    and its whole columns are converted at once; any other text, and a plain
+    one with a cell that fails a check, goes to ``_read_rows``, so an error
+    names the first bad line. Blank lines are skipped.
     """
+    raw = path.read_bytes()
     try:
-        with open(path, newline="", encoding="utf-8") as fh:
-            plain = _split_plain(fh.read())
-    except UnicodeDecodeError:  # csv.reader meets this or an earlier error, and names it
-        plain = None
+        text = raw.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        head = raw[: exc.start]
+        line = 1 + head.count(b"\n") + head.count(b"\r") - head.count(b"\r\n")
+        raise DataError(f"{path}, line {line}: byte {raw[exc.start]:#04x} is not UTF-8") from None
+    plain = _split_plain(text)
     if plain is None:
-        subjects, devices, t, bpm, labels = _csv_columns(path)
-    else:
-        header, cells = plain
-        width, index = _column_index(header, path)
-        subjects, devices, t, bpm, labels = (cells[i::width] for i in index)
+        return _read_rows(path, text)
+    header, cells = plain
+    width, index = _column_index(header, path)
+    subjects, devices, t, bpm, labels = (cells[i::width] for i in index)
     n = len(t)
     try:
         t = _timestamp_column(t)
@@ -224,8 +202,9 @@ def _read_file(path: Path):
         if not ((bpm > BPM_MIN) & (bpm < BPM_MAX)).all():
             raise ValueError("bpm out of range")
         labels = np.fromiter(map(_LABEL_CODES.__getitem__, labels), np.int64, n)
-    except (ValueError, KeyError, DataError):  # the rescan says which row and why
-        _raise_first_bad_row(path)
+    except (ValueError, KeyError, DataError):  # the row reader says which row and why
+        _read_rows(path, text)
+        raise InternalError(f"{path}: a column check failed but no row did")
     return subjects, devices, t, bpm, labels
 
 

@@ -60,16 +60,6 @@ class EvalReport:
     config: dict = field(default_factory=dict)
 
 
-def report_from_folds(cm: np.ndarray, folds: list[FoldRecord], config: dict) -> EvalReport:
-    return EvalReport(
-        accuracy=accuracy(cm),
-        balanced_accuracy=balanced_accuracy(cm),
-        confusion=np.asarray(cm, dtype=np.int64),
-        folds=tuple(folds),
-        config=dict(config),
-    )
-
-
 def write_report_json(report: EvalReport, path: str | Path) -> None:
     payload = {
         "schema": "eval_report.v1",

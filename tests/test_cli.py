@@ -21,6 +21,7 @@ from hractivity.errors import InternalError
 from hractivity.ingest import serialize_corpus
 from hractivity.neuralnet import forward
 from hractivity.preprocess import fit_scaler
+from hractivity.series import SubjectSeries
 from hractivity.synthetic import SyntheticCohortSpec, generate_synthetic
 
 
@@ -223,6 +224,48 @@ def test_timeline_refuses_a_single_subject(tmp_path, capsys):
     assert capsys.readouterr().err == ("data error: timeline needs at least two subjects "
                                        "(one to hold out)\n")
     assert not runs.exists() or not any(runs.iterdir())
+
+
+@pytest.mark.parametrize("routing", ["per_window", "per_subject"])
+def test_routed_eval_names_a_k_its_folds_cannot_fill(tmp_path, capsys, routing):
+    ini, _, runs = generated_corpus(tmp_path, subjects=3, groups=1)
+    with open(ini, "a", encoding="utf-8") as fh:
+        fh.write(f"[clustering]\nk = 3\nrouting = {routing}\n")
+    assert run_cli("--config", ini, "eval") == 3
+    assert capsys.readouterr().err == (
+        "data error: k=3 with 2 vectors: clustering.k = 3 but the fold holding out subject "
+        "'S000' trains on 2 subjects\n")
+    assert not runs.exists() or not any(runs.iterdir())
+
+
+def test_timeline_refuses_a_subject_too_short_for_a_window(tmp_path, capsys, monkeypatch):
+    rng = np.random.default_rng(3)
+    corpus = [SubjectSeries(sid, "synthetic", np.arange(float(n)), rng.uniform(50.0, 120.0, n),
+                            np.repeat([0, 2], n // 2))
+              for sid, n in (("A", 400), ("B", 400), ("C", 30))]
+    serialize_corpus(corpus, tmp_path / "corpus")
+    ini = write_ini(tmp_path / "exp.ini", f"""
+[corpus]
+source = {tmp_path / 'corpus'}
+device_filter = synthetic
+[windows]
+window_size = 50
+stride = 30
+[timeline]
+subject = C
+[run]
+seed = 7
+out = {tmp_path / 'runs'}
+""")
+
+    def no_fit(*args, **kwargs):
+        raise AssertionError("a classifier was fitted before the subject was checked")
+
+    monkeypatch.setattr(cli, "_fit_on_all", no_fit)
+    assert run_cli("--config", ini, "timeline") == 3
+    assert capsys.readouterr().err == ("data error: timeline subject 'C' has 30 samples, "
+                                       "fewer than windows.window_size 50\n")
+    assert not (tmp_path / "runs").exists() or not any((tmp_path / "runs").iterdir())
 
 
 EVAL_PROTOCOLS = {

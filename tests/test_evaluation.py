@@ -311,7 +311,9 @@ def test_routed_eval_rejects_profile_space_and_big_k(monkeypatch):
         patch.setattr(evaluation, "fit_cluster_model", no_fold)
         routed_eval(ds, 2, RoutingMode.PER_WINDOW, ClusterSpace.MEAN_BPM_PROFILE,
                     SvmSpec(inputs="windows"), seed=0)
-    with pytest.raises(TooFewVectors):
+    refused = (r"^k=3 with 2 vectors: clustering\.k = 3 but the fold holding out subject 'A' "
+               r"trains on 2 subjects$")
+    with pytest.raises(TooFewVectors, match=refused):
         routed_eval(ds, 3, RoutingMode.PER_WINDOW, ClusterSpace.STATISTICAL_WINDOW,
                     SvmSpec(inputs="windows"), seed=0)
 

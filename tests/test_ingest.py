@@ -1,5 +1,9 @@
 """Corpus parsing, serialization round-trips and uniform resampling."""
 
+import builtins
+import io
+from pathlib import Path
+
 import numpy as np
 import pytest
 from oracles import ReferenceRowError, parse_corpus_reference, serialize_corpus_reference
@@ -456,23 +460,34 @@ def test_serialize_quotes_ids_like_the_row_writer_and_round_trips(tmp_path):
 
 # -- files csv or UTF-8 cannot read: a DataError with file and line, exit 3 ----
 
-UNREADABLE = {
-    "non-utf8-bpm": (b"A,Apple Watch,0,60,Rest\r\nA,Apple Watch,1,6\xff,Rest\r\n", 3,
+H = HEADER.encode()
+
+UNREADABLE = {  # (the file's bytes, the line named, the reason)
+    "non-utf8-bpm": (H + b"A,Apple Watch,0,60,Rest\r\nA,Apple Watch,1,6\xff,Rest\r\n", 3,
                      "byte 0xff is not UTF-8"),
-    "oversized-quoted-field": (b'A,Apple Watch,0,60,Rest\n"' + b"x" * 200_000
+    "oversized-quoted-field": (H + b'A,Apple Watch,0,60,Rest\n"' + b"x" * 200_000
                                + b'",Apple Watch,1,61,Rest\n', 3, "field larger than field limit"),
-    "oversized-plain-field": (b"A,Apple Watch,0,60,Rest\nA," + b"x" * 200_000
+    "oversized-plain-field": (H + b"A,Apple Watch,0,60,Rest\nA," + b"x" * 200_000
                               + b",1,61,Rest\n", 3, "field larger than field limit"),
-    "non-utf8-after-cr-lines": (b"A,Apple Watch,0,60,Rest\rA,Apple Watch,1,61,Rest\r\xfe", 4,
+    "non-utf8-after-cr-lines": (H + b"A,Apple Watch,0,60,Rest\rA,Apple Watch,1,61,Rest\r\xfe", 4,
                                 "byte 0xfe is not UTF-8"),
+    # a header without 'label', and a bad byte past the first 8 KiB a text reader decodes
+    "non-utf8-past-a-missing-column": (
+        b"subject_id,device,timestamp,bpm\n"
+        + b"".join(b"A,Apple Watch,%d,60\n" % i for i in range(400))
+        + b"A,Apple Watch,400,6\xff\n", 402, "byte 0xff is not UTF-8"),
+    # quoted cells: the bad bpm on line 3 comes before the field csv cannot split on line 5
+    "quoted-bad-bpm-before-oversized-field": (
+        H + b'"A",Apple Watch,0,60,Rest\n"A",Apple Watch,1,999,Rest\n"A",Apple Watch,2,61,Rest\n"'
+        + b"x" * 200_000 + b'",Apple Watch,3,61,Rest\n', 3, "bpm 999.0 outside the accepted"),
 }
 
 
 @pytest.mark.parametrize("case", sorted(UNREADABLE))
 def test_unreadable_file_is_a_malformed_row(tmp_path, case, capsys):
-    body, line, reason = UNREADABLE[case]
+    data, line, reason = UNREADABLE[case]
     path = tmp_path / "bad.csv"
-    path.write_bytes(HEADER.encode() + body)
+    path.write_bytes(data)
     with pytest.raises(DataError, match=rf"bad\.csv, line {line}: {reason}"):
         parse_corpus(path)
     ini = tmp_path / "ingest.ini"
@@ -483,11 +498,42 @@ def test_unreadable_file_is_a_malformed_row(tmp_path, case, capsys):
 
 
 def test_rescan_names_the_line_of_a_field_csv_cannot_split(tmp_path):
-    body, line, reason = UNREADABLE["oversized-plain-field"]
+    data, line, reason = UNREADABLE["oversized-plain-field"]
     path = tmp_path / "bad.csv"
-    path.write_bytes(HEADER.encode() + body)
     with pytest.raises(DataError, match=rf"bad\.csv, line {line}: {reason}"):
-        ingest._raise_first_bad_row(path)
+        ingest._read_rows(path, data.decode("utf-8"))
+
+
+ONE_READ = {  # (the file's bytes, the error parse_corpus raises or None)
+    "plain-bad-last-cell": (H + b"A,Apple Watch,0,60,Rest\nA,Apple Watch,1,61,Nap\n",
+                            r"line 3: unknown activity label 'Nap'$"),
+    "quoted": (H + b'"A",Apple Watch,0,60,Rest\n"A",Apple Watch,1,61,Rest\n', None),
+    "non-utf8": (H + b"A,Apple Watch,0,60,Rest\nA,Apple Watch,1,6\xff,Rest\n",
+                 r"line 3: byte 0xff is not UTF-8$"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(ONE_READ))
+def test_parse_corpus_opens_each_csv_once(tmp_path, monkeypatch, case):
+    data, error = ONE_READ[case]
+    path = tmp_path / "one.csv"
+    path.write_bytes(data)
+    opened = []
+    real_open = io.open
+
+    def counting_open(file, *args, **kwargs):
+        opened.append(file)
+        return real_open(file, *args, **kwargs)
+
+    monkeypatch.setattr(builtins, "open", counting_open)
+    monkeypatch.setattr(io, "open", counting_open)
+    if error is None:
+        (series,) = parse_corpus(path)
+        assert len(series) == 2
+    else:
+        with pytest.raises(DataError, match=error):
+            parse_corpus(path)
+    assert [Path(f).name for f in opened] == ["one.csv"]
 
 
 # -- the split path: files csv.reader would cut at every comma and line end ----

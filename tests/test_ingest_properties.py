@@ -3,7 +3,9 @@
 A mutated corpus file must end in a clean exit code, never a traceback, and
 any finite series, resampled or not, must survive a serialize/parse round
 trip bit for bit. The reader's split path must cut every text it accepts
-into csv.reader's cells.
+into csv.reader's cells, and any valid corpus that csv.writer writes, with
+any quoting, line end and blank lines, must parse like the DictReader
+reference.
 Examples are derandomized and no example database is kept, so every run
 tries the same inputs.
 """
@@ -16,11 +18,12 @@ from pathlib import Path
 import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from oracles import parse_corpus_reference
 
 from hractivity import ingest
 from hractivity.cli import main
 from hractivity.ingest import parse_corpus, resample_uniform, serialize_corpus
-from hractivity.series import SubjectSeries
+from hractivity.series import LABEL_NAMES, SubjectSeries
 
 PROPERTY_SETTINGS = settings(derandomize=True, database=None, deadline=None)
 
@@ -159,3 +162,55 @@ def test_split_path_cuts_like_csv_reader(text):
     if split is not None:
         assert split == (header, [cell for row in rows for cell in row])
         assert all(len(row) == len(header) for row in rows)
+
+
+#: id cells that csv.writer quotes (comma, quote) or that keep an edge (space, empty); no
+#: CR or LF, which the writer leaves unquoted under some line ends
+corpus_ids = st.text(alphabet='Ab1 ,"', max_size=4)
+corpus_rows = st.tuples(st.floats(min_value=20.0, max_value=250.0, exclude_min=True,
+                                  exclude_max=True),
+                        st.sampled_from(LABEL_NAMES), st.integers(min_value=0, max_value=3))
+
+
+@st.composite
+def written_corpus(draw):
+    """The texts of one to three valid corpus files, each written by csv.writer with its own
+    column order, quoting and line end, and blank lines between rows. Timestamps are
+    unique, so no rows collapse."""
+    keys = draw(st.lists(st.tuples(corpus_ids, corpus_ids), min_size=1, max_size=3))
+    # multiples of 1/8, whose differences are exact: distinct times stay distinct at t - t[0]
+    times = draw(st.lists(st.integers(min_value=-10**9, max_value=10**9).map(lambda i: i / 8),
+                          max_size=40, unique=True))
+    rows = draw(st.lists(corpus_rows, min_size=len(times), max_size=len(times)))
+    cuts = sorted(draw(st.lists(st.integers(min_value=0, max_value=len(times)), max_size=2)))
+    texts = []
+    for lo, hi in zip([0, *cuts], [*cuts, len(times)]):
+        columns = draw(st.permutations(ingest.COLUMNS))
+        out = io.StringIO()
+        writer = csv.writer(out, quoting=draw(st.sampled_from([csv.QUOTE_MINIMAL, csv.QUOTE_ALL])),
+                            lineterminator=draw(st.sampled_from(["\n", "\r\n", "\r"])))
+        writer.writerow(columns)
+        for t, (bpm, label, key) in zip(times[lo:hi], rows[lo:hi]):
+            if draw(st.integers(min_value=0, max_value=4)) == 0:
+                writer.writerow([])  # a blank line
+            subject, device = keys[key % len(keys)]
+            cells = {"subject_id": subject, "device": device, "timestamp": repr(t),
+                     "bpm": repr(bpm), "label": label}
+            writer.writerow([cells[name] for name in columns])
+        texts.append(out.getvalue())
+    return texts
+
+
+@settings(PROPERTY_SETTINGS, max_examples=150)
+@given(texts=written_corpus())
+def test_written_corpus_parses_like_the_reference(texts):
+    with tempfile.TemporaryDirectory() as folder:
+        for i, text in enumerate(texts):
+            (Path(folder) / f"f{i}.csv").write_bytes(text.encode("utf-8"))
+        expected = parse_corpus_reference(folder, device_filter=None)
+        corpus = parse_corpus(folder, device_filter=None)
+    assert [(s.subject_id, s.device_id) for s in corpus] == [e[:2] for e in expected]
+    for series, (_, _, ts, bpm, labels) in zip(corpus, expected):
+        assert series.timestamps.tobytes() == ts.astype(np.float64).tobytes()
+        assert series.bpm.tobytes() == bpm.astype(np.float64).tobytes()
+        assert series.labels.tolist() == labels.tolist()
