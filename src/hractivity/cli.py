@@ -225,7 +225,7 @@ def cmd_importance(cfg, run_dir: Path) -> None:
     write_json({
         "schema": "importance_report.v1",
         "baseline_balanced": report.baseline_balanced,
-        "repeats": report.repeats,
+        "repeats": cfg.repeats,
         "names": list(report.names),
         "importances": [float(x) for x in report.importances],
     }, run_dir / "importance.json")

@@ -62,9 +62,11 @@ def _choice(*allowed: str):
 
 
 def _at_least(floor: int):
-    """Rule: an integer no smaller than ``floor``; a tuple key checks every entry."""
+    """Rule: an integer no smaller than ``floor``; a tuple key checks every
+    entry, and None (not provided) passes."""
     def check(value):
-        if not all(v >= floor for v in (value if isinstance(value, tuple) else (value,))):
+        values = value if isinstance(value, tuple) else (value,)
+        if value is not None and not all(v >= floor for v in values):
             return f"must be at least {floor}"
     return check
 
@@ -164,7 +166,7 @@ class ExperimentConfig:
 
     timeline_subject: str = _key("", "timeline.subject", str.strip)  # "": first subject id
 
-    seed: int = _key(-1, "run.seed", int)  # -1 marks "not provided"
+    seed: int | None = _key(None, "run.seed", _optional(int), _at_least(0))  # None: not provided
     out: str = _key("runs", "run.out", str.strip)
     workers: int = _key(1, "run.workers", int, _at_least(1))
 
@@ -221,7 +223,7 @@ def check_protocol(cfg: ExperimentConfig, command: str) -> None:
     Only the settings below are refused.  Other keys a command does not read
     (``clustering.k`` under ``ingest``, say) stay ignored, so one config file
     can serve several commands."""
-    if cfg.seed < 0:
+    if cfg.seed is None:
         raise ConfigError("run.seed is mandatory (set it in [run] or pass --seed)")
     if cfg.source == "synthetic" and command == "ingest":
         raise ConfigError("ingest needs corpus.source to point at CSV files")

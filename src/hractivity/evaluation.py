@@ -166,7 +166,6 @@ class WindowDataset:
     labels: np.ndarray  # (n,)
     subject_ids: tuple[str, ...]  # the subjects that have a window, in id order
     subject_index: np.ndarray  # (n,) int64: each row's position in subject_ids
-    starts: np.ndarray  # (n,)
     spec: DatasetSpec  # how the windows and features were cut
 
     def __len__(self) -> int:
@@ -191,8 +190,7 @@ def subject_segments(series_list: list[SubjectSeries], spec: DatasetSpec) -> Ite
             yield parts[0]
         else:
             yield Segments(subject_id, np.concatenate([p.values for p in parts]),
-                           np.concatenate([p.labels for p in parts]),
-                           np.concatenate([p.starts for p in parts]))
+                           np.concatenate([p.labels for p in parts]))
 
 
 def check_window_size(series_list: list[SubjectSeries], window_size: int) -> None:
@@ -219,7 +217,6 @@ def build_dataset(series_list: list[SubjectSeries], spec: DatasetSpec) -> Window
         subject_ids=tuple(part.subject_id for part in parts),
         subject_index=np.repeat(np.arange(len(parts), dtype=np.int64),
                                 [len(part) for part in parts]),
-        starts=np.concatenate([part.starts for part in parts]),
         spec=spec,
     )
 
@@ -325,7 +322,6 @@ def _fold_seed(seed: int, fold_id: int) -> int:
 class FoldJob(NamedTuple):
     """One train/test fold; ``seed`` seeds everything fitted on its train rows."""
 
-    fold_id: int
     held_out: str
     train_idx: np.ndarray
     test_idx: np.ndarray
@@ -341,7 +337,7 @@ def _loso_jobs(ds: WindowDataset, members, rows: np.ndarray,
     jobs = []
     for fold_id, member in enumerate(members):
         held = in_rows == member
-        jobs.append(FoldJob(fold_id, ds.subject_ids[member], rows[~held], rows[held],
+        jobs.append(FoldJob(ds.subject_ids[member], rows[~held], rows[held],
                             _fold_seed(seed, seed_base + fold_id)))
     return jobs
 
@@ -373,8 +369,7 @@ def make_folds(ds: WindowDataset, plan: SplitPlan, seed: int) -> list[FoldJob]:
             test_parts.append(rng.permutation(rows)[:n_test])
         test = np.sort(np.concatenate(test_parts))
         train_rows = np.setdiff1d(np.arange(len(ds)), test)
-        return [FoldJob(0, f"random:{plan.test_fraction}", train_rows, test,
-                        _fold_seed(seed, 0))]
+        return [FoldJob(f"random:{plan.test_fraction}", train_rows, test, _fold_seed(seed, 0))]
     raise ConfigError(f"{plan.kind.value} folds are built by their own operation")
 
 
@@ -473,13 +468,14 @@ def _run_fits(ds: WindowDataset, spec, jobs: list[FoldJob], fits: list[_Fit],
 
 def _report(ds: WindowDataset, jobs: list[FoldJob], preds: list[np.ndarray],
             echo: dict) -> EvalReport:
-    """One report over the jobs' test rows: summed confusion plus a record per fold."""
+    """One report over the jobs' test rows: summed confusion plus a record per
+    fold, the folds numbered by their position in ``jobs``."""
     cm_total = np.zeros((N_CLASSES, N_CLASSES), dtype=np.int64)
     records = []
-    for job, fold_preds in zip(jobs, preds):
+    for fold_id, (job, fold_preds) in enumerate(zip(jobs, preds)):
         cm = confusion_matrix(ds.labels[job.test_idx], fold_preds)
         cm_total += cm
-        records.append(FoldRecord(job.fold_id, str(job.held_out), int(job.test_idx.size),
+        records.append(FoldRecord(fold_id, str(job.held_out), int(job.test_idx.size),
                                   accuracy(cm), balanced_accuracy(cm)))
     return EvalReport(accuracy(cm_total), balanced_accuracy(cm_total), cm_total,
                       tuple(records), dict(echo))
@@ -559,7 +555,7 @@ def cross_cluster_eval(
         raise DataError(f"train cluster {train_cluster} has no windows")
     if not in_test.any():
         raise DataError(f"test cluster {test_cluster} has no windows")
-    jobs = [FoldJob(0, f"cluster:{test_cluster}", np.nonzero(in_train)[0],
+    jobs = [FoldJob(f"cluster:{test_cluster}", np.nonzero(in_train)[0],
                     np.nonzero(in_test)[0], _fold_seed(seed, 0))]
     echo = _base_echo(ds, spec, {"kind": SplitKind.CROSS_CLUSTER.value,
                                  "train_cluster": int(train_cluster),
@@ -661,7 +657,6 @@ def routed_eval(
 class ImportanceReport:
     names: tuple[str, ...]  # timestep indices as strings, then feature names
     importances: np.ndarray  # mean balanced-accuracy drop, aligned with names
-    repeats: int
     baseline_balanced: float
 
 
@@ -711,8 +706,7 @@ def permutation_importance(
             drops.append(base - bal)
         matrix[:, column] = original
         importances[dim] = np.mean(drops)
-    return ImportanceReport(names=names, importances=importances,
-                            repeats=repeats, baseline_balanced=base)
+    return ImportanceReport(names=names, importances=importances, baseline_balanced=base)
 
 
 def write_importance_csv(report: ImportanceReport, path: str | Path,
@@ -749,7 +743,8 @@ def misclassification_timeline(clf, series: SubjectSeries, data: DatasetSpec) ->
     window_preds = np.asarray(clf.predict(ds.windows, ds.hc), dtype=np.int64)
 
     n = len(series)
-    centers = ds.starts + (data.window.window_size - 1) / 2.0
+    # window i starts at sample i * stride (see ``segment``)
+    centers = np.arange(len(ds)) * data.window.stride + (data.window.window_size - 1) / 2.0
     steps = np.arange(n)
     # centers ascend: the nearest is the first center at or after the step or
     # the one before it, and distance ties resolve to the earlier window

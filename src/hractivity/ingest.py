@@ -209,7 +209,7 @@ def _read_file(path: Path):
 
 
 def _collapse_duplicates(subject: str, t, bpm, labels, starts) -> np.ndarray:
-    """Mean bpm of each run of equal timestamps (runs begin at ``starts``)."""
+    """Mean bpm of each run of equal shifted timestamps (runs begin at ``starts``)."""
     ends = np.append(starts[1:], t.size)
     out = bpm[starts]
     values = bpm.tolist()
@@ -228,9 +228,9 @@ def parse_corpus(path: str | Path,
     Rows are grouped by (subject, device), kept only for ``device_filter``
     unless it is None, sorted by timestamp (stable, so equal timestamps keep
     file and row order) and shifted so each series starts at t=0. Rows sharing a
-    timestamp are collapsed to their mean bpm; conflicting labels at an
-    equal timestamp raise a DataError. Every row is checked,
-    including rows of filtered-out devices.
+    shifted timestamp are collapsed to their mean bpm; conflicting labels at an
+    equal timestamp raise a DataError that names the file's timestamp. Every row
+    is checked, including rows of filtered-out devices.
     """
     path = Path(path)
     files = sorted(path.glob("*.csv")) if path.is_dir() else [path]
@@ -264,14 +264,15 @@ def parse_corpus(path: str | Path,
         rows = by_key[bounds[code] : bounds[code + 1]]
         rows = rows[np.argsort(ts[rows], kind="stable")]
         t, bpm, label = ts[rows], bpms[rows], labels[rows]
-        starts = np.flatnonzero(np.concatenate([[True], t[1:] != t[:-1]]))
+        shifted = t - t[0]  # the shift can make distinct timestamps equal
+        starts = np.flatnonzero(np.concatenate([[True], shifted[1:] != shifted[:-1]]))
         if starts.size < t.size:
             bpm = _collapse_duplicates(subject, t, bpm, label, starts)
         corpus.append(
             SubjectSeries(
                 subject_id=subject,
                 device_id=device,
-                timestamps=t[starts] - t[0],
+                timestamps=shifted[starts],
                 bpm=bpm,
                 labels=label[starts],
             )

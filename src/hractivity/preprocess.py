@@ -53,16 +53,15 @@ class Segments:
     """One series cut into windows, as arrays aligned by window.
 
     ``values`` is a read-only (n, W) view into the series; ``labels`` holds
-    each window's majority label and ``starts`` its first sample index.
+    each window's majority label. Window i starts at sample i * stride.
     """
 
     subject_id: str
     values: np.ndarray
     labels: np.ndarray
-    starts: np.ndarray
 
     def __len__(self) -> int:
-        return int(self.starts.size)
+        return int(self.labels.size)
 
 
 def _check_uniform(series: SubjectSeries) -> None:
@@ -112,9 +111,9 @@ def segment(series: SubjectSeries, cfg: WindowConfig) -> Segments:
     w, s = cfg.window_size, cfg.stride
     starts = np.arange(window_count(len(series), cfg), dtype=np.int64) * s
     if starts.size == 0:
-        return Segments(series.subject_id, np.zeros((0, w)), np.zeros(0, np.int64), starts)
+        return Segments(series.subject_id, np.zeros((0, w)), np.zeros(0, np.int64))
     values = sliding_window_view(series.bpm, w)[::s]
-    return Segments(series.subject_id, values, _window_labels(series.labels, starts, w), starts)
+    return Segments(series.subject_id, values, _window_labels(series.labels, starts, w))
 
 
 def subject_stats(series: SubjectSeries) -> tuple[float, float]:

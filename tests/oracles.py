@@ -902,21 +902,22 @@ def parse_corpus_reference(path, columns=("subject_id", "device", "timestamp", "
     out = []
     for (subject, device), rows in sorted(groups.items()):
         rows.sort(key=lambda r: r[0])
+        t0 = rows[0][0]  # runs of equal timestamps are found after the shift to t=0
         ts, bpms, labels = [], [], []
         i = 0
         while i < len(rows):
             j = i
-            while j + 1 < len(rows) and rows[j + 1][0] == rows[i][0]:
+            while j + 1 < len(rows) and rows[j + 1][0] - t0 == rows[i][0] - t0:
                 j += 1
             run = rows[i : j + 1]
             if len({r[2] for r in run}) > 1:
                 raise ReferenceRowError("DataError",
                                         f"subject {subject!r}: conflicting labels at t={rows[i][0]}")
-            ts.append(rows[i][0])
+            ts.append(rows[i][0] - t0)
             bpms.append(sum(r[1] for r in run) / len(run))
             labels.append(rows[i][2])
             i = j + 1
-        out.append((subject, device, np.asarray(ts) - ts[0], np.asarray(bpms), np.asarray(labels)))
+        out.append((subject, device, np.asarray(ts), np.asarray(bpms), np.asarray(labels)))
     return out
 
 

@@ -144,6 +144,16 @@ def test_seed_is_mandatory(tmp_path, capsys):
     assert "seed" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("source", ["flag", "file"])
+def test_negative_seed_is_out_of_range_not_missing(tmp_path, capsys, source):
+    ini = write_ini(tmp_path / "exp.ini", "[run]\nseed = -3\n" if source == "file" else "")
+    flags = ("--seed", -3) if source == "flag" else ()
+    rc = run_cli("--config", ini, *flags, "--out", tmp_path / "out", "generate")
+    assert rc == 2
+    assert capsys.readouterr().err.startswith("config error: run.seed must be at least 0")
+    assert not (tmp_path / "out").exists()
+
+
 def test_unknown_config_key_rejected(tmp_path, capsys):
     ini = write_ini(tmp_path / "bad.ini", "[windows]\nwidth = 10\n")
     rc = run_cli("--config", ini, "--seed", 1, "--out", tmp_path / "out", "generate")

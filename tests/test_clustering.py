@@ -48,7 +48,7 @@ def per_subject(values, labels, subjects):
     subjects = np.asarray(subjects)
     for subject in sorted(set(subjects.tolist())):
         rows = np.flatnonzero(subjects == subject)
-        yield Segments(subject, values[rows], labels[rows], rows)
+        yield Segments(subject, values[rows], labels[rows])
 
 
 def build_profiles(values, labels, subjects):

@@ -19,7 +19,8 @@ from hractivity.neuralnet import ArchitectureId, NetConfig, build
 
 # chosen by the field's declared type, not by whether the table gives it a rule
 NUMBER_TYPES = {f.name for f in fields(ExperimentConfig)
-                if f.type in ("int", "float", "float | None", "tuple[int, ...]")}
+                if f.type in ("int", "int | None", "float", "float | None",
+                              "tuple[int, ...]")}
 NUMERIC_KEYS = sorted(key for key, (field_name, _, _) in _KEYS.items()
                       if field_name in NUMBER_TYPES)
 NON_FINITE = ("nan", "inf", "-inf")

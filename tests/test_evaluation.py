@@ -73,7 +73,6 @@ def manual_dataset(rows):
         labels=np.array([int(ActivityLabel(label)) for _, _, label in rows]),
         subject_ids=ids,
         subject_index=np.array([ids.index(sid) for sid, _, _ in rows], dtype=np.int64),
-        starts=np.arange(len(rows)),
         spec=DatasetSpec(WindowConfig(windows.shape[1], 1)),
     )
 
@@ -328,7 +327,7 @@ def test_importance_constant_dimension_is_zero():
     clf = fit_classifier(
         SvmSpec(inputs="features"),
         WindowDataset(windows, hc, labels, ("S",), np.zeros(n, dtype=np.int64),
-                      np.arange(n), DatasetSpec(WindowConfig(6, 1))),
+                      DatasetSpec(WindowConfig(6, 1))),
         np.arange(n), seed=1,
     )
     rep = permutation_importance(clf, windows, hc, labels, ds_like_names, seed=3)
@@ -352,7 +351,7 @@ def test_importance_noise_feature_near_zero(seed):
     windows = np.zeros((n, 4))
     names = ("0_A", "0_B", "0_Noise")
     ds = WindowDataset(windows, hc, labels, ("S",), np.zeros(n, dtype=np.int64),
-                       np.arange(n), DatasetSpec(WindowConfig(4, 1)))
+                       DatasetSpec(WindowConfig(4, 1)))
     clf = fit_classifier(SvmSpec(inputs="features"), ds, np.arange(n), seed=seed)
     rep = permutation_importance(clf, windows, hc, labels, names, seed=seed)
     assert abs(rep.importances[6]) <= 0.02  # the noise column
@@ -366,7 +365,7 @@ def test_importance_cheat_feature_ranks_first(tmp_path):
     windows = rng.normal(size=(n, 5))
     names = ("0_Noise", "0_Cheat")
     ds = WindowDataset(windows, hc, labels, ("S",), np.zeros(n, dtype=np.int64),
-                       np.arange(n), DatasetSpec(WindowConfig(5, 1)))
+                       DatasetSpec(WindowConfig(5, 1)))
     clf = fit_classifier(SvmSpec(inputs="features"), ds, np.arange(n), seed=2)
     rep = permutation_importance(clf, windows, hc, labels, names, seed=2)
     assert rep.names[int(np.argmax(rep.importances))] == "0_Cheat"

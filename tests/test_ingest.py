@@ -97,6 +97,25 @@ def test_parse_duplicate_timestamps_conflicting_labels(tmp_path):
         parse_corpus(p)
 
 
+SHIFT_MERGES = ["A,Apple Watch,-1.0,70,Rest\n", "A,Apple Watch,0.0,71,Rest\n",
+                "A,Apple Watch,2.5e-30,72,Rest\n"]  # 0.0 and 2.5e-30 are equal after +1.0
+
+
+def test_timestamps_equal_after_the_shift_collapse_to_mean(tmp_path):
+    p = write_csv(tmp_path, SHIFT_MERGES)
+    s = parse_corpus(p)[0]
+    assert s.timestamps.tolist() == [0.0, 1.0]
+    assert s.bpm.tolist() == [70.0, 71.5]
+    ((_, _, ref_t, ref_bpm, _),) = parse_corpus_reference(p)
+    assert ref_t.tolist() == [0.0, 1.0] and ref_bpm.tolist() == [70.0, 71.5]
+
+
+def test_timestamps_equal_after_the_shift_with_conflicting_labels(tmp_path):
+    p = write_csv(tmp_path, SHIFT_MERGES[:2] + [SHIFT_MERGES[2].replace("Rest", "Type")])
+    with pytest.raises(DataError, match=r"^subject 'A': conflicting labels at t=0\.0$"):
+        parse_corpus(p)
+
+
 def test_parse_missing_column(tmp_path):
     p = write_csv(tmp_path, ["A,0,60,Rest\n"], header="subject_id,timestamp,bpm,label\n")
     with pytest.raises(DataError, match=r"^missing column 'device' in .*corpus\.csv$"):

@@ -56,7 +56,8 @@ def test_segment_positions_and_values():
     s = series_of(np.arange(10, dtype=float))
     windows = segment(s, WindowConfig(4, 3))
     assert len(windows) == 3
-    assert windows.starts.tolist() == [0, 3, 6]
+    for i in range(3):  # window i starts at sample i * stride
+        assert np.array_equal(windows.values[i], s.bpm[3 * i : 3 * i + 4])
     assert np.array_equal(windows.values[1], [3.0, 4.0, 5.0, 6.0])
     assert windows.values.shape == (3, 4)
     assert windows.subject_id == "A"
@@ -74,9 +75,10 @@ def test_segment_sample_coverage():
         if not len(windows):
             continue
         covered = np.zeros(n, dtype=bool)
-        for start in windows.starts:
-            covered[start : start + w] = True
-        end = windows.starts[-1] + w
+        for i, values in enumerate(windows.values):  # window i starts at sample i * s
+            assert np.array_equal(values, series.bpm[i * s : i * s + w])
+            covered[i * s : i * s + w] = True
+        end = (len(windows) - 1) * s + w
         assert covered[:end].all()
         assert n - end < w + s  # only a short tail may be uncovered
 
@@ -197,7 +199,9 @@ def test_segment_matches_loop_reference(w, s):
         got = segment(series_of(bpm, labels), WindowConfig(w, s))
         values, window_labels, starts = segment_reference(bpm, labels, w, s)
         assert len(got) == len(starts)
-        assert got.starts.tolist() == starts
+        for i, start in enumerate(starts):  # window i starts at sample i * s
+            assert start == i * s
+            assert np.array_equal(got.values[i], bpm[i * s : i * s + w])
         assert got.labels.tolist() == window_labels
         assert got.values.shape == (len(starts), w)
         if starts:
@@ -208,7 +212,7 @@ def test_segment_of_a_short_series_is_empty():
     windows = segment(series_of(np.arange(4.0)), WindowConfig(5, 1))
     assert len(windows) == 0
     assert windows.values.shape == (0, 5)
-    assert windows.labels.shape == windows.starts.shape == (0,)
+    assert windows.labels.shape == (0,)
 
 
 def test_segment_refuses_non_uniform_series():
