@@ -18,7 +18,7 @@ from typing import Iterable
 import numpy as np
 
 from .artifacts import write_json
-from .errors import DataError, InternalError, TooFewVectors
+from .errors import ConfigError, DataError, InternalError, TooFewVectors
 from .features import statistical_matrix, temporal_matrix
 from .preprocess import Scaler, Segments, apply_scaler, fit_scaler
 from .series import ActivityLabel, N_CLASSES
@@ -140,6 +140,8 @@ def kmeans_fit(vectors, k: int, seed: int, restarts: int = 10):
         raise DataError("expected an (n, d) vector matrix")
     if k < 1 or k > mat.shape[0]:
         raise TooFewVectors(f"k={k} with {mat.shape[0]} vectors")
+    if restarts < 1:
+        raise ConfigError(f"restarts must be at least 1, got {restarts}")
 
     best = None
     for r in range(restarts):

@@ -132,7 +132,10 @@ class NetSpec:
         if hc_dim and ds.spec.standardization is StandardizationMode.FEATURE:
             scaler = fit_scaler(hc)
             hc = apply_scaler(scaler, hc)
-        model = train(build(self.arch, cfg), ds.windows[train_idx], hc, labels)
+        # trained and run in float32, from the float64 draws of build
+        model = build(self.arch, cfg)
+        model.params = {name: arr.astype(np.float32) for name, arr in model.params.items()}
+        model = train(model, ds.windows[train_idx], hc, labels)
         return FittedNet(model, scaler)
 
     def echo(self) -> dict:

@@ -12,7 +12,8 @@ dropout, max pool 2/2, flatten):
 Everything is plain numpy with a hand-written backward pass; gradient_check
 verifies it against central differences.  All randomness (init, shuffling,
 dropout) comes from separate seeded streams so training is reproducible to
-the bit.
+the bit.  A net computes in its parameters' dtype: build draws float64, and
+evaluation.NetSpec.fit trains a float32 copy of those draws.
 """
 
 from __future__ import annotations
@@ -79,7 +80,7 @@ def flatten_dim(arch: ArchitectureId, cfg: NetConfig) -> int:
 class NetModel:
     arch: ArchitectureId
     config: NetConfig
-    params: dict  # name -> float64 array
+    params: dict  # name -> array; every tensor has the one dtype the net computes in
     training_log: list = field(default_factory=list)  # per-epoch mean loss
 
 
@@ -130,14 +131,16 @@ def build(arch: ArchitectureId, cfg: NetConfig) -> NetModel:
 
 
 def _check_batch(model: NetModel, windows, hc):
-    windows = np.atleast_2d(np.asarray(windows, dtype=np.float64))
+    """Windows and features as 2-D arrays of the parameters' dtype."""
+    dtype = model.params["conv_w"].dtype
+    windows = np.atleast_2d(np.asarray(windows, dtype=dtype))
     cfg = model.config
     if windows.ndim != 2 or windows.shape[1] != cfg.window_size:
         raise DataError(f"window batch must be (n, {cfg.window_size}), got {windows.shape}")
     if cfg.hc_dim == 0:
-        hc = np.zeros((windows.shape[0], 0))
+        hc = np.zeros((windows.shape[0], 0), dtype=dtype)
     else:
-        hc = np.atleast_2d(np.asarray(hc, dtype=np.float64))
+        hc = np.atleast_2d(np.asarray(hc, dtype=dtype))
         if hc.shape != (windows.shape[0], cfg.hc_dim):
             raise DataError(f"handcrafted batch must be ({windows.shape[0]}, {cfg.hc_dim}), "
                             f"got {hc.shape}")
@@ -174,8 +177,8 @@ def _forward(model: NetModel, cols, hc, rng=None):
     # ReLU and inverted dropout as one multiplier that _backward reuses
     gate = act > 0.0
     if rng is not None and cfg.dropout_p > 0.0:
-        gate &= rng.random(gate.shape) >= cfg.dropout_p
-        gate = gate.astype(np.float64)
+        gate &= rng.random(gate.shape, dtype=act.dtype) >= cfg.dropout_p
+        gate = gate.astype(act.dtype)
         gate *= 1.0 / (1.0 - cfg.dropout_p)
     act *= gate
 
@@ -290,8 +293,8 @@ def _backward(model: NetModel, cache, probs, labels, grads=None):
     take_right = cache["take_right"]
     end = take_right.shape[1] * POOL_STRIDE
     dpool = np.ascontiguousarray(dflat.reshape(n, CONV_CHANNELS, -1).transpose(0, 2, 1))
-    dconv = np.zeros(gate.shape)
-    route = take_right.astype(np.float64)
+    dconv = np.zeros(gate.shape, dtype=dflat.dtype)
+    route = take_right.astype(dflat.dtype)
     odd = dconv[:, 1:end:POOL_STRIDE]
     np.multiply(route, gate[:, 1:end:POOL_STRIDE], out=odd)
     odd *= dpool
@@ -384,8 +387,13 @@ def gradient_check(model: NetModel, windows, hc, labels, n_params: int = 200,
     """Max relative error between analytic and central-difference gradients.
 
     Dropout stays off; parameters are sampled without replacement from the
-    flattened concatenation of every tensor.
+    flattened concatenation of every tensor.  Both sides are evaluated on a
+    float64 copy of the parameters: a central difference with a 1e-5 step
+    needs float64's precision, and a float32 model is then checked by the
+    same arithmetic as the float64 model with its values.
     """
+    model = NetModel(model.arch, model.config,
+                     {name: arr.astype(np.float64) for name, arr in model.params.items()})
     windows, hc = _check_batch(model, windows, hc)
     labels = np.asarray(labels, dtype=np.int64)
     cols = _im2col(model, windows, hc)
@@ -423,11 +431,16 @@ def gradient_check(model: NetModel, windows, hc, labels, n_params: int = 200,
 
 
 def save_net(model: NetModel, path: str | Path) -> None:
-    """Versioned JSON; reloaded forward passes are bit-exact."""
+    """Versioned JSON; reloaded forward passes are bit-exact.
+
+    ``dtype`` names the parameters' dtype, which a reloaded net must compute
+    in; each value is written as the double it widens to exactly.
+    """
     cfg = model.config
     payload = {
-        "schema": "net_model.v2",
+        "schema": "net_model.v3",
         "arch": model.arch.value,
+        "dtype": model.params["conv_w"].dtype.name,
         "config": {f: getattr(cfg, f) for f in cfg.__dataclass_fields__},
         "training_log": model.training_log,
         "params": {

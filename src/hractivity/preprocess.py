@@ -64,6 +64,17 @@ class Segments:
         return int(self.labels.size)
 
 
+def _median(values: np.ndarray) -> np.float64:
+    """``np.median`` of a non-empty 1-D array, bit for bit, from one sort.
+
+    numpy's own formula, the mean of the one or two middle values; calling
+    ``np.median`` would import ``numpy.ma``, which nothing else here needs.
+    """
+    ordered = np.sort(values)
+    half = ordered.size // 2
+    return ordered[half] if ordered.size % 2 else ordered[half - 1 : half + 1].mean()
+
+
 def _check_uniform(series: SubjectSeries) -> None:
     """Refuse a series whose sampling steps differ from their median.
 
@@ -73,7 +84,7 @@ def _check_uniform(series: SubjectSeries) -> None:
     if len(series) < 3:
         return
     steps = np.diff(series.timestamps)
-    median = np.median(steps)
+    median = _median(steps)
     off = np.flatnonzero(np.abs(steps - median) > UNIFORM_TOLERANCE * median)
     if off.size:
         i = int(off[0]) + 1

@@ -30,8 +30,10 @@ TAU = 1e-12  # curvature used for pairs with a non-positive a_ij (LIBSVM's TAU)
 # where the dense Gram matrix this trainer holds would not fit in memory.
 MAX_ITER = 10_000_000
 # Entries of the dense n x n Gram matrix a machine may hold: 10^4 rows, 0.8 GB
-# of float64, plus an equal temporary while it is built.
+# of float64.
 MAX_GRAM_ENTRIES = 10**8
+# Entries of |a|^2 + |b|^2 that KernelSpec.matrix holds at once: 64 KB.
+OUTER_BLOCK_ENTRIES = 8192
 
 
 class KernelKind(enum.Enum):
@@ -58,14 +60,18 @@ class KernelSpec:
             return a @ b.T
         if self.gamma is None or not np.isfinite(self.gamma) or self.gamma <= 0:
             raise ConfigError("rbf kernel requires a positive resolved gamma")
-        # exp(-gamma * max(|a|^2 + |b|^2 - 2 a.b, 0)) in two n x m buffers, each
+        # exp(-gamma * max(|a|^2 + |b|^2 - 2 a.b, 0)) in one n x m buffer, each
         # step the same IEEE operation on the same operands as the expression
         # written out: doubling is exact and -gamma * m equals m * -gamma.
+        # The outer sum is formed a block of rows at a time.
         sq_a = (a**2).sum(axis=1)
         sq_b = sq_a if b is a else (b**2).sum(axis=1)
         k = a @ b.T
         k *= 2.0
-        np.subtract(np.add.outer(sq_a, sq_b), k, out=k)
+        rows = max(1, OUTER_BLOCK_ENTRIES // max(1, k.shape[1]))
+        for start in range(0, k.shape[0], rows):
+            block = k[start : start + rows]
+            np.subtract(np.add.outer(sq_a[start : start + rows], sq_b), block, out=block)
         np.maximum(k, 0.0, out=k)
         k *= -self.gamma
         return np.exp(k, out=k)

@@ -420,9 +420,12 @@ def net_train_reference(model, windows, hc, labels):
 # _forward, _backward and train as they stood before the max pool became
 # np.maximum, the unpool a pair of products and the gradients views into
 # Adam's flat buffer.  Kept verbatim, as train_binary_reference keeps the old
-# SMO loop: the library must train to the same bytes.  Unlike the oracles
-# above it calls the library's batch checks, im2col and softmax helpers,
-# which are not part of the step it pins down.
+# SMO loop: the library must train to the same bytes.  The one later edit is
+# the library's dtype rule: dropout uniforms, the gate and the unpool buffer
+# take the activations' dtype, which for float64 is the code as it stood, so
+# a float32 copy of the parameters is pinned down byte for byte too.  Unlike
+# the oracles above it calls the library's batch checks, im2col and softmax
+# helpers, which are not part of the step it pins down.
 
 def net_forward_blas_reference(model: NetModel, cols, hc, rng=None):
     """Class scores plus every intermediate needed by _backward.
@@ -443,8 +446,8 @@ def net_forward_blas_reference(model: NetModel, cols, hc, rng=None):
     # ReLU and inverted dropout as one multiplier that _backward reuses
     gate = conv_pre > 0.0
     if rng is not None and cfg.dropout_p > 0.0:
-        gate &= rng.random(gate.shape) >= cfg.dropout_p
-        gate = gate * (1.0 / (1.0 - cfg.dropout_p))
+        gate &= rng.random(gate.shape, dtype=conv_pre.dtype) >= cfg.dropout_p
+        gate = gate.astype(conv_pre.dtype) * (1.0 / (1.0 - cfg.dropout_p))
     act = conv_pre * gate
 
     # max pool 2/2; ties keep the left element
@@ -521,7 +524,7 @@ def net_backward_blas_reference(model: NetModel, cache, probs, labels):
     take_right = cache["take_right"]
     end = take_right.shape[1] * POOL_STRIDE
     dpool = dflat.reshape(n, CONV_CHANNELS, -1).transpose(0, 2, 1)
-    dact = np.zeros(gate.shape)
+    dact = np.zeros(gate.shape, dtype=dpool.dtype)
     dact[:, 0:end:POOL_STRIDE] = np.where(take_right, 0.0, dpool)
     dact[:, 1:end:POOL_STRIDE] = np.where(take_right, dpool, 0.0)
     dconv = (dact * gate).reshape(-1, CONV_CHANNELS)
@@ -1017,12 +1020,13 @@ def load_ovo(path):
 
 
 def load_net(path):
-    """NetModel from a net_model.v2 file written by save_net."""
+    """NetModel from a net_model.v3 file written by save_net, in its recorded dtype."""
     payload = json.loads(Path(path).read_text())
-    if payload.get("schema") != "net_model.v2":
-        raise ValueError("not a net_model.v2 file")
+    if payload.get("schema") != "net_model.v3":
+        raise ValueError("not a net_model.v3 file")
+    dtype = np.dtype(payload["dtype"])
     params = {
-        name: np.asarray(entry["data"], dtype=np.float64).reshape(entry["shape"])
+        name: np.asarray(entry["data"], dtype=dtype).reshape(entry["shape"])
         for name, entry in payload["params"].items()
     }
     return NetModel(

@@ -331,7 +331,8 @@ def test_train_saves_a_net_that_reloads_bit_for_bit(tiny_corpus, monkeypatch):
     assert run_cli("--config", net, "train") == 0
     path = only_run_dir(runs) / "model.json"
     payload = json.loads(path.read_text(encoding="utf-8"))
-    assert payload["schema"] == "net_model.v2"
+    assert payload["schema"] == "net_model.v3"
+    assert payload["dtype"] == "float32"
     assert sorted(payload["config"]) == ["batch_size", "dropout_p", "epochs", "hc_dim",
                                          "learning_rate", "seed", "window_size"]
     [(ds, clf)] = fitted

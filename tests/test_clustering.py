@@ -21,7 +21,7 @@ from hractivity.clustering import (
     window_space_matrix,
     write_cluster_report,
 )
-from hractivity.errors import DataError, TooFewVectors
+from hractivity.errors import ConfigError, DataError, TooFewVectors
 from hractivity.evaluation import (
     ConstantPredictor,
     DatasetSpec,
@@ -129,6 +129,11 @@ def test_kmeans_too_few_vectors():
         kmeans_fit(np.zeros((2, 3)), 3, seed=0)
     with pytest.raises(TooFewVectors):
         kmeans_fit(np.zeros((2, 3)), 0, seed=0)
+
+
+def test_kmeans_refuses_fewer_than_one_restart():
+    with pytest.raises(ConfigError, match="^restarts must be at least 1, got 0$"):
+        kmeans_fit(np.arange(6.0).reshape(3, 2), 2, seed=1, restarts=0)
 
 
 def test_kmeans_permutation_invariance_as_partition():

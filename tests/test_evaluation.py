@@ -43,7 +43,7 @@ from hractivity.evaluation import (
 )
 from hractivity.features import FeatureSetKind
 from hractivity.metrics import balanced_accuracy, confusion_matrix
-from hractivity.neuralnet import ArchitectureId
+from hractivity.neuralnet import ArchitectureId, forward
 from hractivity.preprocess import StandardizationMode, WindowConfig, apply_scaler, fit_scaler
 from hractivity.series import ActivityLabel, SubjectSeries
 from hractivity.synthetic import SyntheticCohortSpec, generate_synthetic
@@ -527,6 +527,17 @@ def test_net_classifier_adapter_runs():
     rep = run_split(ds, SplitPlan(SplitKind.RANDOM_WINDOW), spec, seed=1)
     assert rep.confusion.sum() == rep.folds[0].n_test
     assert rep.config["model"]["kind"] == "net"
+
+
+def test_net_spec_trains_and_predicts_in_float32():
+    # build draws float64; the fit trains a float32 copy, and predict runs it
+    ds = small_dataset(w=30, s=60, std=StandardizationMode.FEATURE)
+    rows = np.arange(len(ds))
+    clf = fit_classifier(NetSpec(arch=ArchitectureId.MODEL1, epochs=2), ds, rows, seed=1)
+    assert {arr.dtype for arr in clf.model.params.values()} == {np.dtype(np.float32)}
+    scores = forward(clf.model, ds.windows, apply_scaler(clf.scaler, ds.hc))
+    assert scores.dtype == np.float32
+    assert np.array_equal(clf.predict(ds.windows, ds.hc), np.argmax(scores, axis=1))
 
 
 def test_the_net_build_decides_which_nets_need_features():

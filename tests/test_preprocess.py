@@ -1,9 +1,17 @@
 """Windowing, window labels and both standardization schemes."""
 
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from oracles import segment_reference
 
+from hractivity import preprocess
 from hractivity.errors import ConfigError, DataError
 from hractivity.preprocess import (
     Scaler,
@@ -221,6 +229,30 @@ def test_segment_refuses_non_uniform_series():
     irregular = SubjectSeries("A", "dev", ts, np.full(100, 70.0), np.zeros(100, np.int64))
     with pytest.raises(DataError, match=r"subject 'A': sample 40 \(t=40\.5\)"):
         segment(irregular, WindowConfig(10, 5))
+
+
+@settings(max_examples=200, derandomize=True, database=None, deadline=None)
+@given(st.lists(st.floats(1e-3, 1e3), min_size=2, max_size=40))
+def test_sort_median_is_np_median_bit_for_bit(values):
+    steps = np.asarray(values)
+    for part in (steps, steps[1:]):  # one odd length and one even
+        assert np.float64(preprocess._median(part)).tobytes() == np.median(part).tobytes()
+
+
+def test_segment_leaves_numpy_ma_unimported():
+    # np.median imports numpy.ma (8-10 ms, 1.2 MB) in every process that cuts windows
+    code = ("import sys, numpy as np; from hractivity.preprocess import WindowConfig, segment; "
+            "from hractivity.series import SubjectSeries; "
+            "t = np.arange(60.0); "
+            "segment(SubjectSeries('A', 'dev', t, t + 60.0, np.zeros(60, np.int64)), "
+            "WindowConfig(10, 5)); "
+            "print('numpy.ma' in sys.modules)")
+    path = os.pathsep.join(filter(None, [str(Path(preprocess.__file__).parents[1]),
+                                         os.environ.get("PYTHONPATH")]))
+    done = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                          env={**os.environ, "PYTHONPATH": path}, timeout=120)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.split() == ["False"]
 
 
 def test_segment_accepts_jitter_within_tolerance():

@@ -448,6 +448,18 @@ def test_kernel_matrix_matches_reference_bytes(kind, n):
     assert_kernel_bytes(kernel, a, a[:1])
 
 
+def test_kernel_matrix_holds_one_n_by_n_array():
+    x = np.random.default_rng(71).normal(size=(400, 22))
+    kernel = KernelSpec().resolve(x)
+    tracemalloc.start()
+    try:
+        kernel.matrix(x, x)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 1.5 * 400**2 * 8, peak  # the result, and the outer sum in row blocks
+
+
 @pytest.mark.parametrize("scale", [1.0, 100.0])
 def test_kernel_matrix_matches_reference_bytes_when_the_clamp_acts(scale):
     # duplicated rows: |x|^2 + |x|^2 - 2 x.x rounds below 0 for some pairs
