@@ -18,6 +18,7 @@ evaluation.NetSpec.fit trains a float32 copy of those draws.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from enum import Enum
 from pathlib import Path
@@ -65,8 +66,9 @@ class NetConfig:
                 raise ConfigError(f"{name} must be positive")
         if not 0.0 <= self.dropout_p < 1.0:
             raise ConfigError("dropout_p must be in [0, 1)")
-        if self.learning_rate <= 0:
-            raise ConfigError("learning_rate must be positive")
+        if not (math.isfinite(self.learning_rate) and self.learning_rate > 0):
+            raise ConfigError(f"learning_rate must be a finite number > 0, "
+                              f"got {self.learning_rate!r}")
 
 
 def flatten_dim(arch: ArchitectureId, cfg: NetConfig) -> int:
@@ -147,45 +149,98 @@ def _check_batch(model: NetModel, windows, hc):
     return windows, hc
 
 
+def _to_pool_order(out: np.ndarray, natural: np.ndarray) -> None:
+    """Write (n, L-4, ...) ``natural`` into ``out`` with each sample's positions reordered.
+
+    The order is even positions 0, 2, ..., then odd ones 1, 3, ..., then the
+    last position when L-4 is odd (no pool pair reads it), so each side of
+    the 2/2 max pool is one contiguous block of a sample's rows.
+    """
+    n, conv_len = natural.shape[:2]
+    end = conv_len - conv_len % POOL_STRIDE
+    rest = natural.shape[2:]
+    out[:, :end].reshape(n, POOL_STRIDE, end // POOL_STRIDE, *rest)[...] = (
+        natural[:, :end].reshape(n, end // POOL_STRIDE, POOL_STRIDE, *rest).swapaxes(1, 2)
+    )
+    out[:, end:] = natural[:, end:]
+
+
 def _im2col(model: NetModel, windows, hc) -> np.ndarray:
-    """The (n, L-4, 5) conv input patches, as one contiguous array."""
+    """The (n, L-4, 6) conv input patches plus a ones column, in pool order.
+
+    One contiguous array: the ones column carries the bias, so the conv and
+    its [weight | bias] gradient are one product each.
+    """
     if model.arch is ArchitectureId.MODEL2:
         signal = np.concatenate([windows, hc], axis=1)
     else:
         signal = windows
-    return np.ascontiguousarray(
-        np.lib.stride_tricks.sliding_window_view(signal, CONV_KERNEL, axis=1)
-    )
+    patches = np.lib.stride_tricks.sliding_window_view(signal, CONV_KERNEL, axis=1)
+    cols = np.empty(patches.shape[:2] + (CONV_KERNEL + 1,), dtype=signal.dtype)
+    _to_pool_order(cols[..., :CONV_KERNEL], patches)
+    cols[..., CONV_KERNEL] = 1.0
+    return cols
+
+
+def _keep_mask(rng: np.random.Generator, shape, dtype, p: float) -> np.ndarray:
+    """``rng.random(shape, dtype) >= p`` bit for bit, its positions in pool order.
+
+    ``rng`` is a PCG64 generator, as ``train`` makes.  ``random`` turns the
+    top 53 bits k of a raw word into the float64 k / 2**53, and the top 24
+    bits of each 32-bit half, low half first, into the float32 k / 2**24;
+    the comparison rounds p to that dtype.  So u >= p exactly when
+    k >= ceil(p * 2**bits), and a whole word compares with that threshold
+    shifted left as its top bits do.  ``shape`` (n, L-4, 16) has an even
+    size, so a float32 draw leaves no half word buffered and the generator
+    ends in the state ``random`` would leave.
+    """
+    size = math.prod(shape)
+    if np.dtype(dtype) == np.float32:
+        bits = 24
+        threshold = math.ceil(float(np.float32(p)) * 2**bits)
+        words = rng.bit_generator.random_raw(size // 2).astype("<u8", copy=False).view("<u4")
+    else:
+        bits = 53
+        threshold = math.ceil(p * 2**bits)
+        words = rng.bit_generator.random_raw(size)
+    if threshold >= 2**bits:  # p rounds to 1.0: no word reaches it
+        return np.zeros(shape, dtype=bool)
+    drawn = words.reshape(shape) >= words.dtype.type(threshold << (8 * words.itemsize - bits))
+    # drawn in natural order; a position's channels move as one element
+    keep = np.empty(shape, dtype=bool)
+    row = np.dtype((np.void, shape[2] * keep.itemsize))
+    _to_pool_order(keep.view(row)[..., 0], drawn.view(row)[..., 0])
+    return keep
 
 
 def _forward(model: NetModel, cols, hc, rng=None):
     """Class scores plus every intermediate needed by _backward.
 
     ``rng`` is the dropout generator of a training step; None means eval
-    mode, with no dropout. Conv activations are channels-last, (n, L-4, 16);
-    only the pooled block is transposed to the channel-major flat vector
-    that fc1 reads.
+    mode, with no dropout. Conv activations are channels-last, (n, L-4, 16),
+    their positions in pool order (_to_pool_order); only the pooled block is
+    transposed to the channel-major flat vector that fc1 reads.
     """
     cfg = model.config
     p = model.params
     cache: dict = {}
 
     n, conv_len, _ = cols.shape
-    act = cols.reshape(-1, CONV_KERNEL) @ p["conv_w"].T
-    act += p["conv_b"]
-    act = act.reshape(n, conv_len, CONV_CHANNELS)
+    weights = np.concatenate([p["conv_w"], p["conv_b"][:, None]], axis=1)
+    act = (cols.reshape(-1, CONV_KERNEL + 1) @ weights.T).reshape(n, conv_len, CONV_CHANNELS)
     # ReLU and inverted dropout as one multiplier that _backward reuses
     gate = act > 0.0
     if rng is not None and cfg.dropout_p > 0.0:
-        gate &= rng.random(gate.shape, dtype=act.dtype) >= cfg.dropout_p
+        gate &= _keep_mask(rng, gate.shape, act.dtype, cfg.dropout_p)
         gate = gate.astype(act.dtype)
         gate *= 1.0 / (1.0 - cfg.dropout_p)
     act *= gate
 
-    # max pool 2/2; take_right routes the gradient, so ties keep the left
-    # element (np.maximum may return either zero of a +0/-0 tie)
-    end = conv_len - conv_len % POOL_STRIDE
-    left, right = act[:, 0:end:POOL_STRIDE], act[:, 1:end:POOL_STRIDE]
+    # max pool 2/2 over the even and odd blocks; take_right routes the
+    # gradient, so ties keep the left element (np.maximum may return either
+    # zero of a +0/-0 tie)
+    half = conv_len // POOL_STRIDE
+    left, right = act[:, :half], act[:, half : 2 * half]
     take_right = right > left
     pooled = np.maximum(right, left)
     flat = pooled.transpose(0, 2, 1).reshape(n, -1)
@@ -223,14 +278,17 @@ def forward(model: NetModel, windows, hc=None) -> np.ndarray:
 
 def _exp_scores(scores: np.ndarray):
     """(scores - row max, its exp, the exp's row sums): shared by softmax and loss."""
-    shifted = scores - scores.max(axis=1, keepdims=True)
+    shifted = scores - np.maximum.reduce(scores, axis=1, keepdims=True)
     e = np.exp(shifted)
-    return shifted, e, e.sum(axis=1, keepdims=True)
+    return shifted, e, np.add.reduce(e, axis=1, keepdims=True)
 
 
 def _mean_nll(shifted: np.ndarray, z: np.ndarray, labels: np.ndarray) -> float:
-    picked = shifted[np.arange(shifted.shape[0]), labels]
-    return float(np.mean(np.log(z[:, 0]) - picked))
+    """np.mean of the rows' -log softmax at their labels, in np.mean's own reduce."""
+    n = shifted.shape[0]
+    nll = np.log(z[:, 0])
+    nll -= shifted[np.arange(n), labels]
+    return float(np.add.reduce(nll) / n)
 
 
 def softmax(scores: np.ndarray) -> np.ndarray:
@@ -283,28 +341,28 @@ def _backward(model: NetModel, cache, probs, labels, grads=None):
     np.sum(dfc1, axis=0, out=grads["fc1_b"])
     dflat = dfc1 @ p["fc1_w"]
 
-    # unpool and gate: each pair's gradient goes to the side take_right
-    # names, times that side's gate; the other side gets 0 * gate * dpool,
-    # which is -0.0 where dpool < 0.  A -0 term changes no sum that has a
-    # nonzero term, and Adam's b1 m + (1 - b1) g is the same for g = +0 and
-    # -0, so training keeps the bytes of np.where selects that write +0
-    # (tests/oracles.py::net_train_blas_reference).
+    # unpool and gate into the two halves of dconv: each pair's gradient
+    # goes to the side take_right names, times that side's gate; the other
+    # side gets gate * 0 * dpool, which is -0.0 where dpool < 0.  A -0 term
+    # changes no sum that has a nonzero term, and Adam's b1 m + (1 - b1) g
+    # is the same for g = +0 and -0, so training keeps the bytes of np.where
+    # selects that write +0 (tests/oracles.py::net_train_blas_reference).
     gate = cache["gate"]
     take_right = cache["take_right"]
-    end = take_right.shape[1] * POOL_STRIDE
-    dpool = np.ascontiguousarray(dflat.reshape(n, CONV_CHANNELS, -1).transpose(0, 2, 1))
-    dconv = np.zeros(gate.shape, dtype=dflat.dtype)
-    route = take_right.astype(dflat.dtype)
-    odd = dconv[:, 1:end:POOL_STRIDE]
-    np.multiply(route, gate[:, 1:end:POOL_STRIDE], out=odd)
-    odd *= dpool
-    np.subtract(1.0, route, out=route)
-    even = dconv[:, 0:end:POOL_STRIDE]
-    np.multiply(route, gate[:, 0:end:POOL_STRIDE], out=even)
-    even *= dpool
-    dconv = dconv.reshape(-1, CONV_CHANNELS)
-    np.matmul(dconv.T, cache["cols"].reshape(-1, CONV_KERNEL), out=grads["conv_w"])
-    np.sum(dconv, axis=0, out=grads["conv_b"])
+    half = take_right.shape[1]
+    dpool = np.ascontiguousarray(dflat.reshape(n, CONV_CHANNELS, half).transpose(0, 2, 1))
+    to_right = take_right.astype(dpool.dtype)
+    to_right *= dpool
+    to_left = (~take_right).astype(dpool.dtype)
+    to_left *= dpool
+    dconv = np.empty(gate.shape, dtype=dpool.dtype)
+    np.multiply(gate[:, :half], to_left, out=dconv[:, :half])
+    np.multiply(gate[:, half : 2 * half], to_right, out=dconv[:, half : 2 * half])
+    dconv[:, 2 * half :] = 0.0  # the unpooled last position of an odd L-4
+    # [conv_w | conv_b] by one product with the patches' ones column
+    both = dconv.reshape(-1, CONV_CHANNELS).T @ cache["cols"].reshape(-1, CONV_KERNEL + 1)
+    grads["conv_w"][...] = both[:, :CONV_KERNEL]
+    grads["conv_b"][...] = both[:, CONV_KERNEL]
     return grads
 
 

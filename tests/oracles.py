@@ -419,40 +419,54 @@ def net_train_reference(model, windows, hc, labels):
 #
 # _forward, _backward and train as they stood before the max pool became
 # np.maximum, the unpool a pair of products and the gradients views into
-# Adam's flat buffer.  Kept verbatim, as train_binary_reference keeps the old
-# SMO loop: the library must train to the same bytes.  The one later edit is
-# the library's dtype rule: dropout uniforms, the gate and the unpool buffer
-# take the activations' dtype, which for float64 is the code as it stood, so
-# a float32 copy of the parameters is pinned down byte for byte too.  Unlike
-# the oracles above it calls the library's batch checks, im2col and softmax
-# helpers, which are not part of the step it pins down.
+# Adam's flat buffer.  Kept as written then, as train_binary_reference keeps
+# the old SMO loop: the library must train to the same bytes.  Two later
+# edits follow the library's layout and dtype rule.  The conv runs on
+# _im2col's patches, whose rows put each sample's even positions before
+# its odd ones and whose ones column carries the bias, so the conv and its
+# [weight | bias] gradient are one product each and the pool pairs the two
+# halves.  Dropout uniforms, the gate and the unpool buffer take the
+# activations' dtype, so a float32 copy of the parameters is pinned down
+# byte for byte too.  The masks are still drawn by rng.random, in natural
+# position order, and moved to _im2col's order, so they check the library's
+# draw from raw generator words.  Unlike the oracles above it calls the
+# library's batch checks, im2col and softmax helpers, which are not part of
+# the step it pins down.
+
+def pool_order(conv_len):
+    """Natural conv positions in _im2col's row order: even, odd, unpaired last."""
+    end = conv_len - conv_len % POOL_STRIDE
+    return np.concatenate([np.arange(0, end, 2), np.arange(1, end, 2), np.arange(end, conv_len)])
+
 
 def net_forward_blas_reference(model: NetModel, cols, hc, rng=None):
     """Class scores plus every intermediate needed by _backward.
 
     ``rng`` is the dropout generator of a training step; None means eval
-    mode, with no dropout. Conv activations are channels-last, (n, L-4, 16);
-    only the pooled block is transposed to the channel-major flat vector
-    that fc1 reads.
+    mode, with no dropout. Conv activations are channels-last, (n, L-4, 16),
+    in _im2col's position order; only the pooled block is transposed to the
+    channel-major flat vector that fc1 reads.
     """
     cfg = model.config
     p = model.params
     cache: dict = {}
 
     n, conv_len, _ = cols.shape
-    conv_pre = (cols.reshape(-1, CONV_KERNEL) @ p["conv_w"].T + p["conv_b"]).reshape(
+    weights = np.concatenate([p["conv_w"], p["conv_b"][:, None]], axis=1)
+    conv_pre = (cols.reshape(-1, CONV_KERNEL + 1) @ weights.T).reshape(
         n, conv_len, CONV_CHANNELS
     )
     # ReLU and inverted dropout as one multiplier that _backward reuses
     gate = conv_pre > 0.0
     if rng is not None and cfg.dropout_p > 0.0:
-        gate &= rng.random(gate.shape, dtype=conv_pre.dtype) >= cfg.dropout_p
+        uniforms = rng.random(gate.shape, dtype=conv_pre.dtype)[:, pool_order(conv_len)]
+        gate &= uniforms >= cfg.dropout_p
         gate = gate.astype(conv_pre.dtype) * (1.0 / (1.0 - cfg.dropout_p))
     act = conv_pre * gate
 
-    # max pool 2/2; ties keep the left element
-    end = conv_len - conv_len % POOL_STRIDE
-    left, right = act[:, 0:end:POOL_STRIDE], act[:, 1:end:POOL_STRIDE]
+    # max pool 2/2 over the even and odd halves; ties keep the left element
+    half = conv_len // POOL_STRIDE
+    left, right = act[:, :half], act[:, half : 2 * half]
     take_right = right > left
     pooled = np.where(take_right, right, left)
     flat = pooled.transpose(0, 2, 1).reshape(n, -1)
@@ -522,14 +536,15 @@ def net_backward_blas_reference(model: NetModel, cache, probs, labels):
 
     gate = cache["gate"]
     take_right = cache["take_right"]
-    end = take_right.shape[1] * POOL_STRIDE
+    half = take_right.shape[1]
     dpool = dflat.reshape(n, CONV_CHANNELS, -1).transpose(0, 2, 1)
     dact = np.zeros(gate.shape, dtype=dpool.dtype)
-    dact[:, 0:end:POOL_STRIDE] = np.where(take_right, 0.0, dpool)
-    dact[:, 1:end:POOL_STRIDE] = np.where(take_right, dpool, 0.0)
+    dact[:, :half] = np.where(take_right, 0.0, dpool)
+    dact[:, half : 2 * half] = np.where(take_right, dpool, 0.0)
     dconv = (dact * gate).reshape(-1, CONV_CHANNELS)
-    grads["conv_w"] = dconv.T @ cache["cols"].reshape(-1, CONV_KERNEL)
-    grads["conv_b"] = dconv.sum(axis=0)
+    both = dconv.T @ cache["cols"].reshape(-1, CONV_KERNEL + 1)
+    grads["conv_w"] = both[:, :CONV_KERNEL]
+    grads["conv_b"] = both[:, CONV_KERNEL]
     return grads
 
 

@@ -1,5 +1,7 @@
 """Conv-net shapes, analytic gradients vs finite differences, training contracts."""
 
+import math
+
 import numpy as np
 import pytest
 from oracles import (
@@ -10,6 +12,7 @@ from oracles import (
     net_forward_reference,
     net_train_blas_reference,
     net_train_reference,
+    pool_order,
 )
 
 from hractivity import neuralnet
@@ -87,6 +90,16 @@ def test_eval_forward_deterministic_and_pure():
 def dropout_stream(seed):
     """The generator ``train`` draws every dropout mask of one call from."""
     return np.random.default_rng(np.random.SeedSequence(entropy=(seed, 1)))
+
+
+def natural_layout(cols, cache):
+    """A step's patches (taps only), gate and take_right, conv positions in natural order.
+
+    _im2col puts each sample's even positions before its odd ones; a pool
+    pair's index is the same in either order, so take_right is as it is.
+    """
+    natural = np.argsort(pool_order(cols.shape[1]))
+    return cols[:, natural, :-1], cache["gate"][:, natural], cache["take_right"]
 
 
 def test_train_mode_dropout_differs_per_step():
@@ -191,6 +204,10 @@ def test_config_and_shape_errors():
         NetConfig(window_size=4)
     with pytest.raises(ConfigError, match=r"^dropout_p must be in \[0, 1\)$"):
         NetConfig(window_size=50, dropout_p=1.0)
+    for rate in (float("nan"), float("inf"), 0.0, -1e-3):
+        with pytest.raises(ConfigError,
+                           match=rf"^learning_rate must be a finite number > 0, got {rate!r}$"):
+            NetConfig(window_size=30, learning_rate=rate)
     with pytest.raises(ConfigError, match="^model1 needs hc_dim > 0$"):
         build(ArchitectureId.MODEL1, NetConfig(window_size=50, hc_dim=0))
     with pytest.raises(ConfigError, match="^model3 needs hc_dim > 0$"):
@@ -245,10 +262,12 @@ def test_train_mode_drops_the_same_activations(arch, f):
     model, ref = build(arch, cfg), build(arch, cfg)
     hc = h if f else np.zeros((70, 0))
     stream, ref_stream = dropout_stream(22), dropout_stream(22)
+    cols = _im2col(model, w, hc)
     for _ in range(2):  # the second step draws the stream's next uniforms
-        scores, cache = _forward(model, _im2col(model, w, hc), hc, stream)
+        scores, cache = _forward(model, cols, hc, stream)
         ref_scores, ref_cache = net_forward_reference(ref, w, h, ref_stream)
-        zeroed = cache["gate"] == 0.0  # channels-last (n, L-4, 16)
+        _, gate, _ = natural_layout(cols, cache)
+        zeroed = gate == 0.0  # channels-last (n, L-4, 16)
         ref_zeroed = ref_cache["act"].transpose(0, 2, 1) == 0.0
         assert np.array_equal(zeroed, ref_zeroed)
         assert ref_cache["drop_mask"].min() == 0.0  # some units really were dropped
@@ -263,9 +282,10 @@ def test_train_draws_every_mask_from_one_stream(monkeypatch):
     steps = []
 
     def recording_forward(model, cols, hc, rng=None):
-        pre = cols @ model.params["conv_w"].T + model.params["conv_b"]
         scores, cache = _forward(model, cols, hc, rng)
-        steps.append((pre > 0.0, cache["gate"] != 0.0))
+        taps, gate, _ = natural_layout(cols, cache)
+        pre = taps @ model.params["conv_w"].T + model.params["conv_b"]
+        steps.append((pre > 0.0, gate != 0.0))
         return scores, cache
 
     monkeypatch.setattr(neuralnet, "_forward", recording_forward)
@@ -386,12 +406,13 @@ def test_pool_ties_keep_the_left_element():
     hc = np.zeros((70, 0))
     cols = _im2col(model, w, hc)
     scores, cache = _forward(model, cols, hc, dropout_stream(27))
-    pre = cols.reshape(-1, 5) @ model.params["conv_w"].T
+    taps, gate, take_right = natural_layout(cols, cache)
+    pre = taps.reshape(-1, 5) @ model.params["conv_w"].T
     pre += model.params["conv_b"]
-    act = pre.reshape(cache["gate"].shape) * cache["gate"]
+    act = pre.reshape(gate.shape) * gate
     left, right = act[:, 0:26:2], act[:, 1:27:2]
     ties = left == right
-    assert not cache["take_right"][ties].any()
+    assert not take_right[ties].any()
     assert (ties & (left > 0.0)).sum() > 100
     assert (ties & np.signbit(left) & ~np.signbit(right)).sum() > 100
     assert (ties & ~np.signbit(left) & np.signbit(right)).sum() > 100
@@ -404,11 +425,114 @@ def test_pool_ties_keep_the_left_element():
 
 def test_softmax_and_loss_share_one_exponential_bit_for_bit():
     # the training step derives both from one exp; each must equal its own formula
-    rng = np.random.default_rng(12)
-    scores = rng.normal(scale=4.0, size=(40, 5))
-    labels = rng.integers(0, 5, size=40)
-    shifted = scores - scores.max(axis=1, keepdims=True)
-    e = np.exp(shifted)
-    assert softmax(scores).tobytes() == (e / e.sum(axis=1, keepdims=True)).tobytes()
-    log_z = np.log(np.exp(shifted).sum(axis=1))
-    assert cross_entropy(scores, labels) == float(np.mean(log_z - shifted[np.arange(40), labels]))
+    for dtype in (np.float64, np.float32):
+        for n in (1, 7, 32, 40, 517):  # pairwise summation changes form past 8 and 128
+            rng = np.random.default_rng(12)
+            scores = rng.normal(scale=4.0, size=(n, 5)).astype(dtype)
+            labels = rng.integers(0, 5, size=n)
+            shifted = scores - scores.max(axis=1, keepdims=True)
+            e = np.exp(shifted)
+            z = e.sum(axis=1, keepdims=True)
+            probs = softmax(scores)
+            assert probs.dtype == dtype
+            assert probs.tobytes() == (e / z).tobytes()
+            log_z = np.log(np.exp(shifted).sum(axis=1))
+            want = float(np.mean(log_z - shifted[np.arange(n), labels]))
+            assert cross_entropy(scores, labels) == want
+            got_shifted, got_e, got_z = neuralnet._exp_scores(scores)
+            assert got_shifted.tobytes() == shifted.tobytes()
+            assert (got_e.tobytes(), got_z.tobytes()) == (e.tobytes(), z.tobytes())
+            assert neuralnet._mean_nll(shifted, z, labels) == want
+
+
+# -- the conv stage's layout: even positions, odd positions, unpaired last -----
+
+def float32_rounding_step():
+    """Two p just below and just above the midpoint of two float32 neighbours.
+
+    From 0.5 up, float32's step is 2**-24, the step of a float32 draw, so
+    the lower p rounds down onto a value a draw can take and the upper p up
+    onto the next one: a threshold taken from p unrounded would drop the
+    draws equal to the lower neighbour.
+    """
+    low = np.float32(0.7)
+    mid = (float(low) + float(np.nextafter(low, np.float32(1.0)))) / 2.0
+    return [float(np.nextafter(mid, 0.0)), float(np.nextafter(mid, 1.0))]
+
+
+class RawWords:
+    """A stand-in generator whose raw words are given: ``rng.bit_generator.random_raw``."""
+
+    def __init__(self, words):
+        self.bit_generator = self
+        self.words = np.asarray(words, dtype=np.uint64)
+
+    def random_raw(self, size):
+        assert size == self.words.size
+        return self.words.copy()
+
+
+@pytest.mark.parametrize("p", [0.3, 0.5, *float32_rounding_step(), 1.0 - 2.0**-26])
+@pytest.mark.parametrize("conv_len", [26, 27])
+@pytest.mark.parametrize("dtype", [np.float64, np.float32])
+def test_keep_mask_is_the_uniform_draw_in_pool_order(dtype, conv_len, p):
+    stream, twin = dropout_stream(28), dropout_stream(28)
+    shape = (9, conv_len, 16)
+    for _ in range(2):
+        keep = neuralnet._keep_mask(stream, shape, dtype, p)
+        want = twin.random(shape, dtype=dtype) >= p
+        assert keep.shape == shape and keep.dtype == bool
+        assert np.array_equal(keep, want[:, pool_order(conv_len)])
+    if dtype is np.float32 and np.float32(p) == 1.0:
+        assert not keep.any()  # p rounds to 1.0 in float32: nothing is kept
+    elif p < 0.9:
+        assert keep.any() and not keep.all()
+    assert stream.random() == twin.random()  # the same words drawn, none left buffered
+
+
+@pytest.mark.parametrize("p", [0.3, 0.5, *float32_rounding_step(), 1.0 - 2.0**-26])
+@pytest.mark.parametrize("dtype", [np.float64, np.float32])
+def test_keep_mask_threshold_splits_the_words_at_p(dtype, p):
+    # words whose uniforms sit on and next to p, written as numpy's random()
+    # maps them: float32 from each 32-bit half's top 24 bits (low half first),
+    # float64 from the word's top 53 bits
+    bits, width = (24, 32) if dtype is np.float32 else (53, 64)
+    edge = min(math.ceil(float(dtype(p)) * 2**bits), 2**bits - 1)
+    tops = [edge - 2, edge - 1, edge, edge + 1, 2**bits - 1, 0, 1, edge]
+    tops = np.array([min(t, 2**bits - 1) for t in tops], dtype=np.uint64)
+    low_bits = np.uint64(2 ** (width - bits) - 1)
+    values = np.concatenate([tops << np.uint64(width - bits),
+                             (tops << np.uint64(width - bits)) | low_bits])  # 16
+    if dtype is np.float32:
+        words = values[0::2] | (values[1::2] << np.uint64(32))
+        uniforms = (values >> np.uint64(8)).astype(np.float32) * np.float32(2.0**-24)
+    else:
+        words = values
+        uniforms = (values >> np.uint64(11)).astype(np.float64) * 2.0**-53
+    keep = neuralnet._keep_mask(RawWords(words), (1, 1, 16), dtype, p)
+    assert np.array_equal(keep.reshape(-1), uniforms >= p)
+
+
+@pytest.mark.parametrize("window_size", [30, 31])  # even and odd conv lengths
+@pytest.mark.parametrize("arch,f", [(ArchitectureId.BASELINE, 0), (ArchitectureId.MODEL2, 7)])
+def test_conv_rows_are_even_then_odd_positions(arch, f, window_size):
+    cfg, w, h, _ = step_task(arch, f, window_size, seed=29)
+    model = build(arch, cfg)
+    hc = h if f else np.zeros((70, 0))
+    cols = _im2col(model, w, hc)
+    signal = np.concatenate([w, hc], axis=1)  # Model2 convolves the appended features
+    patches = np.lib.stride_tricks.sliding_window_view(signal, 5, axis=1)
+    conv_len = signal.shape[1] - 4
+    assert cols.shape == (70, conv_len, 6) and cols.flags.c_contiguous
+    assert cols[..., :5].tobytes() == patches[:, pool_order(conv_len)].tobytes()
+    assert (cols[..., 5] == 1.0).all()
+
+    _, cache = _forward(model, cols, hc, dropout_stream(29))
+    weights = np.concatenate([model.params["conv_w"], model.params["conv_b"][:, None]], axis=1)
+    act = (cols.reshape(-1, 6) @ weights.T).reshape(cache["gate"].shape) * cache["gate"]
+    natural = act[:, np.argsort(pool_order(conv_len))]
+    end = conv_len - conv_len % 2
+    left, right = natural[:, 0:end:2], natural[:, 1:end:2]
+    pooled = cache["flat"].reshape(70, 16, -1).transpose(0, 2, 1)
+    assert pooled.tobytes() == np.ascontiguousarray(np.maximum(right, left)).tobytes()
+    assert np.array_equal(cache["take_right"], right > left)
